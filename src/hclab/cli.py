@@ -30,9 +30,9 @@ from .errors import HclabError, SpecValidationError
 from .groups import CIRCLE, FiniteGroup, OrbitSequence, PAdicContext, catalog
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
-from .report import jsonable
+from .report import VerdictReport, jsonable
 from .weights import (ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction,
-                      StepWeight, weight_product)
+                      StepWeight, step_products)
 
 SCHEMA_VERSION = 1
 TASKS = ("equidist", "reps", "hctest", "padic", "all")
@@ -83,6 +83,52 @@ class ExperimentSpec:
 # parsing
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _parse_int_list(value, field, minimum, diags):
+    """A list of integers >= minimum (JSON integers or integer strings), or
+    None with a diagnostic that names the field."""
+    if not isinstance(value, list):
+        diags.append(f"{field}: expected a list of integers, got {value!r}")
+        return None
+    out = []
+    for entry in value:
+        try:
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise ValueError
+            k = int(entry)
+        except ValueError:
+            diags.append(f"{field}: {entry!r} is not an integer")
+            return None
+        if minimum is not None and k < minimum:
+            diags.append(f"{field}: {entry!r} is below the minimum {minimum}")
+            return None
+        out.append(k)
+    return out
+
+
 def _parse_group(desc, diags):
     if not isinstance(desc, dict) or "group" not in desc:
         diags.append("group: expected an object with a 'group' field")
@@ -108,7 +154,7 @@ def _parse_group(desc, diags):
         if extra:
             diags.append(f"group: unknown fields {sorted(extra)}")
         try:
-            return PAdicContext(
+            context = PAdicContext(
                 int(desc["p"]),
                 int(desc.get("precision", 4)),
                 int(desc.get("window", 0)) if kind == "qp" else 0,
@@ -116,6 +162,10 @@ def _parse_group(desc, diags):
         except (KeyError, ValueError) as exc:
             diags.append(f"group: {exc}")
             return None
+        if not _is_prime(context.prime):
+            diags.append(f"group: p = {context.prime} is not a prime")
+            return None
+        return context
     diags.append(f"group: unknown kind {kind!r}")
     return None
 
@@ -302,7 +352,9 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     element = _parse_element(group, raw.get("element"), diags)
     weight = _parse_weight(group, raw.get("weight"), diags)
     sets, set_ids = _parse_sets(group, raw.get("sets", []), diags)
-    characters = [int(k) for k in raw.get("characters", [])]
+    characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
+    if "N_list" in horizons:
+        _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags)
 
     spec = ExperimentSpec(
         raw=raw,
@@ -438,23 +490,16 @@ def _monotone_trace(spec: ExperimentSpec) -> list[list]:
             fired = bool(acc.min() >= 0 or acc.max() <= 0)
             out.append([n, repr(float(np.exp(acc.min()))), repr(float(np.exp(acc.max()))), fired])
     else:
-        if isinstance(spec.group, PAdicContext):
-            points = [spec.group.from_residue(r) for r in range(spec.group.modulus)]
-        else:
-            points = list(spec.group.elements())
-        for n in range(1, n_max + 1):
-            vals = [weight_product(w, a, n, x) for x in points]
-            mn, mx = min(vals), max(vals)
+        for n, row in zip(range(1, n_max + 1), step_products(w, a)):
+            mn, mx = min(row), max(row)
             out.append([n, repr(float(mn)), repr(float(mx)), bool(mn >= 1 or mx <= 1)])
     return out
 
 
-def _run_hctest(spec: ExperimentSpec, out_dir: str) -> dict:
-    config = spec.verdict_config()
-    rep = verdict(spec.weight, spec.element, config)
+def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     log_res = None
     try:
-        log_res = log_integral_report(spec.weight, config.quadrature_points)
+        log_res = log_integral_report(spec.weight, spec.verdict_config().quadrature_points)
     except HclabError:
         pass
     _write_csv(os.path.join(out_dir, "scan.csv"),
@@ -469,23 +514,20 @@ def _run_hctest(spec: ExperimentSpec, out_dir: str) -> dict:
     return payload
 
 
-def _run_padic(spec: ExperimentSpec, out_dir: str) -> dict:
+def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     group, w, a = spec.group, spec.weight, spec.element
-    config = spec.verdict_config()
-    n_max = config.resolved_ul_n_max(group)
+    n_max = spec.verdict_config().resolved_ul_n_max(group)
     rows = []
     if group.window == 0:
-        for n in range(1, n_max + 1):
-            witness = padic_mod.ul_sets(w, a, n, 0)
+        for witness in padic_mod.ul_trace(w, a, n_max):
             rows.append(
-                [n, 0, str(witness.radius), witness.u_nonempty, witness.l_nonempty,
+                [witness.n, 0, str(witness.radius), witness.u_nonempty, witness.l_nonempty,
                  " ".join(map(str, witness.u_witnesses)),
                  " ".join(map(str, witness.l_witnesses))]
             )
     _write_csv(os.path.join(out_dir, "ul_witness.csv"),
                ["n", "x_prime", "radius", "u_nonempty", "l_nonempty",
                 "u_witnesses", "l_witnesses"], rows)
-    rep = verdict(w, a, config)
     payload = rep.to_dict()
     payload["locally_constant_level"] = padic_mod.is_locally_constant(w)
     if not a.is_zero():
@@ -512,14 +554,19 @@ def run(spec: ExperimentSpec, out_dir: str, threads: int = 1) -> dict:
             tasks.append("hctest")
         if isinstance(spec.group, PAdicContext) and spec.weight is not None:
             tasks.append("padic")
+    # the hctest and padic runners share one verdict
+    rep = None
+    if "hctest" in tasks or "padic" in tasks:
+        rep = verdict(spec.weight, spec.element, spec.verdict_config())
     for task in tasks:
-        runner = {
-            "equidist": _run_equidist,
-            "reps": _run_reps,
-            "hctest": _run_hctest,
-            "padic": _run_padic,
-        }[task]
-        results[task] = runner(spec, out_dir)
+        if task == "equidist":
+            results[task] = _run_equidist(spec, out_dir)
+        elif task == "reps":
+            results[task] = _run_reps(spec, out_dir)
+        elif task == "hctest":
+            results[task] = _run_hctest(spec, out_dir, rep)
+        else:
+            results[task] = _run_padic(spec, out_dir, rep)
     envelope = {
         "schema": SCHEMA_VERSION,
         "task": spec.task,

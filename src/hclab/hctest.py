@@ -48,6 +48,7 @@ from .weights import (
     StepWeight,
     Weight,
     apply_operator,
+    step_products,
     weight_product,
 )
 
@@ -466,10 +467,10 @@ def _scan_expr_weight(w: ExprWeight, a, n_max, grid_points, require_strict):
     return None
 
 
-def _scan_exact_pairs(values_at, n_max, require_strict, witness_of):
-    """Shared exact scan: values_at(n) yields (point, Fraction) pairs."""
-    for n in range(1, n_max + 1):
-        pairs = values_at(n)
+def _scan_exact_pairs(rows, n_max, require_strict):
+    """Shared exact scan: ``rows`` yields, for n = 1, 2, ..., the n-step
+    products as (point, value) pairs; the witness is the first extreme point."""
+    for n, pairs in zip(range(1, n_max + 1), rows):
         vals = [v for _, v in pairs]
         mn, mx = min(vals), max(vals)
         hit = None
@@ -478,7 +479,8 @@ def _scan_exact_pairs(values_at, n_max, require_strict, witness_of):
         elif mx <= 1:
             hit = ("<=1", mn < 1)
         if hit and (hit[1] or not require_strict):
-            pt = witness_of(pairs, hit[0])
+            extreme = mn if hit[0] == ">=1" else mx
+            pt = next(x for x, v in pairs if v == extreme)
             return MonotoneHit(
                 n, hit[0], hit[1], True, float(mn), float(mx), witness=pt
             )
@@ -500,9 +502,8 @@ def monotone_power_scan(
     if isinstance(w, ExprWeight):
         return _scan_expr_weight(w, a, n_max, grid_points, require_strict)
     if isinstance(w, StepWeight):
-        boundaries = IntervalSet.empty()
-        for E, _ in w.step.pieces:
-            boundaries = boundaries.union(E)
+        if not w.is_exact:
+            raise NonPositiveWeight("exact scan requires rational step values")
 
         def values_at(n):
             counter = _product_counter(a, n)
@@ -521,45 +522,11 @@ def monotone_power_scan(
                 out.append((float(x), prod))
             return out
 
-        def witness_of(pairs, direction):
-            key = (min if direction == ">=1" else max)(pairs, key=lambda t: t[1])
-            return key[0]
-
-        if not w.is_exact:
-            raise NonPositiveWeight("exact scan requires rational step values")
-        return _scan_exact_pairs(values_at, n_max, require_strict, witness_of)
-    if isinstance(w, PAdicTableWeight):
-        ctx = w.context
-        size = ctx.prime ** (w.level + ctx.window)
-        shift = a.residue % size
-        running = {r: Fraction(1) for r in range(size)}
-        offset = 0
-
-        def values_at_padic(n):
-            nonlocal offset, running
-            while offset < n:
-                for r in range(size):
-                    running[r] *= w.table[(r - offset * shift) % size]
-                offset += 1
-            return [(r, running[r]) for r in range(size)]
-
-        def witness_of(pairs, direction):
-            key = (min if direction == ">=1" else max)(pairs, key=lambda t: t[1])
-            return key[0]
-
-        # values_at_padic mutates; wrap to recompute per n cheaply
-        return _scan_exact_pairs(values_at_padic, n_max, require_strict, witness_of)
-    if isinstance(w, FiniteWeight):
-        g = w.group
-
-        def values_at_finite(n):
-            return [(x, weight_product(w, a, n, x)) for x in g.elements()]
-
-        def witness_of(pairs, direction):
-            key = (min if direction == ">=1" else max)(pairs, key=lambda t: t[1])
-            return key[0]
-
-        return _scan_exact_pairs(values_at_finite, n_max, require_strict, witness_of)
+        return _scan_exact_pairs(map(values_at, range(1, n_max + 1)), n_max, require_strict)
+    if isinstance(w, (PAdicTableWeight, FiniteWeight)):
+        # p-adic points are the residues the table resolves, finite ones the elements
+        rows = (list(enumerate(row)) for row in step_products(w, a))
+        return _scan_exact_pairs(rows, n_max, require_strict)
     raise TypeError(f"unsupported weight {w!r}")
 
 

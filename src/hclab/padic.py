@@ -8,21 +8,24 @@ floats.  The only floats produced are the final values of log integrals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .borel import BallSet, ball
 from .errors import InternalInconsistency, WindowExceeded
 from .groups import PRECISION_CAP, PAdicContext, PAdicNumber
 from .report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY, RuleFiring
-from .weights import DiscretizedFunction, PAdicTableWeight, apply_operator, weight_product
+from .weights import DiscretizedFunction, PAdicTableWeight, apply_operator, step_products, weight_product
 
 __all__ = [
     "valuation",
     "padic_ball",
     "ULWitness",
     "ul_sets",
+    "ul_trace",
     "ul_scan",
     "is_locally_constant",
     "locally_constant_obstruction",
@@ -60,15 +63,6 @@ def _orbit_radius_exp(a: PAdicNumber, n: int) -> int:
     return a.context.precision if v is PRECISION_CAP else v
 
 
-def _signed_weight_product(w: PAdicTableWeight, a: PAdicNumber, n: int, x: PAdicNumber) -> Fraction:
-    """w_n for nonzero integer n; negative n uses the inverse-operator
-    convention w_{-k}(x) = 1 / w_k(x + k a)."""
-    if n > 0:
-        return weight_product(w, a, n, x)
-    k = -n
-    return 1 / weight_product(w, a, k, x + a.scalar_mul(k))
-
-
 @dataclass(frozen=True)
 class ULWitness:
     """The U/L test at one (n, x'): which residues of the ball around x' of
@@ -91,6 +85,44 @@ class ULWitness:
         return bool(self.l_witnesses)
 
 
+def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int, row: list) -> ULWitness:
+    """U and L inside the ball of radius |n a|_p around the residue x_prime,
+    read from ``row``, the |n|-step products of ``step_products``.  Negative
+    n uses the inverse-operator convention w_{-k}(x) = 1 / w_k(x + k a)."""
+    ctx = w.context
+    j = _orbit_radius_exp(a, n)
+    level = max(j, w.level)
+    p, m = ctx.prime, ctx.window
+    size = len(row)
+    offset = 0 if n > 0 else -n * a.residue
+    step = p ** (j + m)
+    base = x_prime % step
+    u_list, l_list = [], []
+    for t in range(p ** (level - j)):
+        rep = base + t * step
+        value = row[(rep + offset) % size]
+        if n < 0:
+            value = 1 / value
+        if value > 1:
+            u_list.append(rep)
+        elif value < 1:
+            l_list.append(rep)
+    return ULWitness(
+        n=n,
+        x_prime=x_prime,
+        radius_exp=j,
+        radius=_p_power(p, j),
+        level=level,
+        u_witnesses=tuple(u_list),
+        l_witnesses=tuple(l_list),
+    )
+
+
+def _row(w: PAdicTableWeight, a: PAdicNumber, n: int) -> list:
+    """The n-step product row, n >= 1."""
+    return next(itertools.islice(step_products(w, a), n - 1, None))
+
+
 def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0) -> ULWitness:
     """Exact enumeration of U and L inside the ball of radius |n a|_p.
 
@@ -99,31 +131,16 @@ def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | 
     """
     if n == 0:
         raise ValueError("need n != 0")
-    ctx = w.context
     if not isinstance(x_prime, PAdicNumber):
-        x_prime = ctx.element(x_prime)
-    j = _orbit_radius_exp(a, n)
-    level = max(j, w.level)
-    p, m = ctx.prime, ctx.window
-    base = x_prime.residue % p ** (j + m)
-    step = p ** (j + m)
-    u_list, l_list = [], []
-    for t in range(p ** (level - j)):
-        rep = base + t * step
-        value = _signed_weight_product(w, a, n, ctx.from_residue(rep))
-        if value > 1:
-            u_list.append(rep)
-        elif value < 1:
-            l_list.append(rep)
-    return ULWitness(
-        n=n,
-        x_prime=x_prime.residue,
-        radius_exp=j,
-        radius=_p_power(p, j),
-        level=level,
-        u_witnesses=tuple(u_list),
-        l_witnesses=tuple(l_list),
-    )
+        x_prime = w.context.element(x_prime)
+    return _ul_witness(w, a, n, x_prime.residue, _row(w, a, abs(n)))
+
+
+def ul_trace(w: PAdicTableWeight, a: PAdicNumber, n_max: int) -> Iterator[ULWitness]:
+    """``ul_sets`` around 0 for n = 1..n_max, from one pass of
+    ``step_products``."""
+    for n, row in zip(range(1, n_max + 1), step_products(w, a)):
+        yield _ul_witness(w, a, n, 0, row)
 
 
 def is_locally_constant(w: PAdicTableWeight) -> int | None:
@@ -145,12 +162,13 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     if k is None:
         return None
     n = w.context.prime ** k
-    witness = ul_sets(w, a, n, 0)
+    row = _row(w, a, n)
+    witness = _ul_witness(w, a, n, 0, row)
     if witness.u_nonempty and witness.l_nonempty:
         raise InternalInconsistency(
             "p^k-step product of a k-level weight varies on the test ball"
         )
-    constant = _signed_weight_product(w, a, n, w.context.from_residue(witness.x_prime))
+    constant = row[0]
     return RuleFiring(
         RULE_LOCALLY_CONSTANT,
         {"k": k, "n": n},
@@ -172,14 +190,12 @@ def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int) -> RuleFiring | Non
     """
     ctx = w.context
     p, m = ctx.prime, ctx.window
-    for n in range(1, n_max + 1):
+    for n, row in zip(range(1, n_max + 1), step_products(w, a)):
         j = _orbit_radius_exp(a, n)
         if not w.declared_locally_constant and j >= w.level:
             continue
-        level = max(j, w.level)
-        ball_count = p ** (j + m)
-        for b in range(ball_count):
-            witness = ul_sets(w, a, n, ctx.from_residue(b))
+        for b in range(p ** (j + m)):
+            witness = _ul_witness(w, a, n, b, row)
             if witness.u_nonempty and witness.l_nonempty:
                 continue
             side = "U" if not witness.u_nonempty else "L"

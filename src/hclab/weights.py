@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "DiscretizedFunction",
     "translate_back",
     "weight_product",
+    "step_products",
     "apply_operator",
 ]
 
@@ -448,6 +449,39 @@ def weight_product(w: Weight, a, n: int, x):
     for r in factors:
         acc *= float(r)
     return acc
+
+
+def step_products(w: Weight, a) -> Iterator[list]:
+    """Yield, for n = 1, 2, ..., the row of n-step products w_n over a whole
+    table weight at once.
+
+    For a ``PAdicTableWeight`` the row is indexed by the residues r mod
+    p^(level+window) that the table resolves (w_n(x) is row[x.residue % size]);
+    for a ``FiniteWeight`` it is indexed by group element.  Each row is the
+    previous one times one table lookup per index,
+    row_n[x] = row_{n-1}[x] * w(x a^-(n-1)), and only the current row is held.
+    Entries equal ``weight_product`` exactly for exact weights; a finite
+    weight with a float value gives float rows throughout.
+    """
+    if isinstance(w, PAdicTableWeight):
+        if a.context != w.context:
+            raise ContextMismatch(f"{a.context.name} vs {w.context.name}")
+        size = w._size
+        values = [w.table[r] for r in range(size)]
+        back = [(r - a.residue) % size for r in range(size)]
+    elif isinstance(w, FiniteWeight):
+        g = w.group
+        values = list(w.values) if w.is_exact else [float(v) for v in w.values]
+        a_inv = g.inv(a)
+        back = [g.mul(x, a_inv) for x in g.elements()]
+    else:
+        raise TypeError(f"step_products needs a table or finite weight, got {w!r}")
+    row = list(values)
+    pos = back
+    while True:
+        yield row
+        row = [v * values[i] for v, i in zip(row, pos)]
+        pos = [back[i] for i in pos]
 
 
 def _weight_on_grid_index(w: Weight, domain, i: int):

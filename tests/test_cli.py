@@ -63,6 +63,33 @@ def test_validate_rejects_unknown_fields():
     assert any("unknown fields" in d for d in diags)
 
 
+def test_validate_rejects_bad_characters_and_horizons(tmp_path, capsys):
+    cases = [
+        (circle_spec(characters=["x"]), "characters"),
+        (circle_spec(characters=[1], horizons={"N_list": [1]}), "horizons.N_list"),
+        (circle_spec(characters=[1], horizons={"N_list": [10, "y"]}), "horizons.N_list"),
+    ]
+    for i, (payload, field) in enumerate(cases):
+        assert any(d.startswith(field) for d in validate(payload, "equidist"))
+        path = write_spec(tmp_path, payload, f"bad{i}.json")
+        assert main(["validate", "--spec", path]) == 2
+        assert main(["all", "--spec", path, "--out-dir", str(tmp_path / f"o{i}")]) == 2
+        assert field in capsys.readouterr().err
+
+
+def test_validate_requires_prime_p(tmp_path, capsys):
+    payload = three_coset_spec()
+    payload["group"] = {"group": "zp", "p": 4, "precision": 2}
+    payload["weight"] = {"level": 1, "values": {"0": "2", "1": "1/2", "2": "1", "3": "1"}}
+    assert any("group" in d and "prime" in d for d in validate(payload, "padic"))
+    path = write_spec(tmp_path, payload)
+    assert main(["padic", "--spec", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "group: p = 4 is not a prime" in capsys.readouterr().err
+    payload["group"] = {"group": "qp", "p": 7, "precision": 2, "window": 1}
+    payload["weight"] = {"level": 0, "values": {str(r): "1" for r in range(7)}}
+    assert not any("prime" in d for d in validate(payload, "padic"))
+
+
 def test_parse_spec_resolves_objects():
     spec, diags = parse_spec(three_coset_spec(), "padic")
     assert diags == []
