@@ -32,7 +32,7 @@ from .hctest import VerdictConfig, log_integral_report, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
 from .weights import (ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction,
-                      StepWeight, step_products)
+                      StepWeight, circle_step_rows, step_products)
 
 SCHEMA_VERSION = 1
 TASKS = ("equidist", "reps", "hctest", "padic", "all")
@@ -474,34 +474,38 @@ def _run_reps(spec: ExperimentSpec, out_dir: str) -> dict:
 
 
 def _monotone_trace(spec: ExperimentSpec) -> list[list]:
-    """Running min/max of the n-step products, grid- or table-level."""
+    """Min/max of the n-step products: on a 256-point grid for expression
+    weights, otherwise the exact rows the verdict's monotone scan reads."""
     w, a = spec.weight, spec.element
     n_max = int(spec.horizons.get("n_max", 20))
     out = []
-    if spec.group is CIRCLE:
+    if isinstance(w, ExprWeight):
         xs = np.arange(256) / 256.0
         acc = np.zeros(256)
         af = float(a.value)
         for n in range(1, n_max + 1):
             pts = np.mod(xs - (n - 1) * af, 1.0)
-            vals = np.asarray(w.eval_angles(pts), dtype=float) if isinstance(w, ExprWeight) \
-                else np.array([w.value_at(float(t)) for t in pts])
-            acc = acc + np.log(vals)
+            acc = acc + np.log(np.asarray(w.eval_angles(pts), dtype=float))
             fired = bool(acc.min() >= 0 or acc.max() <= 0)
             out.append([n, repr(float(np.exp(acc.min()))), repr(float(np.exp(acc.max()))), fired])
+        return out
+    if isinstance(w, StepWeight):
+        rows = ([v for _, v in pairs] for pairs in circle_step_rows(w, a))
     else:
-        for n, row in zip(range(1, n_max + 1), step_products(w, a)):
-            mn, mx = min(row), max(row)
-            out.append([n, repr(float(mn)), repr(float(mx)), bool(mn >= 1 or mx <= 1)])
+        rows = step_products(w, a)
+    for n, row in zip(range(1, n_max + 1), rows):
+        mn, mx = min(row), max(row)
+        out.append([n, repr(float(mn)), repr(float(mx)), bool(mn >= 1 or mx <= 1)])
     return out
 
 
 def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
-    log_res = None
-    try:
-        log_res = log_integral_report(spec.weight, spec.verdict_config().quadrature_points)
-    except HclabError:
-        pass
+    log_res = rep.log_integral
+    if log_res is None:  # the battery stopped before its log rule
+        try:
+            log_res = log_integral_report(spec.weight, spec.verdict_config().quadrature_points)
+        except HclabError:
+            pass
     _write_csv(os.path.join(out_dir, "scan.csv"),
                ["n", "w_n_min", "w_n_max", "monotone_fired"], _monotone_trace(spec))
     payload = rep.to_dict()

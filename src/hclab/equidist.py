@@ -23,12 +23,13 @@ import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
+from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
 
 __all__ = [
     "DensityStat",
     "TestFunction",
     "OrbitCounter",
+    "product_counter",
     "density",
     "density_stat",
     "translated_density",
@@ -112,6 +113,17 @@ class OrbitCounter:
         if len(extra):
             base = np.concatenate([base, _mod1(np.asarray(extra, dtype=float))])
         return np.unique(base)
+
+
+def product_counter(a: CircleElement, N: int) -> OrbitCounter:
+    """Counter over the N-point product orbit x, x-a, ..., x-(N-1)a: the
+    orbit terms 1..N-1 plus the point itself, with coinciding angles merged
+    (torsion orbits return to 0)."""
+    vals, cnts = OrbitSequence(CIRCLE, a).angle_support(N)
+    vals, where = np.unique(np.concatenate([vals, [0.0]]), return_inverse=True)
+    merged = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(merged, where, np.concatenate([cnts, [1]]).astype(np.int64))
+    return OrbitCounter(vals, merged)
 
 
 # ---------------------------------------------------------------------------

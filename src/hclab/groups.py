@@ -17,6 +17,7 @@ the stored residue.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -233,7 +234,15 @@ def klein_four() -> FiniteGroup:
 
 
 def catalog() -> dict[str, FiniteGroup]:
-    """The built-in finite-group catalog (all orders <= 16)."""
+    """The built-in finite-group catalog (all orders <= 16).
+
+    The groups are built once per process, on first use, and shared; each
+    call returns a fresh dict of them."""
+    return dict(_catalog_groups())
+
+
+@functools.cache
+def _catalog_groups() -> dict[str, FiniteGroup]:
     groups: dict[str, FiniteGroup] = {}
     for n in range(1, 17):
         g = cyclic(n)

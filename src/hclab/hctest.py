@@ -25,10 +25,10 @@ import numpy as np
 
 from . import padic as _padic
 from .borel import IntervalSet
-from .equidist import OrbitCounter, _mod1
+from .equidist import _mod1, product_counter
 from .errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
-from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, PAdicContext
+from .groups import CircleElement, CircleGroup, FiniteGroup, PAdicContext
 from .report import (
     CONDITIONS_PASSED,
     NOT_HYPERCYCLIC,
@@ -48,6 +48,7 @@ from .weights import (
     StepWeight,
     Weight,
     apply_operator,
+    circle_step_rows,
     step_products,
     weight_product,
 )
@@ -348,27 +349,6 @@ def step_approx(
 # the two-sided product sandwich
 
 
-def _product_counter(a: CircleElement, N: int) -> OrbitCounter:
-    """Counter over the N-point product orbit x, x-a, ..., x-(N-1)a."""
-    from .groups import OrbitSequence
-
-    seq = OrbitSequence(CIRCLE, a)
-    vals, cnts = seq.angle_support(N)  # terms 1..N-1
-    vals = np.concatenate([vals, [0.0]])
-    cnts = np.concatenate([cnts, [1]])
-    order = np.argsort(vals, kind="stable")
-    vals, cnts = vals[order], cnts[order]
-    # merge a duplicate zero (torsion orbits hit it)
-    keep_vals, keep_cnts = [], []
-    for v, c in zip(vals, cnts):
-        if keep_vals and keep_vals[-1] == v:
-            keep_cnts[-1] += c
-        else:
-            keep_vals.append(float(v))
-            keep_cnts.append(int(c))
-    return OrbitCounter(np.asarray(keep_vals), np.asarray(keep_cnts))
-
-
 @dataclass(frozen=True)
 class SandwichResult:
     """Outcome of the per-piece orbit-count check behind the two-sided
@@ -394,7 +374,7 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
     for E, _ in phi.pieces:
         if not isinstance(E, IntervalSet):
             raise TypeError("sandwich_check runs on circle step functions")
-    counter = _product_counter(a, N)
+    counter = product_counter(a, N)
     candidates = np.unique(
         np.concatenate([counter.sup_candidates(E) for E, _ in phi.pieces])
     )
@@ -451,7 +431,7 @@ def _scan_expr_weight(w: ExprWeight, a, n_max, grid_points, require_strict):
             hit = (">=1", mx > 0.0, mn)
         elif mx <= 0.0:
             hit = ("<=1", mn < 0.0, -mx)
-        if hit and (hit[1] or not require_strict):
+        if hit and (hit[1] or n == 1 or not require_strict):
             if log_lip is None:
                 d = w.expr.derivative()
                 dv = np.abs(np.asarray(d(xs), dtype=float))
@@ -478,7 +458,7 @@ def _scan_exact_pairs(rows, n_max, require_strict):
             hit = (">=1", mx > 1)
         elif mx <= 1:
             hit = ("<=1", mn < 1)
-        if hit and (hit[1] or not require_strict):
+        if hit and (hit[1] or n == 1 or not require_strict):
             extreme = mn if hit[0] == ">=1" else mx
             pt = next(x for x, v in pairs if v == extreme)
             return MonotoneHit(
@@ -496,7 +476,11 @@ def monotone_power_scan(
 ) -> MonotoneHit | None:
     """Smallest n <= n_max whose n-step product is >= 1 everywhere or <= 1
     everywhere (on the evaluation grid for expression weights; exactly for
-    step, finite, and p-adic table weights).  None when no n fires."""
+    step, finite, and p-adic table weights).  None when no n fires.
+
+    With ``require_strict`` a product that is identically 1 fires only at
+    n = 1 (the isometry case w == 1); from n = 2 on it must differ from 1
+    somewhere."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if isinstance(w, ExprWeight):
@@ -504,25 +488,7 @@ def monotone_power_scan(
     if isinstance(w, StepWeight):
         if not w.is_exact:
             raise NonPositiveWeight("exact scan requires rational step values")
-
-        def values_at(n):
-            counter = _product_counter(a, n)
-            candidates = np.unique(
-                np.concatenate([counter.sup_candidates(E) for E, _ in w.step.pieces])
-            )
-            alphas = [Fraction(v) for _, v in w.step.pieces]
-            per_piece = [
-                counter.count_in_translated(E, candidates) for E, _ in w.step.pieces
-            ]
-            out = []
-            for col, x in enumerate(candidates):
-                prod = Fraction(1)
-                for alpha, counts in zip(alphas, per_piece):
-                    prod *= alpha ** int(counts[col])
-                out.append((float(x), prod))
-            return out
-
-        return _scan_exact_pairs(map(values_at, range(1, n_max + 1)), n_max, require_strict)
+        return _scan_exact_pairs(circle_step_rows(w, a), n_max, require_strict)
     if isinstance(w, (PAdicTableWeight, FiniteWeight)):
         # p-adic points are the residues the table resolves, finite ones the elements
         rows = (list(enumerate(row)) for row in step_products(w, a))
@@ -599,15 +565,9 @@ def _monotone_firing(w: Weight, a, config: VerdictConfig) -> RuleFiring | None:
     isometry case w_1 == 1), larger n must be strict somewhere -- an exactly
     constant-1 product at n >= 2 is the cyclic/locally-constant phenomenon
     and is reported by the sharper rules instead."""
-    first = monotone_power_scan(w, a, 1, config.monotone_grid, require_strict=False)
-    strict = monotone_power_scan(
+    hit = monotone_power_scan(
         w, a, config.monotone_n_max, config.monotone_grid, require_strict=True
     )
-    hit = None
-    if first is not None:
-        hit = first if (strict is None or strict.n >= first.n) else strict
-    else:
-        hit = strict
     if hit is None:
         return None
     return RuleFiring(
@@ -639,6 +599,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     horizons = {"monotone_n_max": config.monotone_n_max}
     notes = []
     metadata = dict(config.metadata or {})
+    log_res = None
 
     def report(fired: RuleFiring | None) -> VerdictReport:
         return VerdictReport(
@@ -649,6 +610,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             context=_context_name(group),
             notes=tuple(notes),
             metadata=metadata,
+            log_integral=log_res,
         )
 
     fired = _torsion_firing(w, a)

@@ -56,6 +56,10 @@ class VerdictReport:
     Exactly one rule fires when the verdict is NotHypercyclic.  The passing
     verdict never asserts hypercyclicity; it only says that no implemented
     necessary condition failed at the configured horizons.
+
+    ``log_integral`` keeps the ``hctest.LogIntegralResult`` the battery
+    computed (None when it stopped before the log rule) so callers can reuse
+    it; ``to_dict`` leaves it out.
     """
 
     verdict: str
@@ -65,6 +69,7 @@ class VerdictReport:
     context: str
     notes: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
+    log_integral: object = field(default=None, compare=False)
 
     @property
     def not_hypercyclic(self) -> bool:

@@ -13,6 +13,7 @@ families are supported:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
+from .equidist import product_counter
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, PAdicContext, PAdicNumber
@@ -37,6 +39,7 @@ __all__ = [
     "translate_back",
     "weight_product",
     "step_products",
+    "circle_step_rows",
     "apply_operator",
 ]
 
@@ -461,7 +464,8 @@ def step_products(w: Weight, a) -> Iterator[list]:
     previous one times one table lookup per index,
     row_n[x] = row_{n-1}[x] * w(x a^-(n-1)), and only the current row is held.
     Entries equal ``weight_product`` exactly for exact weights; a finite
-    weight with a float value gives float rows throughout.
+    weight with a float value gives float rows throughout.  Circle step
+    weights have their own rows, ``circle_step_rows``.
     """
     if isinstance(w, PAdicTableWeight):
         if a.context != w.context:
@@ -482,6 +486,34 @@ def step_products(w: Weight, a) -> Iterator[list]:
         yield row
         row = [v * values[i] for v, i in zip(row, pos)]
         pos = [back[i] for i in pos]
+
+
+def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[list]:
+    """Yield, for n = 1, 2, ..., the n-step products of a circle step weight
+    as a row of (translate, value) pairs: w_n(x) = prod_i alpha_i^(c_i(x)),
+    where c_i(x) counts the product orbit x, x-a, ..., x-(n-1)a inside piece i.
+
+    The translates are the union of every piece's ``sup_candidates`` under
+    the n-point product orbit, so each count vector w_n takes is realized,
+    with endpoint decisions at binary64 granularity.  The row keeps one
+    (translate, value) pair per distinct count vector, at the first
+    candidate that has it, in candidate order; the first pair reaching any
+    value is therefore the first candidate reaching it.  Values are exact
+    Fractions for exact weights, floats otherwise.
+    """
+    pieces = [E for E, _ in w.step.pieces]
+    alphas = [Fraction(v) if w.is_exact else float(v) for _, v in w.step.pieces]
+    for n in itertools.count(1):
+        counter = product_counter(a, n)
+        candidates = np.unique(np.concatenate([counter.sup_candidates(E) for E in pieces]))
+        counts = np.stack([counter.count_in_translated(E, candidates) for E in pieces], axis=1)
+        _, first = np.unique(counts, axis=0, return_index=True)
+        first.sort()
+        yield [
+            (float(candidates[j]),
+             math.prod(alpha ** int(c) for alpha, c in zip(alphas, counts[j])))
+            for j in first
+        ]
 
 
 def _weight_on_grid_index(w: Weight, domain, i: int):

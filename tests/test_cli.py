@@ -170,6 +170,29 @@ def test_hctest_run_writes_scan(tmp_path):
     assert len(scan) == 9
 
 
+def test_step_scan_matches_monotone_verdict(tmp_path):
+    # 2 on the closed arc [1/3, 5/6], 1/2 on the rest: the log-integral is 0,
+    # and under a half turn w_2 is 1 except at the arc's endpoints, where it is 4
+    spec = write_spec(
+        tmp_path,
+        circle_spec(
+            element={"angle": 0.5},
+            weight={"step": [[[["1/3", "5/6"], "closed"], "2"],
+                             [[["5/6", "1/3"], "open"], "1/2"]]},
+            horizons={"n_max": 4},
+        ),
+    )
+    out = tmp_path / "hc"
+    assert main(["hctest", "--spec", spec, "--out-dir", str(out)]) == 0
+    fired = json.loads((out / "report.json").read_text())["results"]["hctest"]["fired_rule"]
+    assert fired["rule"] == "MonotoneWeightPower"
+    n = fired["params"]["n"]
+    row = (out / "scan.csv").read_text().splitlines()[n].split(",")
+    assert row[0] == str(n) and row[3] == "True"
+    assert float(row[1]) == fired["witnesses"]["min_value"]
+    assert float(row[2]) == fired["witnesses"]["max_value"]
+
+
 def test_all_task_bundles(tmp_path):
     spec = write_spec(
         tmp_path,

@@ -325,6 +325,13 @@ def test_monotone_scan_two_level_half_rotation():
     assert hit_strict is None
 
 
+def test_monotone_scan_strict_allows_isometry():
+    # require_strict still lets an identically-1 product fire at n = 1
+    one = StepWeight(StepFunction.of([(IntervalSet.full(), Fraction(1))]))
+    hit = monotone_power_scan(one, CIRCLE.element("1/2"), 5, require_strict=True)
+    assert hit.n == 1 and not hit.strict
+
+
 def test_monotone_scan_oscillating_none():
     w = ExprWeight("exp(sin(2*pi*x))")
     assert monotone_power_scan(w, CIRCLE.from_float(GOLDEN), 50, grid_points=256) is None

@@ -1,16 +1,22 @@
-"""Property tests: the incremental n-step product rows of ``step_products``
-and everything read from them (U/L sets, monotone scans) against the direct
-``weight_product`` reference on small random p-adic and finite weights."""
+"""Property tests: the n-step product rows of ``step_products`` and
+``circle_step_rows`` and everything read from them (U/L sets, monotone
+scans) against direct references: ``weight_product`` on small random p-adic
+and finite weights, and a per-candidate Fraction product on small random
+circle step weights."""
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab.groups import PRECISION_CAP, PAdicContext, catalog
-from hclab.hctest import monotone_power_scan
+from hclab.borel import interval
+from hclab.equidist import OrbitCounter
+from hclab.groups import CIRCLE, PRECISION_CAP, OrbitSequence, PAdicContext, catalog
+from hclab.hctest import MonotoneHit, monotone_power_scan
 from hclab.padic import ul_sets
-from hclab.weights import FiniteWeight, PAdicTableWeight, step_products, weight_product
+from hclab.weights import (FiniteWeight, PAdicTableWeight, StepFunction, StepWeight,
+                           circle_step_rows, step_products, weight_product)
 
 PROPERTY = settings(max_examples=40, deadline=5000, derandomize=True, database=None)
 
@@ -44,10 +50,83 @@ def finite_cases(draw):
     return FiniteWeight(g, values), draw(st.sampled_from(list(g.elements())))
 
 
-def _brute_scan(points, product, n_max, require_strict):
-    """The monotone scan written out from its definition."""
+# arc variants by (lower end included, upper end included)
+VARIANTS = {(True, False): "half_open", (False, True): "half_open_right",
+            (True, True): "closed", (False, False): "open"}
+
+
+@st.composite
+def step_cases(draw):
+    """2-4 arcs with endpoints of denominator <= 20, each endpoint owned by
+    one of its two arcs; rational values, half the time a value and its
+    reciprocal only (so products cancel and fire late or not at all); a
+    float or declared-rational angle."""
+    k = draw(st.integers(2, 4))
+    den = draw(st.integers(k, 20))
+    cuts = sorted(draw(st.lists(st.integers(0, den - 1), min_size=k, max_size=k, unique=True)))
+    starts_own = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    pool = VALUES
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(VALUES))
+        pool = [base, 1 / base]
+    values = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    pieces = []
+    for j in range(k):
+        variant = VARIANTS[(starts_own[j], not starts_own[(j + 1) % k])]
+        lo, hi = Fraction(cuts[j], den), Fraction(cuts[(j + 1) % k], den)
+        pieces.append((interval(lo, hi, variant), values[j]))
+    if draw(st.booleans()):
+        a = CIRCLE.from_float(draw(st.floats(0.0, 1.0, exclude_max=True)))
+    else:
+        q = draw(st.integers(1, 20))
+        a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+    return StepWeight(StepFunction.of(pieces)), a
+
+
+def _product_counter(a, N):
+    """Counter over the N-point product orbit x, x-a, ..., x-(N-1)a, with a
+    duplicate zero (torsion orbits hit it) merged after a stable sort."""
+    vals, cnts = OrbitSequence(CIRCLE, a).angle_support(N)  # terms 1..N-1
+    vals = np.concatenate([vals, [0.0]])
+    cnts = np.concatenate([cnts, [1]])
+    order = np.argsort(vals, kind="stable")
+    keep_vals, keep_cnts = [], []
+    for v, c in zip(vals[order], cnts[order]):
+        if keep_vals and keep_vals[-1] == v:
+            keep_cnts[-1] += c
+        else:
+            keep_vals.append(float(v))
+            keep_cnts.append(int(c))
+    return OrbitCounter(np.asarray(keep_vals), np.asarray(keep_cnts))
+
+
+def _circle_values_at(w, a):
+    """The per-n circle scan the step rows replaced: every candidate
+    translate of every piece, one Fraction product per candidate."""
+    def values_at(n):
+        counter = _product_counter(a, n)
+        candidates = np.unique(
+            np.concatenate([counter.sup_candidates(E) for E, _ in w.step.pieces])
+        )
+        per_piece = [counter.count_in_translated(E, candidates) for E, _ in w.step.pieces]
+        out = []
+        for col, x in enumerate(candidates):
+            prod = Fraction(1)
+            for (_, alpha), counts in zip(w.step.pieces, per_piece):
+                prod *= Fraction(alpha) ** int(counts[col])
+            out.append((float(x), prod))
+        return out
+
+    return values_at
+
+
+def _brute_scan(values_at, n_max, require_strict):
+    """The monotone scan written out from its definition; ``values_at(n)``
+    lists (point, n-step product) pairs.  With ``require_strict`` only n = 1
+    may fire on a product that is identically 1."""
     for n in range(1, n_max + 1):
-        vals = [product(n, x) for x in points]
+        pairs = values_at(n)
+        vals = [v for _, v in pairs]
         mn, mx = min(vals), max(vals)
         if mn >= 1:
             direction, strict = ">=1", mx > 1
@@ -55,17 +134,10 @@ def _brute_scan(points, product, n_max, require_strict):
             direction, strict = "<=1", mn < 1
         else:
             continue
-        if strict or not require_strict:
-            witness = points[vals.index(mn if direction == ">=1" else mx)]
-            return n, direction, strict, float(mn), float(mx), witness
+        if strict or not require_strict or n == 1:
+            witness = pairs[vals.index(mn if direction == ">=1" else mx)][0]
+            return MonotoneHit(n, direction, strict, True, float(mn), float(mx), witness)
     return None
-
-
-def _hit_tuple(hit):
-    if hit is None:
-        return None
-    assert hit.certified
-    return hit.n, hit.direction, hit.strict, hit.min_value, hit.max_value, hit.witness
 
 
 @PROPERTY
@@ -130,12 +202,11 @@ def test_padic_monotone_scan_matches_brute_force(case, data):
     n_max = data.draw(st.integers(1, 2 * size))
     strict = data.draw(st.booleans())
     expected = _brute_scan(
-        list(range(size)),
-        lambda n, r: weight_product(w, a, n, ctx.from_residue(r)),
+        lambda n: [(r, weight_product(w, a, n, ctx.from_residue(r))) for r in range(size)],
         n_max,
         strict,
     )
-    assert _hit_tuple(monotone_power_scan(w, a, n_max, require_strict=strict)) == expected
+    assert monotone_power_scan(w, a, n_max, require_strict=strict) == expected
 
 
 @PROPERTY
@@ -146,6 +217,22 @@ def test_finite_monotone_scan_matches_brute_force(case, data):
     n_max = data.draw(st.integers(1, 2 * g.order))
     strict = data.draw(st.booleans())
     expected = _brute_scan(
-        list(g.elements()), lambda n, x: weight_product(w, a, n, x), n_max, strict
+        lambda n: [(x, weight_product(w, a, n, x)) for x in g.elements()], n_max, strict
     )
-    assert _hit_tuple(monotone_power_scan(w, a, n_max, require_strict=strict)) == expected
+    assert monotone_power_scan(w, a, n_max, require_strict=strict) == expected
+
+
+@PROPERTY
+@given(step_cases(), st.data())
+def test_circle_step_scan_matches_per_candidate_scan(case, data):
+    w, a = case
+    values_at = _circle_values_at(w, a)
+    n_max = data.draw(st.integers(1, 12))
+    strict = data.draw(st.booleans())
+    expected = _brute_scan(values_at, n_max, strict)
+    hit = monotone_power_scan(w, a, n_max, require_strict=strict)
+    assert hit == expected
+    for n, row in zip(range(1, n_max + 1), circle_step_rows(w, a)):
+        full = values_at(n)
+        assert sorted({v for _, v in row}) == sorted({v for _, v in full})
+        assert set(row) <= set(full)
