@@ -67,6 +67,7 @@ from .hctest import (
     log_integral,
     log_integral_report,
     monotone_power_scan,
+    monotone_rows,
     operator_power_identity_check,
     sandwich_check,
     step_approx,

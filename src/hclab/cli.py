@@ -1,6 +1,6 @@
 """Experiment runner: declarative JSON specs in, JSON reports and CSV traces out.
 
-Usage:  hclab <task> --spec experiment.json [--out-dir DIR] [--threads N]
+Usage:  hclab <task> --spec experiment.json [--out-dir DIR]
 
 Tasks: equidist, reps, hctest, padic, all, validate.  Exit codes: 0 on
 success (a NotHypercyclic verdict is data, not failure), 2 for parse or
@@ -16,10 +16,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -28,11 +30,10 @@ from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
 from .groups import CIRCLE, FiniteGroup, OrbitSequence, PAdicContext, catalog
-from .hctest import VerdictConfig, log_integral_report, verdict
+from .hctest import VerdictConfig, log_integral_report, monotone_rows, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
-from .weights import (ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction,
-                      StepWeight, circle_step_rows, step_products)
+from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
 SCHEMA_VERSION = 1
 TASKS = ("equidist", "reps", "hctest", "padic", "all")
@@ -43,6 +44,11 @@ _TOP_KEYS = {
 }
 _HORIZON_KEYS = {"N_list", "n_max", "ul_n_max", "k_max"}
 _TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
+# integer settings and their minima
+_INT_SETTINGS = (
+    ("horizons", "n_max", 1), ("horizons", "ul_n_max", 1), ("horizons", "k_max", 1),
+    ("tolerances", "grid_points", 1), ("tolerances", "quadrature_points", 2),
+)
 
 
 @dataclass
@@ -74,7 +80,7 @@ class ExperimentSpec:
             quadrature_points=int(self.tolerances.get("quadrature_points", 1 << 16)),
             monotone_n_max=int(self.horizons.get("n_max", 50)),
             monotone_grid=int(self.tolerances.get("grid_points", 1024)),
-            ul_n_max=self.horizons.get("ul_n_max"),
+            ul_n_max=int(self.horizons["ul_n_max"]) if "ul_n_max" in self.horizons else None,
             metadata={"lp_exponent": self.lp_exponent} if self.lp_exponent else {},
         )
 
@@ -107,26 +113,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _parse_int(value, field, minimum, diags):
+    """An integer >= minimum (a JSON integer or an integer string), or None
+    with a diagnostic that names the field."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        k = int(value)
+    except ValueError:
+        diags.append(f"{field}: {value!r} is not an integer")
+        return None
+    if minimum is not None and k < minimum:
+        diags.append(f"{field}: {value!r} is below the minimum {minimum}")
+        return None
+    return k
+
+
 def _parse_int_list(value, field, minimum, diags):
-    """A list of integers >= minimum (JSON integers or integer strings), or
-    None with a diagnostic that names the field."""
+    """A list of integers >= minimum, or None with a diagnostic that names
+    the field."""
     if not isinstance(value, list):
         diags.append(f"{field}: expected a list of integers, got {value!r}")
         return None
-    out = []
-    for entry in value:
-        try:
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                raise ValueError
-            k = int(entry)
-        except ValueError:
-            diags.append(f"{field}: {entry!r} is not an integer")
-            return None
-        if minimum is not None and k < minimum:
-            diags.append(f"{field}: {entry!r} is below the minimum {minimum}")
-            return None
-        out.append(k)
-    return out
+    out = [_parse_int(entry, field, minimum, diags) for entry in value]
+    return None if None in out else out
 
 
 def _parse_group(desc, diags):
@@ -144,7 +154,7 @@ def _parse_group(desc, diags):
             diags.append(f"group: unknown fields {sorted(extra)}")
         name = desc.get("name")
         groups = catalog()
-        if name not in groups:
+        if not isinstance(name, str) or name not in groups:
             diags.append(f"group: unknown finite group {name!r}; catalog: {sorted(groups)}")
             return None
         return groups[name]
@@ -159,7 +169,7 @@ def _parse_group(desc, diags):
                 int(desc.get("precision", 4)),
                 int(desc.get("window", 0)) if kind == "qp" else 0,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             diags.append(f"group: {exc}")
             return None
         if not _is_prime(context.prime):
@@ -186,11 +196,16 @@ def _parse_element(group, desc, diags):
                 return CIRCLE.element(desc)
             return CIRCLE.from_float(float(desc))
         if isinstance(group, FiniteGroup):
-            idx = desc["index"] if isinstance(desc, dict) else int(desc)
-            if not 0 <= int(idx) < group.order:
+            if isinstance(desc, dict):
+                if "index" not in desc:
+                    diags.append("element: need 'index'")
+                    return None
+                desc = desc["index"]
+            idx = _parse_int(desc, "element", 0, diags)
+            if idx is not None and idx >= group.order:
                 diags.append(f"element: index {idx} out of range for {group.name}")
                 return None
-            return int(idx)
+            return idx
         if isinstance(group, PAdicContext):
             if isinstance(desc, dict):
                 if "digits" in desc:
@@ -200,7 +215,7 @@ def _parse_element(group, desc, diags):
                 diags.append("element: need 'digits' or 'value'")
                 return None
             return group.element(Fraction(str(desc)))
-    except (HclabError, ValueError, ZeroDivisionError) as exc:
+    except (HclabError, TypeError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"element: {exc}")
         return None
     diags.append("element: unsupported group")
@@ -269,11 +284,15 @@ def _parse_sets(group, descs, diags):
         elif isinstance(group, PAdicContext):
             s = _parse_padic_set(group, desc, diags)
         elif isinstance(group, FiniteGroup):
+            s = None
             if isinstance(desc, dict) and set(desc) == {"indices"}:
-                s = FiniteSubset.of(group, [int(v) for v in desc["indices"]])
+                indices = _parse_int_list(desc["indices"], "sets", 0, diags)
+                try:
+                    s = FiniteSubset.of(group, indices) if indices is not None else None
+                except ValueError as exc:
+                    diags.append(f"sets: {exc}")
             else:
                 diags.append(f"sets: finite sets need {{'indices': [...]}}, got {desc!r}")
-                s = None
         else:
             s = None
         if s is not None:
@@ -310,7 +329,7 @@ def _parse_weight(group, desc, diags):
             return None
         if isinstance(group, PAdicContext):
             table_desc = desc.get("table", desc) if isinstance(desc, dict) else None
-            if not isinstance(table_desc, dict) or "values" not in table_desc:
+            if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
                 diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
                 return None
             level = int(table_desc.get("level", group.precision))
@@ -319,9 +338,12 @@ def _parse_weight(group, desc, diags):
             for key, val in table_desc["values"].items():
                 res = group.element(Fraction(str(key))).residue % size
                 values[res] = Fraction(str(val))
-            declared = bool(desc.get("declared_locally_constant", True)) if isinstance(desc, dict) else True
+            declared = desc.get("declared_locally_constant", True)
+            if not isinstance(declared, bool):
+                diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
+                return None
             return PAdicTableWeight(group, level, values, declared)
-    except (HclabError, ValueError) as exc:
+    except (HclabError, TypeError, ValueError) as exc:
         diags.append(f"weight: {exc}")
         return None
     diags.append("weight: unsupported group")
@@ -355,6 +377,18 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
     if "N_list" in horizons:
         _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags)
+    sections = {"horizons": horizons, "tolerances": tolerances}
+    for section, key, minimum in _INT_SETTINGS:
+        if key in sections[section]:
+            _parse_int(sections[section][key], f"{section}.{key}", minimum, diags)
+    if "log_tolerance" in tolerances:
+        tol = tolerances["log_tolerance"]
+        try:
+            ok = not isinstance(tol, bool) and math.isfinite(float(tol)) and float(tol) >= 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            diags.append(f"tolerances.log_tolerance: expected a number >= 0, got {tol!r}")
 
     spec = ExperimentSpec(
         raw=raw,
@@ -473,41 +507,22 @@ def _run_reps(spec: ExperimentSpec, out_dir: str) -> dict:
     }
 
 
-def _monotone_trace(spec: ExperimentSpec) -> list[list]:
-    """Min/max of the n-step products: on a 256-point grid for expression
-    weights, otherwise the exact rows the verdict's monotone scan reads."""
-    w, a = spec.weight, spec.element
-    n_max = int(spec.horizons.get("n_max", 20))
-    out = []
-    if isinstance(w, ExprWeight):
-        xs = np.arange(256) / 256.0
-        acc = np.zeros(256)
-        af = float(a.value)
-        for n in range(1, n_max + 1):
-            pts = np.mod(xs - (n - 1) * af, 1.0)
-            acc = acc + np.log(np.asarray(w.eval_angles(pts), dtype=float))
-            fired = bool(acc.min() >= 0 or acc.max() <= 0)
-            out.append([n, repr(float(np.exp(acc.min()))), repr(float(np.exp(acc.max()))), fired])
-        return out
-    if isinstance(w, StepWeight):
-        rows = ([v for _, v in pairs] for pairs in circle_step_rows(w, a))
-    else:
-        rows = step_products(w, a)
-    for n, row in zip(range(1, n_max + 1), rows):
-        mn, mx = min(row), max(row)
-        out.append([n, repr(float(mn)), repr(float(mx)), bool(mn >= 1 or mx <= 1)])
-    return out
-
-
 def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
+    config = spec.verdict_config()
     log_res = rep.log_integral
     if log_res is None:  # the battery stopped before its log rule
         try:
-            log_res = log_integral_report(spec.weight, spec.verdict_config().quadrature_points)
+            log_res = log_integral_report(spec.weight, config.quadrature_points)
         except HclabError:
             pass
+    rows = rep.monotone_rows
+    if rows is None or len(rows) < config.monotone_n_max:  # it stopped before the horizon
+        rows = islice(monotone_rows(spec.weight, spec.element, config.monotone_grid),
+                      config.monotone_n_max)
     _write_csv(os.path.join(out_dir, "scan.csv"),
-               ["n", "w_n_min", "w_n_max", "monotone_fired"], _monotone_trace(spec))
+               ["n", "w_n_min", "w_n_max", "monotone_fired"],
+               [[r.n, repr(r.min_value), repr(r.max_value), r.direction is not None]
+                for r in rows])
     payload = rep.to_dict()
     if log_res is not None:
         payload["log_integral"] = jsonable(
@@ -545,7 +560,7 @@ def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     return payload
 
 
-def run(spec: ExperimentSpec, out_dir: str, threads: int = 1) -> dict:
+def run(spec: ExperimentSpec, out_dir: str) -> dict:
     """Execute the resolved spec, write artifacts, return the report payload."""
     os.makedirs(out_dir, exist_ok=True)
     results: dict = {}
@@ -577,7 +592,6 @@ def run(spec: ExperimentSpec, out_dir: str, threads: int = 1) -> dict:
         "label": spec.label,
         "spec_hash": spec.spec_hash,
         "lp_exponent": spec.lp_exponent,
-        "threads": threads,
         "tolerances": jsonable(spec.tolerances),
         "horizons": jsonable(spec.horizons),
         "results": jsonable(results),
@@ -600,8 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task)
         p.add_argument("--spec", help="experiment JSON file")
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HCLAB_THREADS", "1")))
         if task == "reps":
             p.add_argument("--group", help="catalog group name (shortcut for a spec file)")
             p.add_argument("--element", type=int, help="restrict to one element index")
@@ -647,7 +659,7 @@ def main(argv=None) -> int:
             print(f"invalid spec: {d}", file=sys.stderr)
         return 2
     try:
-        envelope = run(spec, args.out_dir, threads=args.threads)
+        envelope = run(spec, args.out_dir)
     except HclabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

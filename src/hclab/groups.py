@@ -434,9 +434,6 @@ class PAdicContext:
         for r in range(self.modulus):
             yield PAdicNumber(self, r)
 
-    def reduce(self, precision: int, window: int = 0) -> "PAdicContext":
-        return PAdicContext(self.prime, precision, window)
-
 
 @dataclass(frozen=True)
 class PAdicNumber:

@@ -18,9 +18,12 @@ fired at the configured horizons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
+
 import numpy as np
 
 from . import padic as _padic
@@ -54,16 +57,6 @@ from .weights import (
 )
 
 __all__ = [
-    "StepFunction",
-    "Weight",
-    "ExprWeight",
-    "StepWeight",
-    "FiniteWeight",
-    "PAdicTableWeight",
-    "CircleGrid",
-    "DiscretizedFunction",
-    "weight_product",
-    "apply_operator",
     "operator_power_identity_check",
     "LogIntegralResult",
     "log_integral",
@@ -72,6 +65,7 @@ __all__ = [
     "SandwichResult",
     "sandwich_check",
     "MonotoneHit",
+    "monotone_rows",
     "monotone_power_scan",
     "VerdictConfig",
     "verdict",
@@ -406,10 +400,12 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
 
 @dataclass(frozen=True)
 class MonotoneHit:
-    """Evidence that the n-step product is one-sided against 1."""
+    """One row of the monotone weight-power scan: the extremes of the n-step
+    product and, when it is one-sided against 1, the evidence that it is.
+    ``direction`` is None on a row that is not one-sided."""
 
     n: int
-    direction: str  # ">=1" or "<=1"
+    direction: str | None  # ">=1", "<=1" or None
     strict: bool
     certified: bool
     min_value: float
@@ -417,54 +413,71 @@ class MonotoneHit:
     witness: object = None
 
 
-def _scan_expr_weight(w: ExprWeight, a, n_max, grid_points, require_strict):
+def _expr_rows(w: ExprWeight, a, grid_points) -> Iterator[MonotoneHit]:
+    """Rows from log sums on the grid; decisions stay in log space, with a
+    Lipschitz margin computed once, at the first one-sided row."""
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
     acc = np.zeros(grid_points)
     log_lip = None
-    for n in range(1, n_max + 1):
+    for n in itertools.count(1):
         pts = _mod1(xs - (n - 1) * af)
         acc = acc + np.log(np.asarray(w.eval_angles(pts), dtype=float))
         mn, mx = float(acc.min()), float(acc.max())
-        hit = None
-        if mn >= 0.0:
-            hit = (">=1", mx > 0.0, mn)
-        elif mx <= 0.0:
-            hit = ("<=1", mn < 0.0, -mx)
-        if hit and (hit[1] or n == 1 or not require_strict):
-            if log_lip is None:
-                d = w.expr.derivative()
-                dv = np.abs(np.asarray(d(xs), dtype=float))
-                wv = np.asarray(w.eval_angles(xs), dtype=float)
-                log_lip = 2.0 * float(np.max(dv / wv))
-            margin = n * log_lip / (2 * grid_points)
-            certified = hit[2] - margin >= 0.0
-            i = int(np.argmin(acc) if hit[0] == ">=1" else np.argmax(acc))
-            return MonotoneHit(
-                n, hit[0], hit[1], certified,
-                float(math.exp(mn)), float(math.exp(mx)), witness=float(xs[i]),
-            )
-    return None
+        if not (mn >= 0.0 or mx <= 0.0):
+            yield MonotoneHit(n, None, False, False, math.exp(mn), math.exp(mx))
+            continue
+        if log_lip is None:
+            d = w.expr.derivative()
+            dv = np.abs(np.asarray(d(xs), dtype=float))
+            wv = np.asarray(w.eval_angles(xs), dtype=float)
+            log_lip = 2.0 * float(np.max(dv / wv))
+        up = mn >= 0.0
+        gap = mn if up else -mx
+        certified = gap - n * log_lip / (2 * grid_points) >= 0.0
+        i = int(np.argmin(acc) if up else np.argmax(acc))
+        yield MonotoneHit(
+            n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
+            math.exp(mn), math.exp(mx), witness=float(xs[i]),
+        )
 
 
-def _scan_exact_pairs(rows, n_max, require_strict):
-    """Shared exact scan: ``rows`` yields, for n = 1, 2, ..., the n-step
-    products as (point, value) pairs; the witness is the first extreme point."""
-    for n, pairs in zip(range(1, n_max + 1), rows):
-        vals = [v for _, v in pairs]
-        mn, mx = min(vals), max(vals)
-        hit = None
-        if mn >= 1:
-            hit = (">=1", mx > 1)
-        elif mx <= 1:
-            hit = ("<=1", mn < 1)
-        if hit and (hit[1] or n == 1 or not require_strict):
-            extreme = mn if hit[0] == ">=1" else mx
-            pt = next(x for x, v in pairs if v == extreme)
-            return MonotoneHit(
-                n, hit[0], hit[1], True, float(mn), float(mx), witness=pt
-            )
-    return None
+def _exact_rows(rows) -> Iterator[MonotoneHit]:
+    """Rows from exact products; ``rows`` yields, for n = 1, 2, ..., the
+    points and the n-step values there.  The witness is the first point at
+    the extreme."""
+    for n, (points, values) in enumerate(rows, 1):
+        mn, mx = min(values), max(values)
+        if not (mn >= 1 or mx <= 1):
+            yield MonotoneHit(n, None, False, False, float(mn), float(mx))
+            continue
+        up = mn >= 1
+        witness = points[values.index(mn if up else mx)]
+        yield MonotoneHit(
+            n, ">=1" if up else "<=1", mx > 1 if up else mn < 1, True,
+            float(mn), float(mx), witness=witness,
+        )
+
+
+def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit]:
+    """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
+    the ``grid_points``-point grid for expression weights, exactly for step
+    (``circle_step_rows``), finite and p-adic table weights
+    (``step_products``)."""
+    if isinstance(w, ExprWeight):
+        return _expr_rows(w, a, grid_points)
+    if isinstance(w, StepWeight):
+        if not w.is_exact:
+            raise NonPositiveWeight("exact scan requires rational step values")
+        return _exact_rows(zip(*pairs) for pairs in circle_step_rows(w, a))
+    if isinstance(w, (PAdicTableWeight, FiniteWeight)):
+        # p-adic points are the residues the table resolves, finite ones the elements
+        return _exact_rows((range(len(row)), row) for row in step_products(w, a))
+    raise TypeError(f"unsupported weight {w!r}")
+
+
+def _fires(row: MonotoneHit, require_strict: bool) -> bool:
+    return row.direction is not None and (row.strict or row.n == 1 or not require_strict)
 
 
 def monotone_power_scan(
@@ -483,17 +496,8 @@ def monotone_power_scan(
     somewhere."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if isinstance(w, ExprWeight):
-        return _scan_expr_weight(w, a, n_max, grid_points, require_strict)
-    if isinstance(w, StepWeight):
-        if not w.is_exact:
-            raise NonPositiveWeight("exact scan requires rational step values")
-        return _scan_exact_pairs(circle_step_rows(w, a), n_max, require_strict)
-    if isinstance(w, (PAdicTableWeight, FiniteWeight)):
-        # p-adic points are the residues the table resolves, finite ones the elements
-        rows = (list(enumerate(row)) for row in step_products(w, a))
-        return _scan_exact_pairs(rows, n_max, require_strict)
-    raise TypeError(f"unsupported weight {w!r}")
+    rows = itertools.islice(monotone_rows(w, a, grid_points), n_max)
+    return next((row for row in rows if _fires(row, require_strict)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +564,23 @@ def _log_firing(w: Weight, config: VerdictConfig) -> tuple[RuleFiring | None, Lo
     )
 
 
-def _monotone_firing(w: Weight, a, config: VerdictConfig) -> RuleFiring | None:
+def _monotone_firing(w: Weight, a, config: VerdictConfig) -> tuple[RuleFiring | None, tuple]:
     """Battery form of the scan: n = 1 may fire without strictness (the
     isometry case w_1 == 1), larger n must be strict somewhere -- an exactly
     constant-1 product at n >= 2 is the cyclic/locally-constant phenomenon
-    and is reported by the sharper rules instead."""
-    hit = monotone_power_scan(
-        w, a, config.monotone_n_max, config.monotone_grid, require_strict=True
-    )
-    if hit is None:
-        return None
-    return RuleFiring(
-        RULE_MONOTONE,
-        {"n": hit.n, "direction": hit.direction, "strict": hit.strict,
-         "certified": hit.certified},
-        {"min_value": hit.min_value, "max_value": hit.max_value, "witness": hit.witness},
-    )
+    and is reported by the sharper rules instead.  Also returns the rows it
+    walked, up to the firing one or the horizon."""
+    walked = []
+    for row in itertools.islice(monotone_rows(w, a, config.monotone_grid), config.monotone_n_max):
+        walked.append(row)
+        if _fires(row, require_strict=True):
+            return RuleFiring(
+                RULE_MONOTONE,
+                {"n": row.n, "direction": row.direction, "strict": row.strict,
+                 "certified": row.certified},
+                {"min_value": row.min_value, "max_value": row.max_value, "witness": row.witness},
+            ), tuple(walked)
+    return None, tuple(walked)
 
 
 def _context_name(group) -> str:
@@ -599,7 +604,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     horizons = {"monotone_n_max": config.monotone_n_max}
     notes = []
     metadata = dict(config.metadata or {})
-    log_res = None
+    log_res = mono_rows = None
 
     def report(fired: RuleFiring | None) -> VerdictReport:
         return VerdictReport(
@@ -611,6 +616,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             notes=tuple(notes),
             metadata=metadata,
             log_integral=log_res,
+            monotone_rows=mono_rows,
         )
 
     fired = _torsion_firing(w, a)
@@ -636,7 +642,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
         return report(fired)
     notes.append(f"log integral {log_res.value:.3e} ({log_res.method})")
 
-    fired = _monotone_firing(w, a, config)
+    fired, mono_rows = _monotone_firing(w, a, config)
     if fired:
         return report(fired)
 

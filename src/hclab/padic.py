@@ -22,7 +22,6 @@ from .weights import DiscretizedFunction, PAdicTableWeight, apply_operator, step
 
 __all__ = [
     "valuation",
-    "padic_ball",
     "ULWitness",
     "ul_sets",
     "ul_trace",
@@ -45,10 +44,6 @@ def valuation(x: PAdicNumber):
     """Index of the lowest nonzero stored digit (window-offset), or
     PRECISION_CAP when the value vanishes at working precision."""
     return x.valuation()
-
-
-def padic_ball(context: PAdicContext, center, radius_exp: int) -> BallSet:
-    return ball(context, center, radius_exp)
 
 
 def _p_power(p: int, j: int) -> Fraction:

@@ -89,9 +89,6 @@ class StepFunction:
                 return v
         raise AssertionError("cover invariant violated")
 
-    def measures(self) -> list[Fraction]:
-        return [E.measure() for E, _ in self.pieces]
-
     def integral(self):
         """sum_i measure(E_i) * value_i (exact when the values are exact)."""
         total = 0
@@ -127,9 +124,6 @@ class Weight:
     def rational_at(self, x) -> Fraction | None:
         """Exact value when the family supports it, else None."""
         return None
-
-    def log_at(self, x) -> float:
-        return math.log(self.value_at(x))
 
     def bounds(self) -> tuple[float, float]:
         raise NotImplementedError

@@ -20,7 +20,6 @@ from hclab.hctest import (
     operator_power_identity_check,
     step_approx,
     verdict,
-    weight_product,
 )
 from hclab.padic import (
     conjugate_scale,
@@ -30,7 +29,7 @@ from hclab.padic import (
     ul_sets,
 )
 from hclab.repcheck import fixed_irrep_multiplicity, noncyclic_equivalence_check
-from hclab.weights import CircleGrid, DiscretizedFunction, ExprWeight, PAdicTableWeight
+from hclab.weights import CircleGrid, DiscretizedFunction, ExprWeight, PAdicTableWeight, weight_product
 
 from test_borel import random_interval_set, probe_points, unpinch
 from test_repcheck import cycle_count_oracle

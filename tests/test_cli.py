@@ -1,7 +1,11 @@
 import json
 import os
+from itertools import islice
+
+import pytest
 
 from hclab.cli import main, parse_spec, validate
+from hclab.hctest import monotone_rows, verdict
 
 GOLDEN_ANGLE = 0.6180339887498949
 
@@ -88,6 +92,53 @@ def test_validate_requires_prime_p(tmp_path, capsys):
     payload["group"] = {"group": "qp", "p": 7, "precision": 2, "window": 1}
     payload["weight"] = {"level": 0, "values": {str(r): "1" for r in range(7)}}
     assert not any("prime" in d for d in validate(payload, "padic"))
+
+
+def _probe(base, path, value):
+    """``base`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
+    spec = json.loads(json.dumps(base))
+    node = spec
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return spec
+
+
+_EXPR = circle_spec(weight={"expr": "exp(sin(2*pi*x))"})
+_FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1,
+           "weight": {"values": ["2", "1/2", "1", "1", "1", "1"]}}
+_STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
+
+
+_PROBES = [
+    (_EXPR, ("horizons", "n_max"), "abc", "horizons.n_max"),
+    (_EXPR, ("horizons", "n_max"), 0, "horizons.n_max"),
+    (_EXPR, ("horizons", "n_max"), 2.5, "horizons.n_max"),
+    (three_coset_spec(), ("horizons", "ul_n_max"), "abc", "horizons.ul_n_max"),
+    (three_coset_spec(), ("horizons", "ul_n_max"), 0, "horizons.ul_n_max"),
+    (_EXPR, ("horizons", "k_max"), "abc", "horizons.k_max"),
+    (_EXPR, ("horizons", "k_max"), 0, "horizons.k_max"),
+    (_EXPR, ("tolerances", "grid_points"), 0, "tolerances.grid_points"),
+    (_EXPR, ("tolerances", "log_tolerance"), "x", "tolerances.log_tolerance"),
+    (_EXPR, ("tolerances", "quadrature_points"), 1, "tolerances.quadrature_points"),
+    (_FINITE, ("group", "name"), ["Z6"], "group"),
+    (_FINITE, ("element",), {"foo": 1}, "element"),
+    (_FINITE, ("sets",), [{"indices": [99]}], "sets"),
+    (_FINITE, ("sets",), [{"indices": ["a"]}], "sets"),
+    (_STEP, ("weight", "step"), 5, "weight"),
+    (three_coset_spec(), ("weight", "values"), ["2", "1/2", "1"], "weight"),
+    (three_coset_spec(), ("weight", "declared_locally_constant"), "no", "weight"),
+]
+
+
+@pytest.mark.parametrize("base,path,value,field", _PROBES,
+                         ids=[f"{'.'.join(p)}={v!r}" for _, p, v, _ in _PROBES])
+def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
+    spec = write_spec(tmp_path, _probe(base, path, value))
+    assert main(["validate", "--spec", spec]) == 2
+    assert any(line.startswith(field) for line in capsys.readouterr().out.splitlines())
+    assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"invalid spec: {field}" in capsys.readouterr().err
 
 
 def test_parse_spec_resolves_objects():
@@ -187,10 +238,41 @@ def test_step_scan_matches_monotone_verdict(tmp_path):
     fired = json.loads((out / "report.json").read_text())["results"]["hctest"]["fired_rule"]
     assert fired["rule"] == "MonotoneWeightPower"
     n = fired["params"]["n"]
-    row = (out / "scan.csv").read_text().splitlines()[n].split(",")
+    lines = (out / "scan.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4  # every n up to n_max, past the firing one
+    row = lines[n].split(",")
     assert row[0] == str(n) and row[3] == "True"
     assert float(row[1]) == fired["witnesses"]["min_value"]
     assert float(row[2]) == fired["witnesses"]["max_value"]
+
+
+@pytest.mark.parametrize("expr,grid_points,battery_rows", [
+    ("exp(sin(2*pi*x))", None, 50),  # passes: scan.csv reuses the battery's rows
+    ("exp(sin(2*pi*x) + 1/10)", None, None),  # the log rule fires: rows recomputed
+    ("exp(sin(2*pi*x))", 256, 50),
+])
+def test_expr_scan_is_the_verdict_rows(tmp_path, expr, grid_points, battery_rows):
+    payload = circle_spec(weight={"expr": expr})
+    if grid_points is not None:
+        payload["tolerances"] = {"grid_points": grid_points}
+    spec, _ = parse_spec(payload, "hctest")
+    rep = verdict(spec.weight, spec.element, spec.verdict_config())
+    walked = rep.monotone_rows
+    assert (None if walked is None else len(walked)) == battery_rows
+    out = tmp_path / "hc"
+    assert main(["hctest", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
+
+    def expected(points):
+        rows = islice(monotone_rows(spec.weight, spec.element, points), 50)
+        return [[str(r.n), repr(r.min_value), repr(r.max_value), str(r.direction is not None)]
+                for r in rows]
+
+    lines = (out / "scan.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 50
+    assert rows == expected(grid_points or 1024)
+    if grid_points is not None:
+        assert rows != expected(1024)
 
 
 def test_all_task_bundles(tmp_path):
