@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-import numpy as np
-
 from . import padic as padic_mod
 from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
@@ -44,6 +42,9 @@ _TOP_KEYS = {
 }
 _HORIZON_KEYS = {"N_list", "n_max", "ul_n_max", "k_max"}
 _TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
+# the most residues p^(precision + window) a zp / qp context may have: the
+# exhaustive p-adic paths visit every residue
+MAX_PADIC_RESIDUES = 3 ** 8
 # integer settings and their minima
 _INT_SETTINGS = (
     ("horizons", "n_max", 1), ("horizons", "ul_n_max", 1), ("horizons", "k_max", 1),
@@ -87,30 +88,6 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, exact for n < 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _parse_int(value, field, minimum, diags):
@@ -163,19 +140,22 @@ def _parse_group(desc, diags):
         extra = set(desc) - allowed
         if extra:
             diags.append(f"group: unknown fields {sorted(extra)}")
-        try:
-            context = PAdicContext(
-                int(desc["p"]),
-                int(desc.get("precision", 4)),
-                int(desc.get("window", 0)) if kind == "qp" else 0,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            diags.append(f"group: {exc}")
+        p = _parse_int(desc.get("p"), "group.p", 2, diags)
+        precision = _parse_int(desc.get("precision", 4), "group.precision", 1, diags)
+        window = _parse_int(desc.get("window", 0), "group.window", 0, diags)
+        if None in (p, precision, window):
             return None
-        if not _is_prime(context.prime):
-            diags.append(f"group: p = {context.prime} is not a prime")
+        digits = precision + window
+        # p >= 2, so a digit count at the limit's bit length already exceeds
+        # it; testing that first never forms a huge power
+        if digits >= MAX_PADIC_RESIDUES.bit_length() or p ** digits > MAX_PADIC_RESIDUES:
+            diags.append(f"group: {p}^{digits} residues exceed the limit {MAX_PADIC_RESIDUES}")
             return None
-        return context
+        # the residue limit keeps p small enough for trial division
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            diags.append(f"group: p = {p} is not a prime")
+            return None
+        return PAdicContext(p, precision, window)
     diags.append(f"group: unknown kind {kind!r}")
     return None
 
@@ -464,10 +444,9 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
             rows.append([N, set_id, repr(dev), ""])
             summary.append({"N": N, "set_id": set_id, "sup_deviation": dev})
     if spec.characters and spec.group is CIRCLE:
-        samples = np.arange(128) / 128.0
         for k in spec.characters:
             f = TestFunction.character(k)
-            for point in uniform_convergence_sweep(f, spec.element, sorted(N_list), samples):
+            for point in uniform_convergence_sweep(f, spec.element, sorted(N_list)):
                 bound = "" if point.bound is None else repr(point.bound)
                 rows.append([point.N, f"char{k}", repr(point.sup_deviation), bound])
                 summary.append(

@@ -301,17 +301,25 @@ def uniform_convergence_sweep(
     f: TestFunction,
     a: CircleElement,
     N_list: Sequence[int],
-    x_samples: Sequence,
+    x_samples: Sequence | None = None,
 ) -> list[SweepPoint]:
-    """Sup over the given translates of |ergodic average - mean| at each N.
+    """Sup over translates of |ergodic average - mean| at each N.
 
-    For characters the matching averaging bound is attached; the reported
-    deviation must stay below it whenever the bound exists.
+    A character's average at x is e(kx) S_N / N, S_N = sum_{n=1}^{N-1}
+    e(-kna), so its deviation is the same at every x: summed once, at x = 0,
+    it is the supremum over all translates, with the averaging bound
+    attached when that exists.  Other test functions take the max over
+    ``x_samples``.
     """
     Ns = sorted(set(int(N) for N in N_list))
     if not Ns or Ns[0] < 2:
         raise ValueError("need horizons N >= 2")
-    xs = np.asarray([float(getattr(x, "value", x)) for x in x_samples], dtype=float)
+    if f.char_index is not None:
+        xs = np.zeros(1)
+    elif x_samples is None or not len(x_samples):
+        raise ValueError("a test function that is not a character needs translates in x_samples")
+    else:
+        xs = np.asarray([float(getattr(x, "value", x)) for x in x_samples], dtype=float)
     mean = f.resolved_mean()
     af = float(a.value)
     acc = np.zeros(len(xs), dtype=complex)

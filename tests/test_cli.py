@@ -94,6 +94,21 @@ def test_validate_requires_prime_p(tmp_path, capsys):
     assert not any("prime" in d for d in validate(payload, "padic"))
 
 
+def test_validate_bounds_padic_residues(tmp_path, capsys):
+    payload = dict(three_coset_spec(), group={"group": "zp", "p": 3, "precision": 30})
+    del payload["weight"]
+    payload["sets"] = [{"center": "0", "radius_exp": 1}]
+    path = write_spec(tmp_path, payload)
+    assert main(["equidist", "--spec", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "group: 3^30 residues exceed the limit 6561" in capsys.readouterr().err
+    payload["group"] = {"group": "qp", "p": 2, "precision": 10 ** 9, "window": 1}
+    assert any("exceed the limit 6561" in d for d in validate(payload, "equidist"))
+    payload["group"] = {"group": "zp", "p": 3, "precision": 8}
+    assert validate(payload, "equidist") == []
+    payload["group"] = {"group": "qp", "p": 3, "precision": 7, "window": 1}
+    assert validate(payload, "equidist") == []
+
+
 def _probe(base, path, value):
     """``base`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
     spec = json.loads(json.dumps(base))
@@ -108,6 +123,7 @@ _EXPR = circle_spec(weight={"expr": "exp(sin(2*pi*x))"})
 _FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1,
            "weight": {"values": ["2", "1/2", "1", "1", "1", "1"]}}
 _STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
+_QP = dict(three_coset_spec(), group={"group": "qp", "p": 3, "precision": 2, "window": 1})
 
 
 _PROBES = [
@@ -128,6 +144,9 @@ _PROBES = [
     (_STEP, ("weight", "step"), 5, "weight"),
     (three_coset_spec(), ("weight", "values"), ["2", "1/2", "1"], "weight"),
     (three_coset_spec(), ("weight", "declared_locally_constant"), "no", "weight"),
+    (three_coset_spec(), ("group", "precision"), 2.5, "group.precision"),
+    (three_coset_spec(), ("group", "p"), True, "group.p"),
+    (_QP, ("group", "window"), -1, "group.window"),
 ]
 
 

@@ -3,8 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hclab.borel import FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
@@ -209,19 +212,95 @@ def test_sweep_constant_function():
 
 
 def test_sweep_character_respects_bound():
-    xs = np.arange(64) / 64.0
     for af in (GOLDEN, math.sqrt(2) - 1):
         a = CIRCLE.from_float(af)
         for k in (1, 2, 3):
             f = TestFunction.character(k)
-            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000], xs):
+            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000]):
                 assert pt.bound is not None
                 assert pt.sup_deviation <= pt.bound
     # |1 - e(1/3)| = sqrt(3)
     f = TestFunction.character(1)
-    for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), [9, 99], xs):
+    for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), [9, 99]):
         assert pt.bound == pytest.approx(2 / (pt.N * math.sqrt(3)), rel=1e-12)
         assert pt.sup_deviation <= pt.bound
+
+
+def _sampled_sweep(f, a, N_list, x_samples):
+    """The character sweep before its closed form: the maximum over the
+    given translates of |ergodic average - mean|, summed in chunks."""
+    xs = np.asarray(x_samples, dtype=float)
+    mean = f.resolved_mean()
+    af = float(a.value)
+    acc = np.zeros(len(xs), dtype=complex)
+    out = []
+    n = 1
+    for N in sorted(set(N_list)):
+        while n < N:
+            hi = min(N, n + (1 << 11))
+            ns = np.arange(n, hi, dtype=float)
+            pts = np.mod(xs[None, :] - ns[:, None] * af, 1.0)
+            acc += f.fn(np.where(pts >= 1.0, 0.0, pts)).sum(axis=0)
+            n = hi
+        out.append(float(np.max(np.abs(acc / N - mean))))
+    return out
+
+
+def _exact_character_deviation(k, a, N):
+    """|sum_{n=1}^{N-1} e(-kna) - N mean| / N at the exact angle, via mpmath."""
+    if k == 0:
+        return mpmath.mpf(1) / N
+    if (k * a) % 1 == 0:
+        return mpmath.mpf(N - 1) / N
+    with mpmath.workdps(40):
+        t = mpmath.pi * k * mpmath.mpf(a.numerator) / a.denominator
+        return abs(mpmath.sin((N - 1) * t) / mpmath.sin(t)) / N
+
+
+@st.composite
+def character_cases(draw):
+    if draw(st.booleans()):
+        a = CIRCLE.from_float(draw(st.floats(0.0, 1.0, exclude_max=True)))
+    else:
+        q = draw(st.integers(1, 12))
+        a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+    k = draw(st.integers(0, 8))
+    N_list = draw(st.lists(st.integers(2, 10_000), min_size=1, max_size=4))
+    return k, a, N_list
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+@given(character_cases())
+def test_character_sweep_closed_form(case):
+    k, a, N_list = case
+    f = TestFunction.character(k)
+    points = uniform_convergence_sweep(f, a, N_list)
+    sampled = _sampled_sweep(f, a, N_list, np.arange(128) / 128.0)
+    assert [pt.N for pt in points] == sorted(set(N_list))
+    for pt, old in zip(points, sampled):
+        # each phase n*a is rounded to binary64 before e(.) is taken, which
+        # moves term n by at most 2 pi k n 2^-52 and the row by their sum / N
+        phase_rounding = math.pi * k * (pt.N - 1) * 2.0 ** -52
+        exact = float(_exact_character_deviation(k, a.value, pt.N))
+        assert abs(pt.sup_deviation - exact) <= 1e-12 + phase_rounding
+        assert abs(pt.sup_deviation - old) <= 1e-12
+        if pt.bound is not None:
+            assert pt.sup_deviation <= pt.bound * (1 + 1e-12)
+
+
+def test_fixed_character_sweep_is_one_minus_one_over_n():
+    f = TestFunction.character(3)
+    Ns = [2, 3, 10, 99, 100, 2048, 2049, 10_000]
+    for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), Ns):
+        assert pt.bound is None
+        assert pt.sup_deviation == pytest.approx((pt.N - 1) / pt.N, abs=1e-12)
+
+
+def test_sweep_needs_translates_for_non_characters():
+    f = TestFunction.constant(1.0)
+    for x_samples in (None, []):
+        with pytest.raises(ValueError, match="x_samples"):
+            uniform_convergence_sweep(f, CIRCLE.from_float(GOLDEN), [10], x_samples)
 
 
 # ---------------------------------------------------------------------------
