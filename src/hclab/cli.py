@@ -27,7 +27,7 @@ from . import padic as padic_mod
 from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
-from .groups import CIRCLE, FiniteGroup, OrbitSequence, PAdicContext, catalog
+from .groups import CIRCLE, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence, PAdicContext, catalog
 from .hctest import VerdictConfig, log_integral_report, monotone_rows, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
@@ -167,14 +167,23 @@ def _parse_element(group, desc, diags):
         if group is CIRCLE:
             if isinstance(desc, dict):
                 if "rational" in desc:
-                    return CIRCLE.element(str(desc["rational"]))
-                if "angle" in desc:
-                    return CIRCLE.from_float(float(desc["angle"]))
-                diags.append("element: need 'rational' or 'angle'")
+                    element = CIRCLE.element(str(desc["rational"]))
+                elif "angle" in desc:
+                    element = CIRCLE.from_float(float(desc["angle"]))
+                else:
+                    diags.append("element: need 'rational' or 'angle'")
+                    return None
+            elif isinstance(desc, str):
+                element = CIRCLE.element(desc)
+            else:
+                element = CIRCLE.from_float(float(desc))
+            # the orbit is held as integer residues mod the angle's denominator
+            if element.value.denominator > MAX_ORBIT_DENOMINATOR:
+                diags.append(f"element: the angle's denominator, at least "
+                             f"2^{element.value.denominator.bit_length() - 1}, exceeds the limit "
+                             f"2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
                 return None
-            if isinstance(desc, str):
-                return CIRCLE.element(desc)
-            return CIRCLE.from_float(float(desc))
+            return element
         if isinstance(group, FiniteGroup):
             if isinstance(desc, dict):
                 if "index" not in desc:
@@ -195,7 +204,7 @@ def _parse_element(group, desc, diags):
                 diags.append("element: need 'digits' or 'value'")
                 return None
             return group.element(Fraction(str(desc)))
-    except (HclabError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (HclabError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         diags.append(f"element: {exc}")
         return None
     diags.append("element: unsupported group")

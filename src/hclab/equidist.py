@@ -4,18 +4,19 @@ The density of an orbit in a set K counts terms x_k with 1 <= k <= N-1 and
 divides by N (so the density of the full group is (N-1)/N, not 1; the skew
 is kept deliberately and documented rather than "fixed").
 
-On the circle the supremum over translates of |density - measure| is computed
-exactly: the translated density is a piecewise-constant function of the
-translate whose breakpoints are exactly the set boundaries shifted by orbit
-points, so evaluating at those event points, just after them, and at gap
-midpoints realizes the supremum.  Finite and p-adic contexts are exhausted
-outright.
+On the circle the orbit is held as integer residues V, the points V/D for
+the denominator D of the rotation's exact angle, and the supremum over
+translates of |density - measure| is computed exactly: the translated count
+is piecewise constant in the translate, with breakpoints at the set
+boundaries shifted by orbit points, so the counts at those event positions
+and on the cells between them realize the supremum.  Finite and p-adic
+contexts are exhausted outright.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -23,13 +24,13 @@ import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
+from .groups import CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
 
 __all__ = [
     "DensityStat",
     "TestFunction",
     "OrbitCounter",
-    "product_counter",
+    "Sweep",
     "density",
     "density_stat",
     "translated_density",
@@ -53,77 +54,196 @@ def _mod1(arr: np.ndarray) -> np.ndarray:
 
 
 class OrbitCounter:
-    """Vectorized counting of (multiset) circle points inside translated sets.
+    """Exact counting of a circle orbit, a multiset of points, in translated
+    sets.
 
-    Holds sorted distinct angles with multiplicities; ``count_in_translated``
-    returns, for an array of translates x, how many points v satisfy
-    v + x in K.  Endpoint decisions happen at binary64 granularity.
+    Every point is V/D for an integer residue V, where D is the denominator
+    of the rotation's exact angle; the sorted distinct residues are held in
+    uint64 with their multiplicities.  ``count_in_translated`` counts the
+    points v with v + x in K at explicit translates x, and ``sup_candidates``
+    sweeps all translates at once.  Nothing is rounded.
     """
 
-    def __init__(self, values: np.ndarray, counts: np.ndarray):
-        self.values = np.asarray(values, dtype=float)
-        counts = np.asarray(counts, dtype=np.int64)
-        self.cum = np.concatenate([[0], np.cumsum(counts)])
+    def __init__(self, residues: np.ndarray, counts: np.ndarray, denominator: int):
+        self.residues = np.asarray(residues, dtype=np.uint64)
+        self.denominator = denominator
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.cum = np.concatenate([[0], np.cumsum(self.counts)])
         self.total = int(self.cum[-1])
 
     @classmethod
-    def from_sequence(cls, seq: OrbitSequence, N: int) -> "OrbitCounter":
-        vals, cnts = seq.angle_support(N)
-        return cls(vals, cnts)
+    def from_sequence(cls, seq: OrbitSequence, N: int, first: int = 1) -> "OrbitCounter":
+        """Counter over the terms first..N-1 of a circle orbit sequence; with
+        ``first = 0`` and the sign -1 that is the N-point product orbit x,
+        x-a, ..., x-(N-1)a of the point x itself."""
+        residues, counts = seq.angle_support(N, first)
+        return cls(residues, counts, seq.element.value.denominator)
 
-    def _less(self, t: np.ndarray, strict: bool) -> np.ndarray:
-        side = "left" if strict else "right"
-        return self.cum[np.searchsorted(self.values, t, side=side)]
+    def _below(self, t: int) -> int:
+        """Number of points with residue < t, for 0 <= t <= D."""
+        if t >= self.denominator:
+            return self.total
+        return int(self.cum[np.searchsorted(self.residues, np.uint64(t))])
 
-    def count_in_translated(self, K: IntervalSet, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        total = np.zeros(len(x), dtype=np.int64)
-        for lo, hi in K.open_part:
-            l = _mod1(float(lo) - x)
-            h = _mod1(float(hi) - x)
-            wraps = l > h
-            if hi - lo > Fraction(1, 2):
-                wraps = wraps | (l == h)  # a full-length arc shifts onto itself
-            inside = self._less(h, strict=True) - self._less(l, strict=False)
-            wrapped = (self.total - self._less(l, strict=False)) + self._less(h, strict=True)
-            total += np.where(wraps, wrapped, np.maximum(inside, 0))
-        for pt in K.point_part:
-            t = _mod1(float(pt) - x)
-            total += self._less(t, strict=False) - self._less(t, strict=True)
-        return total
+    def _between(self, t0: int, t1: int) -> int:
+        """Number of points with residue in t0..t1 mod D (t1 - t0 < D)."""
+        shift = t0 // self.denominator * self.denominator
+        t0, t1 = t0 - shift, t1 - shift
+        if t1 < t0:
+            return 0
+        if t1 < self.denominator:
+            return self._below(t1 + 1) - self._below(t0)
+        return self.total - self._below(t0) + self._below(t1 - self.denominator + 1)
 
-    def sup_candidates(self, K: IntervalSet, extra: Sequence[float] = ()) -> np.ndarray:
-        """Translate values realizing every value of the piecewise-constant
-        translated count: the event points, points just after them, and gap
-        midpoints."""
-        boundaries = {float(lo) % 1.0 for lo, _ in K.open_part}
-        boundaries |= {float(hi) % 1.0 for _, hi in K.open_part}
-        boundaries |= {float(p) for p in K.point_part}
-        if not boundaries:
-            base = np.array([0.0, 0.25, 0.5, 0.75])
-        else:
-            b = np.array(sorted(boundaries))
-            events = np.unique(_mod1((b[:, None] - self.values[None, :]).reshape(-1)))
-            after = _mod1(np.nextafter(events, 2.0))
-            base = np.unique(np.concatenate([events, after]))
-        if len(base) > 1:
-            mids = (base[:-1] + base[1:]) / 2.0
-            wrap_mid = ((base[-1] + base[0] + 1.0) / 2.0) % 1.0
-            base = np.concatenate([base, mids, [wrap_mid]])
-        if len(extra):
-            base = np.concatenate([base, _mod1(np.asarray(extra, dtype=float))])
-        return np.unique(base)
+    def count_in_translated(self, K: IntervalSet, xs: Sequence) -> np.ndarray:
+        """For each exact translate x (a Fraction, an int or a
+        CircleElement), the number of points v with v + x in K."""
+        D = self.denominator
+        out = []
+        for x in xs:
+            x = Fraction(getattr(x, "value", x))
+            total = 0
+            for lo, hi in K.open_part:
+                # v + x in (lo, hi) iff V lies in the open (c, c + (hi - lo) D) mod D
+                c = (lo - x) * D
+                total += self._between(math.floor(c) + 1, math.ceil(c + (hi - lo) * D) - 1)
+            for pt in K.point_part:
+                c = (pt - x) * D
+                if c.denominator == 1:
+                    total += self._between(int(c), int(c))
+            out.append(total)
+        return np.array(out, dtype=np.int64)
+
+    def sup_candidates(self, *sets: IntervalSet) -> "Sweep":
+        """The counts of every set at every translate, as one ``Sweep``.
+
+        A boundary b of a set meets the point V/D when the translate is the
+        event position (b D - V)/D mod 1: floor(b D) - V mod D, exactly in
+        uint64, plus the fractional part of b D, ranked among the
+        boundaries'.  One stable sort orders the events of all sets; the
+        cumulative starts and stops then give each set's count at every
+        event and on every cell between consecutive events, from its count
+        on the cell that wraps past 0: the arcs whose translated copy wraps.
+        """
+        D = self.denominator
+        # (boundary, set, change of the count on the cell after the event,
+        # change at the event itself): an open arc excludes its ends, an
+        # isolated point counts only at its event
+        ends = []
+        for i, K in enumerate(sets):
+            for lo, hi in K.open_part:
+                ends += [(lo, i, 1, 0), (hi, i, -1, -1)]
+            ends += [(pt, i, 0, 1) for pt in K.point_part]
+        R, L = self.residues, len(self.residues)
+        if not ends or not L:
+            return Sweep(np.zeros((1, len(sets)), dtype=np.int64), D)
+        floors = [b.numerator * D // b.denominator for b, *_ in ends]
+        # the fractional parts of b D, as numerators over a common denominator
+        M = math.lcm(*(b.denominator for b, *_ in ends))
+        keys = [b.numerator * D % b.denominator * (M // b.denominator) for b, *_ in ends]
+        distinct = sorted(set(keys))
+        rank_of = {k: r for r, k in enumerate(distinct)}
+        ranks = np.array([rank_of[k] for k in keys], dtype=np.int32)
+        wrap = np.uint64(D % 2 ** 64)  # for D = 2^64 the uint64 difference wraps by itself
+        ints = np.empty((len(ends), L), dtype=np.uint64)
+        for row, f in enumerate(floors):
+            B = np.uint64(f % D)
+            ints[row] = np.where(R > B, (B - R) + wrap, B - R)
+
+        # the count on the cell that wraps past 0: the arcs whose start
+        # position is not below their stop position
+        base = [0] * len(sets)
+        for row, (_, i, opens, _) in enumerate(ends):
+            if opens == 1:
+                lo, hi = ints[row], ints[row + 1]
+                wraps = (lo > hi) | ((lo == hi) & (ranks[row] >= ranks[row + 1]))
+                base[i] += int(self.counts[wraps].sum())
+
+        # rows in fraction order, so that a stable sort of the integer parts
+        # leaves equal integer parts in fraction order; the per-event arrays
+        # are dropped as soon as they are read, which halves the peak memory
+        rows = np.argsort(ranks, kind="stable")
+        flat = ints[rows].ravel()
+        del ints
+        order = np.argsort(flat, kind="stable")
+        event_ints = flat[order]
+        del flat
+        slot = order // L
+        mult = self.counts[order - slot * L]
+        del order
+        row_of = rows[slot]
+        del slot
+        event_ranks = ranks[row_of]
+        new = np.ones(len(event_ints), dtype=bool)
+        new[1:] = (event_ints[1:] != event_ints[:-1]) | (event_ranks[1:] != event_ranks[:-1])
+        starts = np.flatnonzero(new)
+        del new
+        _, owner, cell, at = zip(*ends)
+        cell = np.array(cell, dtype=np.int8)[row_of] * mult
+        at = np.array(at, dtype=np.int8)[row_of] * mult
+        owner = np.array(owner, dtype=np.int32)[row_of] if len(sets) > 1 else None
+        del row_of, mult
+        counts = np.empty((2 * len(starts), len(sets)), dtype=np.int64)
+        for i in range(len(sets)):
+            cell_i, at_i = cell, at
+            if owner is not None:
+                cell_i, at_i = np.where(owner == i, cell, 0), np.where(owner == i, at, 0)
+            step = np.add.reduceat(cell_i, starts)
+            after = base[i] + np.cumsum(step)
+            counts[0::2, i] = after - step + np.add.reduceat(at_i, starts)
+            counts[1::2, i] = after
+        event_ints, event_ranks = event_ints[starts], event_ranks[starts]
+        fracs = tuple(Fraction(k, M) for k in distinct)
+        # the wrapping cell's midpoint, (last + first + D)/2 mod D, lies below
+        # the first event when last + first >= D
+        last = int(event_ints[-1]) + fracs[event_ranks[-1]]
+        wrap_first = last + int(event_ints[0]) + fracs[event_ranks[0]] >= D
+        if wrap_first:
+            counts = np.roll(counts, 1, axis=0)
+        return Sweep(counts, D, event_ints, event_ranks, fracs, wrap_first)
 
 
-def product_counter(a: CircleElement, N: int) -> OrbitCounter:
-    """Counter over the N-point product orbit x, x-a, ..., x-(N-1)a: the
-    orbit terms 1..N-1 plus the point itself, with coinciding angles merged
-    (torsion orbits return to 0)."""
-    vals, cnts = OrbitSequence(CIRCLE, a).angle_support(N)
-    vals, where = np.unique(np.concatenate([vals, [0.0]]), return_inverse=True)
-    merged = np.zeros(len(vals), dtype=np.int64)
-    np.add.at(merged, where, np.concatenate([cnts, [1]]).astype(np.int64))
-    return OrbitCounter(vals, merged)
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Exact orbit counts in one or more sets at every candidate translate.
+
+    A set's translated count is constant between consecutive event
+    positions, so the candidates are the events and one translate in each
+    cell between them, its exact midpoint; the cell after the last event
+    wraps past 0 to the first.  Candidates run in increasing translate order
+    over [0, 1), and ``counts[j, i]`` is set i's count at candidate j.  With
+    no events (no set boundaries, or no points) the only candidate is the
+    translate 0.
+
+    Event g sits at ``event_ints[g] + fracs[event_ranks[g]]``, in units of
+    1/D.
+    """
+
+    counts: np.ndarray
+    denominator: int
+    event_ints: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint64))
+    event_ranks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    fracs: tuple = ()
+    wrap_first: bool = False  # the wrapping cell's candidate comes first
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def _position(self, g: int) -> Fraction:
+        return int(self.event_ints[g]) + self.fracs[self.event_ranks[g]]
+
+    def translate(self, j: int) -> Fraction:
+        """The exact translate of candidate j."""
+        G = len(self.event_ints)
+        if not G:
+            return Fraction(0)
+        g, in_cell = divmod((j - self.wrap_first) % (2 * G), 2)
+        D = self.denominator
+        if not in_cell:
+            return self._position(g) / D
+        if g + 1 < G:
+            return (self._position(g) + self._position(g + 1)) / (2 * D)
+        return ((self._position(g) + self._position(0) + D) / 2 % D) / D
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +266,7 @@ def _terms_in_set(K, seq: OrbitSequence, N: int, translate=None) -> int:
     group = seq.group
     if isinstance(group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
-        x = 0.0 if translate is None else float(translate.value)
-        return int(counter.count_in_translated(K, np.array([x]))[0])
+        return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
     if isinstance(group, PAdicContext):
         count = 0
         for res, mult in seq.residue_support(N):
@@ -186,21 +305,19 @@ def translated_density(K, x, seq: OrbitSequence, N: int) -> Fraction:
     return Fraction(_terms_in_set(K, seq, N, translate=x), N)
 
 
-def sup_deviation(K, seq: OrbitSequence, N: int, x_samples: Sequence = ()) -> float:
+def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
     """sup over translates x of |translated density - measure(K)|.
 
-    Exact (at binary64 granularity) on the circle via event points; exhaustive
-    over the group for finite and p-adic contexts.  ``x_samples`` appends
-    extra translates, e.g. a cross-check grid.
+    Exact on the circle: the counts at every event position and on every
+    cell between them (``OrbitCounter.sup_candidates``); exhaustive over the
+    group for finite and p-adic contexts.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     group = seq.group
     mu = K.measure()
     if isinstance(group, CircleGroup):
-        counter = OrbitCounter.from_sequence(seq, N)
-        xs = counter.sup_candidates(K, [float(getattr(x, "value", x)) for x in x_samples])
-        counts = counter.count_in_translated(K, xs)
+        counts = OrbitCounter.from_sequence(seq, N).sup_candidates(K).counts
         # |count/N - mu| is extremal at the extreme counts; finish in exact
         # rational arithmetic so trivial cases come out exact
         lo, hi = int(counts.min()), int(counts.max())

@@ -45,6 +45,7 @@ __all__ = [
     "PAdicNumber",
     "PRECISION_CAP",
     "OrbitSequence",
+    "MAX_ORBIT_DENOMINATOR",
 ]
 
 
@@ -529,6 +530,29 @@ class PAdicNumber:
 # orbit sequences
 
 
+# the largest angle denominator D a circle orbit may have: its points are
+# integer residues mod D, held in uint64
+MAX_ORBIT_DENOMINATOR = 2 ** 64
+
+
+def _multiples_mod(m: int, D: int, first: int, count: int) -> np.ndarray:
+    """k*m mod D for k = first .. first+count-1, exactly, as uint64."""
+    if D & (D - 1) == 0:
+        # uint64 arithmetic wraps mod 2^64, so it reduces mod every power of two
+        ks = np.arange(first, first + count, dtype=np.uint64)
+        return (ks * np.uint64(m)) & np.uint64(D - 1)
+    # D < 2^64 here; double the run: the multiples for j < 2L are those for
+    # j < L and those plus L*m
+    out = np.array([first * m % D], dtype=np.uint64)
+    bound = np.uint64(D)
+    while len(out) < count:
+        shift = np.uint64(len(out) * m % D)
+        moved = out + shift
+        # a sum past 2^64 wrapped; subtracting D in uint64 corrects it too
+        out = np.concatenate([out, np.where((moved < out) | (moved >= bound), moved - bound, moved)])
+    return out[:count]
+
+
 @dataclass(frozen=True)
 class OrbitSequence:
     """The sequence ``a**(sign*k)`` for k = 1, 2, ... (additively,
@@ -554,36 +578,29 @@ class OrbitSequence:
 
     # -- compressed supports over k = 1 .. N-1 ------------------------------
 
-    def angle_support(self, N: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct circle angles of terms 1..N-1 with multiplicities,
-        sorted ascending.  Exact-rational elements use their orbit period;
-        float elements are realized directly in binary64."""
+    def angle_support(self, N: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct circle points of terms first..N-1 with multiplicities, as
+        integer residues V sorted ascending: the point is V/D, where D is the
+        denominator of the rotation's exact angle (a power of two for a
+        binary64 angle).  The residues k*m mod D are exact in uint64, which
+        bounds D by ``MAX_ORBIT_DENOMINATOR``."""
         if not isinstance(self.group, CircleGroup):
             raise TypeError("angle_support is circle-only")
         if N > 10 ** 7:
             raise ValueError("circle horizons are capped at 10^7")
-        a = self.element
-        count = N - 1
+        step = (self.sign * self.element.value) % 1
+        m, D = step.numerator, step.denominator
+        if D > MAX_ORBIT_DENOMINATOR:
+            raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+        count = N - first
         if count <= 0:
-            return np.array([]), np.array([], dtype=np.int64)
-        step = (self.sign * a.value) % 1
-        if a.declared_rational:
-            period = step.denominator
-            vals, cnts = [], []
-            for r in range(1, period + 1):
-                if r > count:
-                    break
-                # multiplicity of k = r, r+period, ... within 1..count
-                cnts.append((count - r) // period + 1)
-                vals.append(float((r * step) % 1))
-            order = np.argsort(vals, kind="stable")
-            return np.asarray(vals, dtype=float)[order], np.asarray(cnts, dtype=np.int64)[order]
-        sf = float(step)
-        ks = np.arange(1, N, dtype=float)
-        angles = np.mod(ks * sf, 1.0)
-        angles.sort(kind="stable")
-        vals, cnts = np.unique(angles, return_counts=True)
-        return vals, cnts
+            return np.array([], dtype=np.uint64), np.array([], dtype=np.int64)
+        # the orbit has period D: term first + j recurs every D terms
+        distinct = min(count, D)
+        residues = _multiples_mod(m, D, first, distinct)
+        counts = (count - 1 - np.arange(distinct, dtype=np.int64)) // distinct + 1
+        order = np.argsort(residues, kind="stable")
+        return residues[order], counts[order]
 
     def residue_support(self, N: int) -> list[tuple[int, int]]:
         """Distinct p-adic residues of terms 1..N-1 with multiplicities."""

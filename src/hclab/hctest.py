@@ -28,10 +28,10 @@ import numpy as np
 
 from . import padic as _padic
 from .borel import IntervalSet
-from .equidist import _mod1, product_counter
+from .equidist import OrbitCounter, _mod1
 from .errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
-from .groups import CircleElement, CircleGroup, FiniteGroup, PAdicContext
+from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
 from .report import (
     CONDITIONS_PASSED,
     NOT_HYPERCYCLIC,
@@ -347,15 +347,16 @@ def step_approx(
 class SandwichResult:
     """Outcome of the per-piece orbit-count check behind the two-sided
     N-step product bound.  ``ok`` holds when every piece's orbit share stays
-    within eps of its measure at every event translate; that is the exact
+    within eps of its measure at every translate; that is the exact
     per-factor form from which the product bound follows (exponent signs
-    corrected for pieces below 1)."""
+    corrected for pieces below 1).  ``witness_x`` is the exact first
+    translate at the largest deviation."""
 
     ok: bool
     eps: float
     N: int
     max_deviation: float
-    witness_x: float | None = None
+    witness_x: Fraction | None = None
     witness_piece: int | None = None
 
     def __bool__(self) -> bool:
@@ -368,20 +369,18 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
     for E, _ in phi.pieces:
         if not isinstance(E, IntervalSet):
             raise TypeError("sandwich_check runs on circle step functions")
-    counter = product_counter(a, N)
-    candidates = np.unique(
-        np.concatenate([counter.sup_candidates(E) for E, _ in phi.pieces])
+    sweep = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), N, first=0).sup_candidates(
+        *(E for E, _ in phi.pieces)
     )
     worst = -1.0
     witness_x = witness_piece = None
     for idx, (E, _) in enumerate(phi.pieces):
         mu = float(E.measure())
-        counts = counter.count_in_translated(E, candidates)
-        devs = np.abs(counts / N - mu)
+        devs = np.abs(sweep.counts[:, idx] / N - mu)
         j = int(np.argmax(devs))
         if float(devs[j]) > worst:
             worst = float(devs[j])
-            witness_x = float(candidates[j])
+            witness_x = sweep.translate(j)
             witness_piece = idx
     ok = worst < eps
     return SandwichResult(

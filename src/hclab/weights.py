@@ -22,10 +22,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
-from .equidist import product_counter
+from .equidist import OrbitCounter
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
-from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, PAdicContext, PAdicNumber
+from .groups import (CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext,
+                     PAdicNumber)
 
 __all__ = [
     "StepFunction",
@@ -487,25 +488,29 @@ def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[list]:
     as a row of (translate, value) pairs: w_n(x) = prod_i alpha_i^(c_i(x)),
     where c_i(x) counts the product orbit x, x-a, ..., x-(n-1)a inside piece i.
 
-    The translates are the union of every piece's ``sup_candidates`` under
-    the n-point product orbit, so each count vector w_n takes is realized,
-    with endpoint decisions at binary64 granularity.  The row keeps one
-    (translate, value) pair per distinct count vector, at the first
-    candidate that has it, in candidate order; the first pair reaching any
-    value is therefore the first candidate reaching it.  Values are exact
-    Fractions for exact weights, floats otherwise.
+    The count vectors are exact, from one ``OrbitCounter.sup_candidates``
+    sweep of all pieces, so every vector w_n takes is realized.  The row
+    keeps one (translate, value) pair per distinct count vector, at the first
+    candidate that has it, in increasing translate order over [0, 1): the
+    first pair reaching any value is at the first translate reaching it, an
+    exact event position or cell midpoint.  Translates are Fractions; values
+    are exact Fractions for exact weights, floats otherwise.
     """
     pieces = [E for E, _ in w.step.pieces]
     alphas = [Fraction(v) if w.is_exact else float(v) for _, v in w.step.pieces]
+    seq = OrbitSequence(CIRCLE, a)
     for n in itertools.count(1):
-        counter = product_counter(a, n)
-        candidates = np.unique(np.concatenate([counter.sup_candidates(E) for E in pieces]))
-        counts = np.stack([counter.count_in_translated(E, candidates) for E in pieces], axis=1)
-        _, first = np.unique(counts, axis=0, return_index=True)
+        sweep = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(*pieces)
+        # one dense rank per distinct count vector, built a column at a time:
+        # each step's key stays below (number of candidates) * (n + 1)
+        key = np.zeros(len(sweep), dtype=np.int64)
+        for col in sweep.counts.T:
+            _, key = np.unique(key * (n + 1) + col, return_inverse=True)
+        _, first = np.unique(key, return_index=True)
         first.sort()
         yield [
-            (float(candidates[j]),
-             math.prod(alpha ** int(c) for alpha, c in zip(alphas, counts[j])))
+            (sweep.translate(j),
+             math.prod(alpha ** int(c) for alpha, c in zip(alphas, sweep.counts[j])))
             for j in first
         ]
 

@@ -147,6 +147,10 @@ _PROBES = [
     (three_coset_spec(), ("group", "precision"), 2.5, "group.precision"),
     (three_coset_spec(), ("group", "p"), True, "group.p"),
     (_QP, ("group", "window"), -1, "group.window"),
+    (_EXPR, ("element",), {"angle": 2.0 ** -70}, "element"),
+    (_EXPR, ("element",), {"rational": f"1/{2 ** 64 + 1}"}, "element"),
+    (_EXPR, ("element",), "1e-30", "element"),
+    (_EXPR, ("element",), {"angle": float("inf")}, "element"),
 ]
 
 

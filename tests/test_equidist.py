@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circle_oracle as oracle
 from hclab.borel import FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
     TestFunction,
@@ -22,6 +23,7 @@ from hclab.equidist import (
 )
 from hclab.errors import FixedCharacterError
 from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog
+from hclab.weights import StepFunction, StepWeight, circle_step_rows
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -161,6 +163,70 @@ def test_sup_deviation_padic_exhaustive():
         for r in range(ctx.modulus)
     )
     assert sup == best
+
+
+VARIANTS = ["open", "closed", "half_open", "half_open_right"]
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def near_rational_cases(draw):
+    """A float p/q + {0, +-1e-16, 2^-45} or a declared rational p/q (q <= 97);
+    1-3 arcs with mixed ends plus up to two isolated points; N <= 300."""
+    q = draw(st.integers(2, 97))
+    if draw(st.booleans()):
+        shift = draw(st.sampled_from([0.0, 1e-16, -1e-16, 2.0 ** -45]))
+        a = CIRCLE.from_float(draw(st.integers(1, q - 1)) / q + shift)
+    else:
+        a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+    K = IntervalSet.empty()
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.integers(2, 97))
+        lo = draw(st.integers(0, den - 1))
+        hi = draw(st.integers(lo + 1, den))
+        K = K.union(interval(Fraction(lo, den), Fraction(hi, den), draw(st.sampled_from(VARIANTS))))
+    points = draw(st.lists(st.fractions(0, 1).filter(lambda f: f < 1 and f.denominator <= 97), max_size=2))
+    K = K.union(IntervalSet.from_pieces([], points))
+    return a, K, draw(st.integers(2, 300))
+
+
+@ORACLE
+@given(near_rational_cases(), st.data())
+def test_circle_counts_match_exact_oracle(case, data):
+    a, K, N = case
+    seq = OrbitSequence(CIRCLE, a)
+    assert sup_deviation(K, seq, N) == oracle.sup_deviation(K, a, N)
+    # a translate at an event position, where the float counter went wrong
+    b = data.draw(st.sampled_from(sorted({lo for lo, _ in K.open_part} | set(K.point_part))))
+    x = (b + a.value * data.draw(st.integers(1, N - 1))) % 1
+    x += data.draw(st.sampled_from([0, Fraction(1, 10 ** 20)]))
+    assert translated_density(K, CIRCLE.element(x), seq, N) == naive_density(K, seq, N, CIRCLE.element(x))
+    if K.measure() < 1:
+        w = StepWeight(StepFunction.of([(K, Fraction(2)), (K.complement(), Fraction(1, 3))]))
+        values_at = oracle.step_values_at(w, a)
+        for n, row in zip(range(1, 7), circle_step_rows(w, a)):
+            full = values_at(n)
+            assert {v for _, v in row} == {v for _, v in full}
+            assert set(row) <= set(full)
+
+
+def test_sup_deviation_near_rational_float():
+    # 0.2 as a float is 3602879701896397/2^54: its 299 orbit points are
+    # distinct, and none of them lies on the boundary of (1/5, 3/5)
+    a = CIRCLE.from_float(0.2)
+    K = interval(Fraction(1, 5), Fraction(3, 5), "open")
+    sup = sup_deviation(K, OrbitSequence(CIRCLE, a), 300)
+    assert sup == oracle.sup_deviation(K, a, 300)
+    assert sup == pytest.approx(0.0033, abs=5e-5)
+
+
+def test_sup_deviation_at_the_denominator_limit():
+    # D = 2^64 exactly (uint64 wraparound) and D = 2^64 - 59 (modular doubling)
+    K = interval(Fraction(1, 3), Fraction(5, 7), "closed").union(interval(0, Fraction(1, 9), "open"))
+    for a in (CIRCLE.from_float(2.0 ** -12 + 2.0 ** -64),
+              CIRCLE.element(Fraction(12345678901234567, 2 ** 64 - 59))):
+        for N in (2, 40):
+            assert sup_deviation(K, OrbitSequence(CIRCLE, a), N) == oracle.sup_deviation(K, a, N)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hclab.errors import WindowExceeded
 from hclab.groups import (
     CIRCLE,
+    MAX_ORBIT_DENOMINATOR,
     PRECISION_CAP,
     OrbitSequence,
     PAdicContext,
@@ -262,3 +265,39 @@ def test_orbit_sign_convention():
     assert seq.term(1).value == Fraction(3, 4)
     fwd = OrbitSequence(CIRCLE, CIRCLE.element("1/4"), sign=1)
     assert fwd.term(1).value == Fraction(1, 4)
+
+
+@st.composite
+def _rotations(draw):
+    if draw(st.booleans()):
+        return CIRCLE.from_float(draw(st.floats(2.0 ** -11, 1.0, exclude_max=True)))
+    q = draw(st.integers(1, 10 ** 12))
+    return CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_rotations(), st.integers(2, 3000))
+def test_circle_orbit_has_at_most_three_gaps(a, N):
+    """Three-distance theorem (Sos 1958, Swierczkowski 1958): the points
+    k*a mod 1, k = 1..N-1, cut the circle into gaps of at most three lengths."""
+    seq = OrbitSequence(CIRCLE, a)
+    residues, counts = seq.angle_support(N)
+    V = [int(v) for v in residues]
+    D = a.value.denominator
+    assert V == sorted(V) and len(set(V)) == len(V) and counts.sum() == N - 1
+    assert V == sorted({(-k * a.value) % 1 * D for k in range(1, N)})
+    gaps = {y - x for x, y in zip(V, V[1:])} | {V[0] + D - V[-1]}
+    assert len(gaps) <= 3
+
+
+def test_orbit_residues_at_the_denominator_limit():
+    # a float with denominator exactly 2^64, and a rational denominator near
+    # the limit that is no power of two (the residues come from doubling)
+    for a in (CIRCLE.from_float(2.0 ** -12 + 2.0 ** -64),
+              CIRCLE.element(Fraction(12345678901234567, 2 ** 64 - 59))):
+        D = a.value.denominator
+        assert D <= MAX_ORBIT_DENOMINATOR
+        residues, counts = OrbitSequence(CIRCLE, a).angle_support(500, first=0)
+        assert [int(v) for v in residues] == sorted(k * (-a.value % 1) * D % D for k in range(500))
+    with pytest.raises(ValueError, match="2\\^64"):
+        OrbitSequence(CIRCLE, CIRCLE.from_float(2.0 ** -70)).angle_support(10)

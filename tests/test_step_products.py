@@ -1,18 +1,18 @@
 """Property tests: the n-step product rows of ``step_products`` and
 ``circle_step_rows`` and everything read from them (U/L sets, monotone
 scans) against direct references: ``weight_product`` on small random p-adic
-and finite weights, and a per-candidate Fraction product on small random
-circle step weights."""
+and finite weights, and the exact Fraction oracle of ``circle_oracle`` on
+small random circle step weights."""
 
+import itertools
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circle_oracle import step_values_at
 from hclab.borel import interval
-from hclab.equidist import OrbitCounter
-from hclab.groups import CIRCLE, PRECISION_CAP, OrbitSequence, PAdicContext, catalog
+from hclab.groups import CIRCLE, PRECISION_CAP, PAdicContext, catalog
 from hclab.hctest import MonotoneHit, monotone_power_scan
 from hclab.padic import ul_sets
 from hclab.weights import (FiniteWeight, PAdicTableWeight, StepFunction, StepWeight,
@@ -81,43 +81,6 @@ def step_cases(draw):
         q = draw(st.integers(1, 20))
         a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
     return StepWeight(StepFunction.of(pieces)), a
-
-
-def _product_counter(a, N):
-    """Counter over the N-point product orbit x, x-a, ..., x-(N-1)a, with a
-    duplicate zero (torsion orbits hit it) merged after a stable sort."""
-    vals, cnts = OrbitSequence(CIRCLE, a).angle_support(N)  # terms 1..N-1
-    vals = np.concatenate([vals, [0.0]])
-    cnts = np.concatenate([cnts, [1]])
-    order = np.argsort(vals, kind="stable")
-    keep_vals, keep_cnts = [], []
-    for v, c in zip(vals[order], cnts[order]):
-        if keep_vals and keep_vals[-1] == v:
-            keep_cnts[-1] += c
-        else:
-            keep_vals.append(float(v))
-            keep_cnts.append(int(c))
-    return OrbitCounter(np.asarray(keep_vals), np.asarray(keep_cnts))
-
-
-def _circle_values_at(w, a):
-    """The per-n circle scan the step rows replaced: every candidate
-    translate of every piece, one Fraction product per candidate."""
-    def values_at(n):
-        counter = _product_counter(a, n)
-        candidates = np.unique(
-            np.concatenate([counter.sup_candidates(E) for E, _ in w.step.pieces])
-        )
-        per_piece = [counter.count_in_translated(E, candidates) for E, _ in w.step.pieces]
-        out = []
-        for col, x in enumerate(candidates):
-            prod = Fraction(1)
-            for (_, alpha), counts in zip(w.step.pieces, per_piece):
-                prod *= Fraction(alpha) ** int(counts[col])
-            out.append((float(x), prod))
-        return out
-
-    return values_at
 
 
 def _brute_scan(values_at, n_max, require_strict):
@@ -226,7 +189,7 @@ def test_finite_monotone_scan_matches_brute_force(case, data):
 @given(step_cases(), st.data())
 def test_circle_step_scan_matches_per_candidate_scan(case, data):
     w, a = case
-    values_at = _circle_values_at(w, a)
+    values_at = step_values_at(w, a)
     n_max = data.draw(st.integers(1, 12))
     strict = data.draw(st.booleans())
     expected = _brute_scan(values_at, n_max, strict)
@@ -236,3 +199,30 @@ def test_circle_step_scan_matches_per_candidate_scan(case, data):
         full = values_at(n)
         assert sorted({v for _, v in row}) == sorted({v for _, v in full})
         assert set(row) <= set(full)
+
+
+def test_circle_step_rows_at_near_rational_floats():
+    # float angles next to 1/3 and 2/3: rounding the orbit to binary64 once
+    # read row 8 as [1, 729] and row 4 as two-sided
+    for angle, value, n, extremes in [
+        (0.3333333333333334, Fraction(3), 8, (9, 81)),
+        (0.6666666666666666, Fraction(5, 2), 4, (1, Fraction(625, 16))),
+    ]:
+        a = CIRCLE.from_float(angle)
+        w = StepWeight(StepFunction.of([(interval(0, Fraction(2, 3), "half_open"), value),
+                                        (interval(Fraction(2, 3), 1, "half_open"), 1 / value)]))
+        row = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
+        values = {v for _, v in row}
+        assert (min(values), max(values)) == extremes
+        assert values == {v for _, v in step_values_at(w, a)(n)}
+
+
+def test_circle_step_row_starts_at_the_wrapping_cell():
+    # D = 8 and events at 1/16 and 15/16: the cell between them across 0
+    # has its midpoint at 0 exactly, the first translate in [0, 1)
+    w = StepWeight(StepFunction.of([(interval(Fraction(1, 16), Fraction(15, 16), "open"), Fraction(2)),
+                                    (interval(Fraction(15, 16), Fraction(17, 16), "closed"), Fraction(1, 2))]))
+    a = CIRCLE.from_float(0.125)
+    row = next(circle_step_rows(w, a))
+    assert row == [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]
+    assert row[0] == step_values_at(w, a)(1)[0]
