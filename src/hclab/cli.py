@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -28,7 +29,7 @@ from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
 from .groups import CIRCLE, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence, PAdicContext, catalog
-from .hctest import VerdictConfig, log_integral_report, monotone_rows, verdict
+from .hctest import VerdictConfig, log_integral_report, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
 from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
@@ -90,9 +91,10 @@ class ExperimentSpec:
 # parsing
 
 
-def _parse_int(value, field, minimum, diags):
-    """An integer >= minimum (a JSON integer or an integer string), or None
-    with a diagnostic that names the field."""
+def _parse_int(value, field, minimum, diags, maximum=None):
+    """An integer in [minimum, maximum] (a JSON integer or an integer
+    string; None leaves that side open), or None with a diagnostic that
+    names the field."""
     try:
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError
@@ -102,6 +104,9 @@ def _parse_int(value, field, minimum, diags):
         return None
     if minimum is not None and k < minimum:
         diags.append(f"{field}: {value!r} is below the minimum {minimum}")
+        return None
+    if maximum is not None and k > maximum:
+        diags.append(f"{field}: {value!r} is above the maximum {maximum}")
         return None
     return k
 
@@ -198,7 +203,8 @@ def _parse_element(group, desc, diags):
         if isinstance(group, PAdicContext):
             if isinstance(desc, dict):
                 if "digits" in desc:
-                    return group.from_digits([int(d) for d in desc["digits"]])
+                    digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
+                    return None if digits is None else group.from_digits(digits)
                 if "value" in desc:
                     return group.element(Fraction(str(desc["value"])))
                 diags.append("element: need 'digits' or 'value'")
@@ -249,16 +255,16 @@ def _is_arc_literal(desc) -> bool:
 
 
 def _parse_padic_set(group, desc, diags):
-    def one(piece):
-        if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
-            raise SpecValidationError(f"ball literal {piece!r} not understood")
-        return ball(group, group.element(Fraction(str(piece["center"]))), int(piece["radius_exp"]))
-
     try:
         pieces = desc if isinstance(desc, list) else [desc]
         acc = BallSet.empty(group)
         for piece in pieces:
-            acc = acc.union(one(piece))
+            if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
+                raise SpecValidationError(f"ball literal {piece!r} not understood")
+            radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
+            if radius_exp is None:
+                return None
+            acc = acc.union(ball(group, group.element(Fraction(str(piece["center"]))), radius_exp))
         return acc
     except (HclabError, ValueError) as exc:
         diags.append(f"sets: {exc}")
@@ -299,7 +305,10 @@ def _parse_weight(group, desc, diags):
                 extra = set(desc) - {"expr", "grid_points"}
                 if extra:
                     diags.append(f"weight: unknown fields {sorted(extra)}")
-                return ExprWeight(str(desc["expr"]), int(desc.get("grid_points", 4096)))
+                grid_points = _parse_int(desc.get("grid_points", 4096), "weight.grid_points", 1, diags)
+                if grid_points is None:
+                    return None
+                return ExprWeight(str(desc["expr"]), grid_points)
             if isinstance(desc, dict) and "step" in desc:
                 pieces = []
                 for entry in desc["step"]:
@@ -317,11 +326,23 @@ def _parse_weight(group, desc, diags):
             diags.append("weight: finite weights need {'values': [...]}")
             return None
         if isinstance(group, PAdicContext):
-            table_desc = desc.get("table", desc) if isinstance(desc, dict) else None
+            nested = isinstance(desc, dict) and "table" in desc
+            table_desc = desc["table"] if nested else desc
             if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
                 diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
                 return None
-            level = int(table_desc.get("level", group.precision))
+            if nested:
+                extra = ((set(desc) - {"table", "declared_locally_constant"})
+                         | (set(table_desc) - {"level", "values"}))
+            else:
+                extra = set(desc) - {"level", "values", "declared_locally_constant"}
+            if extra:
+                diags.append(f"weight: unknown fields {sorted(extra)}")
+            # checked before p^(level + window) is formed
+            level = _parse_int(table_desc.get("level", group.precision), "weight.level",
+                               -group.window, diags, maximum=group.precision)
+            if level is None:
+                return None
             size = group.prime ** (level + group.window)
             values = {}
             for key, val in table_desc["values"].items():
@@ -503,10 +524,7 @@ def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
             log_res = log_integral_report(spec.weight, config.quadrature_points)
         except HclabError:
             pass
-    rows = rep.monotone_rows
-    if rows is None or len(rows) < config.monotone_n_max:  # it stopped before the horizon
-        rows = islice(monotone_rows(spec.weight, spec.element, config.monotone_grid),
-                      config.monotone_n_max)
+    rows = islice(rep.walk.hits(), config.monotone_n_max)
     _write_csv(os.path.join(out_dir, "scan.csv"),
                ["n", "w_n_min", "w_n_max", "monotone_fired"],
                [[r.n, repr(r.min_value), repr(r.max_value), r.direction is not None]
@@ -526,7 +544,8 @@ def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     n_max = spec.verdict_config().resolved_ul_n_max(group)
     rows = []
     if group.window == 0:
-        for witness in padic_mod.ul_trace(w, a, n_max):
+        for ul in islice(rep.walk.ul_rows(), n_max):
+            witness = ul.origin
             rows.append(
                 [witness.n, 0, str(witness.radius), witness.u_nonempty, witness.l_nonempty,
                  " ".join(map(str, witness.u_witnesses)),
@@ -592,7 +611,9 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hclab",
         description="equidistribution statistics and weighted-translation necessary-condition tests",
@@ -617,7 +638,7 @@ def _load_raw(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     task = args.task
 
     try:

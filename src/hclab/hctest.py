@@ -66,6 +66,7 @@ __all__ = [
     "sandwich_check",
     "MonotoneHit",
     "monotone_rows",
+    "ProductWalk",
     "monotone_power_scan",
     "VerdictConfig",
     "verdict",
@@ -441,21 +442,18 @@ def _expr_rows(w: ExprWeight, a, grid_points) -> Iterator[MonotoneHit]:
         )
 
 
-def _exact_rows(rows) -> Iterator[MonotoneHit]:
-    """Rows from exact products; ``rows`` yields, for n = 1, 2, ..., the
-    points and the n-step values there.  The witness is the first point at
-    the extreme."""
-    for n, (points, values) in enumerate(rows, 1):
-        mn, mx = min(values), max(values)
-        if not (mn >= 1 or mx <= 1):
-            yield MonotoneHit(n, None, False, False, float(mn), float(mx))
-            continue
-        up = mn >= 1
-        witness = points[values.index(mn if up else mx)]
-        yield MonotoneHit(
-            n, ">=1" if up else "<=1", mx > 1 if up else mn < 1, True,
-            float(mn), float(mx), witness=witness,
-        )
+def _exact_hit(n: int, points, values, den) -> MonotoneHit:
+    """The monotone row of exact n-step products values[i] / den at
+    points[i]; the witness is the first point at the extreme."""
+    mn, mx = min(values), max(values)
+    lo, hi = float(mn / den), float(mx / den)
+    if not (mn >= den or mx <= den):
+        return MonotoneHit(n, None, False, False, lo, hi)
+    up = mn >= den
+    return MonotoneHit(
+        n, ">=1" if up else "<=1", mx > den if up else mn < den, True,
+        lo, hi, witness=points[values.index(mn if up else mx)],
+    )
 
 
 def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit]:
@@ -468,11 +466,59 @@ def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit
     if isinstance(w, StepWeight):
         if not w.is_exact:
             raise NonPositiveWeight("exact scan requires rational step values")
-        return _exact_rows(zip(*pairs) for pairs in circle_step_rows(w, a))
+        return (_exact_hit(n, *zip(*pairs), 1) for n, pairs in enumerate(circle_step_rows(w, a), 1))
     if isinstance(w, (PAdicTableWeight, FiniteWeight)):
         # p-adic points are the residues the table resolves, finite ones the elements
-        return _exact_rows((range(len(row)), row) for row in step_products(w, a))
+        return (_exact_hit(n, range(len(row)), row, den)
+                for n, (row, den) in enumerate(step_products(w, a), 1))
     raise TypeError(f"unsupported weight {w!r}")
+
+
+def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int):
+    """(monotone row, U/L row or None) for n = 1, 2, ...; a p-adic table
+    weight gets its ``padic.ULRow`` for n <= ul_n_max from the same integer
+    row as its monotone row."""
+    if isinstance(w, PAdicTableWeight):
+        for n, (row, den) in enumerate(step_products(w, a), 1):
+            ul = _padic.ul_row(w, a, n, row, den) if n <= ul_n_max else None
+            yield _exact_hit(n, range(len(row)), row, den), ul
+    else:
+        for hit in monotone_rows(w, a, grid_points):
+            yield hit, None
+
+
+class ProductWalk:
+    """One lazily advanced walk of the n-step products of (w, a), shared by
+    every reader in a spec: the verdict's monotone rule and U/L scan,
+    ``scan.csv`` and ``ul_witness.csv``.
+
+    ``hits()`` yields the monotone rows and ``ul_rows()`` the p-adic U/L rows
+    (``padic.ULRow``, for n <= ``ul_n_max``, None past it), both from n = 1.
+    Each n is computed once, when the first reader reaches it, and only
+    these small per-n results are kept; the row itself lives in the walk's
+    generator only while it is current.  Nothing runs before the first read.
+    """
+
+    def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int):
+        self._steps = _walk_steps(w, a, grid_points, ul_n_max)
+        self._walked: list[tuple] = []
+
+    @property
+    def walked(self) -> int:
+        """How many n the walk has reached."""
+        return len(self._walked)
+
+    def _read(self, field: int):
+        for n in itertools.count():
+            if n == len(self._walked):
+                self._walked.append(next(self._steps))
+            yield self._walked[n][field]
+
+    def hits(self) -> Iterator[MonotoneHit]:
+        return self._read(0)
+
+    def ul_rows(self) -> Iterator:
+        return self._read(1)
 
 
 def _fires(row: MonotoneHit, require_strict: bool) -> bool:
@@ -563,23 +609,20 @@ def _log_firing(w: Weight, config: VerdictConfig) -> tuple[RuleFiring | None, Lo
     )
 
 
-def _monotone_firing(w: Weight, a, config: VerdictConfig) -> tuple[RuleFiring | None, tuple]:
+def _monotone_firing(walk: ProductWalk, config: VerdictConfig) -> RuleFiring | None:
     """Battery form of the scan: n = 1 may fire without strictness (the
     isometry case w_1 == 1), larger n must be strict somewhere -- an exactly
     constant-1 product at n >= 2 is the cyclic/locally-constant phenomenon
-    and is reported by the sharper rules instead.  Also returns the rows it
-    walked, up to the firing one or the horizon."""
-    walked = []
-    for row in itertools.islice(monotone_rows(w, a, config.monotone_grid), config.monotone_n_max):
-        walked.append(row)
+    and is reported by the sharper rules instead."""
+    for row in itertools.islice(walk.hits(), config.monotone_n_max):
         if _fires(row, require_strict=True):
             return RuleFiring(
                 RULE_MONOTONE,
                 {"n": row.n, "direction": row.direction, "strict": row.strict,
                  "certified": row.certified},
                 {"min_value": row.min_value, "max_value": row.max_value, "witness": row.witness},
-            ), tuple(walked)
-    return None, tuple(walked)
+            )
+    return None
 
 
 def _context_name(group) -> str:
@@ -603,7 +646,11 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     horizons = {"monotone_n_max": config.monotone_n_max}
     notes = []
     metadata = dict(config.metadata or {})
-    log_res = mono_rows = None
+    log_res = None
+    # the U/L rows of a windowed context come from its coset problems
+    ul_n_max = (config.resolved_ul_n_max(group)
+                if isinstance(group, PAdicContext) and group.window == 0 else 0)
+    walk = ProductWalk(w, a, config.monotone_grid, ul_n_max)
 
     def report(fired: RuleFiring | None) -> VerdictReport:
         return VerdictReport(
@@ -615,7 +662,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             notes=tuple(notes),
             metadata=metadata,
             log_integral=log_res,
-            monotone_rows=mono_rows,
+            walk=walk,
         )
 
     fired = _torsion_firing(w, a)
@@ -641,17 +688,16 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
         return report(fired)
     notes.append(f"log integral {log_res.value:.3e} ({log_res.method})")
 
-    fired, mono_rows = _monotone_firing(w, a, config)
+    fired = _monotone_firing(walk, config)
     if fired:
         return report(fired)
 
     if isinstance(group, PAdicContext):
-        ul_n_max = config.resolved_ul_n_max(group)
         horizons["ul_n_max"] = ul_n_max
         fragment = _padic.locally_constant_obstruction(w, a)
         if fragment is not None:
             return report(fragment)
-        fragment = _padic.ul_scan(w, a, ul_n_max)
+        fragment = _padic.ul_scan(w, a, ul_n_max, walk.ul_rows())
         if fragment is not None:
             return report(fragment)
 

@@ -2,8 +2,8 @@
 obstruction, coset log-integrals, and the conjugation/reduction diagrams.
 
 Everything here is exact: weights are rational coset tables, products are
-Fraction arithmetic, and all comparisons against 1 are decided without
-floats.  The only floats produced are the final values of log integrals.
+integers over a common denominator, and all comparisons against 1 are
+decided without floats.  The only floats produced are the final values of log integrals.
 """
 
 from __future__ import annotations
@@ -15,16 +15,19 @@ from fractions import Fraction
 from typing import Iterator
 
 from .borel import BallSet, ball
-from .errors import InternalInconsistency, WindowExceeded
+from .errors import ContextMismatch, InternalInconsistency, WindowExceeded
 from .groups import PRECISION_CAP, PAdicContext, PAdicNumber
 from .report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY, RuleFiring
-from .weights import DiscretizedFunction, PAdicTableWeight, apply_operator, step_products, weight_product
+from .weights import (DiscretizedFunction, PAdicTableWeight, apply_operator, integer_table,
+                      step_products, weight_product)
 
 __all__ = [
     "valuation",
     "ULWitness",
     "ul_sets",
-    "ul_trace",
+    "ULRow",
+    "ul_row",
+    "ul_rows",
     "ul_scan",
     "is_locally_constant",
     "locally_constant_obstruction",
@@ -58,64 +61,109 @@ def _orbit_radius_exp(a: PAdicNumber, n: int) -> int:
     return a.context.precision if v is PRECISION_CAP else v
 
 
+# a byte per ball representative: the n-step product there is below, equal
+# to or above 1
+_BELOW, _EQUAL, _ABOVE = 0, 1, 2
+_IS_ABOVE = bytes.maketrans(b"\0\1\2", b"\0\0\1")
+_IS_BELOW = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+
+
 @dataclass(frozen=True)
 class ULWitness:
     """The U/L test at one (n, x'): which residues of the ball around x' of
-    radius |n a|_p carry an n-step product above / below 1."""
+    radius |n a|_p carry an n-step product above / below 1.
+
+    ``residues`` are the ball's representatives and ``signs`` holds one byte
+    per representative (below, equal to or above 1), so a witness costs a
+    byte per residue however many are kept."""
 
     n: int
     x_prime: int
     radius_exp: int
     radius: Fraction
     level: int  # residues are cosets of p^level Z_p
-    u_witnesses: tuple[int, ...]
-    l_witnesses: tuple[int, ...]
+    residues: range
+    signs: bytes
+
+    @property
+    def u_witnesses(self) -> tuple[int, ...]:
+        return tuple(itertools.compress(self.residues, self.signs.translate(_IS_ABOVE)))
+
+    @property
+    def l_witnesses(self) -> tuple[int, ...]:
+        return tuple(itertools.compress(self.residues, self.signs.translate(_IS_BELOW)))
 
     @property
     def u_nonempty(self) -> bool:
-        return bool(self.u_witnesses)
+        return _ABOVE in self.signs
 
     @property
     def l_nonempty(self) -> bool:
-        return bool(self.l_witnesses)
+        return _BELOW in self.signs
 
 
-def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int, row: list) -> ULWitness:
+def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int, row, den: int) -> ULWitness:
     """U and L inside the ball of radius |n a|_p around the residue x_prime,
-    read from ``row``, the |n|-step products of ``step_products``.  Negative
-    n uses the inverse-operator convention w_{-k}(x) = 1 / w_k(x + k a)."""
+    read from ``row``, the |n|-step products as integers over ``den``
+    (``step_products``; a mapping that holds the ball's residues will do).
+    Negative n uses the inverse-operator convention
+    w_{-k}(x) = 1 / w_k(x + k a)."""
     ctx = w.context
     j = _orbit_radius_exp(a, n)
     level = max(j, w.level)
     p, m = ctx.prime, ctx.window
-    size = len(row)
+    size = len(w.table)
     offset = 0 if n > 0 else -n * a.residue
     step = p ** (j + m)
-    base = x_prime % step
-    u_list, l_list = [], []
-    for t in range(p ** (level - j)):
-        rep = base + t * step
-        value = row[(rep + offset) % size]
-        if n < 0:
-            value = 1 / value
-        if value > 1:
-            u_list.append(rep)
-        elif value < 1:
-            l_list.append(rep)
+    reps = range(x_prime % step, p ** (level + m), step)
+    values = [row[(rep + offset) % size] for rep in reps]
+    sign = 1 if n > 0 else -1
     return ULWitness(
         n=n,
         x_prime=x_prime,
         radius_exp=j,
         radius=_p_power(p, j),
         level=level,
-        u_witnesses=tuple(u_list),
-        l_witnesses=tuple(l_list),
+        residues=reps,
+        signs=bytes([_EQUAL + sign * ((v > den) - (v < den)) for v in values]),
     )
 
 
-def _row(w: PAdicTableWeight, a: PAdicNumber, n: int) -> list:
-    """The n-step product row, n >= 1."""
-    return next(itertools.islice(step_products(w, a), n - 1, None))
+def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> tuple[dict, int]:
+    """The n-step products (n >= 1) on the ball of radius |n a|_p around the
+    residue ``center``, as integers over a common denominator, by composing
+    rows instead of stepping through all n of them.
+
+    With n = q p^e and q prime to p: row p^(i+1) on the ball of radius
+    |p^(i+1) a|_p is the product of p entries of row p^i on the ball of
+    radius |p^i a|_p, row_{p^(i+1)}[r] = prod_{t<p} row_{p^i}[r - t p^i a],
+    and row n is likewise a product of q entries of row p^e.  Each ball is p
+    times smaller than the one before until it is one residue, so the work
+    is about 2 size + e p + q |ball| products, and no entry is longer than
+    row n's."""
+    if a.context != w.context:
+        raise ContextMismatch(f"{a.context.name} vs {w.context.name}")
+    ctx = w.context
+    m, size = ctx.window, len(w.table)
+    digits = w.level + m  # size = p^digits
+    e, q = 0, n
+    while q % ctx.prime == 0:
+        e, q = e + 1, q // ctx.prime
+    values, scale = integer_table(w.table[r] for r in range(size))
+
+    def ball(i):
+        # the residues mod size of the ball of radius |p^i a|_p around center
+        step = ctx.prime ** min(_orbit_radius_exp(a, ctx.prime ** i) + m, digits)
+        return range(center % size, center % size + size, step)
+
+    def fold(row, shift, times, residues):
+        return {r % size: math.prod(row[(r - t * shift) % size] for t in range(times))
+                for r in residues}
+
+    row = {r % size: values[r % size] for r in ball(0)}
+    for i in range(e):
+        row = fold(row, ctx.prime ** i * a.residue, ctx.prime, ball(i + 1))
+    return fold(row, ctx.prime ** e * a.residue, q, ball(e)), scale ** n
 
 
 def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0) -> ULWitness:
@@ -128,14 +176,53 @@ def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | 
         raise ValueError("need n != 0")
     if not isinstance(x_prime, PAdicNumber):
         x_prime = w.context.element(x_prime)
-    return _ul_witness(w, a, n, x_prime.residue, _row(w, a, abs(n)))
+    center = x_prime.residue + (0 if n > 0 else -n * a.residue)
+    return _ul_witness(w, a, n, x_prime.residue, *_ball_row(w, a, abs(n), center))
 
 
-def ul_trace(w: PAdicTableWeight, a: PAdicNumber, n_max: int) -> Iterator[ULWitness]:
-    """``ul_sets`` around 0 for n = 1..n_max, from one pass of
-    ``step_products``."""
-    for n, row in zip(range(1, n_max + 1), step_products(w, a)):
-        yield _ul_witness(w, a, n, 0, row)
+@dataclass(frozen=True)
+class ULRow:
+    """What the U/L readers take from one n-step row: the test around
+    x' = 0 (a row of ``ul_witness.csv``) and ``ul_scan``'s firing at n, the
+    first ball with an empty U or L, or None."""
+
+    origin: ULWitness
+    empty: RuleFiring | None
+
+
+def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: list, den: int) -> ULRow:
+    """The ``ULRow`` of the n-step row ``row`` / ``den`` of ``step_products``.
+
+    For weights declared non-locally-constant only balls strictly coarser
+    than the table level are meaningful (inside one table coset the stored
+    values cannot resolve the true variation), so finer balls are skipped.
+    """
+    ctx = w.context
+    j = _orbit_radius_exp(a, n)
+    empty = None
+    if w.declared_locally_constant or j < w.level:
+        step = ctx.prime ** (j + ctx.window)
+        # ball b holds row[b::step]; past the table level a ball is one entry
+        b = next((b for b in range(step)
+                  if not (max(row[b::step]) > den and min(row[b::step]) < den)), None)
+        if b is not None:
+            witness = _ul_witness(w, a, n, b, row, den)
+            empty = RuleFiring(
+                RULE_UL_EMPTY,
+                {"n": n, "x_prime": b, "empty_side": "L" if witness.u_nonempty else "U"},
+                {
+                    "radius": witness.radius,
+                    "u_witnesses": witness.u_witnesses[:4],
+                    "l_witnesses": witness.l_witnesses[:4],
+                },
+            )
+    return ULRow(_ul_witness(w, a, n, 0, row, den), empty)
+
+
+def ul_rows(w: PAdicTableWeight, a: PAdicNumber) -> Iterator[ULRow]:
+    """``ul_row`` for n = 1, 2, ..., from one pass of ``step_products``."""
+    for n, (row, den) in enumerate(step_products(w, a), 1):
+        yield ul_row(w, a, n, row, den)
 
 
 def is_locally_constant(w: PAdicTableWeight) -> int | None:
@@ -157,18 +244,17 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     if k is None:
         return None
     n = w.context.prime ** k
-    row = _row(w, a, n)
-    witness = _ul_witness(w, a, n, 0, row)
+    row, den = _ball_row(w, a, n, 0)
+    witness = _ul_witness(w, a, n, 0, row, den)
     if witness.u_nonempty and witness.l_nonempty:
         raise InternalInconsistency(
             "p^k-step product of a k-level weight varies on the test ball"
         )
-    constant = row[0]
     return RuleFiring(
         RULE_LOCALLY_CONSTANT,
         {"k": k, "n": n},
         {
-            "constant_value": constant,
+            "constant_value": Fraction(row[0], den),
             "radius": witness.radius,
             "u_nonempty": witness.u_nonempty,
             "l_nonempty": witness.l_nonempty,
@@ -176,33 +262,14 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     )
 
 
-def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int) -> RuleFiring | None:
-    """Scan n = 1..n_max and every ball of radius |n a|_p for an empty U or L.
-
-    For weights declared non-locally-constant only balls strictly coarser
-    than the table level are meaningful (inside one table coset the stored
-    values cannot resolve the true variation), so finer balls are skipped.
-    """
-    ctx = w.context
-    p, m = ctx.prime, ctx.window
-    for n, row in zip(range(1, n_max + 1), step_products(w, a)):
-        j = _orbit_radius_exp(a, n)
-        if not w.declared_locally_constant and j >= w.level:
-            continue
-        for b in range(p ** (j + m)):
-            witness = _ul_witness(w, a, n, b, row)
-            if witness.u_nonempty and witness.l_nonempty:
-                continue
-            side = "U" if not witness.u_nonempty else "L"
-            return RuleFiring(
-                RULE_UL_EMPTY,
-                {"n": n, "x_prime": b, "empty_side": side},
-                {
-                    "radius": witness.radius,
-                    "u_witnesses": witness.u_witnesses[:4],
-                    "l_witnesses": witness.l_witnesses[:4],
-                },
-            )
+def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int,
+            rows: Iterator[ULRow] | None = None) -> RuleFiring | None:
+    """Scan n = 1..n_max and every ball of radius |n a|_p for an empty U or
+    L, reading ``rows`` (the ``ULRow``s for n = 1, 2, ...; by default a new
+    pass, ``ul_rows``); the first firing wins."""
+    for row in itertools.islice(ul_rows(w, a) if rows is None else rows, n_max):
+        if row.empty is not None:
+            return row.empty
     return None
 
 

@@ -58,9 +58,9 @@ class VerdictReport:
     necessary condition failed at the configured horizons.
 
     ``log_integral`` keeps the ``hctest.LogIntegralResult`` the battery
-    computed and ``monotone_rows`` the ``hctest.MonotoneHit`` rows its
-    monotone rule walked (each None when it stopped before that rule) so
-    callers can reuse them; ``to_dict`` leaves both out.
+    computed (None when it stopped before that rule) and ``walk`` its
+    ``hctest.ProductWalk`` of the n-step products, so callers continue it
+    instead of starting again; ``to_dict`` leaves both out.
     """
 
     verdict: str
@@ -71,7 +71,7 @@ class VerdictReport:
     notes: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
     log_integral: object = field(default=None, compare=False)
-    monotone_rows: tuple | None = field(default=None, compare=False)
+    walk: object = field(default=None, compare=False)
 
     @property
     def not_hypercyclic(self) -> bool:

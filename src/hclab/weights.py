@@ -40,6 +40,7 @@ __all__ = [
     "translate_back",
     "weight_product",
     "step_products",
+    "integer_table",
     "circle_step_rows",
     "apply_operator",
 ]
@@ -449,38 +450,47 @@ def weight_product(w: Weight, a, n: int, x):
     return acc
 
 
-def step_products(w: Weight, a) -> Iterator[list]:
+def step_products(w: Weight, a) -> Iterator[tuple[list[int], int]]:
     """Yield, for n = 1, 2, ..., the row of n-step products w_n over a whole
-    table weight at once.
+    exact table weight at once, as integers over a common denominator.
 
     For a ``PAdicTableWeight`` the row is indexed by the residues r mod
-    p^(level+window) that the table resolves (w_n(x) is row[x.residue % size]);
-    for a ``FiniteWeight`` it is indexed by group element.  Each row is the
-    previous one times one table lookup per index,
-    row_n[x] = row_{n-1}[x] * w(x a^-(n-1)), and only the current row is held.
-    Entries equal ``weight_product`` exactly for exact weights; a finite
-    weight with a float value gives float rows throughout.  Circle step
-    weights have their own rows, ``circle_step_rows``.
+    p^(level+window) that the table resolves (w_n(x) is row[x.residue % size]
+    / den); for a ``FiniteWeight`` it is indexed by group element.  With L the
+    least common denominator of the table, row n holds the integers
+    w_n(x) * L^n and den is L^n, so comparisons against 1 and between entries
+    are integer comparisons and no Fraction is formed.  Each row is the
+    table times the previous row read one step back,
+    row_n[x] = w(x) * row_{n-1}[x a^-1], and only the current row is held.
+    A float value of a finite weight enters as the exact rational it is.
+    Circle step weights have their own rows, ``circle_step_rows``.
     """
     if isinstance(w, PAdicTableWeight):
         if a.context != w.context:
             raise ContextMismatch(f"{a.context.name} vs {w.context.name}")
         size = w._size
-        values = [w.table[r] for r in range(size)]
+        values, scale = integer_table(w.table[r] for r in range(size))
         back = [(r - a.residue) % size for r in range(size)]
     elif isinstance(w, FiniteWeight):
         g = w.group
-        values = list(w.values) if w.is_exact else [float(v) for v in w.values]
+        values, scale = integer_table(w.values)
         a_inv = g.inv(a)
         back = [g.mul(x, a_inv) for x in g.elements()]
     else:
         raise TypeError(f"step_products needs a table or finite weight, got {w!r}")
-    row = list(values)
-    pos = back
+    row, den = list(values), scale
     while True:
-        yield row
-        row = [v * values[i] for v, i in zip(row, pos)]
-        pos = [back[i] for i in pos]
+        yield row, den
+        row = [v * row[b] for v, b in zip(values, back)]
+        den *= scale
+
+
+def integer_table(values: Iterable) -> tuple[list[int], int]:
+    """Exact rational values as integers over their least common
+    denominator L: the list of value * L, and L."""
+    fracs = [Fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
 
 
 def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[list]:

@@ -151,6 +151,17 @@ _PROBES = [
     (_EXPR, ("element",), {"rational": f"1/{2 ** 64 + 1}"}, "element"),
     (_EXPR, ("element",), "1e-30", "element"),
     (_EXPR, ("element",), {"angle": float("inf")}, "element"),
+    (_EXPR, ("weight", "grid_points"), 0, "weight.grid_points"),
+    (_EXPR, ("weight", "grid_points"), 1.5, "weight.grid_points"),
+    (three_coset_spec(), ("sets",), [{"center": "0", "radius_exp": 1.5}], "sets.radius_exp"),
+    (three_coset_spec(), ("sets",), [{"center": "0", "radius_exp": True}], "sets.radius_exp"),
+    (three_coset_spec(), ("weight", "level"), 1.5, "weight.level"),
+    (three_coset_spec(), ("weight", "level"), True, "weight.level"),
+    (three_coset_spec(), ("weight", "level"), -1, "weight.level"),
+    (three_coset_spec(), ("weight", "level"), 10 ** 7, "weight.level"),
+    (three_coset_spec(), ("weight", "bogus"), 1, "weight"),
+    (three_coset_spec(), ("element",), {"digits": [1.5]}, "element.digits"),
+    (three_coset_spec(), ("weight",), {"table": {"level": 1, "values": {}, "bogus": 1}}, "weight"),
 ]
 
 
@@ -271,7 +282,7 @@ def test_step_scan_matches_monotone_verdict(tmp_path):
 
 @pytest.mark.parametrize("expr,grid_points,battery_rows", [
     ("exp(sin(2*pi*x))", None, 50),  # passes: scan.csv reuses the battery's rows
-    ("exp(sin(2*pi*x) + 1/10)", None, None),  # the log rule fires: rows recomputed
+    ("exp(sin(2*pi*x) + 1/10)", None, None),  # the log rule fires: scan.csv starts the walk
     ("exp(sin(2*pi*x))", 256, 50),
 ])
 def test_expr_scan_is_the_verdict_rows(tmp_path, expr, grid_points, battery_rows):
@@ -280,8 +291,7 @@ def test_expr_scan_is_the_verdict_rows(tmp_path, expr, grid_points, battery_rows
         payload["tolerances"] = {"grid_points": grid_points}
     spec, _ = parse_spec(payload, "hctest")
     rep = verdict(spec.weight, spec.element, spec.verdict_config())
-    walked = rep.monotone_rows
-    assert (None if walked is None else len(walked)) == battery_rows
+    assert rep.walk.walked == (battery_rows or 0)
     out = tmp_path / "hc"
     assert main(["hctest", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
 
@@ -296,6 +306,38 @@ def test_expr_scan_is_the_verdict_rows(tmp_path, expr, grid_points, battery_rows
     assert rows == expected(grid_points or 1024)
     if grid_points is not None:
         assert rows != expected(1024)
+
+
+_ZP_UL = dict(three_coset_spec(),
+              weight=dict(three_coset_spec()["weight"], declared_locally_constant=False))
+_STEP_HALVES = circle_spec(weight={"step": [[[["0", "1/2"], "half_open"], "2"],
+                                            [[["1/2", "1"], "half_open"], "1/2"]]},
+                           horizons={"n_max": 8})
+
+
+@pytest.mark.parametrize("payload,source", [(_ZP_UL, "step_products"),
+                                            (_STEP_HALVES, "circle_step_rows")])
+def test_all_starts_one_row_walk(tmp_path, monkeypatch, payload, source):
+    # the verdict's rules, scan.csv and ul_witness.csv all read one walk
+    import hclab.hctest
+    import hclab.padic
+
+    starts = []
+
+    def counted(rows):
+        def start(*args):
+            starts.append(rows.__name__)
+            return rows(*args)
+        return start
+
+    for module in (hclab.hctest, hclab.padic):
+        for name in ("step_products", "circle_step_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    out = tmp_path / "all"
+    assert main(["all", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
+    assert starts == [source]
+    assert len((out / "scan.csv").read_text().splitlines()) == 1 + payload["horizons"]["n_max"]
 
 
 def test_all_task_bundles(tmp_path):

@@ -1,6 +1,6 @@
 """Property tests: the n-step product rows of ``step_products`` and
-``circle_step_rows`` and everything read from them (U/L sets, monotone
-scans) against direct references: ``weight_product`` on small random p-adic
+``circle_step_rows``, the rows composed on p-adic balls, and everything read
+from them (U/L sets, monotone scans) against direct references: ``weight_product`` on small random p-adic
 and finite weights, and the exact Fraction oracle of ``circle_oracle`` on
 small random circle step weights."""
 
@@ -14,7 +14,7 @@ from circle_oracle import step_values_at
 from hclab.borel import interval
 from hclab.groups import CIRCLE, PRECISION_CAP, PAdicContext, catalog
 from hclab.hctest import MonotoneHit, monotone_power_scan
-from hclab.padic import ul_sets
+from hclab.padic import _ball_row, ul_sets
 from hclab.weights import (FiniteWeight, PAdicTableWeight, StepFunction, StepWeight,
                            circle_step_rows, step_products, weight_product)
 
@@ -109,10 +109,35 @@ def test_padic_rows_equal_weight_product(case):
     w, a = case
     ctx = w.context
     size = ctx.prime ** (w.level + ctx.window)
-    for n, row in zip(range(1, 2 * size + 1), step_products(w, a)):
+    for n, (row, den) in zip(range(1, 2 * size + 1), step_products(w, a)):
         assert len(row) == size
         for r in range(ctx.modulus):
-            assert row[r % size] == weight_product(w, a, n, ctx.from_residue(r))
+            assert Fraction(row[r % size], den) == weight_product(w, a, n, ctx.from_residue(r))
+
+
+@PROPERTY
+@given(padic_cases(), st.data())
+def test_composed_rows_equal_step_products(case, data):
+    # the rows that locally_constant_obstruction and ul_sets compose, on the
+    # ball of radius |n a|_p around a centre, for n up to 3 * size and every
+    # p^k up to p * size
+    w, a = case
+    ctx = w.context
+    p, m = ctx.prime, ctx.window
+    size = p ** (w.level + m)
+    center = data.draw(st.integers(0, ctx.modulus - 1))
+    powers = {p ** k for k in range(w.level + m + 2)}
+    for n, (row, den) in zip(range(1, max(3 * size, *powers) + 1), step_products(w, a)):
+        if n > 3 * size and n not in powers:
+            continue
+        ball, ball_den = _ball_row(w, a, n, center)
+        v = a.scalar_mul(n).valuation()
+        j = ctx.precision if v is PRECISION_CAP else v
+        step = p ** min(j + m, w.level + m)
+        assert sorted(ball) == [r for r in range(size) if (r - center) % step == 0]
+        for r, value in ball.items():
+            assert Fraction(value, ball_den) == Fraction(row[r], den)
+            assert Fraction(value, ball_den) == weight_product(w, a, n, ctx.from_residue(r))
 
 
 @PROPERTY
@@ -120,8 +145,8 @@ def test_padic_rows_equal_weight_product(case):
 def test_finite_rows_equal_weight_product(case):
     w, a = case
     g = w.group
-    for n, row in zip(range(1, 2 * g.order + 1), step_products(w, a)):
-        assert row == [weight_product(w, a, n, x) for x in g.elements()]
+    for n, (row, den) in zip(range(1, 2 * g.order + 1), step_products(w, a)):
+        assert [Fraction(v, den) for v in row] == [weight_product(w, a, n, x) for x in g.elements()]
 
 
 @PROPERTY
