@@ -12,14 +12,15 @@ spec reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -444,23 +445,36 @@ def validate(raw: dict, task: str) -> list[str]:
 # task runners
 
 
-def _atomic_write(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that replaces ``path`` when the block completes; if the
+    block fails, the partial file is removed and ``path`` is untouched."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_write(path: str, data: str) -> None:
+    with _replacing(path) as fh:
         fh.write(data)
-    os.replace(tmp, path)
 
 
 def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """Stream the rows into the file as they are made; none is held."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
@@ -527,8 +541,8 @@ def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     rows = islice(rep.walk.hits(), config.monotone_n_max)
     _write_csv(os.path.join(out_dir, "scan.csv"),
                ["n", "w_n_min", "w_n_max", "monotone_fired"],
-               [[r.n, repr(r.min_value), repr(r.max_value), r.direction is not None]
-                for r in rows])
+               ([r.n, repr(r.min_value), repr(r.max_value), r.direction is not None]
+                for r in rows))
     payload = rep.to_dict()
     if log_res is not None:
         payload["log_integral"] = jsonable(
@@ -542,18 +556,14 @@ def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
 def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     group, w, a = spec.group, spec.weight, spec.element
     n_max = spec.verdict_config().resolved_ul_n_max(group)
-    rows = []
-    if group.window == 0:
-        for ul in islice(rep.walk.ul_rows(), n_max):
-            witness = ul.origin
-            rows.append(
-                [witness.n, 0, str(witness.radius), witness.u_nonempty, witness.l_nonempty,
-                 " ".join(map(str, witness.u_witnesses)),
-                 " ".join(map(str, witness.l_witnesses))]
-            )
+    # a windowed context has its U/L rows in its coset problems
+    origins = (ul.origin for ul in islice(rep.walk.ul_rows(), n_max)) if group.window == 0 else ()
     _write_csv(os.path.join(out_dir, "ul_witness.csv"),
                ["n", "x_prime", "radius", "u_nonempty", "l_nonempty",
-                "u_witnesses", "l_witnesses"], rows)
+                "u_witnesses", "l_witnesses"],
+               ([o.n, 0, str(o.radius), o.u_nonempty, o.l_nonempty,
+                 " ".join(map(str, o.u_witnesses)), " ".join(map(str, o.l_witnesses))]
+                for o in origins))
     payload = rep.to_dict()
     payload["locally_constant_level"] = padic_mod.is_locally_constant(w)
     if not a.is_zero():

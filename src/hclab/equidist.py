@@ -18,19 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
+from .groups import (MAX_ORBIT_DENOMINATOR, CircleElement, CircleGroup, FiniteGroup, OrbitSequence,
+                     PAdicContext)
 
 __all__ = [
     "DensityStat",
     "TestFunction",
     "OrbitCounter",
     "Sweep",
+    "Boundaries",
+    "Translates",
     "density",
     "density_stat",
     "translated_density",
@@ -114,77 +118,63 @@ class OrbitCounter:
             out.append(total)
         return np.array(out, dtype=np.int64)
 
-    def sup_candidates(self, *sets: IntervalSet) -> "Sweep":
-        """The counts of every set at every translate, as one ``Sweep``.
+    def sup_candidates(self, bounds: "Boundaries") -> "Sweep":
+        """The counts of every set of ``bounds`` at every translate, as one
+        ``Sweep``.
 
         A boundary b of a set meets the point V/D when the translate is the
         event position (b D - V)/D mod 1: floor(b D) - V mod D, exactly in
-        uint64, plus the fractional part of b D, ranked among the
-        boundaries'.  One stable sort orders the events of all sets; the
-        cumulative starts and stops then give each set's count at every
-        event and on every cell between consecutive events, from its count
-        on the cell that wraps past 0: the arcs whose translated copy wraps.
+        uint64 for all boundaries and points at once, plus the fractional
+        part of b D, whose rank ``bounds`` holds.  One stable sort orders the
+        events of all sets; the cumulative starts and stops then give each
+        set's count at every event and on every cell between consecutive
+        events, from its count on the cell that wraps past 0: the arcs whose
+        translated copy wraps.  Everything that depends only on the sets and
+        D is prepared once, in ``bounds``, so a walk over n reuses it.
         """
         D = self.denominator
-        # (boundary, set, change of the count on the cell after the event,
-        # change at the event itself): an open arc excludes its ends, an
-        # isolated point counts only at its event
-        ends = []
-        for i, K in enumerate(sets):
-            for lo, hi in K.open_part:
-                ends += [(lo, i, 1, 0), (hi, i, -1, -1)]
-            ends += [(pt, i, 0, 1) for pt in K.point_part]
+        if bounds.denominator != D:
+            raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
+        S = bounds.sets
         R, L = self.residues, len(self.residues)
-        if not ends or not L:
-            return Sweep(np.zeros((1, len(sets)), dtype=np.int64), D)
-        floors = [b.numerator * D // b.denominator for b, *_ in ends]
-        # the fractional parts of b D, as numerators over a common denominator
-        M = math.lcm(*(b.denominator for b, *_ in ends))
-        keys = [b.numerator * D % b.denominator * (M // b.denominator) for b, *_ in ends]
-        distinct = sorted(set(keys))
-        rank_of = {k: r for r, k in enumerate(distinct)}
-        ranks = np.array([rank_of[k] for k in keys], dtype=np.int32)
-        wrap = np.uint64(D % 2 ** 64)  # for D = 2^64 the uint64 difference wraps by itself
-        ints = np.empty((len(ends), L), dtype=np.uint64)
-        for row, f in enumerate(floors):
-            B = np.uint64(f % D)
-            ints[row] = np.where(R > B, (B - R) + wrap, B - R)
+        if not len(bounds.floors) or not L:
+            return Sweep(np.zeros((1, S), dtype=np.int64), D)
+        # one row per boundary, in fraction order; where V > floor the
+        # uint64 difference wraps past 0 and D is added back (for D = 2^64
+        # the wrap alone is the residue)
+        B = bounds.floors[:, None]
+        ints = np.subtract(B, R)
+        np.add(ints, np.uint64(D % 2 ** 64), out=ints, where=R > B)
 
         # the count on the cell that wraps past 0: the arcs whose start
         # position is not below their stop position
-        base = [0] * len(sets)
-        for row, (_, i, opens, _) in enumerate(ends):
-            if opens == 1:
-                lo, hi = ints[row], ints[row + 1]
-                wraps = (lo > hi) | ((lo == hi) & (ranks[row] >= ranks[row + 1]))
-                base[i] += int(self.counts[wraps].sum())
+        base = np.zeros(S, dtype=np.int64)
+        for lo, hi, tie_wraps, i in bounds.arcs:
+            wraps = ints[lo] >= ints[hi] if tie_wraps else ints[lo] > ints[hi]
+            base[i] += self.counts[wraps].sum()
 
-        # rows in fraction order, so that a stable sort of the integer parts
-        # leaves equal integer parts in fraction order; the per-event arrays
-        # are dropped as soon as they are read, which halves the peak memory
-        rows = np.argsort(ranks, kind="stable")
-        flat = ints[rows].ravel()
+        # a stable sort of the integer parts leaves equal integer parts in
+        # fraction order; the per-event arrays are dropped as soon as they
+        # are read, which keeps the peak memory near one array of events
+        flat = ints.ravel()
         del ints
         order = np.argsort(flat, kind="stable")
         event_ints = flat[order]
         del flat
-        slot = order // L
-        mult = self.counts[order - slot * L]
+        row_of = order // L
+        mult = self.counts[order - row_of * L]
         del order
-        row_of = rows[slot]
-        del slot
-        event_ranks = ranks[row_of]
+        event_ranks = bounds.ranks[row_of]
         new = np.ones(len(event_ints), dtype=bool)
         new[1:] = (event_ints[1:] != event_ints[:-1]) | (event_ranks[1:] != event_ranks[:-1])
         starts = np.flatnonzero(new)
         del new
-        _, owner, cell, at = zip(*ends)
-        cell = np.array(cell, dtype=np.int8)[row_of] * mult
-        at = np.array(at, dtype=np.int8)[row_of] * mult
-        owner = np.array(owner, dtype=np.int32)[row_of] if len(sets) > 1 else None
+        cell = bounds.cell[row_of] * mult
+        at = bounds.at[row_of] * mult
+        owner = bounds.owner[row_of] if S > 1 else None
         del row_of, mult
-        counts = np.empty((2 * len(starts), len(sets)), dtype=np.int64)
-        for i in range(len(sets)):
+        counts = np.empty((2 * len(starts), S), dtype=np.int64)
+        for i in range(S):
             cell_i, at_i = cell, at
             if owner is not None:
                 cell_i, at_i = np.where(owner == i, cell, 0), np.where(owner == i, at, 0)
@@ -193,7 +183,7 @@ class OrbitCounter:
             counts[0::2, i] = after - step + np.add.reduceat(at_i, starts)
             counts[1::2, i] = after
         event_ints, event_ranks = event_ints[starts], event_ranks[starts]
-        fracs = tuple(Fraction(k, M) for k in distinct)
+        fracs = bounds.fracs
         # the wrapping cell's midpoint, (last + first + D)/2 mod D, lies below
         # the first event when last + first >= D
         last = int(event_ints[-1]) + fracs[event_ranks[-1]]
@@ -201,6 +191,68 @@ class OrbitCounter:
         if wrap_first:
             counts = np.roll(counts, 1, axis=0)
         return Sweep(counts, D, event_ints, event_ranks, fracs, wrap_first)
+
+
+@dataclass(frozen=True, eq=False)
+class Boundaries:
+    """The boundaries of one or more circle sets, prepared for
+    ``OrbitCounter.sup_candidates`` over orbits with denominator D.
+
+    Each boundary b is held as floor(b D) mod D (uint64) and the rank of the
+    fractional part of b D among the boundaries' (the distinct parts are
+    ``fracs``, in units of 1/D), in rank order, with its set (``owner``) and
+    the change of that set's count on the cell after the event and at the
+    event itself: an open arc excludes its ends, an isolated point counts
+    only at its event.  ``arcs`` holds, per arc, its start row, its stop
+    row, whether it wraps past 0 when the two have equal integer parts, and
+    its set.  None of this depends on the orbit, so one object serves every
+    n of a walk.
+    """
+
+    sets: int
+    denominator: int
+    floors: np.ndarray
+    ranks: np.ndarray
+    fracs: tuple
+    owner: np.ndarray
+    cell: np.ndarray
+    at: np.ndarray
+    arcs: tuple
+
+    @classmethod
+    def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
+        D = denominator
+        if D > MAX_ORBIT_DENOMINATOR:
+            raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+        # (boundary, set, change on the cell after, change at the event)
+        ends = []
+        for i, K in enumerate(sets):
+            for lo, hi in K.open_part:
+                ends += [(lo, i, 1, 0), (hi, i, -1, -1)]
+            ends += [(pt, i, 0, 1) for pt in K.point_part]
+        if not ends:
+            empty = np.zeros(0, dtype=np.uint64)
+            return cls(len(sets), D, empty, empty, (), empty, empty, empty, ())
+        bs, owner, cell, at = zip(*ends)
+        floors = np.array([b.numerator * D // b.denominator % D for b in bs], dtype=np.uint64)
+        # the fractional parts of b D, as numerators over a common denominator
+        M = math.lcm(*(b.denominator for b in bs))
+        keys = [b.numerator * D % b.denominator * (M // b.denominator) for b in bs]
+        distinct = sorted(set(keys))
+        rank_of = {k: r for r, k in enumerate(distinct)}
+        ranks = np.array([rank_of[k] for k in keys], dtype=np.int32)
+        # rows in fraction order, so that a stable sort of the integer parts
+        # leaves equal integer parts in fraction order
+        rows = np.argsort(ranks, kind="stable")
+        position = np.empty_like(rows)
+        position[rows] = np.arange(len(rows))
+        return cls(
+            len(sets), D, floors[rows], ranks[rows], tuple(Fraction(k, M) for k in distinct),
+            np.array(owner, dtype=np.int32)[rows],
+            np.array(cell, dtype=np.int8)[rows], np.array(at, dtype=np.int8)[rows],
+            tuple((int(position[j]), int(position[j + 1]), bool(ranks[j] >= ranks[j + 1]), owner[j])
+                  for j, e in enumerate(ends) if e[2] == 1),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +296,20 @@ class Sweep:
         if g + 1 < G:
             return (self._position(g) + self._position(g + 1)) / (2 * D)
         return ((self._position(g) + self._position(0) + D) / 2 % D) / D
+
+@dataclass(frozen=True, eq=False)
+class Translates(Sequence):
+    """The exact translates of chosen candidates of a sweep, each computed
+    only when it is read: item i is ``sweep.translate(candidates[i])``."""
+
+    sweep: Sweep
+    candidates: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.sweep.translate(int(self.candidates[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +383,8 @@ def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
     group = seq.group
     mu = K.measure()
     if isinstance(group, CircleGroup):
-        counts = OrbitCounter.from_sequence(seq, N).sup_candidates(K).counts
+        counter = OrbitCounter.from_sequence(seq, N)
+        counts = counter.sup_candidates(Boundaries.prepare(counter.denominator, K)).counts
         # |count/N - mu| is extremal at the extreme counts; finish in exact
         # rational arithmetic so trivial cases come out exact
         lo, hi = int(counts.min()), int(counts.max())

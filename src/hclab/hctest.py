@@ -28,7 +28,7 @@ import numpy as np
 
 from . import padic as _padic
 from .borel import IntervalSet
-from .equidist import OrbitCounter, _mod1
+from .equidist import Boundaries, OrbitCounter, _mod1
 from .errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
@@ -143,19 +143,22 @@ class LogIntegralResult:
 
 
 def _exact_log_sum(pairs) -> LogIntegralResult | None:
-    """sum_i m_i ln(v_i) with rational m_i, v_i, bookkept as ln(prod v^c)/D."""
+    """sum_i m_i ln(v_i) with rational m_i, v_i, bookkept as ln(prod v^c)/D.
+    The numerators and denominators of the product are multiplied as
+    integers and reduced once."""
     masses, values = [], []
     for m, v in pairs:
         if not isinstance(v, (Fraction, int)):
             return None
         masses.append(Fraction(m))
         values.append(Fraction(v))
-    D = 1
-    for m in masses:
-        D = D * m.denominator // math.gcd(D, m.denominator)
-    Q = Fraction(1)
+    D = math.lcm(*(m.denominator for m in masses))
+    num = den = 1
     for m, v in zip(masses, values):
-        Q *= v ** int(m * D)
+        c = m.numerator * (D // m.denominator)
+        num *= v.numerator ** c
+        den *= v.denominator ** c
+    Q = Fraction(num, den)
     return LogIntegralResult(
         value=_ln_fraction(Q) / D,
         method="exact-log-sum",
@@ -370,9 +373,9 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
     for E, _ in phi.pieces:
         if not isinstance(E, IntervalSet):
             raise TypeError("sandwich_check runs on circle step functions")
-    sweep = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), N, first=0).sup_candidates(
-        *(E for E, _ in phi.pieces)
-    )
+    counter = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), N, first=0)
+    sweep = counter.sup_candidates(
+        Boundaries.prepare(counter.denominator, *(E for E, _ in phi.pieces)))
     worst = -1.0
     witness_x = witness_piece = None
     for idx, (E, _) in enumerate(phi.pieces):
@@ -466,12 +469,13 @@ def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit
     if isinstance(w, StepWeight):
         if not w.is_exact:
             raise NonPositiveWeight("exact scan requires rational step values")
-        return (_exact_hit(n, *zip(*pairs), 1) for n, pairs in enumerate(circle_step_rows(w, a), 1))
-    if isinstance(w, (PAdicTableWeight, FiniteWeight)):
+        rows = circle_step_rows(w, a)
+    elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
         # p-adic points are the residues the table resolves, finite ones the elements
-        return (_exact_hit(n, range(len(row)), row, den)
-                for n, (row, den) in enumerate(step_products(w, a), 1))
-    raise TypeError(f"unsupported weight {w!r}")
+        rows = ((range(len(row)), row, den) for row, den in step_products(w, a))
+    else:
+        raise TypeError(f"unsupported weight {w!r}")
+    return (_exact_hit(n, *r) for n, r in enumerate(rows, 1))
 
 
 def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int):

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
-from .equidist import OrbitCounter
+from .equidist import Boundaries, OrbitCounter, Translates
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import (CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext,
@@ -493,36 +493,42 @@ def integer_table(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
 
 
-def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[list]:
+def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[tuple[Translates, list[int], int]]:
     """Yield, for n = 1, 2, ..., the n-step products of a circle step weight
-    as a row of (translate, value) pairs: w_n(x) = prod_i alpha_i^(c_i(x)),
-    where c_i(x) counts the product orbit x, x-a, ..., x-(n-1)a inside piece i.
+    as ``(points, row, den)``: w_n(x) = prod_i alpha_i^(c_i(x)), where c_i(x)
+    counts the product orbit x, x-a, ..., x-(n-1)a inside piece i, is
+    row[j] / den at the translate points[j].
 
-    The count vectors are exact, from one ``OrbitCounter.sup_candidates``
-    sweep of all pieces, so every vector w_n takes is realized.  The row
-    keeps one (translate, value) pair per distinct count vector, at the first
-    candidate that has it, in increasing translate order over [0, 1): the
-    first pair reaching any value is at the first translate reaching it, an
-    exact event position or cell midpoint.  Translates are Fractions; values
-    are exact Fractions for exact weights, floats otherwise.
+    As for table rows (``step_products``), with L the least common
+    denominator of the piece values, row[j] is the integer w_n * L^n and den
+    is L^n: the pieces partition the circle, so the counts of a translate sum
+    to n.  A float value enters as the exact rational it is.  The count
+    vectors are exact, from one ``OrbitCounter.sup_candidates`` sweep of all
+    pieces per n, with the pieces' boundaries prepared once for the walk
+    (``equidist.Boundaries``), so every vector w_n takes is realized.  The
+    row keeps one entry per distinct count vector, at the first candidate
+    that has it, in increasing translate order over [0, 1): the first entry
+    reaching any value is at the first translate reaching it, an exact event
+    position or cell midpoint.  ``points`` is a lazy ``equidist.Translates``
+    view: a translate is computed, as a Fraction, only when it is read.
     """
     pieces = [E for E, _ in w.step.pieces]
-    alphas = [Fraction(v) if w.is_exact else float(v) for _, v in w.step.pieces]
+    values, scale = integer_table(v for _, v in w.step.pieces)
     seq = OrbitSequence(CIRCLE, a)
+    bounds = Boundaries.prepare(a.value.denominator, *pieces)
+    den = 1
     for n in itertools.count(1):
-        sweep = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(*pieces)
-        # one dense rank per distinct count vector, built a column at a time:
-        # each step's key stays below (number of candidates) * (n + 1)
-        key = np.zeros(len(sweep), dtype=np.int64)
-        for col in sweep.counts.T:
-            _, key = np.unique(key * (n + 1) + col, return_inverse=True)
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        yield [
-            (sweep.translate(j),
-             math.prod(alpha ** int(c) for alpha, c in zip(alphas, sweep.counts[j])))
-            for j in first
-        ]
+        den *= scale
+        sweep = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(bounds)
+        # the first candidate of each distinct count vector: a stable sort
+        # puts equal vectors next to each other in candidate order
+        order = np.lexsort(sweep.counts.T)
+        ordered = sweep.counts[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        first = np.sort(order[new])
+        row = [math.prod(map(pow, values, counts)) for counts in sweep.counts[first].tolist()]
+        yield Translates(sweep, first), row, den
 
 
 def _weight_on_grid_index(w: Weight, domain, i: int):

@@ -56,3 +56,10 @@ def step_values_at(w, a):
         return out
 
     return values_at
+
+
+def row_pairs(points, row, den):
+    """The (translate, w_n) pairs of a ``circle_step_rows`` row
+    ``(points, row, den)``, as exact Fractions."""
+    assert len(points) == len(row)
+    return [(x, Fraction(v, den)) for x, v in zip(points, row)]

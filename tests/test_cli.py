@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import os
 from itertools import islice
 
 import pytest
 
-from hclab.cli import main, parse_spec, validate
+from hclab.cli import _atomic_write, _write_csv, main, parse_spec, validate
 from hclab.hctest import monotone_rows, verdict
 
 GOLDEN_ANGLE = 0.6180339887498949
@@ -417,3 +419,29 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["padic", "--spec", spec, "--out-dir", str(out2)]) == 0
     for name in os.listdir(out1):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_streamed_csv_is_byte_identical(tmp_path):
+    # rows streamed from a generator give the bytes of the whole trace built
+    # in memory first, and only the finished file is left behind
+    header = ["n", "value", "note"]
+    rows = [[n, repr(n / 7), f'a,"b"\n{n}' if n % 3 else True] for n in range(2000)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(str(tmp_path / "whole.csv"), buf.getvalue())
+    path = tmp_path / "trace.csv"
+    _write_csv(str(path), header, (row for row in rows))
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["trace.csv", "whole.csv"]
+
+    def failing():
+        yield rows[0]
+        raise RuntimeError("row failed")
+
+    # a row source that fails leaves the earlier file as it was, and no .tmp
+    with pytest.raises(RuntimeError, match="row failed"):
+        _write_csv(str(path), header, failing())
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["trace.csv", "whole.csv"]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import circle_oracle as oracle
 from hclab.borel import FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
+    Boundaries,
+    OrbitCounter,
     TestFunction,
     density,
     density_stat,
@@ -166,7 +168,7 @@ def test_sup_deviation_padic_exhaustive():
 
 
 VARIANTS = ["open", "closed", "half_open", "half_open_right"]
-ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=40, deadline=None)
 
 
 @st.composite
@@ -204,10 +206,65 @@ def test_circle_counts_match_exact_oracle(case, data):
     if K.measure() < 1:
         w = StepWeight(StepFunction.of([(K, Fraction(2)), (K.complement(), Fraction(1, 3))]))
         values_at = oracle.step_values_at(w, a)
-        for n, row in zip(range(1, 7), circle_step_rows(w, a)):
+        for n, (points, row, den) in zip(range(1, 7), circle_step_rows(w, a)):
+            assert den == 3 ** n
+            pairs = oracle.row_pairs(points, row, den)
             full = values_at(n)
-            assert {v for _, v in row} == {v for _, v in full}
-            assert set(row) <= set(full)
+            assert {v for _, v in pairs} == {v for _, v in full}
+            assert set(pairs) <= set(full)
+
+
+@st.composite
+def walk_cases(draw):
+    """A declared rational p/q with q <= 12, so that a walk of up to 40
+    points wraps the orbit, or a float angle whose denominator the orbit
+    holds (at least 2^-12 from an integer); 1-3 sets, each of 0-2 arcs
+    with mixed ends (closed ones among them) and up to two isolated points."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 12))
+        a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+    else:
+        a = CIRCLE.from_float(draw(st.floats(2.0 ** -12, 1 - 2.0 ** -12)))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        K = IntervalSet.empty()
+        for _ in range(draw(st.integers(0, 2))):
+            den = draw(st.integers(2, 24))
+            lo = draw(st.integers(0, den - 1))
+            hi = draw(st.integers(lo + 1, den))
+            K = K.union(interval(Fraction(lo, den), Fraction(hi, den), draw(st.sampled_from(VARIANTS))))
+        points = draw(st.lists(st.fractions(0, 1).filter(lambda f: f < 1 and f.denominator <= 24), max_size=2))
+        sets.append(K.union(IntervalSet.from_pieces([], points)))
+    return a, sets, draw(st.integers(1, 40))
+
+
+@ORACLE
+@given(walk_cases())
+def test_prepared_boundaries_serve_every_n(case):
+    # one Boundaries object read by every n of a walk gives the sweep a
+    # fresh one gives, and the last sweep is the brute-force one
+    a, sets, n_max = case
+    seq = OrbitSequence(CIRCLE, a)
+    D = a.value.denominator
+    bounds = Boundaries.prepare(D, *sets)
+    for n in range(1, n_max + 1):
+        counter = OrbitCounter.from_sequence(seq, n, first=0)
+        reused = counter.sup_candidates(bounds)
+        fresh = counter.sup_candidates(Boundaries.prepare(D, *sets))
+        assert np.array_equal(reused.counts, fresh.counts)
+        assert np.array_equal(reused.event_ints, fresh.event_ints)
+        assert np.array_equal(reused.event_ranks, fresh.event_ranks)
+        assert reused.fracs == fresh.fracs
+        assert reused.wrap_first == fresh.wrap_first
+    expected = oracle.sweep(oracle.orbit_points(a, range(n_max)), sets)
+    assert [(reused.translate(j), tuple(reused.counts[j])) for j in range(len(reused))] == expected
+
+
+def test_boundaries_belong_to_one_denominator():
+    K = interval(Fraction(1, 3), Fraction(1, 2), "open")
+    counter = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 5))), 4)
+    with pytest.raises(ValueError, match="denominator 7"):
+        counter.sup_candidates(Boundaries.prepare(7, K))
 
 
 def test_sup_deviation_near_rational_float():
@@ -335,7 +392,7 @@ def character_cases(draw):
     return k, a, N_list
 
 
-@settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+@settings(max_examples=40, deadline=5000)
 @given(character_cases())
 def test_character_sweep_closed_form(case):
     k, a, N_list = case

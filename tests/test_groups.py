@@ -275,7 +275,7 @@ def _rotations(draw):
     return CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None)
 @given(_rotations(), st.integers(2, 3000))
 def test_circle_orbit_has_at_most_three_gaps(a, N):
     """Three-distance theorem (Sos 1958, Swierczkowski 1958): the points

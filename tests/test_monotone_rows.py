@@ -3,15 +3,17 @@ weight-power rows read by the verdict, ``monotone_power_scan`` and
 ``scan.csv``."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hclab.equidist import _mod1
+from hclab.borel import interval
+from hclab.equidist import Sweep, _mod1
 from hclab.groups import CIRCLE
-from hclab.hctest import MonotoneHit, monotone_power_scan
-from hclab.weights import ExprWeight
+from hclab.hctest import MonotoneHit, monotone_power_scan, monotone_rows
+from hclab.weights import ExprWeight, StepFunction, StepWeight
 
 
 def _scan_expr_weight(w, a, n_max, grid_points, require_strict):
@@ -58,7 +60,7 @@ def _sine_cases(draw):
     return w, CIRCLE.from_float(angle)
 
 
-@settings(max_examples=60, deadline=5000, derandomize=True)
+@settings(max_examples=60, deadline=5000)
 # fires at n = 2 with a log gap that clears one grid margin but not two, so
 # ``certified`` depends on the margin growing with n
 @example((ExprWeight("exp(0.312*sin(2*pi*(x-0.847)) + 0.247)"), CIRCLE.from_float(0.2556)),
@@ -68,3 +70,27 @@ def test_expr_scan_matches_oracle(case, grid_points, n_max, strict):
     w, a = case
     expected = _scan_expr_weight(w, a, n_max, grid_points, strict)
     assert monotone_power_scan(w, a, n_max, grid_points, require_strict=strict) == expected
+
+
+def test_step_walk_reads_one_translate_per_one_sided_row(monkeypatch):
+    # a row's translates are read only for the witness of a one-sided row
+    calls = []
+    translate = Sweep.translate
+
+    def counted(self, j):
+        calls.append(j)
+        return translate(self, j)
+
+    monkeypatch.setattr(Sweep, "translate", counted)
+    w = StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), Fraction(2)),
+                                    (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 3))]))
+    rows = monotone_rows(w, CIRCLE.from_float((math.sqrt(5) - 1) / 2))
+    sides = []
+    for n in range(1, 51):
+        before = len(calls)
+        row = next(rows)
+        assert row.n == n
+        one_sided = row.direction is not None
+        assert len(calls) - before == one_sided
+        sides.append(one_sided)
+    assert any(sides) and not all(sides)

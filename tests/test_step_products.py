@@ -5,20 +5,23 @@ and finite weights, and the exact Fraction oracle of ``circle_oracle`` on
 small random circle step weights."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_oracle import step_values_at
+from circle_oracle import row_pairs, step_values_at
 from hclab.borel import interval
-from hclab.groups import CIRCLE, PRECISION_CAP, PAdicContext, catalog
+from hclab.equidist import Boundaries, OrbitCounter
+from hclab.groups import CIRCLE, PRECISION_CAP, OrbitSequence, PAdicContext, catalog
 from hclab.hctest import MonotoneHit, monotone_power_scan
 from hclab.padic import _ball_row, ul_sets
 from hclab.weights import (FiniteWeight, PAdicTableWeight, StepFunction, StepWeight,
                            circle_step_rows, step_products, weight_product)
 
-PROPERTY = settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40, deadline=5000)
 
 VALUES = [Fraction(v) for v in ("1/3", "1/2", "2/3", "1", "3/2", "2", "3", "5/7")]
 FINITE_GROUPS = ["Z1", "Z2", "Z5", "Z6", "V4", "S3", "D4", "Q8"]
@@ -60,7 +63,8 @@ def step_cases(draw):
     """2-4 arcs with endpoints of denominator <= 20, each endpoint owned by
     one of its two arcs; rational values, half the time a value and its
     reciprocal only (so products cancel and fire late or not at all); a
-    float or declared-rational angle."""
+    float angle whose denominator the orbit holds (0, or at least 2^-12) or a
+    declared-rational angle."""
     k = draw(st.integers(2, 4))
     den = draw(st.integers(k, 20))
     cuts = sorted(draw(st.lists(st.integers(0, den - 1), min_size=k, max_size=k, unique=True)))
@@ -76,7 +80,7 @@ def step_cases(draw):
         lo, hi = Fraction(cuts[j], den), Fraction(cuts[(j + 1) % k], den)
         pieces.append((interval(lo, hi, variant), values[j]))
     if draw(st.booleans()):
-        a = CIRCLE.from_float(draw(st.floats(0.0, 1.0, exclude_max=True)))
+        a = CIRCLE.from_float(draw(st.just(0.0) | st.floats(2.0 ** -12, 1.0, exclude_max=True)))
     else:
         q = draw(st.integers(1, 20))
         a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
@@ -220,10 +224,11 @@ def test_circle_step_scan_matches_per_candidate_scan(case, data):
     expected = _brute_scan(values_at, n_max, strict)
     hit = monotone_power_scan(w, a, n_max, require_strict=strict)
     assert hit == expected
-    for n, row in zip(range(1, n_max + 1), circle_step_rows(w, a)):
+    for n, (points, row, den) in zip(range(1, n_max + 1), circle_step_rows(w, a)):
+        pairs = row_pairs(points, row, den)
         full = values_at(n)
-        assert sorted({v for _, v in row}) == sorted({v for _, v in full})
-        assert set(row) <= set(full)
+        assert sorted({v for _, v in pairs}) == sorted({v for _, v in full})
+        assert set(pairs) <= set(full)
 
 
 def test_circle_step_rows_at_near_rational_floats():
@@ -236,8 +241,8 @@ def test_circle_step_rows_at_near_rational_floats():
         a = CIRCLE.from_float(angle)
         w = StepWeight(StepFunction.of([(interval(0, Fraction(2, 3), "half_open"), value),
                                         (interval(Fraction(2, 3), 1, "half_open"), 1 / value)]))
-        row = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
-        values = {v for _, v in row}
+        points, row, den = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
+        values = {v for _, v in row_pairs(points, row, den)}
         assert (min(values), max(values)) == extremes
         assert values == {v for _, v in step_values_at(w, a)(n)}
 
@@ -248,6 +253,26 @@ def test_circle_step_row_starts_at_the_wrapping_cell():
     w = StepWeight(StepFunction.of([(interval(Fraction(1, 16), Fraction(15, 16), "open"), Fraction(2)),
                                     (interval(Fraction(15, 16), Fraction(17, 16), "closed"), Fraction(1, 2))]))
     a = CIRCLE.from_float(0.125)
-    row = next(circle_step_rows(w, a))
-    assert row == [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]
-    assert row[0] == step_values_at(w, a)(1)[0]
+    points, row, den = next(circle_step_rows(w, a))
+    assert (row, den) == ([1, 4], 2)
+    pairs = row_pairs(points, row, den)
+    assert pairs == [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]
+    assert pairs[0] == step_values_at(w, a)(1)[0]
+
+
+def test_circle_step_row_keeps_the_first_candidate_of_each_count_vector():
+    # 14 pieces at n = 30 (so 31^13 possible count vectors): the row holds
+    # the first candidate of every distinct count vector, in candidate order
+    values = [Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(5, 7)] * 4
+    cuts = [Fraction(k, 14) for k in range(15)]
+    w = StepWeight(StepFunction.of(
+        [(interval(lo, hi, "half_open"), v) for lo, hi, v in zip(cuts, cuts[1:], values)]))
+    a = CIRCLE.from_float(0.4142135623730951)
+    n = 30
+    points, row, den = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
+    sweep = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), n, first=0).sup_candidates(
+        Boundaries.prepare(a.value.denominator, *(E for E, _ in w.step.pieces)))
+    first = sorted(np.unique(sweep.counts, axis=0, return_index=True)[1])
+    assert len(first) > 1 and list(points) == [sweep.translate(j) for j in first]
+    exact = [math.prod(v ** int(c) for v, c in zip(values, sweep.counts[j])) for j in first]
+    assert [Fraction(v, den) for v in row] == exact
