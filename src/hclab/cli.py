@@ -241,7 +241,7 @@ def _parse_circle_set(desc, diags):
         for piece in pieces:
             acc = acc.union(one(piece))
         return acc
-    except (HclabError, ValueError) as exc:
+    except (HclabError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"sets: {exc}")
         return None
 
@@ -267,7 +267,7 @@ def _parse_padic_set(group, desc, diags):
                 return None
             acc = acc.union(ball(group, group.element(Fraction(str(piece["center"]))), radius_exp))
         return acc
-    except (HclabError, ValueError) as exc:
+    except (HclabError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"sets: {exc}")
         return None
 
@@ -354,7 +354,7 @@ def _parse_weight(group, desc, diags):
                 diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
                 return None
             return PAdicTableWeight(group, level, values, declared)
-    except (HclabError, TypeError, ValueError) as exc:
+    except (HclabError, TypeError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"weight: {exc}")
         return None
     diags.append("weight: unsupported group")
@@ -386,6 +386,8 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     weight = _parse_weight(group, raw.get("weight"), diags)
     sets, set_ids = _parse_sets(group, raw.get("sets", []), diags)
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
+    if characters and group is not CIRCLE:
+        diags.append("characters: character sweeps need the circle group")
     if "N_list" in horizons:
         _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags)
     sections = {"horizons": horizons, "tolerances": tolerances}
@@ -487,16 +489,15 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
             dev = sup_deviation(K, seq, N)
             rows.append([N, set_id, repr(dev), ""])
             summary.append({"N": N, "set_id": set_id, "sup_deviation": dev})
-    if spec.characters and spec.group is CIRCLE:
-        for k in spec.characters:
-            f = TestFunction.character(k)
-            for point in uniform_convergence_sweep(f, spec.element, sorted(N_list)):
-                bound = "" if point.bound is None else repr(point.bound)
-                rows.append([point.N, f"char{k}", repr(point.sup_deviation), bound])
-                summary.append(
-                    {"N": point.N, "set_id": f"char{k}",
-                     "sup_deviation": point.sup_deviation, "bound": point.bound}
-                )
+    for k in spec.characters:
+        f = TestFunction.character(k)
+        for point in uniform_convergence_sweep(f, spec.element, sorted(N_list)):
+            bound = "" if point.bound is None else repr(point.bound)
+            rows.append([point.N, f"char{k}", repr(point.sup_deviation), bound])
+            summary.append(
+                {"N": point.N, "set_id": f"char{k}",
+                 "sup_deviation": point.sup_deviation, "bound": point.bound}
+            )
     _write_csv(os.path.join(out_dir, "equidist.csv"),
                ["N", "set_id", "sup_deviation", "bound"], rows)
     return {"rows": summary}

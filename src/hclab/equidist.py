@@ -10,7 +10,8 @@ translates of |density - measure| is computed exactly: the translated count
 is piecewise constant in the translate, with breakpoints at the set
 boundaries shifted by orbit points, so the counts at those event positions
 and on the cells between them realize the supremum.  Finite and p-adic
-contexts are exhausted outright.
+contexts are exhausted outright, by one count over their shared group
+surface (``mul``, ``elements``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import (MAX_ORBIT_DENOMINATOR, CircleElement, CircleGroup, FiniteGroup, OrbitSequence,
-                     PAdicContext)
+from .groups import MAX_ORBIT_DENOMINATOR, CircleElement, CircleGroup, OrbitSequence
 
 __all__ = [
     "DensityStat",
@@ -329,26 +329,16 @@ class DensityStat:
 
 
 def _terms_in_set(K, seq: OrbitSequence, N: int, translate=None) -> int:
-    group = seq.group
-    if isinstance(group, CircleGroup):
+    if isinstance(seq.group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
         return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
-    if isinstance(group, PAdicContext):
-        count = 0
-        for res, mult in seq.residue_support(N):
-            v = group.from_residue(res)
-            pt = v if translate is None else v + translate
-            if K.contains(pt):
-                count += mult
-        return count
-    if isinstance(group, FiniteGroup):
-        count = 0
-        for idx, mult in seq.index_support(N):
-            pt = idx if translate is None else group.mul(translate, idx)
-            if K.contains(pt):
-                count += mult
-        return count
-    raise TypeError(f"unsupported group {group!r}")
+    return _support_count(K, seq.group, seq.residue_support(N), translate)
+
+
+def _support_count(K, group, support, x=None) -> int:
+    """Terms y of an enumerable orbit's support (``residue_support``) with
+    x * y in K, counted with multiplicity (y itself when x is None)."""
+    return sum(mult for y, mult in support if K.contains(y if x is None else group.mul(x, y)))
 
 
 def density(K, seq: OrbitSequence, N: int) -> Fraction:
@@ -375,8 +365,9 @@ def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
     """sup over translates x of |translated density - measure(K)|.
 
     Exact on the circle: the counts at every event position and on every
-    cell between them (``OrbitCounter.sup_candidates``); exhaustive over the
-    group for finite and p-adic contexts.
+    cell between them (``OrbitCounter.sup_candidates``).  Finite and p-adic
+    contexts are exhausted: the orbit's support is built once and counted
+    at every translate the group enumerates.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -385,22 +376,14 @@ def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
     if isinstance(group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
         counts = counter.sup_candidates(Boundaries.prepare(counter.denominator, K)).counts
-        # |count/N - mu| is extremal at the extreme counts; finish in exact
-        # rational arithmetic so trivial cases come out exact
         lo, hi = int(counts.min()), int(counts.max())
-        return float(max(abs(Fraction(hi, N) - mu), abs(Fraction(lo, N) - mu)))
-    if isinstance(group, PAdicContext):
-        best = Fraction(0)
-        for r in range(group.modulus):
-            x = group.from_residue(r)
-            best = max(best, abs(translated_density(K, x, seq, N) - mu))
-        return float(best)
-    if isinstance(group, FiniteGroup):
-        best = Fraction(0)
-        for x in group.elements():
-            best = max(best, abs(translated_density(K, x, seq, N) - mu))
-        return float(best)
-    raise TypeError(f"unsupported group {group!r}")
+    else:
+        support = seq.residue_support(N)
+        counts = [_support_count(K, group, support, x) for x in group.elements()]
+        lo, hi = min(counts), max(counts)
+    # |count/N - mu| is extremal at the extreme counts; finish in exact
+    # rational arithmetic so trivial cases come out exact
+    return float(max(abs(Fraction(hi, N) - mu), abs(Fraction(lo, N) - mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,15 @@ exactly), with a separate ``declared_rational`` flag: torsion detection uses
 the flag, never float pattern matching.  p-adic numbers are truncated to a
 fixed resolution chosen at context creation and all arithmetic is exact on
 the stored residue.
+
+Finite groups and p-adic contexts are enumerable and share one surface:
+``elements()``, ``len``, ``index`` (an element's position in ``elements()``),
+``mul``, ``inv``, ``power`` and ``element_order``; a p-adic context writes
+them additively (``+``, negation, ``scalar_mul``).  Whatever exhausts a
+group -- ``OrbitSequence.residue_support``, ``equidist.sup_deviation``, the
+operator on ``weights.DiscretizedFunction`` -- is one path over that
+surface.  The circle has ``mul``, ``inv`` and ``power`` only; its orbits are
+integer residues (``OrbitSequence.angle_support``).
 """
 
 from __future__ import annotations
@@ -140,6 +149,10 @@ class FiniteGroup:
 
     def is_torsion(self, a: int) -> bool:
         return True
+
+    def index(self, a: int) -> int:
+        """Position of ``a`` in ``elements()``: the element itself."""
+        return a
 
     def generates(self, a: int) -> bool:
         """True iff the cyclic subgroup generated by ``a`` is all of G."""
@@ -435,6 +448,27 @@ class PAdicContext:
         for r in range(self.modulus):
             yield PAdicNumber(self, r)
 
+    # -- the enumerable-group surface, written additively -------------------
+
+    def mul(self, x: "PAdicNumber", y: "PAdicNumber") -> "PAdicNumber":
+        return x + y
+
+    def inv(self, x: "PAdicNumber") -> "PAdicNumber":
+        return -x
+
+    def power(self, x: "PAdicNumber", n: int) -> "PAdicNumber":
+        return x.scalar_mul(n)
+
+    def element_order(self, x: "PAdicNumber") -> int:
+        return self.modulus // math.gcd(x.residue, self.modulus)
+
+    def index(self, x: "PAdicNumber") -> int:
+        """Position of ``x`` in ``elements()``: its stored residue."""
+        return x.residue
+
+    def __len__(self) -> int:
+        return self.modulus
+
 
 @dataclass(frozen=True)
 class PAdicNumber:
@@ -567,14 +601,7 @@ class OrbitSequence:
             raise ValueError("sign must be +1 or -1")
 
     def term(self, k: int):
-        n = self.sign * k
-        if isinstance(self.group, FiniteGroup):
-            return self.group.power(self.element, n)
-        if isinstance(self.group, CircleGroup):
-            return self.group.power(self.element, n)
-        if isinstance(self.group, PAdicContext):
-            return self.element.scalar_mul(n)
-        raise TypeError(f"unsupported group {self.group!r}")
+        return self.group.power(self.element, self.sign * k)
 
     # -- compressed supports over k = 1 .. N-1 ------------------------------
 
@@ -602,37 +629,18 @@ class OrbitSequence:
         order = np.argsort(residues, kind="stable")
         return residues[order], counts[order]
 
-    def residue_support(self, N: int) -> list[tuple[int, int]]:
-        """Distinct p-adic residues of terms 1..N-1 with multiplicities."""
-        if not isinstance(self.group, PAdicContext):
-            raise TypeError("residue_support is p-adic-only")
-        ctx = self.group
-        count = N - 1
-        if count <= 0:
-            return []
-        step = (self.sign * self.element.residue) % ctx.modulus
-        period = ctx.modulus // math.gcd(step, ctx.modulus) if step else 1
-        out = []
-        for r in range(1, period + 1):
-            if r > count:
-                break
-            out.append(((r * step) % ctx.modulus, (count - r) // period + 1))
-        return out
-
-    def index_support(self, N: int) -> list[tuple[int, int]]:
-        """Distinct finite-group elements of terms 1..N-1 with multiplicities."""
-        if not isinstance(self.group, FiniteGroup):
-            raise TypeError("index_support is finite-group-only")
+    def residue_support(self, N: int) -> list[tuple[object, int]]:
+        """Distinct terms 1..N-1 of a finite-group or p-adic orbit with their
+        multiplicities, as (element, multiplicity) in order of first
+        appearance: the orbit has period ``element_order(a**sign)``."""
+        if isinstance(self.group, CircleGroup):
+            raise TypeError("residue_support needs an enumerable group; the circle has angle_support")
         g = self.group
         count = N - 1
-        if count <= 0:
-            return []
         step = g.power(self.element, self.sign)
         period = g.element_order(step)
-        out, x = [], g.identity
-        for r in range(1, period + 1):
-            x = g.mul(x, step)
-            if r > count:
-                break
+        out, x = [], step
+        for r in range(1, min(period, count) + 1):
             out.append((x, (count - r) // period + 1))
+            x = g.mul(x, step)
         return out

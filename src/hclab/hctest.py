@@ -29,7 +29,7 @@ import numpy as np
 from . import padic as _padic
 from .borel import IntervalSet
 from .equidist import Boundaries, OrbitCounter, _mod1
-from .errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
+from .errors import NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
 from .report import (
@@ -50,6 +50,7 @@ from .weights import (
     StepFunction,
     StepWeight,
     Weight,
+    _grid_shift,
     apply_operator,
     circle_step_rows,
     step_products,
@@ -88,40 +89,15 @@ def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction, 
         iterated = apply_operator(w, a, iterated, mode=mode)
 
     domain = f.domain
-    if isinstance(domain, FiniteGroup):
-        a_n = domain.power(a, n)
-        direct = DiscretizedFunction(
-            domain,
-            tuple(
-                weight_product(w, a, n, x) * f.values[domain.mul(x, domain.inv(a_n))]
-                for x in domain.elements()
-            ),
-        )
-        return iterated.sup_diff(direct)
     if isinstance(domain, CircleGrid):
-        M = domain.points
-        s = a.value * M
-        if s.denominator != 1:
-            if mode != "nearest":
-                raise GridMismatch("rotation is off-grid; use mode='nearest'")
-            shift = int(round(float(a.value) * M))
-        else:
-            shift = int(s)
-        vals = []
-        for i in range(M):
-            x = CircleElement(Fraction(i, M), True)
-            vals.append(weight_product(w, a, n, x) * f.values[(i - n * shift) % M])
-        return iterated.sup_diff(DiscretizedFunction(domain, tuple(vals)))
-    if isinstance(domain, PAdicContext):
-        vals = []
-        for r in range(domain.modulus):
-            x = domain.from_residue(r)
-            vals.append(
-                weight_product(w, a, n, x)
-                * f.values[(r - n * a.residue) % domain.modulus]
-            )
-        return iterated.sup_diff(DiscretizedFunction(domain, tuple(vals)))
-    raise TypeError(f"unsupported domain {domain!r}")
+        shift, M = n * _grid_shift(domain, a, mode), len(domain)
+        vals = (weight_product(w, a, n, CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M]
+                for i in range(M))
+    else:
+        back = domain.inv(domain.power(a, n))
+        vals = (weight_product(w, a, n, x) * f.values[domain.index(domain.mul(x, back))]
+                for x in domain.elements())
+    return iterated.sup_diff(DiscretizedFunction(domain, tuple(vals)))
 
 
 # ---------------------------------------------------------------------------

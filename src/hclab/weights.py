@@ -37,7 +37,6 @@ __all__ = [
     "PAdicTableWeight",
     "CircleGrid",
     "DiscretizedFunction",
-    "translate_back",
     "weight_product",
     "step_products",
     "integer_table",
@@ -348,43 +347,33 @@ class CircleGrid:
     def angles(self) -> np.ndarray:
         return np.arange(self.points) / self.points
 
-    def size(self) -> int:
+    def __len__(self) -> int:
         return self.points
-
-
-def _domain_size(domain) -> int:
-    if isinstance(domain, CircleGrid):
-        return domain.points
-    if isinstance(domain, PAdicContext):
-        return domain.modulus
-    if isinstance(domain, FiniteGroup):
-        return domain.order
-    raise TypeError(f"unsupported domain {domain!r}")
 
 
 @dataclass(frozen=True)
 class DiscretizedFunction:
     """Function values on a finite evaluation domain.
 
-    Circle grids index by i (the point i/M); p-adic contexts index by stored
-    residue; finite groups by element.  Values may be floats, complex numbers,
-    or Fractions -- rational pipelines stay exact end to end.
+    Circle grids index by i (the point i/M); finite groups and p-adic
+    contexts by ``domain.index`` of an element.  Values may be floats,
+    complex numbers, or Fractions -- rational pipelines stay exact end to end.
     """
 
     domain: object
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != _domain_size(self.domain):
+        if len(self.values) != len(self.domain):
             raise ValueError("value count does not match the domain size")
 
     @staticmethod
     def constant(domain, c) -> "DiscretizedFunction":
-        return DiscretizedFunction(domain, tuple([c] * _domain_size(domain)))
+        return DiscretizedFunction(domain, tuple([c] * len(domain)))
 
     @staticmethod
     def delta(domain, index: int) -> "DiscretizedFunction":
-        n = _domain_size(domain)
+        n = len(domain)
         vals = [0] * n
         vals[index % n] = 1
         return DiscretizedFunction(domain, tuple(vals))
@@ -406,17 +395,6 @@ class DiscretizedFunction:
 # weight products and the weighted translation operator
 
 
-def translate_back(group, x, a):
-    """One orbit step: x * a^-1 multiplicatively, x - a additively."""
-    if isinstance(group, FiniteGroup):
-        return group.mul(x, group.inv(a))
-    if isinstance(group, CircleGroup):
-        return x - a
-    if isinstance(group, PAdicContext):
-        return x - a
-    raise TypeError(f"unsupported group {group!r}")
-
-
 def weight_product(w: Weight, a, n: int, x):
     """The n-step product w(x) w(x a^-1) ... w(x a^-(n-1)).
 
@@ -430,7 +408,7 @@ def weight_product(w: Weight, a, n: int, x):
         x = CIRCLE.element(x)
     factors = []
     exact = True
-    y = x
+    y, back = x, group.inv(a)
     for _ in range(n):
         r = w.rational_at(y)
         if r is None:
@@ -438,7 +416,7 @@ def weight_product(w: Weight, a, n: int, x):
             factors.append(w.value_at(y))
         else:
             factors.append(r)
-        y = translate_back(group, y, a)
+        y = group.mul(y, back)
     if exact:
         acc = Fraction(1)
         for r in factors:
@@ -531,53 +509,41 @@ def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[tuple[Translat
         yield Translates(sweep, first), row, den
 
 
-def _weight_on_grid_index(w: Weight, domain, i: int):
-    if isinstance(domain, CircleGrid):
-        point = Fraction(i, domain.points)
-        r = w.rational_at(CircleElement(point, True))
-        return r if r is not None else w.value_at(float(point))
-    if isinstance(domain, PAdicContext):
-        x = domain.from_residue(i)
-        r = w.rational_at(x)
-        return r if r is not None else w.value_at(x)
-    if isinstance(domain, FiniteGroup):
-        r = w.rational_at(i)
-        return r if r is not None else w.value_at(i)
-    raise TypeError(f"unsupported domain {domain!r}")
+def _weight_at(w: Weight, x, approx=None):
+    """w(x), exact when the family gives a rational; otherwise the float value
+    read at ``approx`` (x itself when None)."""
+    r = w.rational_at(x)
+    return r if r is not None else w.value_at(x if approx is None else approx)
 
 
-def _grid_shift(domain, a, mode: str) -> int:
-    """The index shift realizing translation by ``a`` on the domain."""
-    if isinstance(domain, CircleGrid):
-        s = a.value * domain.points
-        if s.denominator == 1:
-            return int(s) % domain.points
-        if mode == "nearest":
-            return int(round(float(a.value) * domain.points)) % domain.points
-        raise GridMismatch(
-            f"rotation {a.value} does not map the {domain.points}-point grid to itself"
-        )
-    if isinstance(domain, PAdicContext):
-        return a.residue
-    raise TypeError(f"unsupported domain {domain!r}")
+def _grid_shift(domain: CircleGrid, a: CircleElement, mode: str) -> int:
+    """The index shift realizing rotation by ``a`` on the grid."""
+    s = a.value * domain.points
+    if s.denominator == 1:
+        return int(s) % domain.points
+    if mode == "nearest":
+        return int(round(float(a.value) * domain.points)) % domain.points
+    raise GridMismatch(
+        f"rotation {a.value} does not map the {domain.points}-point grid to itself"
+    )
 
 
 def apply_operator(w: Weight, a, f: DiscretizedFunction, mode: str = "strict") -> DiscretizedFunction:
     """The weighted translation operator: (T f)(x) = w(x) f(x a^-1).
 
     ``mode`` governs circle grids when the rotation is not a multiple of the
-    grid spacing: "strict" raises GridMismatch, "nearest" snaps.
+    grid spacing: "strict" raises GridMismatch, "nearest" snaps.  On a grid,
+    a weight value that is not rational is read at the float i/M, as the
+    float paths read it: at the exact i/M a float step boundary could fall
+    on the other side.
     """
     domain = f.domain
-    if isinstance(domain, FiniteGroup):
-        vals = tuple(
-            _weight_on_grid_index(w, domain, x) * f.values[domain.mul(x, domain.inv(a))]
-            for x in domain.elements()
-        )
-        return DiscretizedFunction(domain, vals)
-    shift = _grid_shift(domain, a, mode)
-    n = len(f.values)
-    vals = tuple(
-        _weight_on_grid_index(w, domain, i) * f.values[(i - shift) % n] for i in range(n)
-    )
-    return DiscretizedFunction(domain, vals)
+    if isinstance(domain, CircleGrid):
+        shift, M = _grid_shift(domain, a, mode), len(domain)
+        vals = (_weight_at(w, CircleElement(Fraction(i, M), True), float(Fraction(i, M)))
+                * f.values[(i - shift) % M] for i in range(M))
+    else:
+        back = domain.inv(a)
+        vals = (_weight_at(w, x) * f.values[domain.index(domain.mul(x, back))]
+                for x in domain.elements())
+    return DiscretizedFunction(domain, tuple(vals))

@@ -164,6 +164,16 @@ _PROBES = [
     (three_coset_spec(), ("weight", "bogus"), 1, "weight"),
     (three_coset_spec(), ("element",), {"digits": [1.5]}, "element.digits"),
     (three_coset_spec(), ("weight",), {"table": {"level": 1, "values": {}, "bogus": 1}}, "weight"),
+    # a zero denominator in any rational literal
+    (_EXPR, ("sets",), [[["0", "1/0"], "open"]], "sets"),
+    (_EXPR, ("sets",), [{"point": "1/0"}], "sets"),
+    (three_coset_spec(), ("sets",), [{"center": "1/0", "radius_exp": 1}], "sets"),
+    (_STEP, ("weight", "step"), [[[["0", "1"], "half_open"], "1/0"]], "weight"),
+    (_FINITE, ("weight", "values"), ["1/0", "1", "1", "1", "1", "1"], "weight"),
+    (three_coset_spec(), ("weight", "values"), {"0": "1/0", "1": "1", "2": "1"}, "weight"),
+    # character sweeps exist on the circle only
+    (three_coset_spec(), ("characters",), [1, 2], "characters"),
+    (_FINITE, ("characters",), [1], "characters"),
 ]
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -165,6 +166,43 @@ def test_sup_deviation_padic_exhaustive():
         for r in range(ctx.modulus)
     )
     assert sup == best
+
+
+def _enumerable_cases():
+    """(group, element, set) triples: two elements of every catalog group
+    with a random subset, and zp / qp elements of every valuation with a
+    union of two balls."""
+    rng = random.Random(21)
+    for g in catalog().values():
+        for a in rng.sample(range(len(g)), min(2, len(g))):
+            yield g, a, FiniteSubset.of(g, rng.sample(range(len(g)), rng.randint(0, len(g))))
+    for ctx in (PAdicContext(2, 3), PAdicContext(3, 2), PAdicContext(3, 2, 1), PAdicContext(2, 2, 2)):
+        p, m = ctx.prime, ctx.window
+        K = ball(ctx, ctx.from_residue(rng.randrange(ctx.modulus)), rng.randint(-m, ctx.precision)).union(
+            ball(ctx, ctx.from_residue(rng.randrange(ctx.modulus)), rng.randint(-m, ctx.precision)))
+        for v in range(ctx.digit_count + 1):
+            yield ctx, ctx.from_residue(rng.choice([1, p - 1]) * p ** v), K
+
+
+def test_enumerable_support_and_sup_deviation_match_the_naive_orbit():
+    """The merged finite / p-adic path against direct enumeration of the
+    terms: ``residue_support`` against a Counter of ``term(k)``, and
+    ``sup_deviation`` against the naive translated density at every
+    element, for either sign and N below and above the period."""
+    cases = 0
+    for g, a, K in _enumerable_cases():
+        mu = K.measure()
+        for sign in (-1, 1):
+            seq = OrbitSequence(g, a, sign)
+            period = g.element_order(a)
+            for N in sorted({max(2, (period + 1) // 2), 2 * period + 3}):
+                support = seq.residue_support(N)
+                assert dict(support) == Counter(seq.term(k) for k in range(1, N))
+                assert len(dict(support)) == len(support)
+                naive = max(abs(naive_density(K, seq, N, x) - mu) for x in g.elements())
+                assert sup_deviation(K, seq, N) == float(naive)
+                cases += 1
+    assert cases > 100
 
 
 VARIANTS = ["open", "closed", "half_open", "half_open_right"]

@@ -246,6 +246,28 @@ def test_orbit_recurrence():
                 assert group.mul(t_n, group.inv(t_1)) == t_prev
 
 
+# the enumerable groups: the catalog and a few zp / qp contexts
+ENUMERABLE = [*catalog().values(), PAdicContext(2, 3), PAdicContext(3, 2), PAdicContext(5, 1),
+              PAdicContext(2, 2, 1), PAdicContext(3, 1, 2)]
+
+
+@pytest.mark.parametrize("g", ENUMERABLE, ids=[g.name for g in ENUMERABLE])
+def test_enumerable_group_protocol(g):
+    xs = list(g.elements())
+    assert [g.index(x) for x in xs] == list(range(len(g)))
+    for x in xs:
+        e = g.power(x, 0)
+        order = g.element_order(x)
+        assert g.power(x, order) == e
+        assert all(g.power(x, k) != e for k in range(1, order))
+        assert g.mul(x, g.inv(x)) == e
+        acc, back = e, e
+        for n in range(1, len(g) + 2):
+            acc, back = g.mul(acc, x), g.mul(back, g.inv(x))
+            assert g.power(x, n) == acc
+            assert g.power(x, -n) == back
+
+
 def test_orbit_supports_count_all_terms():
     N = 137
     seq = OrbitSequence(CIRCLE, CIRCLE.element("3/8"))
@@ -257,7 +279,7 @@ def test_orbit_supports_count_all_terms():
     assert sum(c for _, c in pseq.residue_support(N)) == N - 1
     g = catalog()["S3"]
     gseq = OrbitSequence(g, 3)
-    assert sum(c for _, c in gseq.index_support(N)) == N - 1
+    assert sum(c for _, c in gseq.residue_support(N)) == N - 1
 
 
 def test_orbit_sign_convention():
