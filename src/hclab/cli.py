@@ -29,7 +29,8 @@ from . import padic as padic_mod
 from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
-from .groups import CIRCLE, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence, PAdicContext, catalog
+from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence,
+                     PAdicContext, catalog)
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
@@ -112,13 +113,13 @@ def _parse_int(value, field, minimum, diags, maximum=None):
     return k
 
 
-def _parse_int_list(value, field, minimum, diags):
-    """A list of integers >= minimum, or None with a diagnostic that names
-    the field."""
+def _parse_int_list(value, field, minimum, diags, maximum=None):
+    """A list of integers in [minimum, maximum], or None with a diagnostic
+    that names the field."""
     if not isinstance(value, list):
         diags.append(f"{field}: expected a list of integers, got {value!r}")
         return None
-    out = [_parse_int(entry, field, minimum, diags) for entry in value]
+    out = [_parse_int(entry, field, minimum, diags, maximum) for entry in value]
     return None if None in out else out
 
 
@@ -274,6 +275,9 @@ def _parse_padic_set(group, desc, diags):
 
 def _parse_sets(group, descs, diags):
     out, ids = [], []
+    if not isinstance(descs, list):
+        diags.append(f"sets: expected a list of sets, got {descs!r}")
+        return out, ids
     for i, desc in enumerate(descs):
         if group is CIRCLE:
             s = _parse_circle_set(desc, diags)
@@ -389,7 +393,9 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     if characters and group is not CIRCLE:
         diags.append("characters: character sweeps need the circle group")
     if "N_list" in horizons:
-        _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags)
+        # circle statistics hold up to N residues per orbit
+        _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags,
+                        MAX_CIRCLE_HORIZON if group is CIRCLE else None)
     sections = {"horizons": horizons, "tolerances": tolerances}
     for section, key, minimum in _INT_SETTINGS:
         if key in sections[section]:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Sequence
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +34,9 @@ __all__ = [
     "OrbitCounter",
     "Sweep",
     "Boundaries",
+    "Events",
+    "SweepBlock",
+    "sweep_blocks",
     "Translates",
     "density",
     "density_stat",
@@ -122,57 +125,30 @@ class OrbitCounter:
         """The counts of every set of ``bounds`` at every translate, as one
         ``Sweep``.
 
-        A boundary b of a set meets the point V/D when the translate is the
-        event position (b D - V)/D mod 1: floor(b D) - V mod D, exactly in
-        uint64 for all boundaries and points at once, plus the fractional
-        part of b D, whose rank ``bounds`` holds.  One stable sort orders the
-        events of all sets; the cumulative starts and stops then give each
-        set's count at every event and on every cell between consecutive
-        events, from its count on the cell that wraps past 0: the arcs whose
-        translated copy wraps.  Everything that depends only on the sets and
-        D is prepared once, in ``bounds``, so a walk over n reuses it.
+        The events of all sets come in translate order from one
+        ``Boundaries.arrange``; the cumulative starts and stops then give
+        each set's count at every event and on every cell between
+        consecutive events, from its count on the cell that wraps past 0.
+        Everything that depends only on the sets and D is prepared once, in
+        ``bounds``, so a walk over n reuses it.
         """
         D = self.denominator
         if bounds.denominator != D:
             raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
         S = bounds.sets
-        R, L = self.residues, len(self.residues)
+        L = len(self.residues)
         if not len(bounds.floors) or not L:
             return Sweep(np.zeros((1, S), dtype=np.int64), D)
-        # one row per boundary, in fraction order; where V > floor the
-        # uint64 difference wraps past 0 and D is added back (for D = 2^64
-        # the wrap alone is the residue)
-        B = bounds.floors[:, None]
-        ints = np.subtract(B, R)
-        np.add(ints, np.uint64(D % 2 ** 64), out=ints, where=R > B)
-
-        # the count on the cell that wraps past 0: the arcs whose start
-        # position is not below their stop position
-        base = np.zeros(S, dtype=np.int64)
-        for lo, hi, tie_wraps, i in bounds.arcs:
-            wraps = ints[lo] >= ints[hi] if tie_wraps else ints[lo] > ints[hi]
-            base[i] += self.counts[wraps].sum()
-
-        # a stable sort of the integer parts leaves equal integer parts in
-        # fraction order; the per-event arrays are dropped as soon as they
-        # are read, which keeps the peak memory near one array of events
-        flat = ints.ravel()
-        del ints
-        order = np.argsort(flat, kind="stable")
-        event_ints = flat[order]
-        del flat
-        row_of = order // L
-        mult = self.counts[order - row_of * L]
-        del order
-        event_ranks = bounds.ranks[row_of]
-        new = np.ones(len(event_ints), dtype=bool)
-        new[1:] = (event_ints[1:] != event_ints[:-1]) | (event_ranks[1:] != event_ranks[:-1])
-        starts = np.flatnonzero(new)
-        del new
+        events = bounds.arrange(self.residues)
+        base = [int(self.counts[wraps].sum()) for wraps in events.wraps]
+        # each point's multiplicity times its boundary's changes, per event
+        row_of = events.order // L
+        mult = self.counts[events.order - row_of * L]
         cell = bounds.cell[row_of] * mult
         at = bounds.at[row_of] * mult
         owner = bounds.owner[row_of] if S > 1 else None
         del row_of, mult
+        starts = events.starts
         counts = np.empty((2 * len(starts), S), dtype=np.int64)
         for i in range(S):
             cell_i, at_i = cell, at
@@ -182,21 +158,35 @@ class OrbitCounter:
             after = base[i] + np.cumsum(step)
             counts[0::2, i] = after - step + np.add.reduceat(at_i, starts)
             counts[1::2, i] = after
-        event_ints, event_ranks = event_ints[starts], event_ranks[starts]
-        fracs = bounds.fracs
-        # the wrapping cell's midpoint, (last + first + D)/2 mod D, lies below
-        # the first event when last + first >= D
-        last = int(event_ints[-1]) + fracs[event_ranks[-1]]
-        wrap_first = last + int(event_ints[0]) + fracs[event_ranks[0]] >= D
+        wrap_first = _wrap_first(events.ints, events.ranks, bounds.fracs, D, 0, -1)
         if wrap_first:
             counts = np.roll(counts, 1, axis=0)
-        return Sweep(counts, D, event_ints, event_ranks, fracs, wrap_first)
+        return Sweep(counts, D, events.ints, events.ranks, bounds.fracs, wrap_first)
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """The events of circle points V/D against prepared ``Boundaries``, in
+    translate order (``Boundaries.arrange``).
+
+    Sorted event m is boundary row ``order[m] // L`` met by point
+    ``order[m] % L``, for L points.  The distinct event positions begin at
+    the sorted events ``starts`` and sit at ``ints + fracs[ranks]`` in units
+    of 1/D.  ``wraps[i, r]`` says whether point r lies in set i on the cell
+    that wraps past 0.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    ints: np.ndarray
+    ranks: np.ndarray
+    wraps: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Boundaries:
-    """The boundaries of one or more circle sets, prepared for
-    ``OrbitCounter.sup_candidates`` over orbits with denominator D.
+    """The boundaries of one or more circle sets, prepared for ordering their
+    events with orbits of denominator D (``arrange``).
 
     Each boundary b is held as floor(b D) mod D (uint64) and the rank of the
     fractional part of b D among the boundaries' (the distinct parts are
@@ -218,6 +208,41 @@ class Boundaries:
     cell: np.ndarray
     at: np.ndarray
     arcs: tuple
+
+    def arrange(self, residues: np.ndarray) -> Events:
+        """The events of the points V/D, V in ``residues``, in translate
+        order.
+
+        A boundary b meets the point V/D when the translate is the event
+        position (b D - V)/D mod 1: floor(b D) - V mod D, exactly in uint64
+        for all boundaries and points at once, plus the fractional part of
+        b D, whose rank is held here.  The rows are in fraction order, so one
+        stable sort of the integer parts orders every event.  A point lies in
+        a set on the cell that wraps past 0 when one of the set's arcs starts
+        at a position not below its stop (the arcs of a set are disjoint, so
+        at most one does).
+        """
+        L = len(residues)
+        # where V > floor the uint64 difference wraps past 0 and D is added
+        # back (for D = 2^64 the wrap alone is the residue)
+        B = self.floors[:, None]
+        ints = np.subtract(B, residues)
+        np.add(ints, np.uint64(self.denominator % 2 ** 64), out=ints, where=residues > B)
+        wraps = np.zeros((self.sets, L), dtype=bool)
+        for lo, hi, tie_wraps, i in self.arcs:
+            wraps[i] |= ints[lo] >= ints[hi] if tie_wraps else ints[lo] > ints[hi]
+        # the per-event arrays are dropped as soon as they are read, which
+        # keeps the peak memory near a few arrays of events
+        flat = ints.ravel()
+        del ints
+        order = np.argsort(flat, kind="stable")
+        event_ints = flat[order]
+        del flat
+        event_ranks = self.ranks[order // L]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (event_ints[1:] != event_ints[:-1]) | (event_ranks[1:] != event_ranks[:-1])
+        starts = np.flatnonzero(new)
+        return Events(order, starts, event_ints[starts], event_ranks[starts], wraps)
 
     @classmethod
     def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
@@ -296,6 +321,165 @@ class Sweep:
         if g + 1 < G:
             return (self._position(g) + self._position(g + 1)) / (2 * D)
         return ((self._position(g) + self._position(0) + D) / 2 % D) / D
+
+
+def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first: int, last: int) -> bool:
+    """Whether the cell from event ``last`` past 0 to event ``first`` comes
+    first in a sweep over those events: its midpoint, (last + first + D)/2
+    mod D, lies below the first event when last + first >= D."""
+    return int(ints[last]) + fracs[ranks[last]] + int(ints[first]) + fracs[ranks[first]] >= D
+
+
+# the most (row, candidate, set) counts one block of a walk holds
+BLOCK_ENTRIES = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class SweepBlock:
+    """The sweeps of rows n = start+1 .. start+len of a product-orbit walk,
+    from one arrangement of the events of every term the block reaches.
+
+    Row n is the n-point orbit x, x-a, ..., x-(n-1)a (terms 0..n-1).  Its
+    events are the block's events whose ``birth``, the first term meeting
+    that position, is below n; ``sweep(q)`` is row start+1+q, the sweep
+    ``OrbitCounter.sup_candidates`` gives that orbit.  ``counts`` holds
+    every row's candidate counts, row after row: row q's are
+    ``counts[offsets[q]:offsets[q + 1]]``, in its sweep's order.
+    """
+
+    start: int
+    denominator: int
+    counts: np.ndarray
+    offsets: np.ndarray
+    birth: np.ndarray
+    event_ints: np.ndarray
+    event_ranks: np.ndarray
+    fracs: tuple
+    wrap_first: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def sweep(self, q: int) -> Sweep:
+        counts = self.counts[self.offsets[q]:self.offsets[q + 1]]
+        if not len(self.birth):
+            return Sweep(counts, self.denominator)
+        alive = self.birth <= self.start + q
+        return Sweep(counts, self.denominator, self.event_ints[alive], self.event_ranks[alive],
+                     self.fracs, bool(self.wrap_first[q]))
+
+    def distinct_firsts(self) -> list[np.ndarray]:
+        """Per row, the candidates at which a count vector first appears, in
+        candidate order: one stable sort of integer keys (row, count vector)
+        for the whole block.  A count is at most the block's last n, so the
+        vectors pack in that radix; when the packed key would leave int64,
+        the key so far is replaced by its dense rank."""
+        rows = len(self)
+        key = np.repeat(np.arange(rows, dtype=np.int64), np.diff(self.offsets))
+        span, radix = rows, self.start + rows + 1
+        for column in self.counts.T:
+            if span * radix >= 2 ** 63:
+                key = np.unique(key, return_inverse=True)[1]
+                span = int(key.max()) + 1
+            key = key * radix + column
+            span *= radix
+        order = np.argsort(key, kind="stable")
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[order[1:]] != key[order[:-1]]
+        first = np.zeros(len(key), dtype=bool)
+        first[order[new]] = True
+        return [np.flatnonzero(first[self.offsets[q]:self.offsets[q + 1]]) for q in range(rows)]
+
+
+def sweep_blocks(bounds: Boundaries, seq: OrbitSequence, horizon: int = 1) -> Iterator[SweepBlock]:
+    """The sweeps of the product orbits of ``seq``'s terms 0..n-1 in every
+    set of ``bounds``, for n = 1, 2, ..., in ``SweepBlock``s.
+
+    The first block ends at row ``horizon`` and each later one doubles the
+    walk, unless a block would hold more than ``BLOCK_ENTRIES`` counts by
+    the bound of two candidates per (boundary, term) event; then it ends
+    sooner, after at least one row.
+    """
+    start = 0
+    while True:
+        stop = max(horizon, 2 * start, start + 1)
+        while stop > start + 1 and _block_entries(bounds, start, stop) > BLOCK_ENTRIES:
+            stop = start + (stop - start) // 2
+        yield _sweep_block(bounds, seq, start, stop)
+        start = stop
+
+
+def _block_entries(bounds: Boundaries, start: int, stop: int) -> int:
+    """The bound on a block's counts: its row sums (one more than its rows),
+    two candidates per (boundary, point) event, and the sets."""
+    points = min(stop, bounds.denominator)
+    return (stop - start + 1) * 2 * len(bounds.floors) * points * bounds.sets
+
+
+def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) -> SweepBlock:
+    """Rows start+1 .. stop of a product-orbit walk (``sweep_blocks``).
+
+    Term k's point is residues[k % P] (the orbit has period P when P < stop).
+    Along the block's candidates (event g at 2g, the cell after it at
+    2g + 1), a term changes a set's count at its own events only, by the
+    boundary's change at the event and on the cell after it, from its count
+    on the cell that wraps past 0.  Those changes are summed per term (terms
+    below ``start`` in one sum); cumulative sums along the candidates and
+    then over the terms are every row's counts at every block candidate.  A
+    row's candidates are its own events and, for each, the block cell just
+    after it, which lies in the row's cell after that event.
+    """
+    D, S, rows = bounds.denominator, bounds.sets, stop - start
+    residues = seq.angle_terms(stop, first=0)
+    P = len(residues)
+    empty = np.zeros(0, dtype=np.int64)
+    if not len(bounds.floors):
+        return SweepBlock(start, D, np.zeros((rows, S), dtype=np.int64), np.arange(rows + 1),
+                          empty, empty, empty, bounds.fracs, np.zeros(rows, dtype=bool))
+    events = bounds.arrange(residues)
+    B, G = len(bounds.floors), len(events.starts)
+    group = np.empty(B * P, dtype=np.int64)
+    group[events.order] = np.repeat(np.arange(G), np.diff(events.starts, append=B * P))
+    group = group.reshape(B, P)
+    birth = np.minimum.reduceat(events.order % P, events.starts)
+
+    # (sum, point, times): sum 0 gathers the terms below start, sum j >= 1 is
+    # the term start + j - 1
+    before = np.maximum((start - 1 - np.arange(P)) // P + 1, 0)
+    points = np.concatenate([np.flatnonzero(before), np.arange(start, stop) % P])
+    sums = np.concatenate([np.zeros(len(points) - rows, dtype=np.int64), np.arange(1, rows + 1)])
+    times = np.concatenate([before[before > 0], np.ones(rows, dtype=np.int64)])
+    steps = np.zeros((rows + 1, 2 * G, S), dtype=np.int64)
+    at, cell, owner = bounds.at[:, None], bounds.cell[:, None], bounds.owner[:, None]
+    slots = 2 * group[:, points]
+    np.add.at(steps, (sums, slots, owner), at * times)
+    np.add.at(steps, (sums, slots + 1, owner), (cell - at) * times)
+    sets, wrapping = np.nonzero(events.wraps[:, points])
+    np.add.at(steps, (sums[wrapping], 0, sets), times[wrapping])
+    np.cumsum(steps, axis=1, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
+
+    alive = birth[None, :] < np.arange(start + 1, stop + 1)[:, None]
+    # each row's first and last events; the wrapping cell's rule is read
+    # once per run of rows that share them
+    ends = alive.argmax(axis=1) * G + (G - 1 - alive[:, ::-1].argmax(axis=1))
+    runs = np.flatnonzero(np.diff(ends, prepend=-1))
+    rules = [_wrap_first(events.ints, events.ranks, bounds.fracs, D, e // G, e % G)
+             for e in ends[runs].tolist()]
+    wrap_first = np.repeat(rules, np.diff(runs, append=rows))
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(2 * alive.sum(axis=1), out=offsets[1:])
+    row_of, candidates = np.nonzero(np.repeat(alive, 2, axis=1))
+    del alive
+    if wrap_first.any():
+        # those rows move their wrapping cell, their last candidate, first
+        source = np.arange(len(candidates)) - np.repeat(wrap_first, np.diff(offsets))
+        source[offsets[:-1][wrap_first]] = offsets[1:][wrap_first] - 1
+        candidates = candidates[source]
+    counts = steps[row_of + 1, candidates]
+    return SweepBlock(start, D, counts, offsets, birth, events.ints, events.ranks, bounds.fracs,
+                      wrap_first)
+
 
 @dataclass(frozen=True, eq=False)
 class Translates(Sequence):

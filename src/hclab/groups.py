@@ -55,6 +55,7 @@ __all__ = [
     "PRECISION_CAP",
     "OrbitSequence",
     "MAX_ORBIT_DENOMINATOR",
+    "MAX_CIRCLE_HORIZON",
 ]
 
 
@@ -567,6 +568,9 @@ class PAdicNumber:
 # the largest angle denominator D a circle orbit may have: its points are
 # integer residues mod D, held in uint64
 MAX_ORBIT_DENOMINATOR = 2 ** 64
+# the largest horizon N a circle orbit statistic may run to: its terms are
+# held as arrays of up to N residues
+MAX_CIRCLE_HORIZON = 10 ** 7
 
 
 def _multiples_mod(m: int, D: int, first: int, count: int) -> np.ndarray:
@@ -605,27 +609,29 @@ class OrbitSequence:
 
     # -- compressed supports over k = 1 .. N-1 ------------------------------
 
-    def angle_support(self, N: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct circle points of terms first..N-1 with multiplicities, as
-        integer residues V sorted ascending: the point is V/D, where D is the
-        denominator of the rotation's exact angle (a power of two for a
-        binary64 angle).  The residues k*m mod D are exact in uint64, which
-        bounds D by ``MAX_ORBIT_DENOMINATOR``."""
+    def angle_terms(self, N: int, first: int = 1) -> np.ndarray:
+        """Integer residues V of the circle terms first..N-1, in term order
+        and at most one period: the point of term first + j is V[j % len(V)]
+        / D, where D is the denominator of the rotation's exact angle (a power
+        of two for a binary64 angle), since the orbit has period D.  The
+        residues k*m mod D are exact in uint64, which bounds D by
+        ``MAX_ORBIT_DENOMINATOR``."""
         if not isinstance(self.group, CircleGroup):
-            raise TypeError("angle_support is circle-only")
-        if N > 10 ** 7:
-            raise ValueError("circle horizons are capped at 10^7")
+            raise TypeError("angle_terms is circle-only")
+        if N > MAX_CIRCLE_HORIZON:
+            raise ValueError(f"circle horizons are capped at {MAX_CIRCLE_HORIZON}")
         step = (self.sign * self.element.value) % 1
         m, D = step.numerator, step.denominator
         if D > MAX_ORBIT_DENOMINATOR:
             raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
-        count = N - first
-        if count <= 0:
-            return np.array([], dtype=np.uint64), np.array([], dtype=np.int64)
-        # the orbit has period D: term first + j recurs every D terms
-        distinct = min(count, D)
-        residues = _multiples_mod(m, D, first, distinct)
-        counts = (count - 1 - np.arange(distinct, dtype=np.int64)) // distinct + 1
+        return _multiples_mod(m, D, first, min(max(N - first, 0), D))
+
+    def angle_support(self, N: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct circle points of terms first..N-1 with multiplicities, as
+        integer residues V/D (``angle_terms``) sorted ascending."""
+        residues = self.angle_terms(N, first)
+        distinct = len(residues)
+        counts = (N - first - 1 - np.arange(distinct, dtype=np.int64)) // distinct + 1
         order = np.argsort(residues, kind="stable")
         return residues[order], counts[order]
 

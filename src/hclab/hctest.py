@@ -435,17 +435,17 @@ def _exact_hit(n: int, points, values, den) -> MonotoneHit:
     )
 
 
-def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit]:
+def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
     """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
     the ``grid_points``-point grid for expression weights, exactly for step
-    (``circle_step_rows``), finite and p-adic table weights
-    (``step_products``)."""
+    (``circle_step_rows``, whose first block of rows ends at ``horizon``),
+    finite and p-adic table weights (``step_products``)."""
     if isinstance(w, ExprWeight):
         return _expr_rows(w, a, grid_points)
     if isinstance(w, StepWeight):
         if not w.is_exact:
             raise NonPositiveWeight("exact scan requires rational step values")
-        rows = circle_step_rows(w, a)
+        rows = circle_step_rows(w, a, horizon)
     elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
         # p-adic points are the residues the table resolves, finite ones the elements
         rows = ((range(len(row)), row, den) for row, den in step_products(w, a))
@@ -454,7 +454,7 @@ def monotone_rows(w: Weight, a, grid_points: int = 1024) -> Iterator[MonotoneHit
     return (_exact_hit(n, *r) for n, r in enumerate(rows, 1))
 
 
-def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int):
+def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
     """(monotone row, U/L row or None) for n = 1, 2, ...; a p-adic table
     weight gets its ``padic.ULRow`` for n <= ul_n_max from the same integer
     row as its monotone row."""
@@ -463,7 +463,7 @@ def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int):
             ul = _padic.ul_row(w, a, n, row, den) if n <= ul_n_max else None
             yield _exact_hit(n, range(len(row)), row, den), ul
     else:
-        for hit in monotone_rows(w, a, grid_points):
+        for hit in monotone_rows(w, a, grid_points, horizon):
             yield hit, None
 
 
@@ -477,10 +477,12 @@ class ProductWalk:
     Each n is computed once, when the first reader reaches it, and only
     these small per-n results are kept; the row itself lives in the walk's
     generator only while it is current.  Nothing runs before the first read.
+    ``horizon`` is the n the readers are expected to reach: circle step rows
+    come in blocks, and the first ends there.
     """
 
-    def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int):
-        self._steps = _walk_steps(w, a, grid_points, ul_n_max)
+    def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
+        self._steps = _walk_steps(w, a, grid_points, ul_n_max, horizon)
         self._walked: list[tuple] = []
 
     @property
@@ -521,7 +523,7 @@ def monotone_power_scan(
     somewhere."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    rows = itertools.islice(monotone_rows(w, a, grid_points), n_max)
+    rows = itertools.islice(monotone_rows(w, a, grid_points, n_max), n_max)
     return next((row for row in rows if _fires(row, require_strict)), None)
 
 
@@ -630,7 +632,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     # the U/L rows of a windowed context come from its coset problems
     ul_n_max = (config.resolved_ul_n_max(group)
                 if isinstance(group, PAdicContext) and group.window == 0 else 0)
-    walk = ProductWalk(w, a, config.monotone_grid, ul_n_max)
+    walk = ProductWalk(w, a, config.monotone_grid, ul_n_max, config.monotone_n_max)
 
     def report(fired: RuleFiring | None) -> VerdictReport:
         return VerdictReport(

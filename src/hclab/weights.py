@@ -13,7 +13,6 @@ families are supported:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
-from .equidist import Boundaries, OrbitCounter, Translates
+from .equidist import Boundaries, Translates, sweep_blocks
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import (CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext,
@@ -471,7 +470,8 @@ def integer_table(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
 
 
-def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[tuple[Translates, list[int], int]]:
+def circle_step_rows(w: StepWeight, a: CircleElement,
+                     horizon: int = 1) -> Iterator[tuple[Translates, list[int], int]]:
     """Yield, for n = 1, 2, ..., the n-step products of a circle step weight
     as ``(points, row, den)``: w_n(x) = prod_i alpha_i^(c_i(x)), where c_i(x)
     counts the product orbit x, x-a, ..., x-(n-1)a inside piece i, is
@@ -481,32 +481,28 @@ def circle_step_rows(w: StepWeight, a: CircleElement) -> Iterator[tuple[Translat
     denominator of the piece values, row[j] is the integer w_n * L^n and den
     is L^n: the pieces partition the circle, so the counts of a translate sum
     to n.  A float value enters as the exact rational it is.  The count
-    vectors are exact, from one ``OrbitCounter.sup_candidates`` sweep of all
-    pieces per n, with the pieces' boundaries prepared once for the walk
-    (``equidist.Boundaries``), so every vector w_n takes is realized.  The
-    row keeps one entry per distinct count vector, at the first candidate
-    that has it, in increasing translate order over [0, 1): the first entry
-    reaching any value is at the first translate reaching it, an exact event
-    position or cell midpoint.  ``points`` is a lazy ``equidist.Translates``
-    view: a translate is computed, as a Fraction, only when it is read.
+    vectors are exact and every vector w_n takes is realized: the rows come
+    in blocks (``equidist.sweep_blocks``), the first ending at row
+    ``horizon``, each from one arrangement of the events of every term it
+    reaches, with the pieces' boundaries prepared once for the walk
+    (``equidist.Boundaries``).  The row keeps one entry per distinct count
+    vector, at the first of row n's candidates that has it, in increasing
+    translate order over [0, 1): the first entry reaching any value is at
+    the first translate reaching it, an exact event position or cell
+    midpoint of the n-point orbit.  One sort of integer keys finds the
+    distinct vectors of every row of a block.  ``points`` is a lazy
+    ``equidist.Translates`` view: a translate is computed, as a Fraction,
+    only when it is read.
     """
     pieces = [E for E, _ in w.step.pieces]
     values, scale = integer_table(v for _, v in w.step.pieces)
-    seq = OrbitSequence(CIRCLE, a)
     bounds = Boundaries.prepare(a.value.denominator, *pieces)
     den = 1
-    for n in itertools.count(1):
-        den *= scale
-        sweep = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(bounds)
-        # the first candidate of each distinct count vector: a stable sort
-        # puts equal vectors next to each other in candidate order
-        order = np.lexsort(sweep.counts.T)
-        ordered = sweep.counts[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        first = np.sort(order[new])
-        row = [math.prod(map(pow, values, counts)) for counts in sweep.counts[first].tolist()]
-        yield Translates(sweep, first), row, den
+    for block in sweep_blocks(bounds, OrbitSequence(CIRCLE, a), horizon):
+        for q, first in enumerate(block.distinct_firsts()):
+            den *= scale
+            counts = block.counts[block.offsets[q] + first].tolist()
+            yield Translates(block.sweep(q), first), [math.prod(map(pow, values, c)) for c in counts], den
 
 
 def _weight_at(w: Weight, x, approx=None):

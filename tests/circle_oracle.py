@@ -40,15 +40,20 @@ def sup_deviation(K, a, N):
     return float(max(abs(Fraction(c, N) - mu) for c in (min(counts), max(counts))))
 
 
-def step_values_at(w, a):
+def step_values_at(w, a, first_only=False):
     """``values_at(n)``: the (translate, w_n) pairs of a circle step weight at
-    every candidate of the product orbit x, x-a, ..., x-(n-1)a."""
+    every candidate of the product orbit x, x-a, ..., x-(n-1)a; with
+    ``first_only``, at the first candidate of each distinct vector of piece
+    counts only, which is what a ``circle_step_rows`` row holds."""
     sets = [E for E, _ in w.step.pieces]
     alphas = [Fraction(v) for _, v in w.step.pieces]
 
     def values_at(n):
-        out = []
+        out, seen = [], set()
         for x, counts in sweep(orbit_points(a, range(n)), sets):
+            if first_only and counts in seen:
+                continue
+            seen.add(counts)
             prod = Fraction(1)
             for alpha, c in zip(alphas, counts):
                 prod *= alpha ** c

@@ -1,6 +1,7 @@
 """Every seed-0 spec of the benchmark's workloads (``perfbench/workloads.py``)
 passes ``validate``, so a stricter validation cannot turn the benchmark's
-specs into failures.  The generators are loaded read-only, by path."""
+specs into failures, and the circle step walks of the exact-step specs agree
+with the exact oracle.  The generators are loaded read-only, by path."""
 
 import importlib.util
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hclab.cli import validate
+from circle_oracle import row_pairs, step_values_at
+from hclab.cli import parse_spec, validate
+from hclab.weights import StepWeight, circle_step_rows
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -28,3 +31,19 @@ GENERATORS = _generators()
 def test_bench_specs_validate(workload):
     for case in GENERATORS[workload](0):
         assert validate(case.spec, case.task) == [], case.id
+
+
+def test_bench_step_walks_match_the_oracle():
+    # the first 8 rows of every circle step walk, with the spec's n_max as
+    # the horizon as the verdict passes it
+    walks = 0
+    for case in GENERATORS["exact-step"](0):
+        spec, _ = parse_spec(case.spec, case.task)
+        if not isinstance(spec.weight, StepWeight):
+            continue
+        walks += 1
+        rows_at = step_values_at(spec.weight, spec.element, first_only=True)
+        rows = circle_step_rows(spec.weight, spec.element, spec.verdict_config().monotone_n_max)
+        for n, (points, row, den) in zip(range(1, 9), rows):
+            assert row_pairs(points, row, den) == rows_at(n), (case.id, n)
+    assert walks > 0

@@ -174,6 +174,12 @@ _PROBES = [
     # character sweeps exist on the circle only
     (three_coset_spec(), ("characters",), [1, 2], "characters"),
     (_FINITE, ("characters",), [1], "characters"),
+    # sets come as a list on every group
+    (_EXPR, ("sets",), 5, "sets"),
+    (_FINITE, ("sets",), 5, "sets"),
+    (three_coset_spec(), ("sets",), 5, "sets"),
+    # a circle orbit statistic holds up to MAX_CIRCLE_HORIZON residues
+    (_EXPR, ("horizons", "N_list"), [10, 20000000], "horizons.N_list"),
 ]
 
 

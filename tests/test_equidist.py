@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circle_oracle as oracle
@@ -19,6 +19,7 @@ from hclab.equidist import (
     density,
     density_stat,
     ergodic_average,
+    sweep_blocks,
     sup_deviation,
     translated_density,
     uniform_convergence_sweep,
@@ -296,6 +297,25 @@ def test_prepared_boundaries_serve_every_n(case):
         assert reused.wrap_first == fresh.wrap_first
     expected = oracle.sweep(oracle.orbit_points(a, range(n_max)), sets)
     assert [(reused.translate(j), tuple(reused.counts[j])) for j in range(len(reused))] == expected
+
+
+@ORACLE
+# events at 3/10 and 9/10 for the point 0: row 1's wrapping cell comes first
+@example((CIRCLE.element(Fraction(1, 7)), [interval(Fraction(3, 10), Fraction(9, 10), "open")], 12), 3)
+@given(walk_cases(), st.integers(1, 40))
+def test_block_sweeps_are_the_per_n_sweeps(case, horizon):
+    # every row of a block walk, in the first block or a later one, is the
+    # sweep of its own n-point product orbit
+    a, sets, n_max = case
+    seq = OrbitSequence(CIRCLE, a)
+    bounds = Boundaries.prepare(a.value.denominator, *sets)
+    rows = (block.sweep(q) for block in sweep_blocks(bounds, seq, horizon) for q in range(len(block)))
+    for n, got in zip(range(1, n_max + 1), rows):
+        want = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(bounds)
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.event_ints, want.event_ints)
+        assert np.array_equal(got.event_ranks, want.event_ranks)
+        assert (got.fracs, got.wrap_first) == (want.fracs, want.wrap_first)
 
 
 def test_boundaries_belong_to_one_denominator():

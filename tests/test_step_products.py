@@ -6,17 +6,18 @@ small random circle step weights."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circle_oracle import row_pairs, step_values_at
-from hclab.borel import interval
+from hclab.borel import IntervalSet, interval
 from hclab.equidist import Boundaries, OrbitCounter
 from hclab.groups import CIRCLE, PRECISION_CAP, OrbitSequence, PAdicContext, catalog
-from hclab.hctest import MonotoneHit, monotone_power_scan
+from hclab.hctest import MonotoneHit, VerdictConfig, monotone_power_scan, verdict
 from hclab.padic import _ball_row, ul_sets
 from hclab.weights import (FiniteWeight, PAdicTableWeight, StepFunction, StepWeight,
                            circle_step_rows, step_products, weight_product)
@@ -276,3 +277,108 @@ def test_circle_step_row_keeps_the_first_candidate_of_each_count_vector():
     assert len(first) > 1 and list(points) == [sweep.translate(j) for j in first]
     exact = [math.prod(v ** int(c) for v, c in zip(values, sweep.counts[j])) for j in first]
     assert [Fraction(v, den) for v in row] == exact
+
+
+# a closed arc across 0 and D = 8, so that rows past n = 8 wrap the orbit
+_ACROSS_ZERO = StepWeight(StepFunction.of([
+    (interval(Fraction(1, 16), Fraction(15, 16), "open"), Fraction(2)),
+    (interval(Fraction(15, 16), Fraction(17, 16), "closed"), Fraction(1, 2))]))
+
+
+@st.composite
+def block_cases(draw):
+    """A circle step weight: one piece (the whole circle), or 2-4 arcs
+    whose ends each belong to the arc before, the arc after (so open,
+    closed and half-open arcs) or to neither, the end then being an isolated
+    one-point piece.  A declared-rational angle with denominator <= 6, so
+    that the walk outruns the orbit's period, or a float angle.  A walk of
+    n_max rows whose first block ends at a horizon before n_max."""
+    value = st.sampled_from(VALUES)
+    k = draw(st.integers(1, 4))
+    if k == 1:
+        pieces = [(IntervalSet.full(), draw(value))]
+    else:
+        den = draw(st.integers(k, 12))
+        cuts = [Fraction(c, den) for c in
+                sorted(draw(st.lists(st.integers(0, den - 1), min_size=k, max_size=k, unique=True)))]
+        owners = draw(st.lists(st.sampled_from(["before", "after", "point"]), min_size=k, max_size=k))
+        pieces = [(interval(cuts[j], cuts[(j + 1) % k],
+                            VARIANTS[(owners[j] == "after", owners[(j + 1) % k] == "before")]), draw(value))
+                  for j in range(k)]
+        pieces += [(IntervalSet.from_pieces([], [cuts[j]]), draw(value))
+                   for j in range(k) if owners[j] == "point"]
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 6))
+        a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
+    else:
+        a = CIRCLE.from_float(draw(st.floats(2.0 ** -12, 1.0, exclude_max=True)))
+    n_max = draw(st.integers(2, 16))
+    return StepWeight(StepFunction.of(pieces)), a, n_max, draw(st.integers(1, n_max - 1))
+
+
+@PROPERTY
+@example((_ACROSS_ZERO, CIRCLE.from_float(0.125), 12, 3))
+@given(block_cases())
+def test_block_rows_equal_first_candidate_rows(case):
+    # values, order, den and every translate, across at least two blocks.
+    # Pieces that cover the circle put an event at translate 0 in every row,
+    # so no row starts at its wrapping cell; the rows' sweeps, wrapping ones
+    # among them, are checked in test_block_sweeps_are_the_per_n_sweeps
+    w, a, n_max, horizon = case
+    rows_at = step_values_at(w, a, first_only=True)
+    scale = math.lcm(*(Fraction(v).denominator for _, v in w.step.pieces))
+    for n, (points, row, den) in zip(range(1, n_max + 1), circle_step_rows(w, a, horizon)):
+        assert den == scale ** n
+        assert row_pairs(points, row, den) == rows_at(n)
+
+
+def _eight_pieces():
+    cuts = [Fraction(k, 8) for k in range(9)]
+    return StepWeight(StepFunction.of(
+        [(interval(lo, hi, "half_open"), Fraction(1)) for lo, hi in zip(cuts, cuts[1:])]))
+
+
+def test_block_walk_memory_is_bounded():
+    # 400 rows over 8 boundary points, the horizon at 400: one block of every
+    # row would hold 400 rows x ~6400 candidates x 8 pieces (~160 MB of
+    # int64); blocks of at most BLOCK_ENTRIES counts keep the peak near 9 MB.
+    # Values 1 keep the products trivial; the counts are what a block holds.
+    a = CIRCLE.from_float(math.sqrt(2) % 1)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in itertools.islice(circle_step_rows(_eight_pieces(), a, 400), 400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 400
+    assert peak < 24 * 2 ** 20
+
+
+def test_walk_sorts_the_events_once_per_block(monkeypatch):
+    calls = []
+    arrange = Boundaries.arrange
+
+    def counted(self, residues):
+        calls.append(len(residues))
+        return arrange(self, residues)
+
+    monkeypatch.setattr(Boundaries, "arrange", counted)
+    # balanced halves, so that the verdict's log-integral rule passes
+    w = StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), Fraction(2)),
+                                    (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 2))]))
+    a = CIRCLE.from_float(math.sqrt(3) % 1)
+    # the horizon is the first block: n_max rows, one sort of all their events
+    assert sum(1 for _ in itertools.islice(circle_step_rows(w, a, 40), 40)) == 40
+    assert calls == [40]
+    # later blocks double the walk: a sort when row 1, 2, 3, 5, 9, 17 or 33
+    # is first read, each of the events of every term the block reaches
+    calls.clear()
+    sorted_at = []
+    for n, _ in zip(range(1, 41), circle_step_rows(w, a)):
+        sorted_at += [n] * (len(calls) - len(sorted_at))
+    assert sorted_at == [1, 2, 3, 5, 9, 17, 33]
+    assert calls == [1, 2, 4, 8, 16, 32, 64]
+    # the verdict's walk passes monotone_n_max as its horizon
+    calls.clear()
+    rep = verdict(w, a, VerdictConfig(monotone_n_max=30))
+    assert rep.walk.walked >= 1 and calls == [30]
