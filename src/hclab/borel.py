@@ -316,6 +316,22 @@ class BallSet:
         p, m = self.context.prime, self.context.window
         return any(x.residue % p ** (j + m) == c for j, c in self.balls)
 
+    def resolved(self, group: PAdicContext) -> tuple[PAdicContext, "BallSet"]:
+        """The coarsest context that resolves the set, and the set on it.
+
+        Balls of level at most j are unions of cosets of p^j Z_p, so whether
+        a residue lies in the set depends only on it mod p^(j + window): the
+        context of precision max(1, j) and the same window.  ``group`` must
+        be the set's own context."""
+        if group != self.context:
+            raise ContextMismatch(f"{group.name} vs {self.context.name}")
+        ctx = self.context
+        finest = max((j for j, _ in self.balls), default=1)
+        coarse = PAdicContext(ctx.prime, max(1, finest), ctx.window)
+        if coarse == ctx:
+            return ctx, self
+        return coarse, BallSet(coarse, self.balls)
+
     def union(self, other: "BallSet") -> "BallSet":
         self._check(other)
         return BallSet.from_balls(self.context, self.balls + other.balls)
@@ -454,6 +470,10 @@ class FiniteSubset:
 
     def contains(self, x: int) -> bool:
         return int(x) in self.members
+
+    def resolved(self, group: FiniteGroup) -> tuple[FiniteGroup, "FiniteSubset"]:
+        """A subset of a finite group resolves only on the group itself."""
+        return group, self
 
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         self._check(other)

@@ -31,7 +31,7 @@ from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
 from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence,
                      PAdicContext, catalog)
-from .hctest import VerdictConfig, log_integral_report, verdict
+from .hctest import VerdictConfig, log_integral_report, log_sum_bits, verdict
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import VerdictReport, jsonable
 from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
@@ -48,6 +48,10 @@ _TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
 # the most residues p^(precision + window) a zp / qp context may have: the
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
+# the most bits the exact log-sum of a step, finite or p-adic table weight
+# may form: it raises each value to the power c_i = m_i D, for masses m_i
+# over their common denominator D (``hctest.log_sum_bits``)
+MAX_LOG_SUM_BITS = 2 ** 22
 # integer settings and their minima
 _INT_SETTINGS = (
     ("horizons", "n_max", 1), ("horizons", "ul_n_max", 1), ("horizons", "k_max", 1),
@@ -388,6 +392,11 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         return None, diags
     element = _parse_element(group, raw.get("element"), diags)
     weight = _parse_weight(group, raw.get("weight"), diags)
+    if weight is not None:
+        bits = log_sum_bits(weight)
+        if bits > MAX_LOG_SUM_BITS:
+            diags.append(f"weight: the exact log-sum forms powers of at least 2^{bits.bit_length() - 1} bits, "
+                         f"above the limit 2^{MAX_LOG_SUM_BITS.bit_length() - 1}")
     sets, set_ids = _parse_sets(group, raw.get("sets", []), diags)
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
     if characters and group is not CIRCLE:
@@ -424,21 +433,22 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         label=str(raw.get("label", "")),
     )
 
-    # task-specific requirements
+    # task-specific requirements; a field that was given but rejected
+    # already has its own diagnostic
     needs_element = task in ("equidist", "hctest", "padic") or (
         task == "all" and group is not CIRCLE
     )
-    if needs_element and element is None:
+    if needs_element and raw.get("element") is None:
         diags.append(f"{task}: an 'element' is required")
-    if task in ("hctest", "padic") and weight is None:
+    if task in ("hctest", "padic") and raw.get("weight") is None:
         diags.append(f"{task}: a 'weight' is required")
-    if task == "equidist" and not sets and not characters:
+    if task == "equidist" and raw.get("sets", []) == [] and raw.get("characters", []) == []:
         diags.append("equidist: at least one set or character is required")
     if task == "padic" and not isinstance(group, PAdicContext):
         diags.append("padic: requires a zp or qp group")
     if task == "reps" and not isinstance(group, FiniteGroup) and group is not CIRCLE:
         diags.append("reps: requires a finite group or the circle")
-    if task == "reps" and group is CIRCLE and element is None:
+    if task == "reps" and group is CIRCLE and raw.get("element") is None:
         diags.append("reps: the circle variant needs an 'element'")
     return spec, diags
 

@@ -10,8 +10,11 @@ translates of |density - measure| is computed exactly: the translated count
 is piecewise constant in the translate, with breakpoints at the set
 boundaries shifted by orbit points, so the counts at those event positions
 and on the cells between them realize the supremum.  Finite and p-adic
-contexts are exhausted outright, by one count over their shared group
-surface (``mul``, ``elements``).
+contexts are exhausted, by one count over their shared group surface
+(``mul``, ``elements``).  A p-adic ball set whose finest ball has level j
+is a union of cosets of p^j Z_p, so its counts are taken on the quotient
+mod p^(j + window), the coarsest context that resolves it, with the orbit
+and the translates projected there (``_resolved``).
 """
 
 from __future__ import annotations
@@ -516,7 +519,24 @@ def _terms_in_set(K, seq: OrbitSequence, N: int, translate=None) -> int:
     if isinstance(seq.group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
         return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
+    K, seq, translate = _resolved(K, seq, translate)
     return _support_count(K, seq.group, seq.residue_support(N), translate)
+
+
+def _resolved(K, seq: OrbitSequence, translate=None):
+    """K, the orbit and a translate on the coarsest context that resolves K
+    (``K.resolved``).  Membership in a p-adic ball set of finest level j
+    reads only the residue mod p^(j + window), and reduction to that
+    quotient is a homomorphism onto it, so the orbit's element and the
+    translate are projected there (``from_residue``) and every count stays
+    the same, while the orbit's period and support shrink with the context.
+    A finite group resolves to itself."""
+    group, K = K.resolved(seq.group)
+    if group != seq.group:
+        seq = OrbitSequence(group, group.from_residue(seq.element.residue), seq.sign)
+        if translate is not None:
+            translate = group.from_residue(translate.residue)
+    return K, seq, translate
 
 
 def _support_count(K, group, support, x=None) -> int:
@@ -550,19 +570,21 @@ def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
 
     Exact on the circle: the counts at every event position and on every
     cell between them (``OrbitCounter.sup_candidates``).  Finite and p-adic
-    contexts are exhausted: the orbit's support is built once and counted
-    at every translate the group enumerates.
+    contexts are exhausted on the coarsest context that resolves K
+    (``_resolved``): the orbit's support is built once there and counted at
+    every translate that context enumerates, one per coset of the finest
+    ball of a p-adic set.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    group = seq.group
     mu = K.measure()
-    if isinstance(group, CircleGroup):
+    if isinstance(seq.group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
         counts = counter.sup_candidates(Boundaries.prepare(counter.denominator, K)).counts
         lo, hi = int(counts.min()), int(counts.max())
     else:
-        support = seq.residue_support(N)
+        K, seq, _ = _resolved(K, seq)
+        group, support = seq.group, seq.residue_support(N)
         counts = [_support_count(K, group, support, x) for x in group.elements()]
         lo, hi = min(counts), max(counts)
     # |count/N - mu| is extremal at the extreme counts; finish in exact

@@ -20,8 +20,13 @@ Finite groups and p-adic contexts are enumerable and share one surface:
 them additively (``+``, negation, ``scalar_mul``).  Whatever exhausts a
 group -- ``OrbitSequence.residue_support``, ``equidist.sup_deviation``, the
 operator on ``weights.DiscretizedFunction`` -- is one path over that
-surface.  The circle has ``mul``, ``inv`` and ``power`` only; its orbits are
-integer residues (``OrbitSequence.angle_support``).
+surface.  ``equidist`` exhausts the coarsest context that resolves the set
+it counts (``BallSet.resolved``): a ball set of finest level j reads only
+residues mod p^(j + window), so its counts run on ``PAdicContext(p,
+max(1, j), window)``, whose elements are reached from the spec's context
+by ``from_residue``; a finite group resolves to itself.  The circle has
+``mul``, ``inv`` and ``power`` only; its orbits are integer residues
+(``OrbitSequence.angle_support``).
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ __all__ = [
     "LogIntegralResult",
     "log_integral",
     "log_integral_report",
+    "log_sum_bits",
     "step_approx",
     "SandwichResult",
     "sandwich_check",
@@ -118,10 +119,25 @@ class LogIntegralResult:
     richardson_gap: float | None = None
 
 
-def _exact_log_sum(pairs) -> LogIntegralResult | None:
-    """sum_i m_i ln(v_i) with rational m_i, v_i, bookkept as ln(prod v^c)/D.
-    The numerators and denominators of the product are multiplied as
-    integers and reduced once."""
+def _log_pairs(w: Weight) -> list[tuple[Fraction, object]]:
+    """The (Haar mass, value) pieces of a step, finite or p-adic table
+    weight."""
+    if isinstance(w, StepWeight):
+        return [(E.measure(), v) for E, v in w.step.pieces]
+    if isinstance(w, FiniteWeight):
+        mass = Fraction(1, w.group.order)
+        return [(mass, v) for v in w.values]
+    if isinstance(w, PAdicTableWeight):
+        ctx = w.context
+        mass = Fraction(1, ctx.prime ** (w.level + ctx.window))
+        return [(mass, v) for v in w.table.values()]
+    raise TypeError(f"unsupported weight {w!r}")
+
+
+def _log_exponents(pairs) -> tuple[int, list[tuple[int, Fraction]]] | None:
+    """The common denominator D of the masses m_i and the exponent c_i =
+    m_i D of each value v_i, as (D, [(c_i, v_i)]); None when a value is not
+    an exact rational."""
     masses, values = [], []
     for m, v in pairs:
         if not isinstance(v, (Fraction, int)):
@@ -129,9 +145,29 @@ def _exact_log_sum(pairs) -> LogIntegralResult | None:
         masses.append(Fraction(m))
         values.append(Fraction(v))
     D = math.lcm(*(m.denominator for m in masses))
+    return D, [(m.numerator * (D // m.denominator), v) for m, v in zip(masses, values)]
+
+
+def log_sum_bits(w: Weight) -> int:
+    """The size in bits of the powers the exact log-sum of w forms,
+    sum_i c_i max(bits(numerator v_i), bits(denominator v_i)); 0 for a
+    weight without one (an expression weight, or a float value)."""
+    exponents = None if isinstance(w, ExprWeight) else _log_exponents(_log_pairs(w))
+    if exponents is None:
+        return 0
+    return sum(c * max(v.numerator.bit_length(), v.denominator.bit_length()) for c, v in exponents[1])
+
+
+def _exact_log_sum(pairs) -> LogIntegralResult | None:
+    """sum_i m_i ln(v_i) with rational m_i, v_i, bookkept as ln(prod v^c)/D
+    (``_log_exponents``).  The numerators and denominators of the product
+    are multiplied as integers and reduced once."""
+    exponents = _log_exponents(pairs)
+    if exponents is None:
+        return None
+    D, powers = exponents
     num = den = 1
-    for m, v in zip(masses, values):
-        c = m.numerator * (D // m.denominator)
+    for c, v in powers:
         num *= v.numerator ** c
         den *= v.denominator ** c
     Q = Fraction(num, den)
@@ -160,27 +196,12 @@ def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogInteg
             quadrature_points=quadrature_points,
             richardson_gap=abs(fine - coarse),
         )
-    if isinstance(w, StepWeight):
-        pairs = [(E.measure(), v) for E, v in w.step.pieces]
-        exact = _exact_log_sum(pairs)
-        if exact is not None:
-            return exact
-        total = sum(float(m) * math.log(float(v)) for m, v in pairs)
-        return LogIntegralResult(total, "float-log-sum", exact=False)
-    if isinstance(w, FiniteWeight):
-        mass = Fraction(1, w.group.order)
-        exact = _exact_log_sum((mass, v) for v in w.values)
-        if exact is not None:
-            return exact
-        total = sum(float(mass) * math.log(float(v)) for v in w.values)
-        return LogIntegralResult(total, "float-log-sum", exact=False)
-    if isinstance(w, PAdicTableWeight):
-        ctx = w.context
-        mass = Fraction(1, ctx.prime ** (w.level + ctx.window))
-        exact = _exact_log_sum((mass, v) for v in w.table.values())
-        assert exact is not None  # table values are always Fractions
+    pairs = _log_pairs(w)
+    exact = _exact_log_sum(pairs)
+    if exact is not None:
         return exact
-    raise TypeError(f"unsupported weight {w!r}")
+    total = sum(float(m) * math.log(float(v)) for m, v in pairs)
+    return LogIntegralResult(total, "float-log-sum", exact=False)
 
 
 def log_integral(w: Weight, quadrature_points: int = 1 << 16) -> float:

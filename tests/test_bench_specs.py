@@ -1,16 +1,22 @@
 """Every seed-0 spec of the benchmark's workloads (``perfbench/workloads.py``)
 passes ``validate``, so a stricter validation cannot turn the benchmark's
-specs into failures, and the circle step walks of the exact-step specs agree
-with the exact oracle.  The generators are loaded read-only, by path."""
+specs into failures; the circle step walks of the exact-step specs agree
+with the exact oracle, and the exhaustive p-adic counts of the ball sets
+agree with the count on the full context.  The generators are loaded
+read-only, by path."""
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from circle_oracle import row_pairs, step_values_at
 from hclab.cli import parse_spec, validate
+from hclab.equidist import density, sup_deviation
+from hclab.groups import OrbitSequence
 from hclab.weights import StepWeight, circle_step_rows
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -47,3 +53,31 @@ def test_bench_step_walks_match_the_oracle():
         for n, (points, row, den) in zip(range(1, 9), rows):
             assert row_pairs(points, row, den) == rows_at(n), (case.id, n)
     assert walks > 0
+
+
+def _full_context_counts(K, seq, N):
+    """The count at every translate x of the full context, x + y in K over
+    the orbit's support y: K's residue mask correlated with the support."""
+    mask = np.zeros(seq.group.modulus, dtype=np.int64)
+    mask[K.finest_residues()] = 1
+    counts = np.zeros_like(mask)
+    for y, mult in seq.residue_support(N):
+        counts += mult * np.roll(mask, -y.residue)
+    return counts
+
+
+@pytest.mark.parametrize("workload", ["orbit-exhaustive", "padic-verdict"])
+def test_bench_ball_counts_match_the_full_context(workload):
+    checked = 0
+    for case in GENERATORS[workload](0):
+        spec, _ = parse_spec(case.spec, case.task)
+        seq = OrbitSequence(spec.group, spec.element)
+        for K in spec.sets:
+            mu = K.measure()
+            for N in spec.horizons["N_list"]:
+                counts = _full_context_counts(K, seq, N)
+                expected = max(abs(Fraction(int(c), N) - mu) for c in (counts.min(), counts.max()))
+                assert sup_deviation(K, seq, N) == float(expected), (case.id, N)
+                assert density(K, seq, N) == Fraction(int(counts[0]), N), (case.id, N)
+                checked += 1
+    assert checked > 0

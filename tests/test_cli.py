@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from hclab.cli import _atomic_write, _write_csv, main, parse_spec, validate
+from hclab.cli import MAX_LOG_SUM_BITS, _atomic_write, _write_csv, main, parse_spec, validate
 from hclab.hctest import monotone_rows, verdict
 
 GOLDEN_ANGLE = 0.6180339887498949
@@ -111,6 +111,16 @@ def test_validate_bounds_padic_residues(tmp_path, capsys):
     assert validate(payload, "equidist") == []
 
 
+def test_validate_bounds_the_log_sum_size():
+    # masses 1/D and (D-1)/D of the values 2 and 1/2 raise each to its
+    # exponent, 1 and D - 1, of 2 bits: 2D bits in all
+    at_limit = _probe(_STEP, ("weight", "step"), _split_step(f"1/{MAX_LOG_SUM_BITS // 2}"))
+    assert validate(at_limit, "hctest") == []
+    over = _probe(_STEP, ("weight", "step"), _split_step(f"1/{MAX_LOG_SUM_BITS // 2 + 1}"))
+    assert validate(over, "hctest") == [
+        "weight: the exact log-sum forms powers of at least 2^22 bits, above the limit 2^22"]
+
+
 def _probe(base, path, value):
     """``base`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
     spec = json.loads(json.dumps(base))
@@ -126,6 +136,11 @@ _FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1
            "weight": {"values": ["2", "1/2", "1", "1", "1", "1"]}}
 _STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
 _QP = dict(three_coset_spec(), group={"group": "qp", "p": 3, "precision": 2, "window": 1})
+
+
+def _split_step(breakpoint):
+    """A circle step weight of 2 on [0, breakpoint) and 1/2 on the rest."""
+    return [[[["0", breakpoint], "half_open"], "2"], [[[breakpoint, "1"], "half_open"], "1/2"]]
 
 
 _PROBES = [
@@ -180,7 +195,19 @@ _PROBES = [
     (three_coset_spec(), ("sets",), 5, "sets"),
     # a circle orbit statistic holds up to MAX_CIRCLE_HORIZON residues
     (_EXPR, ("horizons", "N_list"), [10, 20000000], "horizons.N_list"),
+    # the exact log-sum raises the values to powers of about MAX_LOG_SUM_BITS
+    # bits at most: masses over 5*10^7 and over 10^1000
+    (_STEP, ("weight", "step"), _split_step("0.33333334"), "weight"),
+    (_STEP, ("weight", "step"), _split_step("1e-1000"), "weight"),
 ]
+
+# the line that says a required field is missing, which a field that was
+# given but rejected must not add to its own diagnostic
+_REQUIRED = {
+    "element": "an 'element' is required",
+    "weight": "a 'weight' is required",
+    "sets": "at least one set or character is required",
+}
 
 
 @pytest.mark.parametrize("base,path,value,field", _PROBES,
@@ -191,6 +218,9 @@ def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
     assert any(line.startswith(field) for line in capsys.readouterr().out.splitlines())
     assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"invalid spec: {field}" in capsys.readouterr().err
+    if path[0] in _REQUIRED:
+        for task in ("equidist", "hctest", "padic"):
+            assert _REQUIRED[path[0]] not in " ".join(validate(_probe(base, path, value), task))
 
 
 def test_parse_spec_resolves_objects():

@@ -7,11 +7,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import circle_oracle as oracle
-from hclab.borel import FiniteSubset, IntervalSet, ball, interval
+from hclab import equidist
+from hclab.borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
     Boundaries,
     OrbitCounter,
@@ -204,6 +205,71 @@ def test_enumerable_support_and_sup_deviation_match_the_naive_orbit():
                 assert sup_deviation(K, seq, N) == float(naive)
                 cases += 1
     assert cases > 100
+
+
+def full_context_count(K, seq, N, x=None):
+    """The exhaustive count on the set's own context, as it ran before the
+    resolving context: every term y of the orbit's support on the full
+    context, x + y tested against K (y itself when x is None)."""
+    g = seq.group
+    return sum(mult for y, mult in seq.residue_support(N) if K.contains(y if x is None else g.mul(x, y)))
+
+
+@st.composite
+def resolving_cases(draw):
+    """A zp / qp context of at most 243 residues (p in {2, 3, 5}, window
+    0-2), an empty, full or 1-4 ball set with levels -window..precision, an
+    element of every valuation (zero included), either sign, a translate,
+    and N on either side of the orbit's period."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    precision, window = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    assume(p ** (precision + window) <= 243)
+    ctx = PAdicContext(p, precision, window)
+    kind = draw(st.sampled_from(["balls", "balls", "empty", "full"]))
+    if kind == "empty":
+        K = BallSet.empty(ctx)
+    elif kind == "full":
+        K = BallSet.full(ctx)
+    else:
+        balls = st.tuples(st.integers(-window, precision), st.integers(0, ctx.modulus - 1))
+        K = BallSet.from_balls(ctx, draw(st.lists(balls, min_size=1, max_size=4)))
+    v = draw(st.integers(0, ctx.digit_count))
+    unit = draw(st.integers(1, ctx.modulus - 1).filter(lambda u: u % p))
+    a = ctx.from_residue(unit * p ** v)
+    period = ctx.element_order(a)
+    N = draw(st.one_of(st.integers(2, max(2, period)), st.integers(period + 1, 3 * period + 3)))
+    x = ctx.from_residue(draw(st.integers(0, ctx.modulus - 1)))
+    return OrbitSequence(ctx, a, draw(st.sampled_from([-1, 1]))), K, N, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolving_cases())
+@example((OrbitSequence(PAdicContext(3, 2, 1), PAdicContext(3, 2, 1).from_residue(2)),
+          BallSet.from_balls(PAdicContext(3, 2, 1), [(-1, 0), (0, 1)]), 7,
+          PAdicContext(3, 2, 1).from_residue(5)))
+def test_resolving_context_counts_equal_the_full_context(case):
+    seq, K, N, x = case
+    mu = K.measure()
+    counts = [full_context_count(K, seq, N, y) for y in seq.group.elements()]
+    assert sup_deviation(K, seq, N) == float(max(abs(Fraction(c, N) - mu) for c in counts))
+    assert density(K, seq, N) == Fraction(full_context_count(K, seq, N), N)
+    assert density_stat(K, seq, N).count == full_context_count(K, seq, N)
+    assert translated_density(K, x, seq, N) == Fraction(counts[x.residue], N)
+
+
+def test_exhaustive_count_visits_only_the_resolving_cosets(monkeypatch):
+    # a radius-2 ball of a 3^8 context is resolved mod 3^2: 9 translates
+    # are counted, not 6561
+    ctx = PAdicContext(3, 8)
+    seq = OrbitSequence(ctx, ctx.element(1))
+    translates = []
+    count = equidist._support_count
+    monkeypatch.setattr(equidist, "_support_count",
+                        lambda K, group, support, x=None: translates.append(x) or count(K, group, support, x))
+    # 999 terms meet each class mod 9 exactly 111 times
+    assert sup_deviation(ball(ctx, 4, 2), seq, 1000) == float(Fraction(1, 9000))
+    assert len(translates) == 9
+    assert {x.context.modulus for x in translates} == {9}
 
 
 VARIANTS = ["open", "closed", "half_open", "half_open_right"]

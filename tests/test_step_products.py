@@ -248,9 +248,12 @@ def test_circle_step_rows_at_near_rational_floats():
         assert values == {v for _, v in step_values_at(w, a)(n)}
 
 
-def test_circle_step_row_starts_at_the_wrapping_cell():
-    # D = 8 and events at 1/16 and 15/16: the cell between them across 0
-    # has its midpoint at 0 exactly, the first translate in [0, 1)
+def test_circle_step_row_starts_at_the_event_at_zero():
+    # D = 8, the open arc (1/16, 15/16) and the closed arc [15/16, 17/16]
+    # across 0, which normalization splits at 0: the boundary at 0 is an
+    # event at translate 0, so row 1 starts at that event, inside the closed
+    # arc.  Pieces of a step weight cover 0, so every row has the event of
+    # term 0 at translate 0 and none starts at the cell that wraps past 0.
     w = StepWeight(StepFunction.of([(interval(Fraction(1, 16), Fraction(15, 16), "open"), Fraction(2)),
                                     (interval(Fraction(15, 16), Fraction(17, 16), "closed"), Fraction(1, 2))]))
     a = CIRCLE.from_float(0.125)
