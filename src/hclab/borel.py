@@ -7,7 +7,8 @@ Three representations, one per group family:
   carried explicitly, so the four variants of an arc with the same closure
   stay distinct.
 * ``BallSet`` on a p-adic context -- finite unions of balls (cosets of
-  p^j Z_p); clopen, so the boundary is empty.
+  p^j Z_p), held as one residue mask at the set's finest level; clopen, so
+  the boundary is empty.
 * ``FiniteSubset`` on a finite group -- arbitrary subsets (discrete
   topology, everything clopen).
 
@@ -24,6 +25,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ContextMismatch, WindowExceeded
 from .groups import CircleElement, FiniteGroup, PAdicContext, PAdicNumber
@@ -276,165 +279,154 @@ def circle_points(*pts) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # p-adic ball sets
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 @dataclass(frozen=True)
 class BallSet:
-    """A finite disjoint union of balls ``center + p^j Z_p``.
+    """A finite union of balls ``center + p^j Z_p``, held as one residue
+    mask at its finest level.
 
-    Balls are stored as (level j, center residue mod p^(j+window)); the p
-    siblings of a parent ball merge during normalization.  Every ball set is
-    clopen, so boundaries are empty and measures are exact powers of p
-    (scaled by the window normalization that gives the whole context mass 1).
+    ``mask[r]`` is 1 when the ball r + p^level Z_p lies in the set, for the
+    residues r mod p^(level + window), so membership is one index and the
+    measure is the share of ones.  Operations lift the coarser mask to the
+    finer level (a ball is the union of its p children, so lifting repeats
+    the mask) and combine elementwise.  Every set is kept at the coarsest
+    level at which it is a union of balls, so equal sets compare and hash
+    equal; ``balls`` reads its maximal balls back.  Every ball set is
+    clopen, so boundaries are empty.
     """
 
     context: PAdicContext
-    balls: tuple[tuple[int, int], ...]
+    level: int
+    mask: bytes
 
     @staticmethod
     def empty(context: PAdicContext) -> "BallSet":
-        return BallSet(context, ())
+        return BallSet(context, -context.window, b"\x00")
 
     @staticmethod
     def full(context: PAdicContext) -> "BallSet":
-        return BallSet(context, ((-context.window, 0),))
+        return BallSet(context, -context.window, b"\x01")
 
     @staticmethod
     def from_balls(context: PAdicContext, balls: Iterable[tuple[int, int]]) -> "BallSet":
-        return BallSet(context, _normalize_balls(context, list(balls)))
+        """The union of the balls (level j, center residue)."""
+        balls = list(balls)
+        for j, _ in balls:
+            _check_radius(context, j)
+        level = max((j for j, _ in balls), default=-context.window)
+        mask = bytearray(context.prime ** (level + context.window))
+        for j, c in balls:
+            step = context.prime ** (j + context.window)
+            mask[c % step::step] = b"\x01" * (len(mask) // step)
+        return _coarsest(context, level, bytes(mask))
 
     def _check(self, other: "BallSet") -> None:
         if self.context != other.context:
             raise ContextMismatch(f"{self.context.name} vs {other.context.name}")
 
+    def _lifted(self, level: int) -> np.ndarray:
+        """The mask at a level no coarser than the set's, as booleans."""
+        return np.frombuffer(self.mask * self.context.prime ** (level - self.level), dtype=bool)
+
+    def _combine(self, other: "BallSet", op) -> "BallSet":
+        self._check(other)
+        level = max(self.level, other.level)
+        return _coarsest(self.context, level, op(self._lifted(level), other._lifted(level)).tobytes())
+
     def measure(self) -> Fraction:
-        p, m = self.context.prime, self.context.window
-        return sum((Fraction(1, p ** (j + m)) for j, _ in self.balls), Fraction(0))
+        return Fraction(self.mask.count(1), len(self.mask))
 
     def contains(self, x: PAdicNumber) -> bool:
-        if x.context != self.context:
+        if x.context is not self.context and x.context != self.context:
             raise ContextMismatch(f"{x.context.name} vs {self.context.name}")
-        p, m = self.context.prime, self.context.window
-        return any(x.residue % p ** (j + m) == c for j, c in self.balls)
+        return self.mask[x.residue % len(self.mask)] == 1
 
     def resolved(self, group: PAdicContext) -> tuple[PAdicContext, "BallSet"]:
         """The coarsest context that resolves the set, and the set on it.
 
-        Balls of level at most j are unions of cosets of p^j Z_p, so whether
-        a residue lies in the set depends only on it mod p^(j + window): the
-        context of precision max(1, j) and the same window.  ``group`` must
-        be the set's own context."""
+        Whether a residue lies in the set depends only on it mod
+        p^(level + window): the context of precision max(1, level) and the
+        same window.  ``group`` must be the set's own context."""
         if group != self.context:
             raise ContextMismatch(f"{group.name} vs {self.context.name}")
         ctx = self.context
-        finest = max((j for j, _ in self.balls), default=1)
-        coarse = PAdicContext(ctx.prime, max(1, finest), ctx.window)
+        coarse = PAdicContext(ctx.prime, max(1, self.level), ctx.window)
         if coarse == ctx:
             return ctx, self
-        return coarse, BallSet(coarse, self.balls)
+        return coarse, BallSet(coarse, self.level, self.mask)
 
     def union(self, other: "BallSet") -> "BallSet":
-        self._check(other)
-        return BallSet.from_balls(self.context, self.balls + other.balls)
-
-    def complement(self) -> "BallSet":
-        ctx = self.context
-        p, m = ctx.prime, ctx.window
-        level = max((j for j, _ in self.balls), default=-m)
-        scale = p ** (level + m)
-        covered = {
-            r for r in range(scale)
-            if any(r % p ** (j + m) == c for j, c in self.balls)
-        }
-        return BallSet.from_balls(ctx, [(level, r) for r in range(scale) if r not in covered])
+        return self._combine(other, np.logical_or)
 
     def intersection(self, other: "BallSet") -> "BallSet":
-        self._check(other)
-        out = []
-        p, m = self.context.prime, self.context.window
-        for j1, c1 in self.balls:
-            for j2, c2 in other.balls:
-                if j1 > j2:
-                    (j1_, c1_), (j2_, c2_) = (j2, c2), (j1, c1)
-                else:
-                    (j1_, c1_), (j2_, c2_) = (j1, c1), (j2, c2)
-                # finer ball j2_ intersects coarser j1_ iff it sits inside it
-                if c2_ % p ** (j1_ + m) == c1_:
-                    out.append((j2_, c2_))
-        return BallSet.from_balls(self.context, out)
+        return self._combine(other, np.logical_and)
 
     def difference(self, other: "BallSet") -> "BallSet":
-        return self.intersection(other.complement())
+        return self._combine(other, lambda a, b: a & ~b)
+
+    def complement(self) -> "BallSet":
+        return BallSet(self.context, self.level, self.mask.translate(_FLIP))
 
     def is_empty(self) -> bool:
-        return not self.balls
+        return 1 not in self.mask
 
     def translated(self, delta: PAdicNumber) -> "BallSet":
-        p, m = self.context.prime, self.context.window
-        moved = [(j, (c + delta.residue) % p ** (j + m)) for j, c in self.balls]
-        return BallSet.from_balls(self.context, moved)
+        shift = delta.residue % len(self.mask)
+        return BallSet(self.context, self.level, self.mask[-shift:] + self.mask[:-shift])
 
     def classify(self) -> SetForm:
         return SetForm.FORM2 if self.is_empty() else SetForm.FORM1
 
     def finest_residues(self) -> list[int]:
         """All stored residues (level precision) belonging to the set."""
-        ctx = self.context
-        p, m = ctx.prime, ctx.window
-        out = [
-            r for r in range(ctx.modulus)
-            if any(r % p ** (j + m) == c for j, c in self.balls)
-        ]
-        return out
+        return np.flatnonzero(self._lifted(self.context.precision)).tolist()
+
+    @property
+    def balls(self) -> tuple[tuple[int, int], ...]:
+        """The maximal balls of the set -- those whose parent is not in it --
+        as (level, center residue), sorted."""
+        inside = [np.frombuffer(self.mask, dtype=bool)]
+        while len(inside[-1]) > 1:  # a ball is inside when its p children are
+            inside.append(inside[-1].reshape(self.context.prime, -1).all(axis=0))
+        out, parent = [], np.zeros(1, dtype=bool)
+        for j, here in enumerate(reversed(inside), start=-self.context.window):
+            maximal = here & ~np.tile(parent, len(here) // len(parent))
+            out.extend((j, int(c)) for c in np.flatnonzero(maximal))
+            parent = here
+        return tuple(out)
 
     def __repr__(self):
         inner = ", ".join(f"{c}+p^{j}Zp" for j, c in self.balls)
         return f"BallSet({self.context.name}; {inner})"
 
 
-def _normalize_balls(ctx: PAdicContext, balls: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    p, m, K = ctx.prime, ctx.window, ctx.precision
-    work = set()
-    for j, c in balls:
-        if not -m <= j <= K:
-            raise WindowExceeded(f"ball level {j} outside [{-m}, {K}]")
-        work.add((j, c % p ** (j + m)))
-    changed = True
-    while changed:
-        changed = False
-        # drop balls contained in a coarser one
-        pruned = set()
-        for j, c in work:
-            inside = any(
-                (j2, c2) != (j, c) and j2 <= j and c % p ** (j2 + m) == c2
-                for j2, c2 in work
-            )
-            if not inside:
-                pruned.add((j, c))
-        if pruned != work:
-            work, changed = pruned, True
-            continue
-        # fuse complete sibling families into their parent
-        for j, c in sorted(work, reverse=True):
-            if j <= -m:
-                continue
-            parent = c % p ** (j - 1 + m)
-            siblings = {(j, parent + t * p ** (j - 1 + m)) for t in range(p)}
-            if siblings <= work:
-                work -= siblings
-                work.add((j - 1, parent))
-                changed = True
-                break
-    return tuple(sorted(work))
+def _coarsest(context: PAdicContext, level: int, mask: bytes) -> BallSet:
+    """The set of ``mask`` at ``level``, at the coarsest level that still
+    resolves it: go up while the mask repeats with the period of the parent
+    level."""
+    p = context.prime
+    while level > -context.window and mask == mask[: len(mask) // p] * p:
+        mask, level = mask[: len(mask) // p], level - 1
+    return BallSet(context, level, mask)
 
 
-def ball(context: PAdicContext, center, radius_exp: int) -> BallSet:
-    """The ball of radius p**(-radius_exp) around ``center``."""
-    x = center if isinstance(center, PAdicNumber) else context.element(center)
+def _check_radius(context: PAdicContext, radius_exp: int) -> None:
     if not -context.window <= radius_exp <= context.precision:
         raise WindowExceeded(
             f"radius exponent {radius_exp} outside [{-context.window}, {context.precision}]"
         )
-    return BallSet.from_balls(context, [(radius_exp, x.residue)])
+
+
+def ball(context: PAdicContext, center, radius_exp: int) -> BallSet:
+    """The ball of radius p**(-radius_exp) around ``center``; one ball is
+    already at its coarsest level."""
+    x = center if isinstance(center, PAdicNumber) else context.element(center)
+    _check_radius(context, radius_exp)
+    mask = bytearray(context.prime ** (radius_exp + context.window))
+    mask[x.residue % len(mask)] = 1
+    return BallSet(context, radius_exp, bytes(mask))
 
 
 # ---------------------------------------------------------------------------

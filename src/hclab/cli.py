@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import padic as padic_mod
-from .borel import BallSet, FiniteSubset, IntervalSet, ball, interval
+from .borel import BallSet, FiniteSubset, IntervalSet, interval
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
 from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence,
@@ -263,15 +263,15 @@ def _is_arc_literal(desc) -> bool:
 def _parse_padic_set(group, desc, diags):
     try:
         pieces = desc if isinstance(desc, list) else [desc]
-        acc = BallSet.empty(group)
+        balls = []
         for piece in pieces:
             if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
                 raise SpecValidationError(f"ball literal {piece!r} not understood")
             radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
             if radius_exp is None:
                 return None
-            acc = acc.union(ball(group, group.element(Fraction(str(piece["center"]))), radius_exp))
-        return acc
+            balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
+        return BallSet.from_balls(group, balls)
     except (HclabError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"sets: {exc}")
         return None

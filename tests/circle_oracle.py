@@ -1,13 +1,15 @@
 """An exact brute-force oracle for circle orbit counts in translated sets.
 
-Every orbit point is a ``Fraction``.  The count of a set at a translate x is
-taken point by point with ``IntervalSet.contains(v + x)``, at every exact
-event position b - v (b a set boundary, v an orbit point) and at the exact
-midpoint of every cell between consecutive events, the cell after the last
-event wrapping past 0 to the first.  Candidates run in increasing translate
-order over [0, 1), so the first candidate at an extreme is the first
-translate reaching it."""
+Orbit points and set ends are exact, and every count is taken point by
+point: v + x is tested against the set's open arcs and isolated points, in
+integers over one common denominator.  The candidate translates x are every
+exact event position b - v (b a set boundary, v an orbit point) and the
+exact midpoint of every cell between consecutive events, the cell after the
+last event wrapping past 0 to the first.  Candidates run in increasing
+translate order over [0, 1), so the first candidate at an extreme is the
+first translate reaching it."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,19 +20,39 @@ def orbit_points(a, ks):
 
 
 def sweep(points, sets):
-    """(translate, per-set counts) at every candidate, in translate order."""
+    """(translate, per-set counts) at every candidate, in translate order.
+
+    Orbit points, set ends and candidates are integers over one common
+    denominator D, twice the lcm of every denominator in play: each event
+    is then even, so each cell midpoint is an integer too.  A translate
+    becomes a ``Fraction`` only when it is returned."""
     ends = {b % 1 for K in sets for lo, hi in K.open_part for b in (lo, hi)}
     ends |= {pt for K in sets for pt in K.point_part}
-    events = sorted({(b - v) % 1 for b in ends for v in points})
-    xs = [Fraction(0)]
+    D = 2 * math.lcm(*(f.denominator for f in (*ends, *points)))
+
+    def scaled(f):
+        return f.numerator * (D // f.denominator)
+
+    ints = {scaled(v): m for v, m in points.items()}
+    members = [([(scaled(lo), scaled(hi)) for lo, hi in K.open_part], {scaled(pt) for pt in K.point_part})
+               for K in sets]
+    events = sorted({(scaled(b) - v) % D for b in ends for v in ints})
+    xs = [0]
     if events:
-        cells = [(x + y) / 2 for x, y in zip(events, events[1:])]
-        cells.append((events[-1] + events[0] + 1) / 2 % 1)
+        cells = [(x + y) // 2 for x, y in zip(events, events[1:])]
+        cells.append((events[-1] + events[0] + D) // 2 % D)
         xs = sorted(events + cells)
-    return [
-        (x, tuple(sum(m for v, m in points.items() if K.contains(v + x)) for K in sets))
-        for x in xs
-    ]
+
+    def count(arcs, singles, x):
+        # the terms v with v + x in the set, tested one by one
+        total = 0
+        for v, m in ints.items():
+            t = (v + x) % D
+            if t in singles or any(lo < t < hi for lo, hi in arcs):
+                total += m
+        return total
+
+    return [(Fraction(x, D), tuple(count(arcs, singles, x) for arcs, singles in members)) for x in xs]
 
 
 def sup_deviation(K, a, N):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ball_oracle as oracle
 from hclab.borel import (
     BallSet,
     FiniteSubset,
@@ -282,3 +284,78 @@ def test_finite_subsets_are_clopen():
     assert S.complement().members == frozenset({1, 3, 5})
     assert S.measure() == Fraction(1, 2)
     assert FiniteSubset.empty(g).classify() is SetForm.FORM2
+
+
+# ---------------------------------------------------------------------------
+# ball sets against the ball-list oracle
+
+
+@st.composite
+def ball_lists(draw, ctx):
+    """Empty, full, 0-12 balls at levels -window..precision, or such balls
+    together with a complete family of p siblings, one of which may itself
+    be split into its p children."""
+    p, m = ctx.prime, ctx.window
+    kind = draw(st.sampled_from(["empty", "full", "balls", "siblings"]))
+    if kind == "empty":
+        return []
+    if kind == "full":
+        return [(-m, 0)]
+    centers = st.integers(0, ctx.modulus - 1)
+    balls = draw(st.lists(st.tuples(st.integers(-m, ctx.precision), centers), max_size=12))
+    if kind == "siblings":
+        j = draw(st.integers(1 - m, ctx.precision))
+        parent = draw(centers) % p ** (j - 1 + m)
+        family = [(j, parent + t * p ** (j - 1 + m)) for t in range(p)]
+        if j < ctx.precision and draw(st.booleans()):
+            _, c = family.pop(draw(st.integers(0, p - 1)))
+            family += [(j + 1, c + t * p ** (j + m)) for t in range(p)]
+        balls += family
+    return balls
+
+
+@st.composite
+def ball_set_cases(draw):
+    """A context with p in {2, 3, 5}, window 0-2 and at most 3^6 residues,
+    two ball lists and a translate."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    window = draw(st.integers(0, 2))
+    digits = max(d for d in range(1, 12) if p ** d <= 3 ** 6)
+    ctx = PAdicContext(p, draw(st.integers(1, digits - window)), window)
+    return ctx, draw(ball_lists(ctx)), draw(ball_lists(ctx)), draw(st.integers(0, ctx.modulus - 1))
+
+
+def assert_agrees(S, ctx, ref):
+    """The mask set S is the oracle's normalised ball list ``ref``."""
+    assert S.context == ctx
+    assert S.balls == ref
+    assert repr(S) == oracle.render(ctx, ref)
+    assert S.measure() == oracle.measure(ctx, ref)
+    members = [oracle.contains(ctx, ref, r) for r in range(ctx.modulus)]
+    assert [S.contains(ctx.from_residue(r)) for r in range(ctx.modulus)] == members
+    assert S.finest_residues() == [r for r in range(ctx.modulus) if members[r]]
+    assert S.is_empty() == (ref == ())
+    rebuilt = BallSet.from_balls(ctx, reversed(ref))
+    assert S == rebuilt and hash(S) == hash(rebuilt)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ball_set_cases())
+def test_ball_sets_match_the_ball_list_oracle(case):
+    ctx, raw_a, raw_b, shift = case
+    A, B = BallSet.from_balls(ctx, raw_a), BallSet.from_balls(ctx, raw_b)
+    a, b = oracle.normalize(ctx, raw_a), oracle.normalize(ctx, raw_b)
+    assert_agrees(A, ctx, a)
+    assert_agrees(B, ctx, b)
+    assert (A == B) == (a == b)
+    assert_agrees(A.union(B), ctx, oracle.union(ctx, a, b))
+    assert_agrees(A.intersection(B), ctx, oracle.intersection(ctx, a, b))
+    assert_agrees(A.difference(B), ctx, oracle.difference(ctx, a, b))
+    assert_agrees(A.complement(), ctx, oracle.complement(ctx, a))
+    assert_agrees(A.translated(ctx.from_residue(shift)), ctx, oracle.translated(ctx, a, shift))
+    assert A.union(B) == B.union(A) and A.complement().complement() == A
+    group, R = A.resolved(ctx)
+    assert group == oracle.resolved(ctx, a) == R.context
+    assert R.balls == a
+    for j, c in raw_a:  # a lone ball is built at its own level
+        assert_agrees(ball(ctx, ctx.from_residue(c), j), ctx, oracle.normalize(ctx, [(j, c)]))

@@ -458,6 +458,24 @@ def test_padic_ball_set_literal():
     assert parsed.sets[1].measure() == Fraction(2, 9)
 
 
+def test_padic_set_of_many_fine_balls_validates():
+    # 3,000 distinct level-8 balls (7 is a unit mod 3^8) on the largest
+    # context validation accepts
+    spec = {
+        "schema": 1,
+        "group": {"group": "zp", "p": 3, "precision": 8},
+        "element": "1",
+        "sets": [[{"center": str(7 * c % 3 ** 8), "radius_exp": 8} for c in range(3000)]],
+        "horizons": {"N_list": [10]},
+    }
+    assert validate(spec, "equidist") == []
+    parsed, diags = parse_spec(spec, "equidist")
+    assert diags == []
+    from fractions import Fraction
+
+    assert parsed.sets[0].measure() == Fraction(3000, 6561)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     spec = write_spec(tmp_path, three_coset_spec())
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
