@@ -12,10 +12,11 @@ Three representations, one per group family:
 * ``FiniteSubset`` on a finite group -- arbitrary subsets (discrete
   topology, everything clopen).
 
-Set operations on the circle go through a breakpoint/flag decomposition:
-collect all endpoints, decide membership per elementary segment and per
-breakpoint, combine pointwise, then reassemble.  That makes union and
-complement exact and trivially correct.
+Circle sets are put into canonical form in one place,
+``IntervalSet.from_pieces``: one sort of the arcs, fusing as it goes.  A
+union is the canonical form of both sets' pieces, a complement is one walk
+over the sorted arcs and points, and intersection and difference follow by
+De Morgan.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "SetForm",
     "IntervalSet",
     "interval",
+    "arc_pieces",
     "BallSet",
     "ball",
     "FiniteSubset",
@@ -64,6 +66,9 @@ class SetForm(enum.Enum):
 # circle interval sets
 
 
+_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, CircleElement):
         return x.value
@@ -73,11 +78,14 @@ def _as_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class IntervalSet:
     """A member of the circle algebra: sorted disjoint open arcs within
-    [0, 1] plus isolated included points in [0, 1).
+    [0, 1] plus included points in [0, 1).
 
-    Arcs that merely touch stay separate unless the junction point is
-    included, in which case normalization fuses them.  Wrap-around is
-    normalized by splitting at 0.
+    The form is canonical, so equal sets compare and hash equal.  Arcs that
+    overlap, or touch at an included point, are fused into one; arcs that
+    touch at an excluded point stay apart.  Nothing fuses across 0: an arc
+    through 0 is split into (lo, 1) and (0, hi), and 0 is kept as a point.
+    The points are the included arc ends and the isolated points; a point
+    inside an arc is dropped.
     """
 
     open_part: tuple[tuple[Fraction, Fraction], ...]
@@ -95,7 +103,37 @@ class IntervalSet:
 
     @staticmethod
     def from_pieces(arcs: Iterable[tuple[Fraction, Fraction]], points: Iterable[Fraction]) -> "IntervalSet":
-        return _normalize(list(arcs), list(points))
+        """The canonical set of raw open arcs (lo <= hi, anywhere on the real
+        line) and points, in one sort: split the arcs at 0, fuse the sorted
+        arcs that overlap or meet at an included point, and drop the points
+        inside an arc."""
+        flat: list[tuple[Fraction, Fraction]] = []
+        pts = {Fraction(p) % 1 for p in points}
+        for lo, hi in arcs:
+            lo, hi = Fraction(lo), Fraction(hi)
+            if lo == hi:
+                continue
+            if hi < lo:
+                raise ValueError(f"arc ({lo}, {hi}) has reversed endpoints")
+            if hi - lo > 1:  # an open arc longer than the circle covers it entirely
+                flat.append((_ZERO, _ONE))
+                pts.add(_ZERO)
+                continue
+            lo, hi = lo % 1, hi - lo // 1  # now 0 <= lo < 1, lo < hi <= lo + 1
+            if hi <= 1:
+                flat.append((lo, hi))
+            else:  # wraps through 0, which is then an interior point
+                flat += [(lo, _ONE), (_ZERO, hi - 1)]
+                pts.add(_ZERO)
+        fused: list[tuple[Fraction, Fraction]] = []
+        for lo, hi in sorted(flat):
+            if fused and (lo < fused[-1][1] or lo == fused[-1][1] and lo in pts):
+                if hi > fused[-1][1]:
+                    fused[-1] = (fused[-1][0], hi)
+            else:
+                fused.append((lo, hi))
+        arcs = tuple(fused)
+        return IntervalSet(arcs, tuple(sorted(p for p in pts if not _in_arc(arcs, p))))
 
     # -- queries -------------------------------------------------------------
 
@@ -104,12 +142,8 @@ class IntervalSet:
 
     def contains(self, x) -> bool:
         v = _as_fraction(x) % 1
-        arcs = self.open_part
-        idx = bisect_right(arcs, (v, Fraction(2))) - 1
-        if idx >= 0:
-            lo, hi = arcs[idx]
-            if lo < v < hi:
-                return True
+        if _in_arc(self.open_part, v):
+            return True
         pts = self.point_part
         j = bisect_left(pts, v)
         return j < len(pts) and pts[j] == v
@@ -128,23 +162,34 @@ class IntervalSet:
     def translated(self, delta) -> "IntervalSet":
         """The set shifted by delta (exact; wrap renormalized at 0)."""
         d = _as_fraction(delta)
-        arcs = [(lo + d, hi + d) for lo, hi in self.open_part]
-        pts = [(p + d) % 1 for p in self.point_part]
-        return _normalize(arcs, pts)
+        return IntervalSet.from_pieces([(lo + d, hi + d) for lo, hi in self.open_part],
+                                       [p + d for p in self.point_part])
 
     # -- algebra -------------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a or b)
+        return IntervalSet.from_pieces(self.open_part + other.open_part,
+                                       self.point_part + other.point_part)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a and b)
+        return self.complement().union(other.complement()).complement()
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a and not b)
+        return self.complement().union(other).complement()
 
     def complement(self) -> "IntervalSet":
-        return _combine(self, IntervalSet.empty(), lambda a, b: not a)
+        """One walk over the sorted arcs and points: the gaps between the
+        arcs, split at the isolated points, plus 0 and every arc end that
+        the set leaves out."""
+        gaps, pos = [], _ZERO
+        for lo, hi in sorted(self.open_part + tuple((p, p) for p in self.point_part)):
+            if lo > pos:
+                gaps.append((pos, lo))
+            pos = hi
+        if pos < 1:
+            gaps.append((pos, _ONE))
+        ends = {_ZERO}.union(*((lo, hi % 1) for lo, hi in self.open_part))
+        return IntervalSet(tuple(gaps), tuple(sorted(ends.difference(self.point_part))))
 
     def classify(self) -> SetForm:
         if not self.open_part:
@@ -160,90 +205,10 @@ class IntervalSet:
         return f"IntervalSet[{arcs} | {{{pts}}}]"
 
 
-def _normalize(arcs: list[tuple[Fraction, Fraction]], points: list[Fraction]) -> IntervalSet:
-    """Canonicalize raw arcs and points (splitting wraps, fusing arcs joined
-    by an included point, absorbing covered points)."""
-    flat: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in arcs:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo == hi:
-            continue
-        if hi < lo:
-            raise ValueError(f"arc ({lo}, {hi}) has reversed endpoints")
-        if hi - lo > 1:  # an open arc longer than the circle covers it entirely
-            flat.append((Fraction(0), Fraction(1)))
-            points.append(Fraction(0))
-            continue
-        if hi - lo == 1:  # exactly one turn: everything but the shared endpoint
-            e = lo % 1
-            if e == 0:
-                flat.append((Fraction(0), Fraction(1)))
-            else:
-                flat.extend([(e, Fraction(1)), (Fraction(0), e)])
-                points.append(Fraction(0))
-            continue
-        shift = lo // 1
-        lo2, hi2 = lo - shift, hi - shift  # now 0 <= lo2 < 1, lo2 < hi2 <= lo2+1
-        if hi2 <= 1:
-            flat.append((lo2, hi2))
-        else:  # wraps through 0, which is then an interior point
-            flat.append((lo2, Fraction(1)))
-            if hi2 - 1 > 0:
-                flat.append((Fraction(0), hi2 - 1))
-            points.append(Fraction(0))
-    pts = sorted({Fraction(p) % 1 for p in points})
-    tmp = IntervalSet(tuple(sorted(flat)), tuple(pts))
-    # a raw bag of arcs may overlap; run it through the flag machinery once
-    return _combine(tmp, IntervalSet.empty(), lambda a, b: a)
-
-
-def _combine(A: IntervalSet, B: IntervalSet, op) -> IntervalSet:
-    bps = {Fraction(0), Fraction(1)}
-    for s in (A, B):
-        for lo, hi in s.open_part:
-            bps.add(lo)
-            bps.add(hi)
-        bps.update(s.point_part)
-    cuts = sorted(bps)
-
-    def raw_contains(s: IntervalSet, v: Fraction) -> bool:
-        # membership against the possibly-unnormalized representation
-        for lo, hi in s.open_part:
-            if lo < v < hi:
-                return True
-        return (v % 1) in s.point_part
-
-    seg_flags = []
-    for i in range(len(cuts) - 1):
-        mid = (cuts[i] + cuts[i + 1]) / 2
-        seg_flags.append(op(raw_contains(A, mid), raw_contains(B, mid)))
-    pt_flags = [op(raw_contains(A, c % 1), raw_contains(B, c % 1)) for c in cuts]
-
-    arcs: list[tuple[Fraction, Fraction]] = []
-    points: list[Fraction] = []
-    i = 0
-    nseg = len(seg_flags)
-    while i < nseg:
-        if not seg_flags[i]:
-            i += 1
-            continue
-        start = i
-        # extend through included junction points
-        while i + 1 < nseg and seg_flags[i + 1] and pt_flags[i + 1]:
-            i += 1
-        arcs.append((cuts[start], cuts[i + 1]))
-        i += 1
-    for j, c in enumerate(cuts):
-        if j == len(cuts) - 1:
-            continue  # 1 is the same circle point as 0
-        if not pt_flags[j]:
-            continue
-        left_in = j > 0 and seg_flags[j - 1]
-        right_in = seg_flags[j] if j < nseg else False
-        if left_in and right_in:
-            continue  # interior to a fused arc
-        points.append(c)
-    return IntervalSet(tuple(arcs), tuple(sorted(points)))
+def _in_arc(arcs: tuple[tuple[Fraction, Fraction], ...], v: Fraction) -> bool:
+    """Whether v lies inside one of the sorted disjoint arcs."""
+    idx = bisect_right(arcs, (v, _TWO)) - 1
+    return idx >= 0 and v < arcs[idx][1] and arcs[idx][0] < v
 
 
 _VARIANTS = {
@@ -254,22 +219,23 @@ _VARIANTS = {
 }
 
 
-def interval(lo, hi, variant: str = "half_open") -> IntervalSet:
-    """An arc of the circle with the given endpoint inclusion variant."""
+def arc_pieces(lo, hi, variant: str = "half_open") -> tuple[tuple[Fraction, Fraction], list[Fraction]]:
+    """The raw open arc and the included ends of an arc with the given
+    endpoint inclusion variant, for ``IntervalSet.from_pieces``; hi < lo
+    wraps through 0."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; use one of {sorted(_VARIANTS)}")
     lo, hi = Fraction(lo), Fraction(hi)
-    inc_lo, inc_hi = _VARIANTS[variant]
-    if lo == hi:
-        return IntervalSet.from_pieces((), [lo] if (inc_lo or inc_hi) else ())
-    if hi < lo:  # wrap through 0
+    if hi < lo:
         hi = hi + 1
-    pts = []
-    if inc_lo:
-        pts.append(lo % 1)
-    if inc_hi:
-        pts.append(hi % 1)
-    return IntervalSet.from_pieces([(lo, hi)], pts)
+    inc_lo, inc_hi = _VARIANTS[variant]
+    return (lo, hi), [e for e, inc in ((lo, inc_lo), (hi, inc_hi)) if inc]
+
+
+def interval(lo, hi, variant: str = "half_open") -> IntervalSet:
+    """An arc of the circle with the given endpoint inclusion variant."""
+    arc, ends = arc_pieces(lo, hi, variant)
+    return IntervalSet.from_pieces([arc], ends)
 
 
 def circle_points(*pts) -> IntervalSet:
@@ -330,7 +296,7 @@ class BallSet:
         """The mask at a level no coarser than the set's, as booleans."""
         return np.frombuffer(self.mask * self.context.prime ** (level - self.level), dtype=bool)
 
-    def _combine(self, other: "BallSet", op) -> "BallSet":
+    def _elementwise(self, other: "BallSet", op) -> "BallSet":
         self._check(other)
         level = max(self.level, other.level)
         return _coarsest(self.context, level, op(self._lifted(level), other._lifted(level)).tobytes())
@@ -358,13 +324,13 @@ class BallSet:
         return coarse, BallSet(coarse, self.level, self.mask)
 
     def union(self, other: "BallSet") -> "BallSet":
-        return self._combine(other, np.logical_or)
+        return self._elementwise(other, np.logical_or)
 
     def intersection(self, other: "BallSet") -> "BallSet":
-        return self._combine(other, np.logical_and)
+        return self._elementwise(other, np.logical_and)
 
     def difference(self, other: "BallSet") -> "BallSet":
-        return self._combine(other, lambda a, b: a & ~b)
+        return self._elementwise(other, lambda a, b: a & ~b)
 
     def complement(self) -> "BallSet":
         return BallSet(self.context, self.level, self.mask.translate(_FLIP))

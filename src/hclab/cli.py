@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import padic as padic_mod
-from .borel import BallSet, FiniteSubset, IntervalSet, interval
+from .borel import BallSet, FiniteSubset, IntervalSet, arc_pieces
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError, SpecValidationError
 from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence,
@@ -224,28 +224,25 @@ def _parse_element(group, desc, diags):
 
 
 def _parse_circle_set(desc, diags):
-    def one(piece):
-        if isinstance(piece, dict):
-            if set(piece) != {"point"}:
-                raise SpecValidationError(f"set literal {piece!r} not understood")
-            p = Fraction(str(piece["point"]))
-            return IntervalSet.from_pieces((), [p])
-        if (
-            isinstance(piece, list)
-            and len(piece) == 2
-            and isinstance(piece[0], list)
-            and len(piece[0]) == 2
-        ):
-            lo, hi = (Fraction(str(v)) for v in piece[0])
-            return interval(lo, hi, str(piece[1]))
-        raise SpecValidationError(f"set literal {piece!r} not understood")
-
+    arcs, points = [], []
     try:
         pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
-        acc = IntervalSet.empty()
         for piece in pieces:
-            acc = acc.union(one(piece))
-        return acc
+            if isinstance(piece, dict) and set(piece) == {"point"}:
+                points.append(Fraction(str(piece["point"])))
+            elif (
+                isinstance(piece, list)
+                and len(piece) == 2
+                and isinstance(piece[0], list)
+                and len(piece[0]) == 2
+            ):
+                lo, hi = (Fraction(str(v)) for v in piece[0])
+                arc, ends = arc_pieces(lo, hi, str(piece[1]))
+                arcs.append(arc)
+                points += ends
+            else:
+                raise SpecValidationError(f"set literal {piece!r} not understood")
+        return IntervalSet.from_pieces(arcs, points)
     except (HclabError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"sets: {exc}")
         return None

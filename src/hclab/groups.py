@@ -410,7 +410,7 @@ class PAdicContext:
     def digit_count(self) -> int:
         return self.precision + self.window
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
         return self.prime ** self.digit_count
 
@@ -482,7 +482,7 @@ class PAdicNumber:
     residue: int
 
     def _check(self, other: "PAdicNumber") -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatch(f"{self.context.name} vs {other.context.name}")
 
     def digits(self) -> tuple[int, ...]:

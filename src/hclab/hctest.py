@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import padic as _padic
-from .borel import IntervalSet
+from .borel import IntervalSet, arc_pieces
 from .equidist import Boundaries, OrbitCounter, _mod1
 from .errors import NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
@@ -252,23 +252,23 @@ def _level_set(fn, xs: np.ndarray, vals: np.ndarray, h: float, outer: bool) -> I
             false_pt, true_pt = _bisect_edge(fn, h, x_lo, x_hi)
             edges.append(((false_pt if outer else true_pt) % 1.0, True))
     edges.sort()
-    arcs = IntervalSet.empty()
+    arcs, points = [], []
     # walk entry -> exit pairs circularly
     k = len(edges)
     first_entry = next(i for i, e in enumerate(edges) if e[1])
     i = first_entry
     used = 0
-    from .borel import interval as _interval
-
     while used < k:
         pos_in, entering = edges[i % k]
         assert entering, "unbalanced level-set crossings"
         pos_out, leaving = edges[(i + 1) % k]
         assert not leaving
-        arcs = arcs.union(_interval(Fraction(pos_in), Fraction(pos_out), "closed"))
+        arc, ends = arc_pieces(Fraction(pos_in), Fraction(pos_out), "closed")
+        arcs.append(arc)
+        points += ends
         i += 2
         used += 2
-    return arcs
+    return IntervalSet.from_pieces(arcs, points)
 
 
 def step_approx(

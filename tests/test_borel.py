@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ball_oracle as oracle
+import interval_oracle
 from hclab.borel import (
     BallSet,
     FiniteSubset,
@@ -284,6 +285,62 @@ def test_finite_subsets_are_clopen():
     assert S.complement().members == frozenset({1, 3, 5})
     assert S.measure() == Fraction(1, 2)
     assert FiniteSubset.empty(g).classify() is SetForm.FORM2
+
+
+# ---------------------------------------------------------------------------
+# circle sets against the breakpoint/flag oracle
+
+_SIXTHS = st.builds(Fraction, st.integers(-12, 18), st.just(6))
+
+
+@st.composite
+def raw_circle_sets(draw):
+    """Empty, full, or up to 5 open arcs and 4 points on the sixths of
+    [-2, 3]: arcs across 0, of one turn and longer, touching arcs, and
+    points on arc ends."""
+    kind = draw(st.sampled_from(["empty", "full", "pieces", "pieces"]))
+    if kind == "empty":
+        return [], []
+    if kind == "full":
+        return [(Fraction(0), Fraction(1))], [Fraction(0)]
+    arcs = [(lo, lo + Fraction(length, 6))
+            for lo, length in draw(st.lists(st.tuples(_SIXTHS, st.integers(0, 15)), max_size=5))]
+    points = draw(st.lists(_SIXTHS, max_size=2))
+    ends = [e for arc in arcs for e in arc]
+    if ends:
+        points += draw(st.lists(st.sampled_from(ends), max_size=2))
+    return arcs, points
+
+
+def assert_circle_agrees(S, ref, *inputs):
+    """S is the oracle's set ``ref``, with the same membership at every arc
+    end, point and cell midpoint of S, ref and the inputs."""
+    assert S == ref and hash(S) == hash(ref)
+    assert repr(S) == interval_oracle.render(ref)
+    assert S.measure() == interval_oracle.measure(ref)
+    cuts = sorted({Fraction(0), Fraction(1)}.union(
+        *(set(s.point_part).union(*s.open_part) for s in (S, ref, *inputs))))
+    probes = cuts + [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    assert [S.contains(v) for v in probes] == [interval_oracle.contains(ref, v) for v in probes]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(raw_circle_sets(), raw_circle_sets(), _SIXTHS)
+def test_interval_sets_match_the_flag_oracle(raw_a, raw_b, shift):
+    A, B = IntervalSet.from_pieces(*raw_a), IntervalSet.from_pieces(*raw_b)
+    a, b = interval_oracle.from_pieces(*raw_a), interval_oracle.from_pieces(*raw_b)
+    assert_circle_agrees(A, a)
+    assert_circle_agrees(B, b)
+    assert_circle_agrees(A.union(B), interval_oracle.union(a, b), A, B)
+    assert_circle_agrees(A.intersection(B), interval_oracle.intersection(a, b), A, B)
+    assert_circle_agrees(A.difference(B), interval_oracle.difference(a, b), A, B)
+    assert_circle_agrees(A.complement(), interval_oracle.complement(a), A)
+    assert_circle_agrees(A.translated(shift), interval_oracle.translated(a, shift), A)
+    for lo, hi in raw_a[0]:  # each arc, and the arc from hi round to lo
+        wrapped = [(hi, lo)] if hi - lo <= 1 else []
+        for variant in ("open", "closed", "half_open", "half_open_right"):
+            for ends in [(lo, hi)] + wrapped:
+                assert_circle_agrees(interval(*ends, variant), interval_oracle.interval(*ends, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -180,8 +181,8 @@ _PROBES = [
     (three_coset_spec(), ("element",), {"digits": [1.5]}, "element.digits"),
     (three_coset_spec(), ("weight",), {"table": {"level": 1, "values": {}, "bogus": 1}}, "weight"),
     # a zero denominator in any rational literal
-    (_EXPR, ("sets",), [[["0", "1/0"], "open"]], "sets"),
-    (_EXPR, ("sets",), [{"point": "1/0"}], "sets"),
+    (_EXPR, ("sets",), [[["0", "1/0"], "open"]], "sets: Fraction(1, 0)"),
+    (_EXPR, ("sets",), [{"point": "1/0"}], "sets: Fraction(1, 0)"),
     (three_coset_spec(), ("sets",), [{"center": "1/0", "radius_exp": 1}], "sets"),
     (_STEP, ("weight", "step"), [[[["0", "1"], "half_open"], "1/0"]], "weight"),
     (_FINITE, ("weight", "values"), ["1/0", "1", "1", "1", "1", "1"], "weight"),
@@ -189,6 +190,11 @@ _PROBES = [
     # character sweeps exist on the circle only
     (three_coset_spec(), ("characters",), [1, 2], "characters"),
     (_FINITE, ("characters",), [1], "characters"),
+    # circle set literals keep their exact diagnostics
+    (_EXPR, ("sets",), [[["0", "1/2"], "half-open"]], "sets: unknown variant 'half-open'; "),
+    (_EXPR, ("sets",), [[["a", "1/2"], "open"]], "sets: Invalid literal for Fraction: 'a'"),
+    (_EXPR, ("sets",), [["x"]], "sets: set literal 'x' not understood"),
+    (_EXPR, ("sets",), [{"pt": "1"}], "sets: set literal {'pt': '1'} not understood"),
     # sets come as a list on every group
     (_EXPR, ("sets",), 5, "sets"),
     (_FINITE, ("sets",), 5, "sets"),
@@ -471,9 +477,24 @@ def test_padic_set_of_many_fine_balls_validates():
     assert validate(spec, "equidist") == []
     parsed, diags = parse_spec(spec, "equidist")
     assert diags == []
-    from fractions import Fraction
-
     assert parsed.sets[0].measure() == Fraction(3000, 6561)
+
+
+def test_circle_set_of_many_arcs_validates():
+    # 2,000 disjoint arcs of length 1/4000, each endpoint variant 500 times,
+    # and an isolated point in every fourth gap
+    variants = ["open", "closed", "half_open", "half_open_right"]
+    arcs = [[[f"{i}/2000", f"{2 * i + 1}/4000"], variants[i % 4]] for i in range(2000)]
+    points = [{"point": f"{4 * i + 3}/8000"} for i in range(0, 2000, 4)]
+    spec = circle_spec(sets=[arcs + points], horizons={"N_list": [10]})
+    assert validate(spec, "equidist") == []
+    parsed, diags = parse_spec(spec, "equidist")
+    assert diags == []
+    (S,) = parsed.sets
+    assert S.measure() == Fraction(1, 2)
+    assert len(S.open_part) == 2000
+    # 2 included ends per closed arc, 1 per half-open arc, 1 per point
+    assert len(S.point_part) == 500 * 2 + 1000 + 500
 
 
 def test_rerun_is_byte_identical(tmp_path):
