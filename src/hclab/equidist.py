@@ -52,11 +52,21 @@ __all__ = [
 ]
 
 
+def _frac(x) -> np.ndarray:
+    """x - floor(x) in a new float array: ``np.mod(x, 1.0)`` bit for bit, at
+    a fraction of its cost.  The subtraction is exact (Sterbenz), and for
+    negative x both forms round the one exact value 1 - frac|x|."""
+    x = np.asarray(x, dtype=float)
+    out = np.floor(x, out=np.empty_like(x))
+    return np.subtract(x, out, out=out)
+
+
 def _mod1(arr: np.ndarray) -> np.ndarray:
-    # float % 1.0 may round up to exactly 1.0 for tiny negative inputs;
+    # x - floor(x) may round up to exactly 1.0 for tiny negative inputs;
     # fold that back to 0 so results stay in [0, 1)
-    out = np.mod(arr, 1.0)
-    return np.where(out >= 1.0, 0.0, out)
+    out = _frac(arr)
+    out[out >= 1.0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 Supported grammar: numeric constants, the variable ``x``, the literals ``pi``
 and ``e``, the binary operators ``+ - * /``, unary minus, and calls to
 ``exp``, ``ln`` (alias ``log``), ``sin``, ``cos``.  Evaluation is numpy-aware,
-so a whole grid evaluates in one call.
+so a whole grid evaluates in one call; an operation on an array that the
+evaluation itself made writes its result over that array when the dtype
+stays the same.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,12 @@ import numpy as np
 __all__ = ["Expr", "parse_expr"]
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log, "log": np.log, "sin": np.sin, "cos": np.cos}
+_BINARY = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.divide),
+}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -29,13 +38,13 @@ class _Const(_Node):
     value: float
 
     def eval(self, x):
-        return self.value
+        return self.value, False
 
 
 @dataclass(frozen=True)
 class _Var(_Node):
     def eval(self, x):
-        return x
+        return x, False
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,7 @@ class _Neg(_Node):
     arg: _Node
 
     def eval(self, x):
-        return -self.arg.eval(x)
+        return _apply(operator.neg, np.negative, self.arg.eval(x))
 
 
 @dataclass(frozen=True)
@@ -53,15 +62,7 @@ class _BinOp(_Node):
     right: _Node
 
     def eval(self, x):
-        a = self.left.eval(x)
-        b = self.right.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+        return _apply(*_BINARY[self.op], self.left.eval(x), self.right.eval(x))
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,25 @@ class _Call(_Node):
     arg: _Node
 
     def eval(self, x):
-        return _FUNCTIONS[self.name](self.arg.eval(x))
+        fn = _FUNCTIONS[self.name]
+        return _apply(fn, fn, self.arg.eval(x))
+
+
+def _apply(op, ufunc, *operands):
+    """``op`` of the operand values, as (value, whether that value is an
+    array this evaluation created).  The result overwrites such an array
+    when it has that array's dtype; otherwise it is new."""
+    values = [v for v, _ in operands]
+    for v, own in operands:
+        if own and ufunc.resolve_dtypes(tuple(map(_dtype, values)) + (None,))[-1] == v.dtype:
+            return ufunc(*values, out=v), True
+    out = op(*values)
+    return out, isinstance(out, np.ndarray)
+
+
+def _dtype(v):
+    # Python scalars resolve as weak types, the way ufuncs treat them
+    return v.dtype if isinstance(v, (np.ndarray, np.generic)) else type(v)
 
 
 def _convert(node: ast.AST) -> _Node:
@@ -164,7 +183,9 @@ class Expr:
         return obj
 
     def __call__(self, x):
-        return self._root.eval(x)
+        """The expression at ``x``, a number or an array; ``x`` itself is
+        never written to."""
+        return self._root.eval(x)[0]
 
     def derivative(self) -> "Expr":
         return Expr._from_node(_diff(self._root), f"d/dx({self.source})")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import padic as _padic
 from .borel import IntervalSet, arc_pieces
-from .equidist import Boundaries, OrbitCounter, _mod1
+from .equidist import BLOCK_ENTRIES, Boundaries, OrbitCounter, _mod1
 from .errors import NonPositiveWeight, PlateauResolutionFailure
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
@@ -184,8 +184,8 @@ def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogInteg
     if isinstance(w, ExprWeight):
         def midpoint(m):
             xs = (np.arange(m) + 0.5) / m
-            vals = np.log(np.asarray(w.eval_angles(xs), dtype=float))
-            return float(np.mean(vals))
+            vals = np.asarray(w.eval_angles(xs), dtype=float)
+            return float(np.mean(np.log(vals, out=vals)))
 
         coarse = midpoint(quadrature_points // 2)
         fine = midpoint(quadrature_points)
@@ -413,33 +413,41 @@ class MonotoneHit:
     witness: object = None
 
 
-def _expr_rows(w: ExprWeight, a, grid_points) -> Iterator[MonotoneHit]:
+def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[MonotoneHit]:
     """Rows from log sums on the grid; decisions stay in log space, with a
-    Lipschitz margin computed once, at the first one-sided row."""
+    Lipschitz margin computed once, at the first one-sided row.  The log
+    sums come in blocks of ``horizon`` rows, fewer when a block would hold
+    more than ``BLOCK_ENTRIES`` entries, and at least one."""
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
+    block = max(1, min(horizon, BLOCK_ENTRIES // grid_points))
     acc = np.zeros(grid_points)
     log_lip = None
-    for n in itertools.count(1):
-        pts = _mod1(xs - (n - 1) * af)
-        acc = acc + np.log(np.asarray(w.eval_angles(pts), dtype=float))
-        mn, mx = float(acc.min()), float(acc.max())
-        if not (mn >= 0.0 or mx <= 0.0):
-            yield MonotoneHit(n, None, False, False, math.exp(mn), math.exp(mx))
-            continue
-        if log_lip is None:
-            d = w.expr.derivative()
-            dv = np.abs(np.asarray(d(xs), dtype=float))
-            wv = np.asarray(w.eval_angles(xs), dtype=float)
-            log_lip = 2.0 * float(np.max(dv / wv))
-        up = mn >= 0.0
-        gap = mn if up else -mx
-        certified = gap - n * log_lip / (2 * grid_points) >= 0.0
-        i = int(np.argmin(acc) if up else np.argmax(acc))
-        yield MonotoneHit(
-            n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
-            math.exp(mn), math.exp(mx), witness=float(xs[i]),
-        )
+    for start in itertools.count(0, block):
+        # row n adds ln w at the orbit's term n-1, x - (n-1)a
+        pts = _mod1(xs - np.arange(start, start + block, dtype=float)[:, None] * af)
+        logs = np.log(w.eval_angles(pts), out=pts)
+        logs[0] += acc
+        np.cumsum(logs, axis=0, out=logs)
+        acc = logs[-1].copy()
+        mins, maxs = logs.min(axis=1), logs.max(axis=1)
+        for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):
+            if not (mn >= 0.0 or mx <= 0.0):
+                yield MonotoneHit(n, None, False, False, math.exp(mn), math.exp(mx))
+                continue
+            if log_lip is None:
+                d = w.expr.derivative()
+                dv = np.abs(np.asarray(d(xs), dtype=float))
+                wv = np.asarray(w.eval_angles(xs), dtype=float)
+                log_lip = 2.0 * float(np.max(dv / wv))
+            up = mn >= 0.0
+            gap = mn if up else -mx
+            certified = gap - n * log_lip / (2 * grid_points) >= 0.0
+            i = int(np.argmin(row) if up else np.argmax(row))
+            yield MonotoneHit(
+                n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
+                math.exp(mn), math.exp(mx), witness=float(xs[i]),
+            )
 
 
 def _exact_hit(n: int, points, values, den) -> MonotoneHit:
@@ -458,11 +466,12 @@ def _exact_hit(n: int, points, values, den) -> MonotoneHit:
 
 def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
     """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
-    the ``grid_points``-point grid for expression weights, exactly for step
-    (``circle_step_rows``, whose first block of rows ends at ``horizon``),
+    the ``grid_points``-point grid for expression weights, in blocks of
+    ``horizon`` rows; exactly for step (``circle_step_rows``, whose first
+    block of rows ends at ``horizon``),
     finite and p-adic table weights (``step_products``)."""
     if isinstance(w, ExprWeight):
-        return _expr_rows(w, a, grid_points)
+        return _expr_rows(w, a, grid_points, horizon)
     if isinstance(w, StepWeight):
         if not w.is_exact:
             raise NonPositiveWeight("exact scan requires rational step values")
@@ -498,8 +507,8 @@ class ProductWalk:
     Each n is computed once, when the first reader reaches it, and only
     these small per-n results are kept; the row itself lives in the walk's
     generator only while it is current.  Nothing runs before the first read.
-    ``horizon`` is the n the readers are expected to reach: circle step rows
-    come in blocks, and the first ends there.
+    ``horizon`` is the n the readers are expected to reach: circle rows come
+    in blocks, and the first ends there.
     """
 
     def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
-from .equidist import Boundaries, Translates, sweep_blocks
+from .equidist import Boundaries, Translates, _frac, sweep_blocks
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import (CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext,
@@ -160,8 +160,7 @@ class ExprWeight(Weight):
             raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
 
     def eval_angles(self, t):
-        shifted = np.mod(np.asarray(t, dtype=float) + float(self._offset), 1.0)
-        return self.expr(shifted)
+        return self.expr(_frac(np.asarray(t, dtype=float) + float(self._offset)))
 
     def value_at(self, x) -> float:
         t = float(getattr(x, "value", x))
@@ -173,7 +172,7 @@ class ExprWeight(Weight):
             d = self.expr.derivative()
         except Exception:
             return math.inf
-        xs = np.mod((np.arange(grid_points) + 0.5) / grid_points + float(self._offset), 1.0)
+        xs = _frac((np.arange(grid_points) + 0.5) / grid_points + float(self._offset))
         vals = np.abs(np.asarray(d(xs), dtype=float))
         return 2.0 * float(np.max(vals))
 

@@ -1,11 +1,13 @@
 """Every seed-0 spec of the benchmark's workloads (``perfbench/workloads.py``)
 passes ``validate``, so a stricter validation cannot turn the benchmark's
 specs into failures; the circle step walks of the exact-step specs agree
-with the exact oracle, and the exhaustive p-adic counts of the ball sets
-agree with the count on the full context.  The generators are loaded
-read-only, by path."""
+with the exact oracle, the expression-weight walks and log integrals of the
+circle-float specs with the out-of-place oracle, and the exhaustive p-adic
+counts of the ball sets with the count on the full context.  The generators
+are loaded read-only, by path."""
 
 import importlib.util
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import expr_oracle
 from circle_oracle import row_pairs, step_values_at
 from hclab.cli import parse_spec, validate
 from hclab.equidist import density, sup_deviation
 from hclab.groups import OrbitSequence
+from hclab.hctest import log_integral_report, monotone_rows
 from hclab.weights import StepWeight, circle_step_rows
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -53,6 +57,23 @@ def test_bench_step_walks_match_the_oracle():
         for n, (points, row, den) in zip(range(1, 9), rows):
             assert row_pairs(points, row, den) == rows_at(n), (case.id, n)
     assert walks > 0
+
+
+def test_bench_expr_walks_match_the_oracle():
+    # every row the verdict can read, with the spec's n_max as the horizon,
+    # and the midpoint log integral, bit for bit
+    cases = GENERATORS["circle-float"](0)
+    for case in cases:
+        spec, _ = parse_spec(case.spec, case.task)
+        config = spec.verdict_config()
+        w, a, n_max = spec.weight, spec.element, config.monotone_n_max
+        rows = itertools.islice(monotone_rows(w, a, config.monotone_grid, n_max), n_max)
+        expected = itertools.islice(expr_oracle.monotone_rows(w, a, config.monotone_grid), n_max)
+        assert list(rows) == list(expected), case.id
+        log = log_integral_report(w, config.quadrature_points)
+        value, gap = expr_oracle.log_integral(w, config.quadrature_points)
+        assert np.array([log.value, log.richardson_gap]).tobytes() == np.array([value, gap]).tobytes(), case.id
+    assert cases
 
 
 def _full_context_counts(K, seq, N):

@@ -411,6 +411,43 @@ def test_sup_deviation_at_the_denominator_limit():
 
 
 # ---------------------------------------------------------------------------
+# the float remainder
+
+_REMAINDER_CASES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    # tiny negatives whose remainder rounds up to 1.0
+    -1e-17, -1e-300, -2.0 ** -54,
+    2.0 ** 52, -(2.0 ** 52) - 1.0, 2.0 ** 52 + 0.5, 2.0 ** 60, -(2.0 ** 60), 1.7e308, -1.7e308,
+    math.inf, -math.inf, math.nan, -math.nan,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=24),
+       st.sampled_from(["0-d", "1-d", "2-d"]))
+def test_frac_is_np_mod_bit_for_bit(drawn, shape):
+    values = np.array(drawn + _REMAINDER_CASES)
+    if shape == "0-d":
+        inputs = [np.array(v) for v in values]
+    elif shape == "1-d":
+        inputs = [values]
+    else:
+        inputs = [values.reshape(len(values), 1), values[:len(values) // 2 * 2].reshape(2, -1)]
+    with np.errstate(invalid="ignore"):
+        for x in inputs:
+            got = equidist._frac(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.uint64), np.asarray(np.mod(x, 1.0)).view(np.uint64))
+
+
+def test_mod1_folds_a_remainder_of_one_to_zero():
+    x = np.array([-1e-17, -1e-300, -0.25, 0.5, 3.0])
+    assert np.mod(x[:2], 1.0).tolist() == [1.0, 1.0]
+    assert equidist._mod1(x).tolist() == [0.0, 0.0, 0.75, 0.5, 0.0]
+    assert equidist._mod1(np.array(-1e-17)).tolist() == 0.0
+
+
+# ---------------------------------------------------------------------------
 # ergodic averages and the character bound
 
 

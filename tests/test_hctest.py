@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import expr_oracle
 from hclab.borel import IntervalSet, interval
 from hclab.errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from hclab.exprs import Expr
@@ -184,6 +185,14 @@ def test_log_integral_quadrature():
     report = log_integral_report(ExprWeight("exp(sin(2*pi*x) + 1/10)"))
     assert abs(report.value - 0.1) < 1e-6
     assert report.richardson_gap < 1e-9
+
+
+@pytest.mark.parametrize("source", ["2", "2 + 0*x", "exp(sin(2*pi*(x-0.3)) + 1/10)"])
+def test_midpoint_log_integral_matches_the_oracle(source):
+    for w in (ExprWeight(source), ExprWeight(source).translate(CIRCLE.from_float(0.375))):
+        report = log_integral_report(w, 4096)
+        value, gap = expr_oracle.log_integral(w, 4096)
+        assert np.array([report.value, report.richardson_gap]).tobytes() == np.array([value, gap]).tobytes()
 
 
 def test_log_integral_step_exact_zero():

@@ -2,15 +2,18 @@
 weight-power rows read by the verdict, ``monotone_power_scan`` and
 ``scan.csv``."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import expr_oracle
 from hclab.borel import interval
-from hclab.equidist import Sweep, _mod1
+from hclab.equidist import BLOCK_ENTRIES, Sweep
 from hclab.groups import CIRCLE
 from hclab.hctest import MonotoneHit, monotone_power_scan, monotone_rows
 from hclab.weights import ExprWeight, StepFunction, StepWeight
@@ -18,14 +21,15 @@ from hclab.weights import ExprWeight, StepFunction, StepWeight
 
 def _scan_expr_weight(w, a, n_max, grid_points, require_strict):
     """The expression-weight scan as it was written before the rows existed:
-    log sums on the grid, a Lipschitz margin for the ``certified`` flag."""
+    log sums on the grid, a Lipschitz margin for the ``certified`` flag;
+    remainders by ``np.mod`` and weights by the out-of-place tree walk."""
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
     acc = np.zeros(grid_points)
     log_lip = None
     for n in range(1, n_max + 1):
-        pts = _mod1(xs - (n - 1) * af)
-        acc = acc + np.log(np.asarray(w.eval_angles(pts), dtype=float))
+        pts = expr_oracle.mod1(xs - (n - 1) * af)
+        acc = acc + np.log(np.asarray(expr_oracle.weight_at(w, pts), dtype=float))
         mn, mx = float(acc.min()), float(acc.max())
         hit = None
         if mn >= 0.0:
@@ -34,10 +38,7 @@ def _scan_expr_weight(w, a, n_max, grid_points, require_strict):
             hit = ("<=1", mn < 0.0, -mx)
         if hit and (hit[1] or n == 1 or not require_strict):
             if log_lip is None:
-                d = w.expr.derivative()
-                dv = np.abs(np.asarray(d(xs), dtype=float))
-                wv = np.asarray(w.eval_angles(xs), dtype=float)
-                log_lip = 2.0 * float(np.max(dv / wv))
+                log_lip = expr_oracle.log_lipschitz(w, xs)
             margin = n * log_lip / (2 * grid_points)
             certified = hit[2] - margin >= 0.0
             i = int(np.argmin(acc) if hit[0] == ">=1" else np.argmax(acc))
@@ -70,6 +71,42 @@ def test_expr_scan_matches_oracle(case, grid_points, n_max, strict):
     w, a = case
     expected = _scan_expr_weight(w, a, n_max, grid_points, strict)
     assert monotone_power_scan(w, a, n_max, grid_points, require_strict=strict) == expected
+
+
+# one sine weight that stays two-sided, one that turns one-sided at n = 2,
+# one whose log touches 0 on the grid (one-sided but not certified), a
+# translated one, a constant
+_ROW_WEIGHTS = [
+    ExprWeight("exp(0.7*sin(2*pi*(x-0.3)))"),
+    ExprWeight("exp(0.312*sin(2*pi*(x-0.847)) + 0.247)"),
+    ExprWeight("exp(0.3*sin(2*pi*x) + 0.3)"),
+    ExprWeight("exp(0.5*cos(2*pi*x) - 0.05)").translate(CIRCLE.from_float(0.125)),
+    ExprWeight("2"),
+]
+
+
+@pytest.mark.parametrize("grid_points, horizon", [
+    (64, 1), (1024, 7), (256, 50),
+    # BLOCK_ENTRIES // grid_points = 5 rows per block, fewer than the horizon
+    (BLOCK_ENTRIES // 5 - 1, 7),
+])
+def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
+    # the oracle reads no ``eval_angles``; the walk's 2-D reads are its blocks
+    blocks = []
+    eval_angles = ExprWeight.eval_angles
+
+    def recorded(self, t):
+        if np.ndim(t) == 2:
+            blocks.append(len(t))
+        return eval_angles(self, t)
+
+    monkeypatch.setattr(ExprWeight, "eval_angles", recorded)
+    a = CIRCLE.from_float((math.sqrt(5) - 1) / 2)
+    n = 2 * horizon + 3
+    for w in _ROW_WEIGHTS:
+        got = list(itertools.islice(monotone_rows(w, a, grid_points, horizon), n))
+        assert got == list(itertools.islice(expr_oracle.monotone_rows(w, a, grid_points), n)), w
+    assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
 
 
 def test_step_walk_reads_one_translate_per_one_sided_row(monkeypatch):
