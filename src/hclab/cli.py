@@ -400,8 +400,9 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         diags.append("characters: character sweeps need the circle group")
     if "N_list" in horizons:
         # circle statistics hold up to N residues per orbit
-        _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags,
-                        MAX_CIRCLE_HORIZON if group is CIRCLE else None)
+        if _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags,
+                           MAX_CIRCLE_HORIZON if group is CIRCLE else None) == []:
+            diags.append("horizons.N_list: expected at least one horizon")
     sections = {"horizons": horizons, "tolerances": tolerances}
     for section, key, minimum in _INT_SETTINGS:
         if key in sections[section]:
@@ -493,18 +494,17 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 
 
 def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
-    N_list = [int(n) for n in spec.horizons.get("N_list", [10, 100, 1000])]
+    Ns = sorted({int(n) for n in spec.horizons.get("N_list", [10, 100, 1000])})
     seq = OrbitSequence(spec.group, spec.element)
     rows = []
     summary = []
-    for set_id, K in zip(spec.set_ids, spec.sets):
-        for N in sorted(N_list):
-            dev = sup_deviation(K, seq, N)
+    for set_id, devs in zip(spec.set_ids, sup_deviation(spec.sets, seq, Ns)):
+        for N, dev in zip(Ns, devs):
             rows.append([N, set_id, repr(dev), ""])
             summary.append({"N": N, "set_id": set_id, "sup_deviation": dev})
     for k in spec.characters:
         f = TestFunction.character(k)
-        for point in uniform_convergence_sweep(f, spec.element, sorted(N_list)):
+        for point in uniform_convergence_sweep(f, spec.element, Ns):
             bound = "" if point.bound is None else repr(point.bound)
             rows.append([point.N, f"char{k}", repr(point.sup_deviation), bound])
             summary.append(

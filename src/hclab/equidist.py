@@ -9,7 +9,11 @@ the denominator D of the rotation's exact angle, and the supremum over
 translates of |density - measure| is computed exactly: the translated count
 is piecewise constant in the translate, with breakpoints at the set
 boundaries shifted by orbit points, so the counts at those event positions
-and on the cells between them realize the supremum.  Finite and p-adic
+and on the cells between them realize the supremum.  A spec's orbit is
+sorted once per horizon and shared by all its sets; a set has one event row
+per distinct boundary position, so a closed arc takes two rows; and the
+counts come from cumulative sums of the events' count changes, read at the
+last event of each position (``Boundaries.counts``).  Finite and p-adic
 contexts are exhausted, by one count over their shared group surface
 (``mul``, ``elements``).  A p-adic ball set whose finest ball has level j
 is a union of cosets of p^j Z_p, so its counts are taken on the quotient
@@ -19,6 +23,7 @@ and the translates projected there (``_resolved``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,7 +86,9 @@ class OrbitCounter:
     of the rotation's exact angle; the sorted distinct residues are held in
     uint64 with their multiplicities.  ``count_in_translated`` counts the
     points v with v + x in K at explicit translates x, and ``sup_candidates``
-    sweeps all translates at once.  Nothing is rounded.
+    counts at every translate at once, from the cumulative sums of
+    ``Boundaries.counts`` over one event row per distinct boundary position
+    of a set.  Nothing is rounded.
     """
 
     def __init__(self, residues: np.ndarray, counts: np.ndarray, denominator: int):
@@ -136,80 +143,79 @@ class OrbitCounter:
 
     def sup_candidates(self, bounds: "Boundaries") -> "Sweep":
         """The counts of every set of ``bounds`` at every translate, as one
-        ``Sweep``.
-
-        The events of all sets come in translate order from one
-        ``Boundaries.arrange``; the cumulative starts and stops then give
-        each set's count at every event and on every cell between
-        consecutive events, from its count on the cell that wraps past 0.
-        Everything that depends only on the sets and D is prepared once, in
-        ``bounds``, so a walk over n reuses it.
+        ``Sweep``: the counts at each event position and on the cell after
+        it (``Boundaries.counts``), in translate order.  Everything that
+        depends only on the sets and D is prepared once, in ``bounds``, so a
+        walk over n reuses it.
         """
         D = self.denominator
         if bounds.denominator != D:
             raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
-        S = bounds.sets
-        L = len(self.residues)
-        if not len(bounds.floors) or not L:
-            return Sweep(np.zeros((1, S), dtype=np.int64), D)
-        events = bounds.arrange(self.residues)
-        base = [int(self.counts[wraps].sum()) for wraps in events.wraps]
-        # each point's multiplicity times its boundary's changes, per event
-        row_of = events.order // L
-        mult = self.counts[events.order - row_of * L]
-        cell = bounds.cell[row_of] * mult
-        at = bounds.at[row_of] * mult
-        owner = bounds.owner[row_of] if S > 1 else None
-        del row_of, mult
-        starts = events.starts
-        counts = np.empty((2 * len(starts), S), dtype=np.int64)
-        for i in range(S):
-            cell_i, at_i = cell, at
-            if owner is not None:
-                cell_i, at_i = np.where(owner == i, cell, 0), np.where(owner == i, at, 0)
-            step = np.add.reduceat(cell_i, starts)
-            after = base[i] + np.cumsum(step)
-            counts[0::2, i] = after - step + np.add.reduceat(at_i, starts)
-            counts[1::2, i] = after
-        wrap_first = _wrap_first(events.ints, events.ranks, bounds.fracs, D, 0, -1)
+        repeated = self.total > len(self.residues)
+        events, counts = bounds.counts(self.residues, self.counts if repeated else None)
+        if events is None:
+            return Sweep(counts, D)
+        ints, ranks = events.positions()
+        wrap_first = _wrap_first(ints, ranks, bounds.fracs, D, 0, -1)
         if wrap_first:
             counts = np.roll(counts, 1, axis=0)
-        return Sweep(counts, D, events.ints, events.ranks, bounds.fracs, wrap_first)
+        return Sweep(counts, D, ints, ranks, bounds.fracs, wrap_first)
 
 
 @dataclass(frozen=True, eq=False)
 class Events:
-    """The events of circle points V/D against prepared ``Boundaries``, in
-    translate order (``Boundaries.arrange``).
+    """The events of circle points V/D, V in the sorted ``residues``, against
+    prepared ``Boundaries``, in translate order (``Boundaries.arrange``).
 
-    Sorted event m is boundary row ``order[m] // L`` met by point
-    ``order[m] % L``, for L points.  The distinct event positions begin at
-    the sorted events ``starts`` and sit at ``ints + fracs[ranks]`` in units
-    of 1/D.  ``wraps[i, r]`` says whether point r lies in set i on the cell
+    Sorted event m is boundary row ``rows[m]`` met by a point, at the
+    position ``ints[m] + fracs[ranks[rows[m]]]`` in units of 1/D; ``last[m]``
+    says whether it is the last event at its position, and ``ends`` lists
+    those.  ``wraps[i, r]`` says whether point r lies in set i on the cell
     that wraps past 0.
     """
 
-    order: np.ndarray
-    starts: np.ndarray
+    bounds: "Boundaries"
+    residues: np.ndarray
     ints: np.ndarray
-    ranks: np.ndarray
+    rows: np.ndarray
+    last: np.ndarray
     wraps: np.ndarray
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        return np.flatnonzero(self.last)
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integer parts and fraction ranks of the distinct positions."""
+        return self.ints[self.ends], self.bounds.ranks[self.rows[self.ends]]
+
+    def points(self) -> np.ndarray:
+        """The index in ``residues`` of each event's point: V = floor(b D)
+        minus the event's integer part, mod D."""
+        floors = self.bounds.floors[self.rows]
+        V = np.subtract(floors, self.ints)
+        np.add(V, np.uint64(self.bounds.denominator % 2 ** 64), out=V, where=self.ints > floors)
+        return np.searchsorted(self.residues, V)
 
 
 @dataclass(frozen=True, eq=False)
 class Boundaries:
     """The boundaries of one or more circle sets, prepared for ordering their
-    events with orbits of denominator D (``arrange``).
+    events with orbits of denominator D (``arrange``) and counting them
+    (``counts``).
 
-    Each boundary b is held as floor(b D) mod D (uint64) and the rank of the
-    fractional part of b D among the boundaries' (the distinct parts are
-    ``fracs``, in units of 1/D), in rank order, with its set (``owner``) and
-    the change of that set's count on the cell after the event and at the
-    event itself: an open arc excludes its ends, an isolated point counts
-    only at its event.  ``arcs`` holds, per arc, its start row, its stop
-    row, whether it wraps past 0 when the two have equal integer parts, and
-    its set.  None of this depends on the orbit, so one object serves every
-    n of a walk.
+    A set has one row per distinct boundary position b mod 1: a closed
+    arc's end point shares the row of its open part's end, so a closed arc
+    takes two rows, as an open one does.  A row holds floor(b D) mod D
+    (uint64) and the rank of the fractional part of b D among the rows' (the
+    distinct parts are ``fracs``, in units of 1/D), with its set
+    (``owner``) and the change of that set's count on the cell after the
+    event and at the event itself: an open arc excludes its ends, an
+    isolated point counts only at its event, and the changes of a shared
+    position add.  Rows are in rank order.  ``arcs`` holds, per arc, its
+    start row, its stop row, whether it wraps past 0 when the two have equal
+    integer parts, and its set.  None of this depends on the orbit, so one
+    object serves every n of a walk.
     """
 
     sets: int
@@ -223,73 +229,137 @@ class Boundaries:
     arcs: tuple
 
     def arrange(self, residues: np.ndarray) -> Events:
-        """The events of the points V/D, V in ``residues``, in translate
-        order.
+        """The events of the points V/D, V in the sorted ``residues``, in
+        translate order.
 
         A boundary b meets the point V/D when the translate is the event
         position (b D - V)/D mod 1: floor(b D) - V mod D, exactly in uint64
-        for all boundaries and points at once, plus the fractional part of
-        b D, whose rank is held here.  The rows are in fraction order, so one
-        stable sort of the integer parts orders every event.  A point lies in
-        a set on the cell that wraps past 0 when one of the set's arcs starts
-        at a position not below its stop (the arcs of a set are disjoint, so
-        at most one does).
+        for all rows and points at once, plus the fractional part of b D,
+        whose rank is held here.  The rows are in rank order, so sorting the
+        (integer part, row) pairs orders every event; the pair is packed into
+        one uint64 key when D leaves room for the row.  A point lies in a set
+        on the cell that wraps past 0 when one of the set's arcs starts at a
+        position not below its stop (the arcs of a set are disjoint, so at
+        most one does).
         """
-        L = len(residues)
+        L, B = len(residues), len(self.floors)
         # where V > floor the uint64 difference wraps past 0 and D is added
         # back (for D = 2^64 the wrap alone is the residue)
-        B = self.floors[:, None]
-        ints = np.subtract(B, residues)
-        np.add(ints, np.uint64(self.denominator % 2 ** 64), out=ints, where=residues > B)
+        floors = self.floors[:, None]
+        ints = np.subtract(floors, residues)
+        np.add(ints, np.uint64(self.denominator % 2 ** 64), out=ints, where=residues > floors)
         wraps = np.zeros((self.sets, L), dtype=bool)
         for lo, hi, tie_wraps, i in self.arcs:
             wraps[i] |= ints[lo] >= ints[hi] if tie_wraps else ints[lo] > ints[hi]
-        # the per-event arrays are dropped as soon as they are read, which
-        # keeps the peak memory near a few arrays of events
-        flat = ints.ravel()
-        del ints
-        order = np.argsort(flat, kind="stable")
-        event_ints = flat[order]
-        del flat
-        event_ranks = self.ranks[order // L]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (event_ints[1:] != event_ints[:-1]) | (event_ranks[1:] != event_ranks[:-1])
-        starts = np.flatnonzero(new)
-        return Events(order, starts, event_ints[starts], event_ranks[starts], wraps)
+        shift = (B - 1).bit_length()
+        # packed keys stay below 2^63, so an int64 view of them reads the rows
+        if self.denominator <= 2 ** (63 - shift):
+            np.left_shift(ints, np.uint64(shift), out=ints)
+            ints |= np.arange(B, dtype=np.uint64)[:, None]
+            keys = ints.ravel()
+            keys.sort()
+            rows = keys.view(np.int64) & ((1 << shift) - 1)
+            ints = np.right_shift(keys, np.uint64(shift), out=keys)
+        else:
+            order = np.argsort(ints, axis=None, kind="stable")
+            rows, ints = order // L, ints.ravel()[order]
+        last = np.ones(len(ints), dtype=bool)
+        np.not_equal(ints[1:], ints[:-1], out=last[:-1])
+        tied = np.flatnonzero(~last[:-1])
+        last[tied] = self.ranks[rows[tied]] != self.ranks[rows[tied + 1]]
+        return Events(self, residues, ints, rows, last, wraps)
+
+    def counts(self, residues: np.ndarray,
+               mults: np.ndarray | None = None) -> tuple[Events | None, np.ndarray]:
+        """Every set's count of the points V/D, V in the sorted ``residues``
+        with multiplicities ``mults`` (all 1 when None), at each event
+        position and on the cell after it: ``(events, counts)`` with set i's
+        count at position g in ``counts[2g, i]`` and on the cell after it in
+        ``counts[2g + 1, i]``.  With no events, ``(None, zeros((1, sets)))``:
+        every count is 0.
+
+        An event changes its set's count by its row's change times its
+        point's multiplicity.  From the count on the cell that wraps past 0,
+        the cumulative sums of the cell changes, read at the last event of
+        each position, are the counts on the cells; the count at a position
+        is the count on the cell after it less the changes of its events
+        that take effect only after it (cell minus at): the last event's,
+        plus those of the earlier events at the same position.
+        """
+        S = self.sets
+        if not len(self.floors) or not len(residues):
+            return None, np.zeros((1, S), dtype=np.int64)
+        events = self.arrange(residues)
+        rows, ends = events.rows, events.ends
+        mult = None if mults is None else mults[events.points()]
+        # the events followed by one at the same position, and that position
+        tied = np.flatnonzero(~events.last)
+        tied_at = np.searchsorted(ends, tied)
+        out = np.empty((2 * len(ends), S), dtype=np.int64)
+        for i in range(S):
+            mine = self.owner == i
+            after = np.take(np.where(mine, self.cell, 0), rows)
+            late = np.take(np.where(mine, self.cell - self.at, 0), rows)
+            if mult is None:
+                base = np.count_nonzero(events.wraps[i])
+            else:
+                base = mults[events.wraps[i]].sum()
+                after *= mult
+                late *= mult
+            np.cumsum(after, out=after)
+            after = after[ends]
+            after += base
+            late, late_tied = late[ends], late[tied]
+            np.add.at(late, tied_at, late_tied)
+            np.subtract(after, late, out=out[0::2, i])
+            out[1::2, i] = after
+        return events, out
 
     @classmethod
     def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
         D = denominator
         if D > MAX_ORBIT_DENOMINATOR:
             raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
-        # (boundary, set, change on the cell after, change at the event)
-        ends = []
+        # (set, numerator and denominator of b mod 1) -> [change on the
+        # cell after, change at the event]
+        changes: dict = {}
+        arcs = []
+
+        def change(i, b, cell, at):
+            key = (i, b.numerator % b.denominator, b.denominator)
+            row = changes.setdefault(key, [0, 0])
+            row[0] += cell
+            row[1] += at
+            return key
+
         for i, K in enumerate(sets):
             for lo, hi in K.open_part:
-                ends += [(lo, i, 1, 0), (hi, i, -1, -1)]
-            ends += [(pt, i, 0, 1) for pt in K.point_part]
-        if not ends:
+                arcs.append((change(i, lo, 1, 0), change(i, hi, -1, -1), i))
+            for pt in K.point_part:
+                change(i, pt, 0, 1)
+        if not changes:
             empty = np.zeros(0, dtype=np.uint64)
             return cls(len(sets), D, empty, empty, (), empty, empty, empty, ())
-        bs, owner, cell, at = zip(*ends)
-        floors = np.array([b.numerator * D // b.denominator % D for b in bs], dtype=np.uint64)
+        keys = list(changes)
+        floors = np.array([n * D // d for _, n, d in keys], dtype=np.uint64)
         # the fractional parts of b D, as numerators over a common denominator
-        M = math.lcm(*(b.denominator for b in bs))
-        keys = [b.numerator * D % b.denominator * (M // b.denominator) for b in bs]
-        distinct = sorted(set(keys))
+        M = math.lcm(*(d for _, _, d in keys))
+        fracs = [n * D % d * (M // d) for _, n, d in keys]
+        distinct = sorted(set(fracs))
         rank_of = {k: r for r, k in enumerate(distinct)}
-        ranks = np.array([rank_of[k] for k in keys], dtype=np.int32)
-        # rows in fraction order, so that a stable sort of the integer parts
+        ranks = np.array([rank_of[k] for k in fracs], dtype=np.int32)
+        # rows in rank order, so that sorting (integer part, row) pairs
         # leaves equal integer parts in fraction order
-        rows = np.argsort(ranks, kind="stable")
-        position = np.empty_like(rows)
-        position[rows] = np.arange(len(rows))
+        order = np.argsort(ranks, kind="stable")
+        ranks = ranks[order]
+        row_of = {keys[j]: r for r, j in enumerate(order.tolist())}
+        cell, at = zip(*(changes[k] for k in keys))
         return cls(
-            len(sets), D, floors[rows], ranks[rows], tuple(Fraction(k, M) for k in distinct),
-            np.array(owner, dtype=np.int32)[rows],
-            np.array(cell, dtype=np.int8)[rows], np.array(at, dtype=np.int8)[rows],
-            tuple((int(position[j]), int(position[j + 1]), bool(ranks[j] >= ranks[j + 1]), owner[j])
-                  for j, e in enumerate(ends) if e[2] == 1),
+            len(sets), D, floors[order], ranks, tuple(Fraction(k, M) for k in distinct),
+            np.array([i for i, _, _ in keys], dtype=np.int32)[order],
+            np.array(cell, dtype=np.int64)[order], np.array(at, dtype=np.int64)[order],
+            tuple((row_of[lo], row_of[hi], bool(ranks[row_of[lo]] >= ranks[row_of[hi]]), i)
+                  for lo, hi, i in arcs),
         )
 
 
@@ -303,7 +373,9 @@ class Sweep:
     wraps past 0 to the first.  Candidates run in increasing translate order
     over [0, 1), and ``counts[j, i]`` is set i's count at candidate j.  With
     no events (no set boundaries, or no points) the only candidate is the
-    translate 0.
+    translate 0.  The events are the distinct positions of the sorted
+    orbit's events against one row per boundary position of a set, and the
+    counts are cumulative sums of their changes (``Boundaries.counts``).
 
     Event g sits at ``event_ints[g] + fracs[event_ranks[g]]``, in units of
     1/D.
@@ -449,12 +521,16 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     if not len(bounds.floors):
         return SweepBlock(start, D, np.zeros((rows, S), dtype=np.int64), np.arange(rows + 1),
                           empty, empty, empty, bounds.fracs, np.zeros(rows, dtype=bool))
-    events = bounds.arrange(residues)
-    B, G = len(bounds.floors), len(events.starts)
-    group = np.empty(B * P, dtype=np.int64)
-    group[events.order] = np.repeat(np.arange(G), np.diff(events.starts, append=B * P))
-    group = group.reshape(B, P)
-    birth = np.minimum.reduceat(events.order % P, events.starts)
+    order = np.argsort(residues)
+    events = bounds.arrange(residues[order])
+    term = order[events.points()]
+    B, G = len(bounds.floors), len(events.ends)
+    group = np.empty((B, P), dtype=np.int64)
+    group[events.rows, term] = np.repeat(np.arange(G), np.diff(events.ends, prepend=-1))
+    birth = np.minimum.reduceat(term, np.concatenate(([0], events.ends[:-1] + 1)))
+    wraps = np.empty_like(events.wraps)
+    wraps[:, order] = events.wraps
+    ints, ranks = events.positions()
 
     # (sum, point, times): sum 0 gathers the terms below start, sum j >= 1 is
     # the term start + j - 1
@@ -467,7 +543,7 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     slots = 2 * group[:, points]
     np.add.at(steps, (sums, slots, owner), at * times)
     np.add.at(steps, (sums, slots + 1, owner), (cell - at) * times)
-    sets, wrapping = np.nonzero(events.wraps[:, points])
+    sets, wrapping = np.nonzero(wraps[:, points])
     np.add.at(steps, (sums[wrapping], 0, sets), times[wrapping])
     np.cumsum(steps, axis=1, out=steps)
     np.cumsum(steps, axis=0, out=steps)
@@ -477,7 +553,7 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     # once per run of rows that share them
     ends = alive.argmax(axis=1) * G + (G - 1 - alive[:, ::-1].argmax(axis=1))
     runs = np.flatnonzero(np.diff(ends, prepend=-1))
-    rules = [_wrap_first(events.ints, events.ranks, bounds.fracs, D, e // G, e % G)
+    rules = [_wrap_first(ints, ranks, bounds.fracs, D, e // G, e % G)
              for e in ends[runs].tolist()]
     wrap_first = np.repeat(rules, np.diff(runs, append=rows))
     offsets = np.zeros(rows + 1, dtype=np.int64)
@@ -490,8 +566,7 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
         source[offsets[:-1][wrap_first]] = offsets[1:][wrap_first] - 1
         candidates = candidates[source]
     counts = steps[row_of + 1, candidates]
-    return SweepBlock(start, D, counts, offsets, birth, events.ints, events.ranks, bounds.fracs,
-                      wrap_first)
+    return SweepBlock(start, D, counts, offsets, birth, ints, ranks, bounds.fracs, wrap_first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,31 +650,62 @@ def translated_density(K, x, seq: OrbitSequence, N: int) -> Fraction:
     return Fraction(_terms_in_set(K, seq, N, translate=x), N)
 
 
-def sup_deviation(K, seq: OrbitSequence, N: int) -> float:
+def sup_deviation(K, seq: OrbitSequence, N):
     """sup over translates x of |translated density - measure(K)|.
 
-    Exact on the circle: the counts at every event position and on every
-    cell between them (``OrbitCounter.sup_candidates``).  Finite and p-adic
-    contexts are exhausted on the coarsest context that resolves K
-    (``_resolved``): the orbit's support is built once there and counted at
-    every translate that context enumerates, one per coset of the finest
-    ball of a p-adic set.
+    ``K`` and ``N`` may both be lists, of sets and of horizons: the result
+    is then a list over the sets of their deviations, each a list over the
+    horizons.  On the circle the counts are exact: the orbit is sorted once
+    per N and shared by every set, each set's boundaries are prepared once,
+    and the counts at every event position and on every cell between them
+    come from cumulative sums (``OrbitCounter.sup_candidates``).
+    Finite and p-adic contexts are exhausted on the coarsest context that
+    resolves K (``_resolved``): the orbit's support is built there and
+    counted at every translate that context enumerates, one per coset of the
+    finest ball of a p-adic set.
     """
-    if N < 2:
+    many = isinstance(K, (list, tuple))
+    if many != isinstance(N, (list, tuple)):
+        raise TypeError("sup_deviation takes one set and one N, or a list of each")
+    sets, Ns = (K, [int(n) for n in N]) if many else ([K], [int(N)])
+    if min(Ns, default=2) < 2:
         raise ValueError("need N >= 2")
-    mu = K.measure()
     if isinstance(seq.group, CircleGroup):
-        counter = OrbitCounter.from_sequence(seq, N)
-        counts = counter.sup_candidates(Boundaries.prepare(counter.denominator, K)).counts
-        lo, hi = int(counts.min()), int(counts.max())
+        extremes = _circle_extremes(sets, seq, Ns)
     else:
-        K, seq, _ = _resolved(K, seq)
-        group, support = seq.group, seq.residue_support(N)
-        counts = [_support_count(K, group, support, x) for x in group.elements()]
-        lo, hi = min(counts), max(counts)
-    # |count/N - mu| is extremal at the extreme counts; finish in exact
-    # rational arithmetic so trivial cases come out exact
-    return float(max(abs(Fraction(hi, N) - mu), abs(Fraction(lo, N) - mu)))
+        extremes = [[_exhaustive_extremes(S, seq, n) for n in Ns] for S in sets]
+    out = []
+    for S, row in zip(sets, extremes):
+        mu = S.measure()
+        # |count/N - mu| is extremal at the extreme counts; finish in exact
+        # rational arithmetic so trivial cases come out exact
+        out.append([float(max(abs(Fraction(hi, n) - mu), abs(Fraction(lo, n) - mu)))
+                    for n, (lo, hi) in zip(Ns, row)])
+    return out if many else out[0][0]
+
+
+def _circle_extremes(sets, seq: OrbitSequence, Ns: list[int]) -> list[list[tuple[int, int]]]:
+    """Per set, the least and greatest count over all translates at each N,
+    from one sorted orbit per N and each set's boundaries prepared once."""
+    if not sets:
+        return []
+    bounds = [Boundaries.prepare(seq.element.value.denominator, S) for S in sets]
+    out = [[] for _ in sets]
+    for n in Ns:
+        counter = OrbitCounter.from_sequence(seq, n)
+        for row, b in zip(out, bounds):
+            counts = counter.sup_candidates(b).counts
+            row.append((int(counts.min()), int(counts.max())))
+    return out
+
+
+def _exhaustive_extremes(K, seq: OrbitSequence, N: int) -> tuple[int, int]:
+    """The least and greatest count over every translate of an enumerable
+    context, on the coarsest context that resolves K."""
+    K, seq, _ = _resolved(K, seq)
+    group, support = seq.group, seq.residue_support(N)
+    counts = [_support_count(K, group, support, x) for x in group.elements()]
+    return min(counts), max(counts)
 
 
 # ---------------------------------------------------------------------------

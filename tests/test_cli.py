@@ -74,6 +74,7 @@ def test_validate_rejects_bad_characters_and_horizons(tmp_path, capsys):
     cases = [
         (circle_spec(characters=["x"]), "characters"),
         (circle_spec(characters=[1], horizons={"N_list": [1]}), "horizons.N_list"),
+        (circle_spec(characters=[2], horizons={"N_list": []}), "horizons.N_list"),
         (circle_spec(characters=[1], horizons={"N_list": [10, "y"]}), "horizons.N_list"),
     ]
     for i, (payload, field) in enumerate(cases):
@@ -291,6 +292,22 @@ def test_equidist_run_golden_monotone_deviation(tmp_path):
     assert lines[0] == "N,set_id,sup_deviation,bound"
     devs = [float(l.split(",")[2]) for l in lines[1:]]
     assert devs == sorted(devs, reverse=True)
+
+
+def test_equidist_rows_read_one_sorted_horizon_list(tmp_path):
+    # a repeated or unsorted horizon gives one row per set and N, as it does
+    # per character
+    spec = write_spec(
+        tmp_path,
+        circle_spec(sets=[[["0", "1/2"], "half_open"]], characters=[2],
+                    horizons={"N_list": [100, 10, 100]}),
+    )
+    out = tmp_path / "eq"
+    assert main(["equidist", "--spec", spec, "--out-dir", str(out)]) == 0
+    keys = [tuple(l.split(",")[:2]) for l in (out / "equidist.csv").read_text().splitlines()[1:]]
+    assert keys == [("10", "set0"), ("100", "set0"), ("10", "char2"), ("100", "char2")]
+    rows = json.loads((out / "report.json").read_text())["results"]["equidist"]["rows"]
+    assert [(r["N"], r["set_id"]) for r in rows] == [(int(N), k) for N, k in keys]
 
 
 def test_hctest_run_writes_scan(tmp_path):

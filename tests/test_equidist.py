@@ -279,29 +279,67 @@ ORACLE = settings(max_examples=40, deadline=None)
 @st.composite
 def near_rational_cases(draw):
     """A float p/q + {0, +-1e-16, 2^-45} or a declared rational p/q (q <= 97);
-    1-3 arcs with mixed ends plus up to two isolated points; N <= 300."""
+    1-3 sets, each of 1-3 arcs with mixed ends (closed ones among them) plus
+    up to two isolated points, all ends drawn from one small pool, so that
+    points sit on arc ends and sets share ends, and many of them on the grid
+    1/q, so that events meet at one position; 1-3 horizons N <= 160, which
+    often pass q + 1, where the points of a declared rational carry
+    multiplicities."""
     q = draw(st.integers(2, 97))
     if draw(st.booleans()):
         shift = draw(st.sampled_from([0.0, 1e-16, -1e-16, 2.0 ** -45]))
         a = CIRCLE.from_float(draw(st.integers(1, q - 1)) / q + shift)
     else:
         a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
-    K = IntervalSet.empty()
+    # ends on the grid 1/q make events of a declared rational meet
+    grid = st.integers(1, q - 1).map(lambda k: Fraction(k, q))
+    pool = sorted({Fraction(0), Fraction(1), *draw(st.lists(grid, min_size=1, max_size=3)),
+                   *draw(st.lists(st.fractions(0, 1, max_denominator=97), max_size=3))})
+    sets = []
     for _ in range(draw(st.integers(1, 3))):
-        den = draw(st.integers(2, 97))
-        lo = draw(st.integers(0, den - 1))
-        hi = draw(st.integers(lo + 1, den))
-        K = K.union(interval(Fraction(lo, den), Fraction(hi, den), draw(st.sampled_from(VARIANTS))))
-    points = draw(st.lists(st.fractions(0, 1).filter(lambda f: f < 1 and f.denominator <= 97), max_size=2))
-    K = K.union(IntervalSet.from_pieces([], points))
-    return a, K, draw(st.integers(2, 300))
+        K = IntervalSet.empty()
+        for _ in range(draw(st.integers(1, 3))):
+            lo = draw(st.sampled_from(pool[:-1]))
+            hi = draw(st.sampled_from([b for b in pool if b > lo]))
+            K = K.union(interval(lo, hi, draw(st.sampled_from(VARIANTS))))
+        points = draw(st.lists(st.sampled_from(pool[:-1]), max_size=2))
+        sets.append(K.union(IntervalSet.from_pieces([], points)))
+    Ns = draw(st.lists(st.integers(2, 160), min_size=1, max_size=3, unique=True))
+    return a, sets, Ns
+
+
+def _assert_spec_level_deviations(a, sets, Ns):
+    # one call for every set and horizon, as a spec makes it
+    want = [[oracle.sup_deviation(K, a, N) for N in Ns] for K in sets]
+    assert sup_deviation(sets, OrbitSequence(CIRCLE, a), Ns) == want
+
+
+def test_spec_level_deviations_at_shared_fused_and_repeated_points():
+    # a closed arc and a half-open one sharing the end 3/4, an isolated point
+    # at an arc end, events meeting on the grid 1/4, points of multiplicity 2-7
+    _assert_spec_level_deviations(
+        CIRCLE.element(Fraction(1, 4)),
+        [interval(Fraction(1, 4), Fraction(3, 4), "closed"),
+         interval(Fraction(3, 4), 1, "half_open").union(IntervalSet.from_pieces([], [Fraction(1, 2)]))],
+        [3, 10, 30])
+
+
+def test_sup_deviation_takes_lists_of_both_or_neither():
+    seq = OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 4)))
+    K = interval(Fraction(1, 4), Fraction(3, 4), "closed")
+    with pytest.raises(TypeError):
+        sup_deviation([K], seq, 10)
+    with pytest.raises(TypeError):
+        sup_deviation(K, seq, [10])
 
 
 @ORACLE
 @given(near_rational_cases(), st.data())
 def test_circle_counts_match_exact_oracle(case, data):
-    a, K, N = case
+    a, sets, Ns = case
+    _assert_spec_level_deviations(a, sets, Ns)
     seq = OrbitSequence(CIRCLE, a)
+    K, N = sets[0], max(Ns)
     assert sup_deviation(K, seq, N) == oracle.sup_deviation(K, a, N)
     # a translate at an event position, where the float counter went wrong
     b = data.draw(st.sampled_from(sorted({lo for lo, _ in K.open_part} | set(K.point_part))))
@@ -402,12 +440,19 @@ def test_sup_deviation_near_rational_float():
 
 
 def test_sup_deviation_at_the_denominator_limit():
-    # D = 2^64 exactly (uint64 wraparound) and D = 2^64 - 59 (modular doubling)
+    # D = 2^64 exactly (uint64 wraparound) and D = 2^64 - 59 (modular
+    # doubling); no room is left in a uint64 for a row beside the integer
+    # part, so the events are ordered without packed keys
     K = interval(Fraction(1, 3), Fraction(5, 7), "closed").union(interval(0, Fraction(1, 9), "open"))
+    # a second set sharing the end 5/7, with an isolated point at its own end
+    K2 = interval(Fraction(5, 7), Fraction(8, 9), "half_open").union(IntervalSet.from_pieces([], [Fraction(8, 9)]))
     for a in (CIRCLE.from_float(2.0 ** -12 + 2.0 ** -64),
               CIRCLE.element(Fraction(12345678901234567, 2 ** 64 - 59))):
-        for N in (2, 40):
-            assert sup_deviation(K, OrbitSequence(CIRCLE, a), N) == oracle.sup_deviation(K, a, N)
+        seq = OrbitSequence(CIRCLE, a)
+        want = [[oracle.sup_deviation(S, a, N) for N in (2, 40)] for S in (K, K2)]
+        assert sup_deviation([K, K2], seq, [2, 40]) == want
+        for N, dev in zip((2, 40), want[0]):
+            assert sup_deviation(K, seq, N) == dev
 
 
 # ---------------------------------------------------------------------------
