@@ -49,13 +49,16 @@ _TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
 # the most bits the exact log-sum of a step, finite or p-adic table weight
-# may form: it raises each value to the power c_i = m_i D, for masses m_i
-# over their common denominator D (``hctest.log_sum_bits``)
+# may form: its reported value forms prod_i v_i^(c_i), c_i = m_i D, for
+# masses m_i over their common denominator D (``hctest.log_sum_bits``).  It
+# also bounds every exponent a value has over its coprime base by 2^22
 MAX_LOG_SUM_BITS = 2 ** 22
-# integer settings and their minima
+# integer settings, their minima and maxima: a walk of n_max rows holds
+# exponents up to n_max * 2^22, below 2^62 at the circle horizon 10^7
 _INT_SETTINGS = (
-    ("horizons", "n_max", 1), ("horizons", "ul_n_max", 1), ("horizons", "k_max", 1),
-    ("tolerances", "grid_points", 1), ("tolerances", "quadrature_points", 2),
+    ("horizons", "n_max", 1, MAX_CIRCLE_HORIZON), ("horizons", "ul_n_max", 1, MAX_CIRCLE_HORIZON),
+    ("horizons", "k_max", 1, None),
+    ("tolerances", "grid_points", 1, None), ("tolerances", "quadrature_points", 2, None),
 )
 
 
@@ -95,6 +98,13 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+@functools.lru_cache(maxsize=4096)
+def _rational(text: str) -> Fraction:
+    """The rational a spec string spells; a weight's tables repeat a few
+    strings, so each is parsed once."""
+    return Fraction(text)
 
 
 def _parse_int(value, field, minimum, diags, maximum=None):
@@ -322,13 +332,13 @@ def _parse_weight(group, desc, diags):
                     E = _parse_circle_set(set_desc, diags)
                     if E is None:
                         return None
-                    pieces.append((E, Fraction(str(value))))
+                    pieces.append((E, _rational(str(value))))
                 return StepWeight(StepFunction.of(pieces))
             diags.append("weight: circle weights need 'expr' or 'step'")
             return None
         if isinstance(group, FiniteGroup):
             if isinstance(desc, dict) and "values" in desc:
-                return FiniteWeight(group, [Fraction(str(v)) for v in desc["values"]])
+                return FiniteWeight(group, [_rational(str(v)) for v in desc["values"]])
             diags.append("weight: finite weights need {'values': [...]}")
             return None
         if isinstance(group, PAdicContext):
@@ -352,8 +362,8 @@ def _parse_weight(group, desc, diags):
             size = group.prime ** (level + group.window)
             values = {}
             for key, val in table_desc["values"].items():
-                res = group.element(Fraction(str(key))).residue % size
-                values[res] = Fraction(str(val))
+                res = group.element(_rational(str(key))).residue % size
+                values[res] = _rational(str(val))
             declared = desc.get("declared_locally_constant", True)
             if not isinstance(declared, bool):
                 diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
@@ -404,9 +414,9 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
                            MAX_CIRCLE_HORIZON if group is CIRCLE else None) == []:
             diags.append("horizons.N_list: expected at least one horizon")
     sections = {"horizons": horizons, "tolerances": tolerances}
-    for section, key, minimum in _INT_SETTINGS:
+    for section, key, minimum, maximum in _INT_SETTINGS:
         if key in sections[section]:
-            _parse_int(sections[section][key], f"{section}.{key}", minimum, diags)
+            _parse_int(sections[section][key], f"{section}.{key}", minimum, diags, maximum)
     if "log_tolerance" in tolerances:
         tol = tolerances["log_tolerance"]
         try:
@@ -432,9 +442,10 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     )
 
     # task-specific requirements; a field that was given but rejected
-    # already has its own diagnostic
+    # already has its own diagnostic.  A weight given to ``all`` runs the
+    # verdict, which translates by the element
     needs_element = task in ("equidist", "hctest", "padic") or (
-        task == "all" and group is not CIRCLE
+        task == "all" and (group is not CIRCLE or raw.get("weight") is not None)
     )
     if needs_element and raw.get("element") is None:
         diags.append(f"{task}: an 'element' is required")

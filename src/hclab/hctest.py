@@ -5,8 +5,8 @@ Implemented tests, each of which a hypercyclic operator would have to pass:
 * torsion of the translation element (finite order / declared-rational
   rotation / zero p-adic step);
 * the zero-log-integral condition, computed by midpoint quadrature on the
-  circle and by exact rational product bookkeeping for step, finite and
-  p-adic table weights;
+  circle and exactly, as an exponent sum over the weight's coprime base
+  (``weights.ExponentForm``), for step, finite and p-adic table weights;
 * the monotone weight-power scan: no n-step product may be >= 1 everywhere
   or <= 1 everywhere;
 * on p-adic contexts, the locally-constant obstruction and the U/L ball
@@ -44,9 +44,11 @@ from .report import (
 from .weights import (
     CircleGrid,
     DiscretizedFunction,
+    ExponentForm,
     ExprWeight,
     FiniteWeight,
     PAdicTableWeight,
+    ProductRow,
     StepFunction,
     StepWeight,
     Weight,
@@ -105,10 +107,6 @@ def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction, 
 # the log integral
 
 
-def _ln_fraction(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
 @dataclass(frozen=True)
 class LogIntegralResult:
     value: float
@@ -119,69 +117,35 @@ class LogIntegralResult:
     richardson_gap: float | None = None
 
 
-def _log_pairs(w: Weight) -> list[tuple[Fraction, object]]:
-    """The (Haar mass, value) pieces of a step, finite or p-adic table
-    weight."""
-    if isinstance(w, StepWeight):
-        return [(E.measure(), v) for E, v in w.step.pieces]
-    if isinstance(w, FiniteWeight):
-        mass = Fraction(1, w.group.order)
-        return [(mass, v) for v in w.values]
-    if isinstance(w, PAdicTableWeight):
-        ctx = w.context
-        mass = Fraction(1, ctx.prime ** (w.level + ctx.window))
-        return [(mass, v) for v in w.table.values()]
-    raise TypeError(f"unsupported weight {w!r}")
-
-
-def _log_exponents(pairs) -> tuple[int, list[tuple[int, Fraction]]] | None:
-    """The common denominator D of the masses m_i and the exponent c_i =
-    m_i D of each value v_i, as (D, [(c_i, v_i)]); None when a value is not
-    an exact rational."""
-    masses, values = [], []
-    for m, v in pairs:
-        if not isinstance(v, (Fraction, int)):
-            return None
-        masses.append(Fraction(m))
-        values.append(Fraction(v))
-    D = math.lcm(*(m.denominator for m in masses))
-    return D, [(m.numerator * (D // m.denominator), v) for m, v in zip(masses, values)]
-
-
 def log_sum_bits(w: Weight) -> int:
-    """The size in bits of the powers the exact log-sum of w forms,
-    sum_i c_i max(bits(numerator v_i), bits(denominator v_i)); 0 for a
-    weight without one (an expression weight, or a float value)."""
-    exponents = None if isinstance(w, ExprWeight) else _log_exponents(_log_pairs(w))
-    if exponents is None:
-        return 0
-    return sum(c * max(v.numerator.bit_length(), v.denominator.bit_length()) for c, v in exponents[1])
+    """The size in bits of the powers the exact log-sum of w may form,
+    sum_i c_i max(bits(numerator v_i), bits(denominator v_i)) for the masses
+    m_i over their common denominator D, c_i = m_i D; 0 for a weight
+    without one (an expression weight, or a float value)."""
+    return w.form.log_sum_bits() if w.form is not None and w.form.exact else 0
 
 
-def _exact_log_sum(pairs) -> LogIntegralResult | None:
-    """sum_i m_i ln(v_i) with rational m_i, v_i, bookkept as ln(prod v^c)/D
-    (``_log_exponents``).  The numerators and denominators of the product
-    are multiplied as integers and reduced once."""
-    exponents = _log_exponents(pairs)
-    if exponents is None:
-        return None
-    D, powers = exponents
-    num = den = 1
-    for c, v in powers:
-        num *= v.numerator ** c
-        den *= v.denominator ** c
-    Q = Fraction(num, den)
+def _exact_log_sum(form: ExponentForm) -> LogIntegralResult:
+    """sum_i m_i ln(v_i) = sum_j s_j ln(b_j) / D from the exponent sum s of
+    the form (``ExponentForm.log_sum``): it is zero exactly when s is.  The
+    value is ln(num / den) / D for the numerator and denominator of
+    prod_j b_j^s_j, coprime on a coprime base, so no gcd reduces them."""
+    D, s = form.log_sum()
+    num, den = form.integers(s)
     return LogIntegralResult(
-        value=_ln_fraction(Q) / D,
+        value=(math.log(num) - math.log(den)) / D,
         method="exact-log-sum",
         exact=True,
-        exact_zero=(Q == 1),
+        exact_zero=not any(s),
     )
 
 
 def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogIntegralResult:
-    """The Haar integral of ln w, with the evidence used to compute it."""
-    if isinstance(w, ExprWeight):
+    """The Haar integral of ln w, with the evidence used to compute it: a
+    midpoint quadrature for an expression weight, the exact log-sum of an
+    exact weight's ``ExponentForm``, and a float sum over its pieces when a
+    value is a float."""
+    if w.form is None:
         def midpoint(m):
             xs = (np.arange(m) + 0.5) / m
             vals = np.asarray(w.eval_angles(xs), dtype=float)
@@ -196,11 +160,9 @@ def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogInteg
             quadrature_points=quadrature_points,
             richardson_gap=abs(fine - coarse),
         )
-    pairs = _log_pairs(w)
-    exact = _exact_log_sum(pairs)
-    if exact is not None:
-        return exact
-    total = sum(float(m) * math.log(float(v)) for m, v in pairs)
+    if w.form.exact:
+        return _exact_log_sum(w.form)
+    total = sum(float(m) * math.log(float(v)) for m, v in w.form.pieces())
     return LogIntegralResult(total, "float-log-sum", exact=False)
 
 
@@ -450,17 +412,18 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             )
 
 
-def _exact_hit(n: int, points, values, den) -> MonotoneHit:
-    """The monotone row of exact n-step products values[i] / den at
-    points[i]; the witness is the first point at the extreme."""
-    mn, mx = min(values), max(values)
-    lo, hi = float(mn / den), float(mx / den)
-    if not (mn >= den or mx <= den):
-        return MonotoneHit(n, None, False, False, lo, hi)
-    up = mn >= den
+def _exact_hit(n: int, points, row: ProductRow) -> MonotoneHit:
+    """The monotone row of the exact n-step products ``row`` at points[i];
+    the witness is the first point at the extreme."""
+    lo, hi = row.first_extreme(highest=False), row.first_extreme(highest=True)
+    lo_sign, hi_sign = row.sign(lo), row.sign(hi)
+    lo_value, hi_value = row.to_float(lo), row.to_float(hi)
+    if not (lo_sign >= 0 or hi_sign <= 0):
+        return MonotoneHit(n, None, False, False, lo_value, hi_value)
+    up = lo_sign >= 0
     return MonotoneHit(
-        n, ">=1" if up else "<=1", mx > den if up else mn < den, True,
-        lo, hi, witness=points[values.index(mn if up else mx)],
+        n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
+        lo_value, hi_value, witness=points[lo if up else hi],
     )
 
 
@@ -478,7 +441,7 @@ def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> It
         rows = circle_step_rows(w, a, horizon)
     elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
         # p-adic points are the residues the table resolves, finite ones the elements
-        rows = ((range(len(row)), row, den) for row, den in step_products(w, a))
+        rows = ((range(len(row)), row) for row in step_products(w, a, horizon))
     else:
         raise TypeError(f"unsupported weight {w!r}")
     return (_exact_hit(n, *r) for n, r in enumerate(rows, 1))
@@ -486,12 +449,12 @@ def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> It
 
 def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
     """(monotone row, U/L row or None) for n = 1, 2, ...; a p-adic table
-    weight gets its ``padic.ULRow`` for n <= ul_n_max from the same integer
-    row as its monotone row."""
+    weight gets its ``padic.ULRow`` for n <= ul_n_max from the same
+    ``ProductRow`` as its monotone row."""
     if isinstance(w, PAdicTableWeight):
-        for n, (row, den) in enumerate(step_products(w, a), 1):
-            ul = _padic.ul_row(w, a, n, row, den) if n <= ul_n_max else None
-            yield _exact_hit(n, range(len(row)), row, den), ul
+        for n, row in enumerate(step_products(w, a, max(horizon, ul_n_max)), 1):
+            ul = _padic.ul_row(w, a, n, row) if n <= ul_n_max else None
+            yield _exact_hit(n, range(len(row)), row), ul
     else:
         for hit in monotone_rows(w, a, grid_points, horizon):
             yield hit, None

@@ -2,23 +2,29 @@
 obstruction, coset log-integrals, and the conjugation/reduction diagrams.
 
 Everything here is exact: weights are rational coset tables, products are
-integers over a common denominator, and all comparisons against 1 are
-decided without floats.  The only floats produced are the final values of log integrals.
+sums of exponent vectors over the table's coprime base
+(``weights.ExponentForm``), and every comparison against 1 is decided
+exactly, by a filtered float log and integers when the filter cannot tell
+(``weights.ProductRow``).  The only floats produced are the final values of
+log integrals.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from .borel import BallSet, ball
 from .errors import ContextMismatch, InternalInconsistency, WindowExceeded
 from .groups import PRECISION_CAP, PAdicContext, PAdicNumber
 from .report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY, RuleFiring
-from .weights import (DiscretizedFunction, PAdicTableWeight, apply_operator, integer_table,
+from .weights import (DiscretizedFunction, ExponentForm, PAdicTableWeight, ProductRow, apply_operator,
                       step_products, weight_product)
 
 __all__ = [
@@ -49,6 +55,7 @@ def valuation(x: PAdicNumber):
     return x.valuation()
 
 
+@functools.lru_cache(maxsize=1024)
 def _p_power(p: int, j: int) -> Fraction:
     return Fraction(1, p ** j) if j >= 0 else Fraction(p ** (-j))
 
@@ -66,6 +73,7 @@ def _orbit_radius_exp(a: PAdicNumber, n: int) -> int:
 _BELOW, _EQUAL, _ABOVE = 0, 1, 2
 _IS_ABOVE = bytes.maketrans(b"\0\1\2", b"\0\0\1")
 _IS_BELOW = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+_FLIP = bytes.maketrans(b"\0\1\2", b"\2\1\0")
 
 
 @dataclass(frozen=True)
@@ -102,22 +110,24 @@ class ULWitness:
         return _BELOW in self.signs
 
 
-def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int, row, den: int) -> ULWitness:
-    """U and L inside the ball of radius |n a|_p around the residue x_prime,
-    read from ``row``, the |n|-step products as integers over ``den``
-    (``step_products``; a mapping that holds the ball's residues will do).
+def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, j: int, x_prime: int, codes: bytes) -> ULWitness:
+    """U and L inside the ball of radius |n a|_p = p^-j around the residue
+    x_prime, read from ``codes``, the byte of each |n|-step product by table
+    residue (``ProductRow.codes``; only the ball's entries are read).
     Negative n uses the inverse-operator convention
     w_{-k}(x) = 1 / w_k(x + k a)."""
     ctx = w.context
-    j = _orbit_radius_exp(a, n)
     level = max(j, w.level)
     p, m = ctx.prime, ctx.window
-    size = len(w.table)
-    offset = 0 if n > 0 else -n * a.residue
+    size = len(codes)
     step = p ** (j + m)
     reps = range(x_prime % step, p ** (level + m), step)
-    values = [row[(rep + offset) % size] for rep in reps]
-    sign = 1 if n > 0 else -1
+    if n > 0:
+        # the ball's residues past the table's are one representative
+        signs = codes[reps.start % size::step]
+    else:
+        offset = -n * a.residue
+        signs = bytes(codes[(r + offset) % size] for r in reps).translate(_FLIP)
     return ULWitness(
         n=n,
         x_prime=x_prime,
@@ -125,22 +135,22 @@ def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int, row, 
         radius=_p_power(p, j),
         level=level,
         residues=reps,
-        signs=bytes([_EQUAL + sign * ((v > den) - (v < den)) for v in values]),
+        signs=signs,
     )
 
 
-def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> tuple[dict, int]:
+def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> ProductRow:
     """The n-step products (n >= 1) on the ball of radius |n a|_p around the
-    residue ``center``, as integers over a common denominator, by composing
-    rows instead of stepping through all n of them.
+    residue ``center``, as a ``ProductRow`` by table residue whose entries
+    off the ball are 0, by composing rows instead of stepping through all n
+    of them.
 
     With n = q p^e and q prime to p: row p^(i+1) on the ball of radius
-    |p^(i+1) a|_p is the product of p entries of row p^i on the ball of
-    radius |p^i a|_p, row_{p^(i+1)}[r] = prod_{t<p} row_{p^i}[r - t p^i a],
-    and row n is likewise a product of q entries of row p^e.  Each ball is p
+    |p^(i+1) a|_p is the sum of p exponent vectors of row p^i on the ball of
+    radius |p^i a|_p, row_{p^(i+1)}[r] = sum_{t<p} row_{p^i}[r - t p^i a],
+    and row n is likewise a sum of q vectors of row p^e.  Each ball is p
     times smaller than the one before until it is one residue, so the work
-    is about 2 size + e p + q |ball| products, and no entry is longer than
-    row n's."""
+    is about 2 size + e p + q |ball| vector sums."""
     if a.context != w.context:
         raise ContextMismatch(f"{a.context.name} vs {w.context.name}")
     ctx = w.context
@@ -149,21 +159,23 @@ def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> tuple
     e, q = 0, n
     while q % ctx.prime == 0:
         e, q = e + 1, q // ctx.prime
-    values, scale = integer_table(w.table[r] for r in range(size))
 
     def ball(i):
         # the residues mod size of the ball of radius |p^i a|_p around center
         step = ctx.prime ** min(_orbit_radius_exp(a, ctx.prime ** i) + m, digits)
-        return range(center % size, center % size + size, step)
+        return np.arange(center % size, center % size + size, step) % size
 
     def fold(row, shift, times, residues):
-        return {r % size: math.prod(row[(r - t * shift) % size] for t in range(times))
-                for r in residues}
+        out = np.zeros_like(row)
+        out[residues] = row[(residues[:, None] - np.arange(times) * shift) % size].sum(axis=1)
+        return out
 
-    row = {r % size: values[r % size] for r in ball(0)}
+    E, first = w.form.exponents, ball(0)
+    row = np.zeros_like(E)
+    row[first] = E[first]
     for i in range(e):
         row = fold(row, ctx.prime ** i * a.residue, ctx.prime, ball(i + 1))
-    return fold(row, ctx.prime ** e * a.residue, q, ball(e)), scale ** n
+    return ProductRow.of(w.form, fold(row, ctx.prime ** e * a.residue, q, ball(e)), n)
 
 
 def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0) -> ULWitness:
@@ -177,7 +189,8 @@ def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | 
     if not isinstance(x_prime, PAdicNumber):
         x_prime = w.context.element(x_prime)
     center = x_prime.residue + (0 if n > 0 else -n * a.residue)
-    return _ul_witness(w, a, n, x_prime.residue, *_ball_row(w, a, abs(n), center))
+    return _ul_witness(w, a, n, _orbit_radius_exp(a, n), x_prime.residue,
+                       _ball_row(w, a, abs(n), center).codes)
 
 
 @dataclass(frozen=True)
@@ -190,8 +203,9 @@ class ULRow:
     empty: RuleFiring | None
 
 
-def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: list, den: int) -> ULRow:
-    """The ``ULRow`` of the n-step row ``row`` / ``den`` of ``step_products``.
+def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: ProductRow) -> ULRow:
+    """The ``ULRow`` of the n-step ``ProductRow`` ``row`` of
+    ``step_products``, read from the signs of its entries against 1.
 
     For weights declared non-locally-constant only balls strictly coarser
     than the table level are meaningful (inside one table coset the stored
@@ -199,14 +213,15 @@ def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: list, den: int) -> 
     """
     ctx = w.context
     j = _orbit_radius_exp(a, n)
+    codes = row.codes
     empty = None
     if w.declared_locally_constant or j < w.level:
         step = ctx.prime ** (j + ctx.window)
-        # ball b holds row[b::step]; past the table level a ball is one entry
+        # ball b holds codes[b::step]; past the table level a ball is one entry
         b = next((b for b in range(step)
-                  if not (max(row[b::step]) > den and min(row[b::step]) < den)), None)
+                  if _BELOW not in codes[b::step] or _ABOVE not in codes[b::step]), None)
         if b is not None:
-            witness = _ul_witness(w, a, n, b, row, den)
+            witness = _ul_witness(w, a, n, j, b, codes)
             empty = RuleFiring(
                 RULE_UL_EMPTY,
                 {"n": n, "x_prime": b, "empty_side": "L" if witness.u_nonempty else "U"},
@@ -216,13 +231,13 @@ def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: list, den: int) -> 
                     "l_witnesses": witness.l_witnesses[:4],
                 },
             )
-    return ULRow(_ul_witness(w, a, n, 0, row, den), empty)
+    return ULRow(_ul_witness(w, a, n, j, 0, codes), empty)
 
 
 def ul_rows(w: PAdicTableWeight, a: PAdicNumber) -> Iterator[ULRow]:
     """``ul_row`` for n = 1, 2, ..., from one pass of ``step_products``."""
-    for n, (row, den) in enumerate(step_products(w, a), 1):
-        yield ul_row(w, a, n, row, den)
+    for n, row in enumerate(step_products(w, a), 1):
+        yield ul_row(w, a, n, row)
 
 
 def is_locally_constant(w: PAdicTableWeight) -> int | None:
@@ -244,8 +259,8 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     if k is None:
         return None
     n = w.context.prime ** k
-    row, den = _ball_row(w, a, n, 0)
-    witness = _ul_witness(w, a, n, 0, row, den)
+    row = _ball_row(w, a, n, 0)
+    witness = _ul_witness(w, a, n, _orbit_radius_exp(a, n), 0, row.codes)
     if witness.u_nonempty and witness.l_nonempty:
         raise InternalInconsistency(
             "p^k-step product of a k-level weight varies on the test ball"
@@ -254,7 +269,7 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
         RULE_LOCALLY_CONSTANT,
         {"k": k, "n": n},
         {
-            "constant_value": Fraction(row[0], den),
+            "constant_value": row.value(0),
             "radius": witness.radius,
             "u_nonempty": witness.u_nonempty,
             "l_nonempty": witness.l_nonempty,
@@ -284,22 +299,30 @@ class CosetIntegral:
     ``value`` renormalizes the coset to mass 1 (the scale at which each
     coset is itself a full integer ring); ``global_share`` is the same
     quantity weighted by the coset's Haar mass, so the shares sum to the
-    full log integral.  The zero test is exact: the rational product of
-    the table values over the coset equals 1.
+    full log integral.  The zero test is exact: the product of the table
+    values over the coset is 1, its exponent vector ``exponents`` over the
+    table's base is 0.
     """
 
     coset: BallSet
-    product: Fraction
+    exponents: tuple[int, ...]
     value: float
     global_share: float
+    form: ExponentForm = field(repr=False, compare=False)
+
+    @property
+    def product(self) -> Fraction:
+        return self.form.value(self.exponents)
 
     @property
     def is_zero(self) -> bool:
-        return self.product == 1
+        return not any(self.exponents)
 
 
 def coset_log_integrals(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetIntegral]:
-    """Per-coset ln-integrals at the coset level k = v_p(a)."""
+    """Per-coset ln-integrals at the coset level k = v_p(a): the exponent
+    vectors of each coset's table entries summed, and its log formed from
+    the product's numerator and denominator."""
     v = a.valuation()
     if v is PRECISION_CAP:
         raise ValueError("translation element vanishes at working precision")
@@ -308,19 +331,20 @@ def coset_log_integrals(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetIntegr
     k = v
     level = max(w.level, k)
     step = p ** (k + m)
+    entries = p ** (level - k)
+    # coset b holds the table entries of the residues b + t step, t < entries
+    keys = (np.arange(step)[:, None] + np.arange(entries) * step) % len(w.table)
     out = []
-    for b in range(step):
-        product = Fraction(1)
-        for t in range(p ** (level - k)):
-            rep = b + t * step
-            product *= w.rational_at(ctx.from_residue(rep))
-        ln_q = math.log(product.numerator) - math.log(product.denominator)
+    for b, exponents in enumerate(w.form.exponents[keys].sum(axis=1).tolist()):
+        num, den = w.form.integers(exponents)
+        ln_q = math.log(num) - math.log(den)
         out.append(
             CosetIntegral(
                 coset=ball(ctx, ctx.from_residue(b), k),
-                product=product,
-                value=ln_q / p ** (level - k),
+                exponents=tuple(exponents),
+                value=ln_q / entries,
                 global_share=ln_q / p ** (level + m),
+                form=w.form,
             )
         )
     return out
@@ -506,16 +530,13 @@ def qp_reduction(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetProblem]:
     level_sub = min(max(w.level - k, 0), sub_ctx.precision)
     problems = []
     for b in range(p ** (k + m)):
-        table = {
-            s: w.rational_at(ctx.from_residue((p ** (k + m) * s + b) % ctx.modulus))
-            for s in range(p ** level_sub)
-        }
+        keys = [(p ** (k + m) * s + b) % ctx.modulus % len(w.table) for s in range(p ** level_sub)]
         problems.append(
             CosetProblem(
                 coset=ball(ctx, ctx.from_residue(b), k),
                 context=sub_ctx,
                 element=sub_a,
-                weight=PAdicTableWeight(sub_ctx, level_sub, table, w.declared_locally_constant),
+                weight=w.restricted(sub_ctx, level_sub, keys),
             )
         )
     return problems

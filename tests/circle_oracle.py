@@ -85,8 +85,8 @@ def step_values_at(w, a, first_only=False):
     return values_at
 
 
-def row_pairs(points, row, den):
+def row_pairs(points, row):
     """The (translate, w_n) pairs of a ``circle_step_rows`` row
-    ``(points, row, den)``, as exact Fractions."""
+    ``(points, row)``, as exact Fractions."""
     assert len(points) == len(row)
-    return [(x, Fraction(v, den)) for x, v in zip(points, row)]
+    return [(x, row.value(i)) for i, x in enumerate(points)]

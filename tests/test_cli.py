@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+import exact_oracle
 from hclab.cli import MAX_LOG_SUM_BITS, _atomic_write, _write_csv, main, parse_spec, validate
 from hclab.hctest import monotone_rows, verdict
 
@@ -149,6 +150,10 @@ _PROBES = [
     (_EXPR, ("horizons", "n_max"), "abc", "horizons.n_max"),
     (_EXPR, ("horizons", "n_max"), 0, "horizons.n_max"),
     (_EXPR, ("horizons", "n_max"), 2.5, "horizons.n_max"),
+    # a walk's exponents stay in int64: n_max and ul_n_max are at most 10^7
+    (_EXPR, ("horizons", "n_max"), 10 ** 7 + 1, "horizons.n_max: 10000001 is above the maximum 10000000"),
+    (_STEP, ("horizons", "n_max"), 10 ** 30, "horizons.n_max"),
+    (three_coset_spec(), ("horizons", "ul_n_max"), 10 ** 30, "horizons.ul_n_max"),
     (three_coset_spec(), ("horizons", "ul_n_max"), "abc", "horizons.ul_n_max"),
     (three_coset_spec(), ("horizons", "ul_n_max"), 0, "horizons.ul_n_max"),
     (_EXPR, ("horizons", "k_max"), "abc", "horizons.k_max"),
@@ -166,6 +171,8 @@ _PROBES = [
     (three_coset_spec(), ("group", "precision"), 2.5, "group.precision"),
     (three_coset_spec(), ("group", "p"), True, "group.p"),
     (_QP, ("group", "window"), -1, "group.window"),
+    # a weight given to ``all`` runs the verdict, which needs the element
+    (_EXPR, ("element",), None, "all: an 'element' is required"),
     (_EXPR, ("element",), {"angle": 2.0 ** -70}, "element"),
     (_EXPR, ("element",), {"rational": f"1/{2 ** 64 + 1}"}, "element"),
     (_EXPR, ("element",), "1e-30", "element"),
@@ -225,7 +232,7 @@ def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
     assert any(line.startswith(field) for line in capsys.readouterr().out.splitlines())
     assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"invalid spec: {field}" in capsys.readouterr().err
-    if path[0] in _REQUIRED:
+    if path[0] in _REQUIRED and value is not None:
         for task in ("equidist", "hctest", "padic"):
             assert _REQUIRED[path[0]] not in " ".join(validate(_probe(base, path, value), task))
 
@@ -248,6 +255,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["hctest", "--spec", bad, "--out-dir", str(tmp_path / "o2")]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["hctest", "--spec", missing]) == 2
+
+
+def _bench_spec(workload, index, path, value):
+    """A seed-0 benchmark spec with one field set to ``value``."""
+    from test_bench_specs import GENERATORS
+
+    return _probe(GENERATORS[workload](0)[index].spec, path, value)
+
+
+@pytest.mark.parametrize("workload,index,path,value,field", [
+    ("exact-step", 1, ("horizons", "n_max"), 10 ** 30, "horizons.n_max"),
+    ("circle-float", 0, ("element",), None, "all: an 'element' is required"),
+])
+def test_bench_spec_mutations_are_rejected(tmp_path, capsys, workload, index, path, value, field):
+    # both passed validation once, then ended in a traceback
+    spec = write_spec(tmp_path, _bench_spec(workload, index, path, value))
+    assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"invalid spec: {field}" in capsys.readouterr().err
+
+
+def test_values_past_binary64_are_reported_as_inf(tmp_path):
+    # A4 with one value 10^30: w_n reaches 10^(30 n), past binary64 from
+    # n = 11; every row is still decided exactly, and its extreme reads inf
+    payload = _bench_spec("exact-step", 0, ("weight", "values", 0), str(10 ** 30))
+    out = tmp_path / "out"
+    assert main(["all", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO((out / "scan.csv").read_text())))[1:]
+    assert len(rows) == 30 and rows[-1][2] == "inf" and rows[0][2] == "1e+30"
+    spec, _ = parse_spec(payload, "all")
+    hits = monotone_rows(spec.weight, spec.element, horizon=30)
+    expected = (exact_oracle.exact_hit(n, range(len(row)), row, den)
+                for n, (row, den) in enumerate(exact_oracle.step_products(spec.weight, spec.element), 1))
+    assert list(islice(hits, 30)) == list(islice(expected, 30))
+    assert [[str(h.n), repr(h.min_value), repr(h.max_value), str(h.direction is not None)]
+            for h in islice(monotone_rows(spec.weight, spec.element, horizon=30), 30)] == rows
 
 
 def test_padic_run_fires_locally_constant(tmp_path):

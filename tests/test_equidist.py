@@ -349,9 +349,9 @@ def test_circle_counts_match_exact_oracle(case, data):
     if K.measure() < 1:
         w = StepWeight(StepFunction.of([(K, Fraction(2)), (K.complement(), Fraction(1, 3))]))
         values_at = oracle.step_values_at(w, a)
-        for n, (points, row, den) in zip(range(1, 7), circle_step_rows(w, a)):
-            assert den == 3 ** n
-            pairs = oracle.row_pairs(points, row, den)
+        for n, (points, row) in zip(range(1, 7), circle_step_rows(w, a)):
+            assert row.n == n
+            pairs = oracle.row_pairs(points, row)
             full = values_at(n)
             assert {v for _, v in pairs} == {v for _, v in full}
             assert set(pairs) <= set(full)
