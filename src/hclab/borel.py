@@ -36,16 +36,11 @@ __all__ = [
     "SetForm",
     "IntervalSet",
     "interval",
+    "circle_points",
     "arc_pieces",
     "BallSet",
     "ball",
     "FiniteSubset",
-    "union",
-    "intersection",
-    "complement",
-    "measure",
-    "contains",
-    "classify_form",
 ]
 
 
@@ -454,31 +449,3 @@ class FiniteSubset:
     def classify(self) -> SetForm:
         # discrete topology: every nonempty set is clopen
         return SetForm.FORM2 if self.is_empty() else SetForm.FORM1
-
-
-# ---------------------------------------------------------------------------
-# free-function facade
-
-
-def union(a, b):
-    return a.union(b)
-
-
-def intersection(a, b):
-    return a.intersection(b)
-
-
-def complement(a):
-    return a.complement()
-
-
-def measure(a) -> Fraction:
-    return a.measure()
-
-
-def contains(a, x) -> bool:
-    return a.contains(x)
-
-
-def classify_form(a) -> SetForm:
-    return a.classify()

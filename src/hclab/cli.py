@@ -216,21 +216,19 @@ def _parse_element(group, desc, diags):
                 diags.append(f"element: index {idx} out of range for {group.name}")
                 return None
             return idx
-        if isinstance(group, PAdicContext):
-            if isinstance(desc, dict):
-                if "digits" in desc:
-                    digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
-                    return None if digits is None else group.from_digits(digits)
-                if "value" in desc:
-                    return group.element(Fraction(str(desc["value"])))
-                diags.append("element: need 'digits' or 'value'")
-                return None
-            return group.element(Fraction(str(desc)))
+        # a p-adic context
+        if isinstance(desc, dict):
+            if "digits" in desc:
+                digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
+                return None if digits is None else group.from_digits(digits)
+            if "value" in desc:
+                return group.element(Fraction(str(desc["value"])))
+            diags.append("element: need 'digits' or 'value'")
+            return None
+        return group.element(Fraction(str(desc)))
     except (HclabError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         diags.append(f"element: {exc}")
         return None
-    diags.append("element: unsupported group")
-    return None
 
 
 def _parse_circle_set(desc, diags):
@@ -294,7 +292,7 @@ def _parse_sets(group, descs, diags):
             s = _parse_circle_set(desc, diags)
         elif isinstance(group, PAdicContext):
             s = _parse_padic_set(group, desc, diags)
-        elif isinstance(group, FiniteGroup):
+        else:  # a finite group
             s = None
             if isinstance(desc, dict) and set(desc) == {"indices"}:
                 indices = _parse_int_list(desc["indices"], "sets", 0, diags)
@@ -304,8 +302,6 @@ def _parse_sets(group, descs, diags):
                     diags.append(f"sets: {exc}")
             else:
                 diags.append(f"sets: finite sets need {{'indices': [...]}}, got {desc!r}")
-        else:
-            s = None
         if s is not None:
             out.append(s)
             ids.append(f"set{i}")
@@ -341,39 +337,37 @@ def _parse_weight(group, desc, diags):
                 return FiniteWeight(group, [_rational(str(v)) for v in desc["values"]])
             diags.append("weight: finite weights need {'values': [...]}")
             return None
-        if isinstance(group, PAdicContext):
-            nested = isinstance(desc, dict) and "table" in desc
-            table_desc = desc["table"] if nested else desc
-            if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
-                diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
-                return None
-            if nested:
-                extra = ((set(desc) - {"table", "declared_locally_constant"})
-                         | (set(table_desc) - {"level", "values"}))
-            else:
-                extra = set(desc) - {"level", "values", "declared_locally_constant"}
-            if extra:
-                diags.append(f"weight: unknown fields {sorted(extra)}")
-            # checked before p^(level + window) is formed
-            level = _parse_int(table_desc.get("level", group.precision), "weight.level",
-                               -group.window, diags, maximum=group.precision)
-            if level is None:
-                return None
-            size = group.prime ** (level + group.window)
-            values = {}
-            for key, val in table_desc["values"].items():
-                res = group.element(_rational(str(key))).residue % size
-                values[res] = _rational(str(val))
-            declared = desc.get("declared_locally_constant", True)
-            if not isinstance(declared, bool):
-                diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
-                return None
-            return PAdicTableWeight(group, level, values, declared)
+        # a p-adic context
+        nested = isinstance(desc, dict) and "table" in desc
+        table_desc = desc["table"] if nested else desc
+        if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
+            diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
+            return None
+        if nested:
+            extra = ((set(desc) - {"table", "declared_locally_constant"})
+                     | (set(table_desc) - {"level", "values"}))
+        else:
+            extra = set(desc) - {"level", "values", "declared_locally_constant"}
+        if extra:
+            diags.append(f"weight: unknown fields {sorted(extra)}")
+        # checked before p^(level + window) is formed
+        level = _parse_int(table_desc.get("level", group.precision), "weight.level",
+                           -group.window, diags, maximum=group.precision)
+        if level is None:
+            return None
+        size = group.prime ** (level + group.window)
+        values = {}
+        for key, val in table_desc["values"].items():
+            res = group.element(_rational(str(key))).residue % size
+            values[res] = _rational(str(val))
+        declared = desc.get("declared_locally_constant", True)
+        if not isinstance(declared, bool):
+            diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
+            return None
+        return PAdicTableWeight(group, level, values, declared)
     except (HclabError, TypeError, ValueError, ZeroDivisionError) as exc:
         diags.append(f"weight: {exc}")
         return None
-    diags.append("weight: unsupported group")
-    return None
 
 
 def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:

@@ -37,7 +37,6 @@ from .errors import FixedCharacterError
 from .groups import MAX_ORBIT_DENOMINATOR, CircleElement, CircleGroup, OrbitSequence
 
 __all__ = [
-    "DensityStat",
     "TestFunction",
     "OrbitCounter",
     "Sweep",
@@ -47,7 +46,6 @@ __all__ = [
     "sweep_blocks",
     "Translates",
     "density",
-    "density_stat",
     "translated_density",
     "sup_deviation",
     "ergodic_average",
@@ -588,18 +586,6 @@ class Translates(Sequence):
 # densities
 
 
-@dataclass(frozen=True)
-class DensityStat:
-    """A density with its raw count; value * N is always the integer count."""
-
-    N: int
-    count: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.count, self.N)
-
-
 def _terms_in_set(K, seq: OrbitSequence, N: int, translate=None) -> int:
     if isinstance(seq.group, CircleGroup):
         counter = OrbitCounter.from_sequence(seq, N)
@@ -635,12 +621,6 @@ def density(K, seq: OrbitSequence, N: int) -> Fraction:
     if N < 2:
         raise ValueError("need N >= 2")
     return Fraction(_terms_in_set(K, seq, N), N)
-
-
-def density_stat(K, seq: OrbitSequence, N: int) -> DensityStat:
-    if N < 2:
-        raise ValueError("need N >= 2")
-    return DensityStat(N, _terms_in_set(K, seq, N))
 
 
 def translated_density(K, x, seq: OrbitSequence, N: int) -> Fraction:
@@ -737,10 +717,6 @@ class TestFunction:
             return np.full(t.shape, c)
 
         return TestFunction(fn, mean=c, label=f"const {c}")
-
-    @staticmethod
-    def from_callable(fn, mean=None, label="") -> "TestFunction":
-        return TestFunction(fn, mean=mean, label=label)
 
     def resolved_mean(self, quadrature_points: int = 1 << 14) -> complex:
         if self.mean is not None:

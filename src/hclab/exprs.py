@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "parse_expr"]
+__all__ = ["Expr"]
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log, "log": np.log, "sin": np.sin, "cos": np.cos}
 _BINARY = {
@@ -192,7 +192,3 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self.source!r})"
-
-
-def parse_expr(source: str) -> Expr:
-    return Expr(source)

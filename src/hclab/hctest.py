@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -375,11 +376,16 @@ class MonotoneHit:
     witness: object = None
 
 
+# the largest x whose e^x is finite in binary64
+_LN_MAX = math.log(sys.float_info.max)
+
+
 def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[MonotoneHit]:
     """Rows from log sums on the grid; decisions stay in log space, with a
     Lipschitz margin computed once, at the first one-sided row.  The log
     sums come in blocks of ``horizon`` rows, fewer when a block would hold
-    more than ``BLOCK_ENTRIES`` entries, and at least one."""
+    more than ``BLOCK_ENTRIES`` entries, and at least one.  An extreme past
+    binary64's range reads inf, as an exact row's does."""
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
     block = max(1, min(horizon, BLOCK_ENTRIES // grid_points))
@@ -394,8 +400,12 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
         acc = logs[-1].copy()
         mins, maxs = logs.min(axis=1), logs.max(axis=1)
         for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):
+            try:
+                lo, hi = math.exp(mn), math.exp(mx)
+            except OverflowError:  # mx, at least mn, is past binary64's range
+                lo, hi = math.exp(mn) if mn <= _LN_MAX else math.inf, math.inf
             if not (mn >= 0.0 or mx <= 0.0):
-                yield MonotoneHit(n, None, False, False, math.exp(mn), math.exp(mx))
+                yield MonotoneHit(n, None, False, False, lo, hi)
                 continue
             if log_lip is None:
                 d = w.expr.derivative()
@@ -408,7 +418,7 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             i = int(np.argmin(row) if up else np.argmax(row))
             yield MonotoneHit(
                 n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
-                math.exp(mn), math.exp(mx), witness=float(xs[i]),
+                lo, hi, witness=float(xs[i]),
             )
 
 
@@ -427,37 +437,35 @@ def _exact_hit(n: int, points, row: ProductRow) -> MonotoneHit:
     )
 
 
-def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
-    """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
-    the ``grid_points``-point grid for expression weights, in blocks of
-    ``horizon`` rows; exactly for step (``circle_step_rows``, whose first
-    block of rows ends at ``horizon``),
-    finite and p-adic table weights (``step_products``)."""
+def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
+    """(monotone row, U/L row or None) for n = 1, 2, ...  An exact weight's
+    rows are one source of (points, ``ProductRow``): ``circle_step_rows``
+    for a step weight, ``step_products`` for a finite weight (the points are
+    its elements) and a p-adic table weight (the residues the table
+    resolves), whose ``padic.ULRow`` for n <= ul_n_max is read from the same
+    row as its monotone row; ``ul_n_max`` is 0 but on an unwindowed p-adic
+    context.  The first block of rows ends at max(horizon, ul_n_max)."""
+    horizon = max(horizon, ul_n_max)
     if isinstance(w, ExprWeight):
-        return _expr_rows(w, a, grid_points, horizon)
+        return ((hit, None) for hit in _expr_rows(w, a, grid_points, horizon))
     if isinstance(w, StepWeight):
-        if not w.is_exact:
+        if not w.form.exact:
             raise NonPositiveWeight("exact scan requires rational step values")
         rows = circle_step_rows(w, a, horizon)
     elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
-        # p-adic points are the residues the table resolves, finite ones the elements
         rows = ((range(len(row)), row) for row in step_products(w, a, horizon))
     else:
         raise TypeError(f"unsupported weight {w!r}")
-    return (_exact_hit(n, *r) for n, r in enumerate(rows, 1))
+    return ((_exact_hit(n, points, row), _padic.ul_row(w, a, n, row) if n <= ul_n_max else None)
+            for n, (points, row) in enumerate(rows, 1))
 
 
-def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
-    """(monotone row, U/L row or None) for n = 1, 2, ...; a p-adic table
-    weight gets its ``padic.ULRow`` for n <= ul_n_max from the same
-    ``ProductRow`` as its monotone row."""
-    if isinstance(w, PAdicTableWeight):
-        for n, row in enumerate(step_products(w, a, max(horizon, ul_n_max)), 1):
-            ul = _padic.ul_row(w, a, n, row) if n <= ul_n_max else None
-            yield _exact_hit(n, range(len(row)), row), ul
-    else:
-        for hit in monotone_rows(w, a, grid_points, horizon):
-            yield hit, None
+def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
+    """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
+    the ``grid_points``-point grid for expression weights, in blocks of
+    ``horizon`` rows; exactly for step, finite and p-adic table weights,
+    whose first block of rows ends at ``horizon`` (``_walk_steps``)."""
+    return (hit for hit, _ in _walk_steps(w, a, grid_points, 0, horizon))
 
 
 class ProductWalk:
@@ -475,8 +483,12 @@ class ProductWalk:
     """
 
     def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
-        self._steps = _walk_steps(w, a, grid_points, ul_n_max, horizon)
+        self._steps = self._walk(w, a, grid_points, ul_n_max, horizon)
         self._walked: list[tuple] = []
+
+    @staticmethod
+    def _walk(*args):  # a generator, so that nothing runs before the first read
+        yield from _walk_steps(*args)
 
     @property
     def walked(self) -> int:

@@ -412,8 +412,9 @@ class ProductRow:
 
 class Weight:
     """Shared surface of the weight families.  ``form`` is the
-    ``ExponentForm`` of an exact family's values, None for an expression
-    weight."""
+    ``ExponentForm`` of a step, finite or table weight's values, None for an
+    expression weight; ``form.exact`` says whether every value is rational,
+    so that products and the log-integral are exact."""
 
     group: object
     form: ExponentForm | None = None
@@ -425,23 +426,17 @@ class Weight:
         """Exact value when the family supports it, else None."""
         return None
 
-    def bounds(self) -> tuple[float, float]:
-        raise NotImplementedError
-
     def translate(self, shift) -> "Weight":
         """The weight x -> w(x + shift) (x * shift multiplicatively)."""
         raise NotImplementedError
-
-    @property
-    def is_exact(self) -> bool:
-        return False
 
 
 class ExprWeight(Weight):
     """exp/ln/trig expression weight on the circle, strictly positive.
 
-    Positivity and bounds are certified at grid level, tightened by a
-    Lipschitz margin from the symbolic derivative.
+    Positivity is certified at construction: the least value on the
+    ``grid_points`` cell midpoints must exceed a Lipschitz margin from the
+    symbolic derivative.
     """
 
     def __init__(self, expr: Expr | str, grid_points: int = 4096, _offset: Fraction = Fraction(0)):
@@ -453,10 +448,8 @@ class ExprWeight(Weight):
         vals = np.asarray(self.eval_angles(xs), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonPositiveWeight(f"{self.expr.source!r} is not finite on the circle")
-        self._grid_min = float(vals.min())
-        self._grid_max = float(vals.max())
         margin = self.lipschitz_bound() / (2 * grid_points)
-        if self._grid_min - margin <= 0:
+        if float(vals.min()) - margin <= 0:
             raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
 
     def eval_angles(self, t):
@@ -475,9 +468,6 @@ class ExprWeight(Weight):
         xs = _frac((np.arange(grid_points) + 0.5) / grid_points + float(self._offset))
         vals = np.abs(np.asarray(d(xs), dtype=float))
         return 2.0 * float(np.max(vals))
-
-    def bounds(self) -> tuple[float, float]:
-        return self._grid_min, self._grid_max
 
     def translate(self, shift) -> "ExprWeight":
         delta = getattr(shift, "value", None)
@@ -500,8 +490,9 @@ class StepWeight(Weight):
             if v <= 0:
                 raise NonPositiveWeight(f"step value {v} is not positive")
         self.step = step
-        self.form = ExponentForm([v for _, v in step.pieces], [E.measure() for E, _ in step.pieces],
-                                 self.is_exact)
+        values = [v for _, v in step.pieces]
+        self.form = ExponentForm(values, [E.measure() for E, _ in step.pieces],
+                                 all(isinstance(v, (Fraction, int)) for v in values))
 
     def value_at(self, x) -> float:
         return float(self.step.value_at(getattr(x, "value", x)))
@@ -510,20 +501,12 @@ class StepWeight(Weight):
         v = self.step.value_at(getattr(x, "value", x))
         return v if isinstance(v, (Fraction, int)) else None
 
-    def bounds(self) -> tuple[float, float]:
-        vals = [float(v) for _, v in self.step.pieces]
-        return min(vals), max(vals)
-
     def translate(self, shift) -> "StepWeight":
         delta = getattr(shift, "value", None)
         if delta is None:
             delta = Fraction(float(shift))
         moved = tuple((E.translated(-delta), v) for E, v in self.step.pieces)
         return StepWeight(StepFunction(moved))
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for _, v in self.step.pieces)
 
     def __repr__(self):
         return f"StepWeight({len(self.step)} pieces)"
@@ -540,7 +523,7 @@ class FiniteWeight(Weight):
             raise NonPositiveWeight("finite weight values must be positive")
         self.group = group
         self.values = vals
-        self.form = ExponentForm(vals, None, self.is_exact)
+        self.form = ExponentForm(vals, None, all(isinstance(v, Fraction) for v in vals))
 
     def value_at(self, x) -> float:
         return float(self.values[int(x)])
@@ -549,17 +532,9 @@ class FiniteWeight(Weight):
         v = self.values[int(x)]
         return v if isinstance(v, Fraction) else None
 
-    def bounds(self) -> tuple[float, float]:
-        fv = [float(v) for v in self.values]
-        return min(fv), max(fv)
-
     def translate(self, shift: int) -> "FiniteWeight":
         g = self.group
         return FiniteWeight(g, [self.values[g.mul(x, shift)] for x in g.elements()])
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.values)
 
 
 class PAdicTableWeight(Weight):
@@ -619,10 +594,6 @@ class PAdicTableWeight(Weight):
     def value_at(self, x) -> float:
         return float(self.rational_at(x))
 
-    def bounds(self) -> tuple[float, float]:
-        fv = [float(v) for v in self.table.values()]
-        return min(fv), max(fv)
-
     def translate(self, shift: PAdicNumber) -> "PAdicTableWeight":
         moved = {
             r: self.table[(r + shift.residue) % self._size] for r in range(self._size)
@@ -638,10 +609,6 @@ class PAdicTableWeight(Weight):
             if size >= self._size or (index.reshape(-1, size) == index[:size]).all():
                 return k
         return max(self.level, 0)
-
-    @property
-    def is_exact(self) -> bool:
-        return True
 
     def __repr__(self):
         return f"PAdicTableWeight({self.context.name}, level={self.level})"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 from fractions import Fraction
 from itertools import islice
@@ -419,6 +420,18 @@ def test_expr_scan_is_the_verdict_rows(tmp_path, expr, grid_points, battery_rows
     assert rows == expected(grid_points or 1024)
     if grid_points is not None:
         assert rows != expected(1024)
+
+
+def test_expr_rows_past_binary64_read_inf(tmp_path):
+    # row n of exp(1) is e^n, whose log-sum passes ln(max double) at n = 710
+    payload = circle_spec(element={"angle": 0.41421356237309515}, weight={"expr": "exp(1)"},
+                          horizons={"n_max": 800})
+    out = tmp_path / "all"
+    assert main(["all", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "scan.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 801))
+    assert all(math.isfinite(float(row[1])) for row in rows[:709])
+    assert all(row[1:3] == ["inf", "inf"] for row in rows[709:])
 
 
 _ZP_UL = dict(three_coset_spec(),

@@ -18,7 +18,6 @@ from hclab.equidist import (
     OrbitCounter,
     TestFunction,
     density,
-    density_stat,
     ergodic_average,
     sweep_blocks,
     sup_deviation,
@@ -66,8 +65,6 @@ def test_density_trivial_sets():
     seq = OrbitSequence(CIRCLE, CIRCLE.from_float(GOLDEN))
     assert density(IntervalSet.empty(), seq, 100) == 0
     assert density(IntervalSet.full(), seq, 100) == Fraction(99, 100)
-    stat = density_stat(IntervalSet.full(), seq, 100)
-    assert stat.count == 99 and stat.value * 100 == 99
 
 
 def test_density_matches_oracle_randomized():
@@ -253,7 +250,6 @@ def test_resolving_context_counts_equal_the_full_context(case):
     counts = [full_context_count(K, seq, N, y) for y in seq.group.elements()]
     assert sup_deviation(K, seq, N) == float(max(abs(Fraction(c, N) - mu) for c in counts))
     assert density(K, seq, N) == Fraction(full_context_count(K, seq, N), N)
-    assert density_stat(K, seq, N).count == full_context_count(K, seq, N)
     assert translated_density(K, x, seq, N) == Fraction(counts[x.residue], N)
 
 
@@ -644,7 +640,7 @@ def test_average_linearity():
     for _ in range(10):
         A = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         B = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        combo = TestFunction.from_callable(lambda t, A=A, B=B: A * f1.fn(t) + B * f2.fn(t))
+        combo = TestFunction(lambda t, A=A, B=B: A * f1.fn(t) + B * f2.fn(t))
         x = rng.random()
         N = rng.randrange(2, 200)
         lhs = ergodic_average(combo, a, N, x)
@@ -655,7 +651,7 @@ def test_average_linearity():
 def test_average_contraction():
     rng = random.Random(15)
     a = CIRCLE.from_float(GOLDEN)
-    f = TestFunction.from_callable(lambda t: np.exp(2j * np.pi * np.asarray(t)) + 0.5)
+    f = TestFunction(lambda t: np.exp(2j * np.pi * np.asarray(t)) + 0.5)
     sup_f = 1.5
     for _ in range(20):
         g = ergodic_average(f, a, rng.randrange(2, 100), rng.random())
@@ -666,6 +662,6 @@ def test_character_quadrature_mean_is_zero():
     for k in (1, 2, 5):
         f = TestFunction.character(k)
         assert abs(f.resolved_mean()) == 0  # exact mean carried
-        est = TestFunction.from_callable(f.fn).resolved_mean()
+        est = TestFunction(f.fn).resolved_mean()
         assert abs(est) < 1e-12
     assert TestFunction.character(0).resolved_mean() == 1
