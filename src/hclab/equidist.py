@@ -409,8 +409,10 @@ class Sweep:
 def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first: int, last: int) -> bool:
     """Whether the cell from event ``last`` past 0 to event ``first`` comes
     first in a sweep over those events: its midpoint, (last + first + D)/2
-    mod D, lies below the first event when last + first >= D."""
-    return int(ints[last]) + fracs[ranks[last]] + int(ints[first]) + fracs[ranks[first]] >= D
+    mod D, lies below the first event when last + first >= D: by the integer
+    parts unless they sum to D - 1, as the fractional parts lie in [0, 1)."""
+    over = int(ints[last]) + int(ints[first]) - D
+    return over >= 0 or (over == -1 and fracs[ranks[last]] + fracs[ranks[first]] >= 1)
 
 
 # the most (row, candidate, set) counts one block of a walk holds
@@ -451,27 +453,28 @@ class SweepBlock:
         return Sweep(counts, self.denominator, self.event_ints[alive], self.event_ranks[alive],
                      self.fracs, bool(self.wrap_first[q]))
 
-    def distinct_firsts(self) -> list[np.ndarray]:
-        """Per row, the candidates at which a count vector first appears, in
-        candidate order: one stable sort of integer keys (row, count vector)
-        for the whole block.  A count is at most the block's last n, so the
-        vectors pack in that radix; when the packed key would leave int64,
-        the key so far is replaced by its dense rank."""
-        rows = len(self)
+    def distinct_firsts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(firsts, bounds)``: the candidates at which each row's count
+        vectors first appear, ascending, row q's in firsts[bounds[q]:bounds[q
+        + 1]].  One sort of integer keys (row, count vector, candidate): a
+        count is at most the block's last n, so the vectors pack in that
+        radix, and the first key of each (row, vector) holds its first
+        candidate; a key that would leave int64 is replaced by its rank."""
+        rows, size = len(self), len(self.counts)
         key = np.repeat(np.arange(rows, dtype=np.int64), np.diff(self.offsets))
-        span, radix = rows, self.start + rows + 1
-        for column in self.counts.T:
+        span, n = rows, self.start + rows
+        for column, radix in [(c, n + 1) for c in self.counts.T] + [(np.arange(size), size)]:
             if span * radix >= 2 ** 63:
                 key = np.unique(key, return_inverse=True)[1]
                 span = int(key.max()) + 1
             key = key * radix + column
             span *= radix
-        order = np.argsort(key, kind="stable")
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[order[1:]] != key[order[:-1]]
-        first = np.zeros(len(key), dtype=bool)
-        first[order[new]] = True
-        return [np.flatnonzero(first[self.offsets[q]:self.offsets[q + 1]]) for q in range(rows)]
+        key.sort()
+        vectors = key // size
+        new = np.ones(size, dtype=bool)
+        np.not_equal(vectors[1:], vectors[:-1], out=new[1:])
+        firsts = np.sort(key[new] % size)
+        return firsts, np.searchsorted(firsts, self.offsets)
 
 
 def sweep_blocks(bounds: Boundaries, seq: OrbitSequence, horizon: int = 1) -> Iterator[SweepBlock]:
@@ -556,30 +559,44 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     wrap_first = np.repeat(rules, np.diff(runs, append=rows))
     offsets = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(2 * alive.sum(axis=1), out=offsets[1:])
-    row_of, candidates = np.nonzero(np.repeat(alive, 2, axis=1))
-    del alive
+    # each row's live (event, cell) pairs, in one pass over the rows' steps
+    counts = np.compress(alive.ravel(), steps[1:].reshape(rows * G, 2 * S), axis=0).reshape(-1, S)
     if wrap_first.any():
         # those rows move their wrapping cell, their last candidate, first
-        source = np.arange(len(candidates)) - np.repeat(wrap_first, np.diff(offsets))
+        source = np.arange(len(counts)) - np.repeat(wrap_first, np.diff(offsets))
         source[offsets[:-1][wrap_first]] = offsets[1:][wrap_first] - 1
-        candidates = candidates[source]
-    counts = steps[row_of + 1, candidates]
+        counts = counts[source]
     return SweepBlock(start, D, counts, offsets, birth, ints, ranks, bounds.fracs, wrap_first)
 
 
 @dataclass(frozen=True, eq=False)
 class Translates(Sequence):
-    """The exact translates of chosen candidates of a sweep, each computed
-    only when it is read: item i is ``sweep.translate(candidates[i])``."""
+    """The exact translates of chosen candidates of the sweep of row n of a
+    product-orbit walk over ``bounds`` (``sweep_blocks``): item i is the
+    translate of its candidate candidates[i].  Nothing is computed before an
+    item is read, and no block is held, only the walk's boundaries and
+    orbit: a read sweeps row n again, as a block of that one row, and a slice
+    keeps only its own candidates."""
 
-    sweep: Sweep
-    candidates: np.ndarray
+    bounds: Boundaries
+    seq: OrbitSequence
+    n: int
+    candidates: Sequence[int]
+
+    def _sweep(self) -> Sweep:
+        return _sweep_block(self.bounds, self.seq, self.n - 1, self.n).sweep(0)
 
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.sweep.translate(int(self.candidates[i]))
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Translates(self.bounds, self.seq, self.n, self.candidates[i])
+        return self._sweep().translate(int(self.candidates[i]))
+
+    def __iter__(self) -> Iterator[Fraction]:
+        sweep = self._sweep()
+        return (sweep.translate(int(j)) for j in self.candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -633,11 +633,14 @@ class OrbitSequence:
 
     def angle_support(self, N: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Distinct circle points of terms first..N-1 with multiplicities, as
-        integer residues V/D (``angle_terms``) sorted ascending."""
+        integer residues V/D (``angle_terms``) sorted ascending.  Residues
+        of one period are distinct, so no sort need be stable."""
         residues = self.angle_terms(N, first)
         distinct = len(residues)
         counts = (N - first - 1 - np.arange(distinct, dtype=np.int64)) // distinct + 1
-        order = np.argsort(residues, kind="stable")
+        if not distinct or counts[0] == counts[-1]:
+            return np.sort(residues), counts
+        order = np.argsort(residues)
         return residues[order], counts[order]
 
     def residue_support(self, N: int) -> list[tuple[object, int]]:

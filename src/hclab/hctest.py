@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -361,11 +361,13 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
 # monotone weight-power scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneHit:
     """One row of the monotone weight-power scan: the extremes of the n-step
     product and, when it is one-sided against 1, the evidence that it is.
-    ``direction`` is None on a row that is not one-sided."""
+    ``direction`` is None on a row that is not one-sided.  Its ``witness``,
+    the first point at the extreme, is read only when asked for, from the
+    one-item sequence ``witness_at`` (a circle row's ``equidist.Translates``)."""
 
     n: int
     direction: str | None  # ">=1", "<=1" or None
@@ -373,7 +375,15 @@ class MonotoneHit:
     certified: bool
     min_value: float
     max_value: float
-    witness: object = None
+    witness_at: Sequence = field(default=(), repr=False)
+
+    @property
+    def witness(self):
+        return self.witness_at[0] if len(self.witness_at) else None
+
+    def __eq__(self, other) -> bool:
+        keys = ("n", "direction", "strict", "certified", "min_value", "max_value", "witness")
+        return isinstance(other, MonotoneHit) and all(getattr(self, k) == getattr(other, k) for k in keys)
 
 
 # the largest x whose e^x is finite in binary64
@@ -417,24 +427,21 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             certified = gap - n * log_lip / (2 * grid_points) >= 0.0
             i = int(np.argmin(row) if up else np.argmax(row))
             yield MonotoneHit(
-                n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
-                lo, hi, witness=float(xs[i]),
+                n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified, lo, hi, [float(xs[i])],
             )
 
 
 def _exact_hit(n: int, points, row: ProductRow) -> MonotoneHit:
-    """The monotone row of the exact n-step products ``row`` at points[i];
-    the witness is the first point at the extreme."""
-    lo, hi = row.first_extreme(highest=False), row.first_extreme(highest=True)
-    lo_sign, hi_sign = row.sign(lo), row.sign(hi)
-    lo_value, hi_value = row.to_float(lo), row.to_float(hi)
+    """The monotone row of the exact n-step products ``row`` at points[i],
+    from its block's ``ProductRows.extremes``; the hit keeps its witness's
+    slice of ``points``."""
+    lo, hi, lo_sign, hi_sign, lo_value, hi_value = row.rows.extremes[row.b]
     if not (lo_sign >= 0 or hi_sign <= 0):
         return MonotoneHit(n, None, False, False, lo_value, hi_value)
     up = lo_sign >= 0
-    return MonotoneHit(
-        n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
-        lo_value, hi_value, witness=points[lo if up else hi],
-    )
+    i = lo if up else hi
+    return MonotoneHit(n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
+                       lo_value, hi_value, points[i:i + 1])
 
 
 def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):

@@ -127,6 +127,8 @@ MAX_EXPONENT_ENTRIES = 2 ** 22
 _LOG_ERROR = 2.0 ** -50
 # past these logs a positive rational rounds to inf, or to 0.0, in binary64
 _LN_OVERFLOW, _LN_UNDERFLOW = 710.0, -746.0
+# below this float log (a dot product of up to 2^22 logs) an integer is below 2^53
+_LN_EXACT_DOUBLE = 53 * math.log(2) - 2.0 ** -20
 
 
 def _coprime_base(numbers) -> tuple[int, ...]:
@@ -285,8 +287,9 @@ class ProductRows:
     A comparison against 1 or between entries takes the sign of the float
     log when it clears the bound, and builds the integers only when it does
     not (Shewchuk, "Adaptive precision floating-point arithmetic", DCG 1997);
-    equal vectors are equal products, so a tie needs no integers.  Signs and
-    extremes are found for every row at once; ``rows[b]`` is row b's
+    equal vectors are equal products, so a tie needs no integers.  Signs,
+    each row's extremes and their binary64 values are found for every row
+    of the block at once (``signs``, ``extremes``); ``rows[b]`` is row b's
     ``ProductRow``.
     """
 
@@ -334,7 +337,7 @@ class ProductRows:
         first = near[np.searchsorted(near, starts)]
         tied = (self.exponents[near] == self.exponents[first[self.row_of[near]]]).all(axis=1)
         # rows whose near entries the filter cannot order: compare exact values
-        for b in np.unique(self.row_of[near[~tied]]).tolist():
+        for b in set(self.row_of[near[~tied]].tolist()):
             values = {}
             for i in near[self.row_of[near] == b].tolist():
                 e = tuple(self.exponents[i].tolist())
@@ -344,12 +347,42 @@ class ProductRows:
         return first
 
     @functools.cached_property
-    def lowest(self) -> list[int]:
-        return self._first_extremes(highest=False).tolist()
+    def extremes(self) -> list[tuple[int, int, int, int, float, float]]:
+        """Per row, ``(lo, hi, lo sign, hi sign, lo value, hi value)``: the
+        first entries at its minimum and maximum (indices in the row), their
+        signs against 1 and ``floats``, for every row of the block at once."""
+        lo, hi = self._first_extremes(highest=False), self._first_extremes(highest=True)
+        both = np.concatenate([lo, hi])
+        signs, values = self.signs[both].tolist(), self.floats(both).tolist()
+        B, starts = len(self), self.bounds[:-1]
+        return list(zip((lo - starts).tolist(), (hi - starts).tolist(),
+                        signs[:B], signs[B:], values[:B], values[B:]))
 
-    @functools.cached_property
-    def highest(self) -> list[int]:
-        return self._first_extremes(highest=True).tolist()
+    def floats(self, entries: np.ndarray) -> np.ndarray:
+        """The entries rounded to binary64.  A numerator and denominator
+        below 2^53 are exact doubles, int64 products of powers, so one IEEE
+        division rounds once, as Python's integer division does; otherwise
+        the float log decides inf and 0.0, and the integers the rest."""
+        E = self.exponents[entries]
+        parts = np.maximum(np.stack([E, -E]), 0)  # numerators' and denominators' exponents
+        fits = (parts @ self.form.logs < _LN_EXACT_DOUBLE).all(axis=0)
+        # a base integer past 2^53 has exponent 0 in a product below 2^53
+        powers = np.array([b if b < 2 ** 53 else 1 for b in self.form.base], dtype=np.int64)
+        num, den = (powers ** parts[:, fits]).prod(axis=2)
+        out = np.empty(len(E))
+        out[fits] = num / den
+        rest = np.flatnonzero(~fits)
+        for j, s, tol, e in zip(rest.tolist(), self.logs[entries[rest]].tolist(),
+                                self.tol[entries[rest]].tolist(), E[rest].tolist()):
+            if s - tol > _LN_OVERFLOW or s + tol < _LN_UNDERFLOW:
+                out[j] = math.inf if s > 0 else 0.0
+                continue
+            num, den = self.form.integers(e)
+            try:
+                out[j] = num / den
+            except OverflowError:
+                out[j] = math.inf
+        return out
 
 
 class ProductRow:
@@ -371,35 +404,10 @@ class ProductRow:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    @property
-    def signs(self) -> np.ndarray:
-        """-1, 0 or 1 (int8) as each entry is below, at or above 1."""
-        return self.rows.signs[self.start:self.stop]
-
     @functools.cached_property
     def codes(self) -> bytes:
         """One byte per entry: 0, 1 or 2 as it is below, at or above 1."""
         return self.rows.codes[self.start:self.stop].tobytes()
-
-    def sign(self, i: int) -> int:
-        return int(self.rows.signs[self.start + i])
-
-    def first_extreme(self, highest: bool) -> int:
-        """The first entry at the row's maximum (``highest``) or minimum."""
-        return (self.rows.highest if highest else self.rows.lowest)[self.b] - self.start
-
-    def to_float(self, i: int) -> float:
-        """Entry i rounded to binary64 (inf past its range)."""
-        s, tol = float(self.rows.logs[self.start + i]), self.n * self.rows.form.tol
-        if s - tol > _LN_OVERFLOW:
-            return math.inf
-        if s + tol < _LN_UNDERFLOW:
-            return 0.0
-        num, den = self.rows.form.integers(self.exponents[i])
-        try:
-            return num / den
-        except OverflowError:
-            return math.inf
 
     def value(self, i: int) -> Fraction:
         """Entry i as an exact Fraction."""
@@ -761,33 +769,30 @@ def circle_step_rows(w: StepWeight, a: CircleElement,
     counts the product orbit x, x-a, ..., x-(n-1)a inside piece i, is entry
     j of the ``ProductRow`` ``row`` at the translate points[j].
 
-    The row's exponent vectors are ``counts @ E``, the count vectors times
-    the pieces' exponent vectors (``ExponentForm``); a float value enters as
-    the exact rational it is.  The count vectors are exact and every vector
-    w_n takes is realized: the rows come in blocks
-    (``equidist.sweep_blocks``), the first ending at row ``horizon``, each
-    from one arrangement of the events of every term it reaches, with the
-    pieces' boundaries prepared once for the walk (``equidist.Boundaries``).
-    The row keeps one entry per distinct count vector, at the first of row
-    n's candidates that has it, in increasing translate order over [0, 1):
-    the first entry reaching any value is at the first translate reaching
-    it, an exact event position or cell midpoint of the n-point orbit.  One
-    sort of integer keys finds the distinct vectors of every row of a block.
-    ``points`` is a lazy ``equidist.Translates`` view: a translate is
-    computed, as a Fraction, only when it is read.
+    The rows come in blocks (``equidist.sweep_blocks``), the first ending at
+    row ``horizon``, each from one arrangement of the events of every term
+    it reaches, with the pieces' boundaries prepared once for the walk
+    (``equidist.Boundaries``).  A row keeps one entry per distinct count
+    vector, at the first of row n's candidates that has it, in increasing
+    translate order over [0, 1): the first entry reaching any value is at
+    the first translate reaching it, an exact event position or cell
+    midpoint of the n-point orbit.  One sort finds them for a whole block
+    (``SweepBlock.distinct_firsts``), whose rows are one ``ProductRows`` of
+    ``counts @ E`` for the pieces' exponent vectors E (``ExponentForm``).
+    ``points`` is a lazy ``equidist.Translates`` that holds no block: no
+    row's ``Sweep`` and no translate is computed before one is read.
     """
     pieces = [E for E, _ in w.step.pieces]
     bounds = Boundaries.prepare(a.value.denominator, *pieces)
-    n0 = 0
-    for block in sweep_blocks(bounds, OrbitSequence(CIRCLE, a), horizon):
-        firsts = block.distinct_firsts()
-        # every row's first candidates, row after row
-        counts = block.counts[np.concatenate([start + first for start, first in zip(block.offsets, firsts)])]
-        rows = ProductRows(w.form, counts @ w.form.exponents, n0,
-                           np.cumsum([0] + [len(first) for first in firsts]))
-        for q, first in enumerate(firsts):
-            yield Translates(block.sweep(q), first), rows[q]
-        n0 += len(firsts)
+    seq, n0 = OrbitSequence(CIRCLE, a), 0
+    for block in sweep_blocks(bounds, seq, horizon):
+        firsts, ends = block.distinct_firsts()
+        rows = ProductRows(w.form, block.counts[firsts] @ w.form.exponents, n0, ends)
+        # every row's first candidates, as candidates of its own sweep
+        local = (firsts - block.offsets[rows.row_of]).tolist()
+        for q, (i, j) in enumerate(zip(rows.starts, rows.starts[1:])):
+            yield Translates(bounds, seq, n0 + q + 1, local[i:j]), rows[q]
+        n0 += len(rows)
 
 
 def _weight_at(w: Weight, x, approx=None):

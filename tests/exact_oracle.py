@@ -51,15 +51,16 @@ def circle_step_rows(w, a, horizon=1, wanted=None):
     ``wanted`` rejects yield None for row, and cost no products."""
     values, scale = integer_table(v for _, v in w.step.pieces)
     bounds = Boundaries.prepare(a.value.denominator, *(E for E, _ in w.step.pieces))
-    n, den = 0, 1
-    for block in sweep_blocks(bounds, OrbitSequence(CIRCLE, a), horizon):
-        for q, first in enumerate(block.distinct_firsts()):
+    seq, n, den = OrbitSequence(CIRCLE, a), 0, 1
+    for block in sweep_blocks(bounds, seq, horizon):
+        firsts, ends = block.distinct_firsts()
+        for q in range(len(block)):
             n, den = n + 1, den * scale
+            first = firsts[ends[q]:ends[q + 1]]
             row = None
             if wanted is None or wanted(n):
-                counts = block.counts[block.offsets[q] + first].tolist()
-                row = [math.prod(map(pow, values, c)) for c in counts]
-            yield Translates(block.sweep(q), first), row, den
+                row = [math.prod(map(pow, values, c)) for c in block.counts[first].tolist()]
+            yield Translates(bounds, seq, n, first - block.offsets[q]), row, den
 
 
 def _float(num, den):
@@ -77,8 +78,9 @@ def exact_hit(n, points, values, den):
     if not (mn >= den or mx <= den):
         return MonotoneHit(n, None, False, False, lo, hi)
     up = mn >= den
+    i = values.index(mn if up else mx)
     return MonotoneHit(n, ">=1" if up else "<=1", mx > den if up else mn < den, True,
-                       lo, hi, witness=points[values.index(mn if up else mx)])
+                       lo, hi, points[i:i + 1])
 
 
 def signs(values, den):

@@ -79,7 +79,7 @@ def monotone_rows(w, a, grid_points):
         i = int(np.argmin(acc) if up else np.argmax(acc))
         yield MonotoneHit(
             n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified,
-            math.exp(mn), math.exp(mx), witness=float(xs[i]),
+            math.exp(mn), math.exp(mx), [float(xs[i])],
         )
 
 

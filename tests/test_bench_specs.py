@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exact_oracle
 import expr_oracle
 from circle_oracle import row_pairs, step_values_at
 from hclab.cli import parse_spec, validate
@@ -44,17 +45,22 @@ def test_bench_specs_validate(workload):
 
 
 def test_bench_step_walks_match_the_oracle():
-    # the first 8 rows of every circle step walk, with the spec's n_max as
-    # the horizon as the verdict passes it
+    # with the spec's n_max as the horizon, as the verdict passes it: every
+    # row's monotone hit (extremes, direction, strictness, witness) against
+    # the integer oracle, and the first 8 rows' (translate, value) pairs
+    # against the brute-force one, which is cubic in n
     walks = 0
     for case in GENERATORS["exact-step"](0):
         spec, _ = parse_spec(case.spec, case.task)
         if not isinstance(spec.weight, StepWeight):
             continue
         walks += 1
-        rows_at = step_values_at(spec.weight, spec.element, first_only=True)
-        rows = circle_step_rows(spec.weight, spec.element, spec.verdict_config().monotone_n_max)
-        for n, (points, row) in zip(range(1, 9), rows):
+        w, a, n_max = spec.weight, spec.element, spec.verdict_config().monotone_n_max
+        hits, rows = monotone_rows(w, a, horizon=n_max), exact_oracle.circle_step_rows(w, a, n_max)
+        for n, hit, (points, row, den) in zip(range(1, n_max + 1), hits, rows):
+            assert hit == exact_oracle.exact_hit(n, points, row, den), (case.id, n)
+        rows_at = step_values_at(w, a, first_only=True)
+        for n, (points, row) in zip(range(1, 9), circle_step_rows(w, a, n_max)):
             assert row_pairs(points, row) == rows_at(n), (case.id, n)
     assert walks > 0
 

@@ -11,6 +11,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,7 +101,7 @@ def test_exponent_form_matches_the_big_integer_oracle(case):
                 monotone_rows(w, a, horizon=n_max))
     for n, ((points, row), (o_points, o_row, den), hit) in zip(range(1, n_max + 1), pairs):
         assert list(points) == list(o_points)
-        assert row.signs.tolist() == oracle.signs(o_row, den)
+        assert [c - 1 for c in row.codes] == oracle.signs(o_row, den)
         assert [row.value(i) for i in range(len(row))] == [Fraction(v, den) for v in o_row]
         assert hit == oracle.exact_hit(n, o_points, o_row, den)
     report = log_integral_report(w)
@@ -132,10 +133,10 @@ def test_values_under_the_filter_bound_are_decided_exactly(monkeypatch):
     monkeypatch.setattr(ExponentForm, "exact_sign", lambda self, e: calls.append(e) or exact_sign(self, e))
     row = ProductRow.of(form, form.exponents, 1)
     assert abs(row.rows.logs[0]) <= row.rows.tol[0]
-    assert row.signs.tolist() == [1, -1, 0, 1]
+    assert list(row.codes) == [2, 0, 1, 2]
     assert len(calls) == 3
-    assert (row.first_extreme(highest=False), row.first_extreme(highest=True)) == (1, 3)
-    assert row.to_float(3) == float(NEAR_ONE * NEAR_ONE)
+    # (lo, hi, their signs, their values)
+    assert row.rows.extremes == [(1, 3, -1, 1, float(1 / NEAR_ONE), float(NEAR_ONE * NEAR_ONE))]
 
 
 def test_reported_values_round_to_binary64_at_its_edges():
@@ -144,10 +145,44 @@ def test_reported_values_round_to_binary64_at_its_edges():
     # are formed and divided, as the oracle does
     values = [Fraction(10 ** 306), Fraction(2 ** 1024 - 2 ** 970), Fraction(2 ** 1024 - 2 ** 970 - 1),
               Fraction(7 ** 400), Fraction(1, 10 ** 330), Fraction(1, 2 ** 1075), Fraction(1, 2 ** 1074)]
-    row = ProductRow.of(ExponentForm(values), ExponentForm(values).exponents, 1)
-    floats = [row.to_float(i) for i in range(len(values))]
+    rows = ProductRow.of(ExponentForm(values), ExponentForm(values).exponents, 1).rows
+    floats = rows.floats(np.arange(len(values))).tolist()
     assert floats == [oracle._float(v.numerator, v.denominator) for v in values]
     assert floats[1:4] == [math.inf, sys.float_info.max, math.inf] and floats[5] == 0.0
+
+
+def test_block_floats_round_once_about_2_to_the_53():
+    # numerators and denominators just below, at and above 2^53
+    # (3^33 < 2^53 < 3^34): below it both are exact doubles and one division
+    # rounds their quotient; at and above it the integers are divided, since
+    # rounding each first can round twice, as it does for 3^34 / 5
+    values = [Fraction(3 ** 33), Fraction(1, 3 ** 33), Fraction(3 ** 34), Fraction(1, 3 ** 34),
+              Fraction(2 ** 53 - 1, 3), Fraction(3, 2 ** 53 - 1), Fraction(2 ** 53, 3), Fraction(3, 2 ** 53),
+              Fraction(3 ** 33, 5 ** 22), Fraction(3 ** 34, 5), Fraction(5, 3 ** 34), Fraction(5 ** 23, 7)]
+    assert float(3 ** 34) / 5 != 3 ** 34 / 5
+    rows = ProductRow.of(ExponentForm(values), ExponentForm(values).exponents, 1).rows
+    floats = rows.floats(np.arange(len(values))).tolist()
+    assert floats == [oracle._float(v.numerator, v.denominator) for v in values]
+
+
+def test_a_bench_step_walk_forms_integers_only_past_2_to_the_53(monkeypatch):
+    # the weight of exact-step seed-0 case 001, walked to its n_max: the
+    # extremes below 2^53 take one division each, so integers are formed
+    # only for the others
+    formed = []
+    integers = ExponentForm.integers
+    monkeypatch.setattr(ExponentForm, "integers", lambda self, e: formed.append(integers(self, e)) or formed[-1])
+    w = StepWeight(StepFunction.of([
+        (interval(Fraction(3, 10), Fraction(4, 5), "half_open"), Fraction(3, 11)),
+        (interval(Fraction(4, 5), Fraction(3, 10), "half_open"), Fraction(22, 5))]))
+    a = CIRCLE.from_float(0.019992006393607653)
+    hits = list(itertools.islice(monotone_rows(w, a, horizon=50), 50))
+    extremes = [v for _, row, den in itertools.islice(oracle.circle_step_rows(w, a, 50), 50)
+                for v in (Fraction(min(row), den), Fraction(max(row), den))]
+    fit = [v for v in extremes if max(v.numerator, v.denominator) < 2 ** 53]
+    assert sorted((v.numerator, v.denominator) for v in extremes if v not in fit) == sorted(formed)
+    assert 0 < len(fit) < len(extremes)
+    assert [x for hit in hits for x in (hit.min_value, hit.max_value)] == [float(v) for v in extremes]
 
 
 def _step_spec(k):

@@ -4,6 +4,7 @@ weight-power rows read by the verdict, ``monotone_power_scan`` and
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import expr_oracle
 from hclab.borel import interval
-from hclab.equidist import BLOCK_ENTRIES, Sweep
+from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock
 from hclab.groups import CIRCLE
 from hclab.hctest import MonotoneHit, monotone_power_scan, monotone_rows
 from hclab.weights import ExprWeight, StepFunction, StepWeight
@@ -44,7 +45,7 @@ def _scan_expr_weight(w, a, n_max, grid_points, require_strict):
             i = int(np.argmin(acc) if hit[0] == ">=1" else np.argmax(acc))
             return MonotoneHit(
                 n, hit[0], hit[1], certified,
-                float(math.exp(mn)), float(math.exp(mx)), witness=float(xs[i]),
+                float(math.exp(mn)), float(math.exp(mx)), [float(xs[i])],
             )
     return None
 
@@ -109,25 +110,37 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
     assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
 
 
-def test_step_walk_reads_one_translate_per_one_sided_row(monkeypatch):
-    # a row's translates are read only for the witness of a one-sided row
-    calls = []
-    translate = Sweep.translate
+def test_step_walk_hits_hold_no_block():
+    # 400 one-sided rows over 8 arcs (values 2 and 3), every hit kept: each
+    # holds its witness as one candidate of its row, not the row's block of
+    # counts (about 88 MiB when hits held their blocks)
+    cuts = [Fraction(k, 8) for k in range(9)]
+    w = StepWeight(StepFunction.of([(interval(lo, hi, "half_open"), Fraction(2 + k % 2))
+                                    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]))
+    tracemalloc.start()
+    try:
+        hits = list(itertools.islice(monotone_rows(w, CIRCLE.from_float(math.sqrt(2) % 1), horizon=400), 400))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(hit.direction == ">=1" for hit in hits)
+    assert held < 8 * 2 ** 20
 
-    def counted(self, j):
-        calls.append(j)
-        return translate(self, j)
 
-    monkeypatch.setattr(Sweep, "translate", counted)
+def test_step_walk_reads_a_translate_only_for_a_read_witness(monkeypatch):
+    # walking the rows builds no row's sweep and reads no translate; reading
+    # a one-sided row's witness builds its row's sweep and reads one
+    translates, sweeps = [], []
+    translate, sweep = Sweep.translate, SweepBlock.sweep
+    monkeypatch.setattr(Sweep, "translate", lambda self, j: translates.append(j) or translate(self, j))
+    monkeypatch.setattr(SweepBlock, "sweep", lambda self, q: sweeps.append(q) or sweep(self, q))
     w = StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), Fraction(2)),
                                     (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 3))]))
-    rows = monotone_rows(w, CIRCLE.from_float((math.sqrt(5) - 1) / 2))
-    sides = []
-    for n in range(1, 51):
-        before = len(calls)
-        row = next(rows)
-        assert row.n == n
-        one_sided = row.direction is not None
-        assert len(calls) - before == one_sided
-        sides.append(one_sided)
-    assert any(sides) and not all(sides)
+    hits = list(itertools.islice(monotone_rows(w, CIRCLE.from_float((math.sqrt(5) - 1) / 2)), 50))
+    assert [hit.n for hit in hits] == list(range(1, 51))
+    assert (translates, sweeps) == ([], [])
+    one_sided = [hit for hit in hits if hit.direction is not None]
+    assert 0 < len(one_sided) < len(hits)
+    for k, hit in enumerate(one_sided, 1):
+        assert isinstance(hit.witness, Fraction)
+        assert (len(translates), len(sweeps)) == (k, k)

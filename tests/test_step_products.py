@@ -104,7 +104,7 @@ def _brute_scan(values_at, n_max, require_strict):
             continue
         if strict or not require_strict or n == 1:
             witness = pairs[vals.index(mn if direction == ">=1" else mx)][0]
-            return MonotoneHit(n, direction, strict, True, float(mn), float(mx), witness)
+            return MonotoneHit(n, direction, strict, True, float(mn), float(mx), [witness])
     return None
 
 
