@@ -575,8 +575,7 @@ class Translates(Sequence):
     product-orbit walk over ``bounds`` (``sweep_blocks``): item i is the
     translate of its candidate candidates[i].  Nothing is computed before an
     item is read, and no block is held, only the walk's boundaries and
-    orbit: a read sweeps row n again, as a block of that one row, and a slice
-    keeps only its own candidates."""
+    orbit: a read sweeps row n again, as a block of that one row."""
 
     bounds: Boundaries
     seq: OrbitSequence
@@ -589,9 +588,7 @@ class Translates(Sequence):
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Translates(self.bounds, self.seq, self.n, self.candidates[i])
+    def __getitem__(self, i: int) -> Fraction:
         return self._sweep().translate(int(self.candidates[i]))
 
     def __iter__(self) -> Iterator[Fraction]:

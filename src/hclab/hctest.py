@@ -49,7 +49,6 @@ from .weights import (
     ExprWeight,
     FiniteWeight,
     PAdicTableWeight,
-    ProductRow,
     StepFunction,
     StepWeight,
     Weight,
@@ -63,7 +62,6 @@ from .weights import (
 __all__ = [
     "operator_power_identity_check",
     "LogIntegralResult",
-    "log_integral",
     "log_integral_report",
     "log_sum_bits",
     "step_approx",
@@ -165,10 +163,6 @@ def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogInteg
         return _exact_log_sum(w.form)
     total = sum(float(m) * math.log(float(v)) for m, v in w.form.pieces())
     return LogIntegralResult(total, "float-log-sum", exact=False)
-
-
-def log_integral(w: Weight, quadrature_points: int = 1 << 16) -> float:
-    return log_integral_report(w, quadrature_points).value
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +359,11 @@ def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> S
 class MonotoneHit:
     """One row of the monotone weight-power scan: the extremes of the n-step
     product and, when it is one-sided against 1, the evidence that it is.
-    ``direction`` is None on a row that is not one-sided.  Its ``witness``,
-    the first point at the extreme, is read only when asked for, from the
-    one-item sequence ``witness_at`` (a circle row's ``equidist.Translates``)."""
+    ``direction`` is None on a row that is not one-sided, and only a
+    one-sided row has a ``witness``: the first point at the extreme, read
+    only when asked for, from the one-item sequence ``witness_at`` (the
+    ``equidist.Translates`` of one candidate on the circle, the entry index
+    on a table)."""
 
     n: int
     direction: str | None  # ">=1", "<=1" or None
@@ -431,40 +427,42 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             )
 
 
-def _exact_hit(n: int, points, row: ProductRow) -> MonotoneHit:
-    """The monotone row of the exact n-step products ``row`` at points[i],
-    from its block's ``ProductRows.extremes``; the hit keeps its witness's
-    slice of ``points``."""
-    lo, hi, lo_sign, hi_sign, lo_value, hi_value = row.rows.extremes[row.b]
-    if not (lo_sign >= 0 or hi_sign <= 0):
-        return MonotoneHit(n, None, False, False, lo_value, hi_value)
-    up = lo_sign >= 0
-    i = lo if up else hi
-    return MonotoneHit(n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
-                       lo_value, hi_value, points[i:i + 1])
-
-
 def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
     """(monotone row, U/L row or None) for n = 1, 2, ...  An exact weight's
-    rows are one source of (points, ``ProductRow``): ``circle_step_rows``
-    for a step weight, ``step_products`` for a finite weight (the points are
-    its elements) and a p-adic table weight (the residues the table
-    resolves), whose ``padic.ULRow`` for n <= ul_n_max is read from the same
-    row as its monotone row; ``ul_n_max`` is 0 but on an unwindowed p-adic
-    context.  The first block of rows ends at max(horizon, ul_n_max)."""
+    rows come in blocks, each a ``ProductRows``: ``circle_step_rows`` for a
+    step weight, ``step_products`` for a finite weight and a p-adic table
+    weight, whose ``padic.ULRow`` for n <= ul_n_max is read from the same
+    row's codes as its monotone row; ``ul_n_max`` is 0 but on an unwindowed
+    p-adic context.  Each row's monotone row is read from its block's
+    ``ProductRows.extremes``; a one-sided row's witness is a one-item
+    sequence: the lazy ``equidist.Translates`` of its first entry at the
+    extreme on the circle, the entry's index on a table.  The first block of
+    rows ends at max(horizon, ul_n_max).  Nothing runs before the first
+    read."""
     horizon = max(horizon, ul_n_max)
     if isinstance(w, ExprWeight):
-        return ((hit, None) for hit in _expr_rows(w, a, grid_points, horizon))
+        yield from ((hit, None) for hit in _expr_rows(w, a, grid_points, horizon))
+        return
     if isinstance(w, StepWeight):
         if not w.form.exact:
             raise NonPositiveWeight("exact scan requires rational step values")
-        rows = circle_step_rows(w, a, horizon)
+        blocks = circle_step_rows(w, a, horizon)
     elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
-        rows = ((range(len(row)), row) for row in step_products(w, a, horizon))
+        blocks = ((lambda b, entries: entries, rows) for rows in step_products(w, a, horizon))
     else:
         raise TypeError(f"unsupported weight {w!r}")
-    return ((_exact_hit(n, points, row), _padic.ul_row(w, a, n, row) if n <= ul_n_max else None)
-            for n, (points, row) in enumerate(rows, 1))
+    n = 0
+    for points, rows in blocks:
+        for b, (lo, hi, lo_sign, hi_sign, lo_value, hi_value) in enumerate(rows.extremes):
+            n += 1
+            if lo_sign >= 0 or hi_sign <= 0:
+                up = lo_sign >= 0
+                hit = MonotoneHit(n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
+                                  lo_value, hi_value, points(b, [lo if up else hi]))
+            else:
+                hit = MonotoneHit(n, None, False, False, lo_value, hi_value)
+            yield hit, (_padic.ul_row(w, a, n, rows.codes[rows.starts[b]:rows.starts[b + 1]])
+                        if n <= ul_n_max else None)
 
 
 def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
@@ -483,19 +481,15 @@ class ProductWalk:
     ``hits()`` yields the monotone rows and ``ul_rows()`` the p-adic U/L rows
     (``padic.ULRow``, for n <= ``ul_n_max``, None past it), both from n = 1.
     Each n is computed once, when the first reader reaches it, and only
-    these small per-n results are kept; the row itself lives in the walk's
-    generator only while it is current.  Nothing runs before the first read.
-    ``horizon`` is the n the readers are expected to reach: circle rows come
-    in blocks, and the first ends there.
+    these small per-n results are kept; a block of rows lives in the walk's
+    generator (``_walk_steps``) only while it is current.  Nothing runs
+    before the first read.  ``horizon`` is the n the readers are expected
+    to reach: rows come in blocks, and the first ends there.
     """
 
     def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
-        self._steps = self._walk(w, a, grid_points, ul_n_max, horizon)
+        self._steps = _walk_steps(w, a, grid_points, ul_n_max, horizon)
         self._walked: list[tuple] = []
-
-    @staticmethod
-    def _walk(*args):  # a generator, so that nothing runs before the first read
-        yield from _walk_steps(*args)
 
     @property
     def walked(self) -> int:

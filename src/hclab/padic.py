@@ -5,8 +5,8 @@ Everything here is exact: weights are rational coset tables, products are
 sums of exponent vectors over the table's coprime base
 (``weights.ExponentForm``), and every comparison against 1 is decided
 exactly, by a filtered float log and integers when the filter cannot tell
-(``weights.ProductRow``).  The only floats produced are the final values of
-log integrals.
+(``weights.ProductRows.codes``, a byte per entry).  The only floats
+produced are the final values of log integrals.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .borel import BallSet, ball
 from .errors import ContextMismatch, InternalInconsistency, WindowExceeded
 from .groups import PRECISION_CAP, PAdicContext, PAdicNumber
 from .report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY, RuleFiring
-from .weights import (DiscretizedFunction, ExponentForm, PAdicTableWeight, ProductRow, apply_operator,
-                      step_products, weight_product)
+from .weights import (DiscretizedFunction, ExponentForm, PAdicTableWeight, ProductRows, apply_operator,
+                      weight_product)
 
 __all__ = [
     "valuation",
@@ -33,7 +33,6 @@ __all__ = [
     "ul_sets",
     "ULRow",
     "ul_row",
-    "ul_rows",
     "ul_scan",
     "is_locally_constant",
     "locally_constant_obstruction",
@@ -113,7 +112,8 @@ class ULWitness:
 def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, j: int, x_prime: int, codes: bytes) -> ULWitness:
     """U and L inside the ball of radius |n a|_p = p^-j around the residue
     x_prime, read from ``codes``, the byte of each |n|-step product by table
-    residue (``ProductRow.codes``; only the ball's entries are read).
+    residue (a row's slice of ``ProductRows.codes``; only the ball's entries
+    are read).
     Negative n uses the inverse-operator convention
     w_{-k}(x) = 1 / w_k(x + k a)."""
     ctx = w.context
@@ -139,11 +139,11 @@ def _ul_witness(w: PAdicTableWeight, a: PAdicNumber, n: int, j: int, x_prime: in
     )
 
 
-def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> ProductRow:
+def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> ProductRows:
     """The n-step products (n >= 1) on the ball of radius |n a|_p around the
-    residue ``center``, as a ``ProductRow`` by table residue whose entries
-    off the ball are 0, by composing rows instead of stepping through all n
-    of them.
+    residue ``center``, as a one-row ``ProductRows`` by table residue whose
+    exponent vectors off the ball are 0, by composing rows instead of
+    stepping through all n of them.
 
     With n = q p^e and q prime to p: row p^(i+1) on the ball of radius
     |p^(i+1) a|_p is the sum of p exponent vectors of row p^i on the ball of
@@ -175,7 +175,8 @@ def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> Produ
     row[first] = E[first]
     for i in range(e):
         row = fold(row, ctx.prime ** i * a.residue, ctx.prime, ball(i + 1))
-    return ProductRow.of(w.form, fold(row, ctx.prime ** e * a.residue, q, ball(e)), n)
+    row = fold(row, ctx.prime ** e * a.residue, q, ball(e))
+    return ProductRows(w.form, row, n - 1, np.array([0, len(row)]))
 
 
 def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0) -> ULWitness:
@@ -203,9 +204,10 @@ class ULRow:
     empty: RuleFiring | None
 
 
-def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: ProductRow) -> ULRow:
-    """The ``ULRow`` of the n-step ``ProductRow`` ``row`` of
-    ``step_products``, read from the signs of its entries against 1.
+def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, codes: bytes) -> ULRow:
+    """The ``ULRow`` of row n of ``step_products``, read from ``codes``, its
+    slice of the block's ``ProductRows.codes``: a byte per table residue, as
+    the n-step product there is below, at or above 1.
 
     For weights declared non-locally-constant only balls strictly coarser
     than the table level are meaningful (inside one table coset the stored
@@ -213,7 +215,6 @@ def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: ProductRow) -> ULRo
     """
     ctx = w.context
     j = _orbit_radius_exp(a, n)
-    codes = row.codes
     empty = None
     if w.declared_locally_constant or j < w.level:
         step = ctx.prime ** (j + ctx.window)
@@ -232,12 +233,6 @@ def ul_row(w: PAdicTableWeight, a: PAdicNumber, n: int, row: ProductRow) -> ULRo
                 },
             )
     return ULRow(_ul_witness(w, a, n, j, 0, codes), empty)
-
-
-def ul_rows(w: PAdicTableWeight, a: PAdicNumber) -> Iterator[ULRow]:
-    """``ul_row`` for n = 1, 2, ..., from one pass of ``step_products``."""
-    for n, row in enumerate(step_products(w, a), 1):
-        yield ul_row(w, a, n, row)
 
 
 def is_locally_constant(w: PAdicTableWeight) -> int | None:
@@ -269,7 +264,7 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
         RULE_LOCALLY_CONSTANT,
         {"k": k, "n": n},
         {
-            "constant_value": row.value(0),
+            "constant_value": w.form.value(row.exponents[0]),
             "radius": witness.radius,
             "u_nonempty": witness.u_nonempty,
             "l_nonempty": witness.l_nonempty,
@@ -277,12 +272,11 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     )
 
 
-def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int,
-            rows: Iterator[ULRow] | None = None) -> RuleFiring | None:
+def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int, rows: Iterator[ULRow]) -> RuleFiring | None:
     """Scan n = 1..n_max and every ball of radius |n a|_p for an empty U or
-    L, reading ``rows`` (the ``ULRow``s for n = 1, 2, ...; by default a new
-    pass, ``ul_rows``); the first firing wins."""
-    for row in itertools.islice(ul_rows(w, a) if rows is None else rows, n_max):
+    L, reading ``rows``, the ``ULRow``s for n = 1, 2, ... (a
+    ``hctest.ProductWalk``'s ``ul_rows()``); the first firing wins."""
+    for row in itertools.islice(rows, n_max):
         if row.empty is not None:
             return row.empty
     return None

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "DiscretizedFunction",
     "ExponentForm",
     "ProductRows",
-    "ProductRow",
     "weight_product",
     "step_products",
     "circle_step_rows",
@@ -289,8 +288,8 @@ class ProductRows:
     not (Shewchuk, "Adaptive precision floating-point arithmetic", DCG 1997);
     equal vectors are equal products, so a tie needs no integers.  Signs,
     each row's extremes and their binary64 values are found for every row
-    of the block at once (``signs``, ``extremes``); ``rows[b]`` is row b's
-    ``ProductRow``.
+    of the block at once (``signs``, ``codes``, ``extremes``); a reader of
+    row b reads its slice ``starts[b]:starts[b + 1]`` of them.
     """
 
     def __init__(self, form: ExponentForm, exponents: np.ndarray, n0: int, bounds: np.ndarray):
@@ -306,12 +305,6 @@ class ProductRows:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, b: int) -> "ProductRow":
-        return ProductRow(self, b)
-
-    def __iter__(self) -> Iterator["ProductRow"]:
-        return map(self.__getitem__, range(len(self)))
-
     @functools.cached_property
     def signs(self) -> np.ndarray:
         """-1, 0 or 1 (int8) as each entry is below, at or above 1."""
@@ -322,10 +315,10 @@ class ProductRows:
         return out
 
     @functools.cached_property
-    def codes(self) -> np.ndarray:
-        """``signs`` + 1 as bytes: 0, 1 or 2 as an entry is below, at or
+    def codes(self) -> bytes:
+        """One byte per entry, ``signs`` + 1: 0, 1 or 2 as it is below, at or
         above 1."""
-        return (self.signs + 1).astype(np.uint8)
+        return (self.signs + 1).astype(np.uint8).tobytes()
 
     def _first_extremes(self, highest: bool) -> np.ndarray:
         """Per row, the first entry at the row's maximum (``highest``) or
@@ -383,35 +376,6 @@ class ProductRows:
             except OverflowError:
                 out[j] = math.inf
         return out
-
-
-class ProductRow:
-    """Row n of ``ProductRows``: the n-step products w_n at the entries,
-    their ``exponents`` (entries x m)."""
-
-    def __init__(self, rows: ProductRows, b: int):
-        self.rows = rows
-        self.b = b
-        self.n = rows.n0 + 1 + b
-        self.start, self.stop = rows.starts[b], rows.starts[b + 1]
-        self.exponents = rows.exponents[self.start:self.stop]
-
-    @staticmethod
-    def of(form: ExponentForm, exponents: np.ndarray, n: int) -> "ProductRow":
-        """The row n whose exponent vectors are ``exponents``."""
-        return ProductRows(form, exponents, n - 1, np.array([0, len(exponents)]))[0]
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    @functools.cached_property
-    def codes(self) -> bytes:
-        """One byte per entry: 0, 1 or 2 as it is below, at or above 1."""
-        return self.rows.codes[self.start:self.stop].tobytes()
-
-    def value(self, i: int) -> Fraction:
-        """Entry i as an exact Fraction."""
-        return self.rows.form.value(self.exponents[i])
 
 
 # ---------------------------------------------------------------------------
@@ -716,21 +680,20 @@ def weight_product(w: Weight, a, n: int, x):
     return acc
 
 
-def step_products(w: Weight, a, horizon: int = 1) -> Iterator[ProductRow]:
-    """Yield, for n = 1, 2, ..., the ``ProductRow`` of n-step products w_n
-    over a whole exact table weight at once.
+def step_products(w: Weight, a, horizon: int = 1) -> Iterator[ProductRows]:
+    """Yield the n-step products w_n of an exact table weight, n = 1, 2, ...,
+    over the whole table at once, as one ``ProductRows`` per block of rows.
 
-    For a ``PAdicTableWeight`` the row is indexed by the residues r mod
+    For a ``PAdicTableWeight`` a row is indexed by the residues r mod
     p^(level+window) that the table resolves (w_n(x) is entry
     x.residue % size); for a ``FiniteWeight`` it is indexed by group element.
     Row n holds the weight's exponent vectors summed along the orbit,
     row_n[x] = E[x] + row_{n-1}[x a^-1], so entries grow by n max|e| and no
-    integer is formed.  The rows come in ``ProductRows`` blocks, the first
-    ending at row ``horizon`` and each later one as long as the walk so far,
-    at most ``BLOCK_ENTRIES`` exponents each: a block is cumulative sums of
-    E read along the orbit.  A float value of a finite weight enters as the
-    exact rational it is.  Circle step weights have their own rows,
-    ``circle_step_rows``.
+    integer is formed.  The first block ends at row ``horizon`` and each
+    later one is as long as the walk so far, at most ``BLOCK_ENTRIES``
+    exponents each: a block is cumulative sums of E read along the orbit.
+    A float value of a finite weight enters as the exact rational it is.
+    Circle step weights have their own blocks, ``circle_step_rows``.
     """
     if isinstance(w, PAdicTableWeight):
         if a.context != w.context:
@@ -758,29 +721,32 @@ def step_products(w: Weight, a, horizon: int = 1) -> Iterator[ProductRow]:
         idx = orbit(B)
         block = np.cumsum(E[idx[:-1]], axis=0)
         block += last[idx[1:]]
-        yield from ProductRows(w.form, block.reshape(B * len(E), E.shape[1]), n0, np.arange(B + 1) * len(E))
+        yield ProductRows(w.form, block.reshape(B * len(E), E.shape[1]), n0, np.arange(B + 1) * len(E))
         last, n0, B = block[-1], n0 + B, n0 + B
 
 
 def circle_step_rows(w: StepWeight, a: CircleElement,
-                     horizon: int = 1) -> Iterator[tuple[Translates, ProductRow]]:
-    """Yield, for n = 1, 2, ..., the n-step products of a circle step weight
-    as ``(points, row)``: w_n(x) = prod_i alpha_i^(c_i(x)), where c_i(x)
-    counts the product orbit x, x-a, ..., x-(n-1)a inside piece i, is entry
-    j of the ``ProductRow`` ``row`` at the translate points[j].
+                     horizon: int = 1) -> Iterator[tuple[Callable, ProductRows]]:
+    """Yield the n-step products of a circle step weight, n = 1, 2, ..., as
+    one ``(points, rows)`` per block of rows.  Row b of the ``ProductRows``
+    ``rows`` holds w_n(x) = prod_i alpha_i^(c_i(x)) for n = rows.n0 + 1 + b,
+    where c_i(x) counts the product orbit x, x-a, ..., x-(n-1)a inside piece
+    i, at some translates x: ``points(b, entries)`` is the lazy
+    ``equidist.Translates`` whose item k is the translate of the row's entry
+    entries[k].
 
-    The rows come in blocks (``equidist.sweep_blocks``), the first ending at
-    row ``horizon``, each from one arrangement of the events of every term
-    it reaches, with the pieces' boundaries prepared once for the walk
+    The blocks come from ``equidist.sweep_blocks``, the first ending at row
+    ``horizon``, each from one arrangement of the events of every term it
+    reaches, with the pieces' boundaries prepared once for the walk
     (``equidist.Boundaries``).  A row keeps one entry per distinct count
     vector, at the first of row n's candidates that has it, in increasing
     translate order over [0, 1): the first entry reaching any value is at
     the first translate reaching it, an exact event position or cell
     midpoint of the n-point orbit.  One sort finds them for a whole block
-    (``SweepBlock.distinct_firsts``), whose rows are one ``ProductRows`` of
-    ``counts @ E`` for the pieces' exponent vectors E (``ExponentForm``).
-    ``points`` is a lazy ``equidist.Translates`` that holds no block: no
-    row's ``Sweep`` and no translate is computed before one is read.
+    (``SweepBlock.distinct_firsts``), whose rows are ``counts @ E`` for the
+    pieces' exponent vectors E (``ExponentForm``).  A ``Translates`` holds no
+    block: no row's ``Sweep`` and no translate is computed before one is
+    read.
     """
     pieces = [E for E, _ in w.step.pieces]
     bounds = Boundaries.prepare(a.value.denominator, *pieces)
@@ -788,11 +754,17 @@ def circle_step_rows(w: StepWeight, a: CircleElement,
     for block in sweep_blocks(bounds, seq, horizon):
         firsts, ends = block.distinct_firsts()
         rows = ProductRows(w.form, block.counts[firsts] @ w.form.exponents, n0, ends)
-        # every row's first candidates, as candidates of its own sweep
-        local = (firsts - block.offsets[rows.row_of]).tolist()
-        for q, (i, j) in enumerate(zip(rows.starts, rows.starts[1:])):
-            yield Translates(bounds, seq, n0 + q + 1, local[i:j]), rows[q]
+        # every entry's first candidate, as a candidate of its row's own sweep
+        local = firsts - block.offsets[rows.row_of]
+        yield _translates_of(bounds, seq, rows, local), rows
         n0 += len(rows)
+
+
+def _translates_of(bounds: Boundaries, seq: OrbitSequence, rows: ProductRows, local: np.ndarray) -> Callable:
+    """``points(b, entries)`` of a ``circle_step_rows`` block."""
+    def points(b: int, entries) -> Translates:
+        return Translates(bounds, seq, rows.n0 + 1 + b, [int(local[rows.starts[b] + i]) for i in entries])
+    return points
 
 
 def _weight_at(w: Weight, x, approx=None):

@@ -85,8 +85,8 @@ def step_values_at(w, a, first_only=False):
     return values_at
 
 
-def row_pairs(points, row):
-    """The (translate, w_n) pairs of a ``circle_step_rows`` row
-    ``(points, row)``, as exact Fractions."""
-    assert len(points) == len(row)
-    return [(x, row.value(i)) for i, x in enumerate(points)]
+def row_pairs(points, values):
+    """The (translate, w_n) pairs of a ``circle_step_rows`` row, from its
+    translates and exact values (``exact_oracle.walk_rows``)."""
+    assert len(points) == len(values)
+    return list(zip(points, values))

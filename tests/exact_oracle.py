@@ -3,7 +3,8 @@ their exponent form (``hclab.weights.ExponentForm``): integer tables over a
 least common denominator, n-step rows of integers over L^n, circle step
 rows as per-entry products of powers, the Haar log-sum reduced as one
 Fraction, and coset products of Fractions.  Nothing here factors a value or
-reads a float log, so it shares no arithmetic with what it checks."""
+reads a float log, so it shares no arithmetic with what it checks;
+``walk_rows`` only reads the rows under test out of the library's blocks."""
 
 import math
 from fractions import Fraction
@@ -80,7 +81,20 @@ def exact_hit(n, points, values, den):
     up = mn >= den
     i = values.index(mn if up else mx)
     return MonotoneHit(n, ">=1" if up else "<=1", mx > den if up else mn < den, True,
-                       lo, hi, points[i:i + 1])
+                       lo, hi, [points[i]])
+
+
+def walk_rows(blocks):
+    """The rows of a walk's blocks, n = 1, 2, ...: (n, points, codes,
+    values) per row, read from its block (a ``weights.step_products``
+    ``ProductRows``, or a ``weights.circle_step_rows`` ``(points, rows)``):
+    the lazy translates of its entries on the circle, their indices on a
+    table, its bytes against 1 and its exact values."""
+    for block in blocks:
+        points, rows = block if isinstance(block, tuple) else (lambda b, entries: entries, block)
+        for b, (start, stop) in enumerate(zip(rows.starts, rows.starts[1:])):
+            yield (rows.n0 + 1 + b, points(b, range(stop - start)), rows.codes[start:stop],
+                   [rows.form.value(e) for e in rows.exponents[start:stop]])
 
 
 def signs(values, den):

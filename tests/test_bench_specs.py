@@ -60,8 +60,9 @@ def test_bench_step_walks_match_the_oracle():
         for n, hit, (points, row, den) in zip(range(1, n_max + 1), hits, rows):
             assert hit == exact_oracle.exact_hit(n, points, row, den), (case.id, n)
         rows_at = step_values_at(w, a, first_only=True)
-        for n, (points, row) in zip(range(1, 9), circle_step_rows(w, a, n_max)):
-            assert row_pairs(points, row) == rows_at(n), (case.id, n)
+        rows = exact_oracle.walk_rows(circle_step_rows(w, a, n_max))
+        for n, (_, points, _, values) in zip(range(1, 9), rows):
+            assert row_pairs(points, values) == rows_at(n), (case.id, n)
     assert walks > 0
 
 

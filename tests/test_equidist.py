@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import circle_oracle as oracle
+import exact_oracle
 from hclab import equidist
 from hclab.borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
@@ -345,9 +346,10 @@ def test_circle_counts_match_exact_oracle(case, data):
     if K.measure() < 1:
         w = StepWeight(StepFunction.of([(K, Fraction(2)), (K.complement(), Fraction(1, 3))]))
         values_at = oracle.step_values_at(w, a)
-        for n, (points, row) in zip(range(1, 7), circle_step_rows(w, a)):
-            assert row.n == n
-            pairs = oracle.row_pairs(points, row)
+        rows = exact_oracle.walk_rows(circle_step_rows(w, a))
+        for n, (row_n, points, _, values) in zip(range(1, 7), rows):
+            assert row_n == n
+            pairs = oracle.row_pairs(points, values)
             full = values_at(n)
             assert {v for _, v in pairs} == {v for _, v in full}
             assert set(pairs) <= set(full)

@@ -21,7 +21,7 @@ from hclab.cli import main, validate
 from hclab.groups import CIRCLE, PAdicContext, catalog
 from hclab.hctest import log_integral_report, monotone_rows
 from hclab.padic import coset_log_integrals
-from hclab.weights import (ExponentForm, FiniteWeight, PAdicTableWeight, ProductRow, StepFunction,
+from hclab.weights import (ExponentForm, FiniteWeight, PAdicTableWeight, ProductRows, StepFunction,
                            StepWeight, _coprime_base, circle_step_rows, step_products)
 
 NEAR_ONE = Fraction(10 ** 15 + 1, 10 ** 15)
@@ -89,20 +89,27 @@ def _oracle_rows(w, a, n_max):
 
 def _rows(w, a, n_max):
     if isinstance(w, StepWeight):
-        return circle_step_rows(w, a, n_max)
-    return ((range(len(row)), row) for row in step_products(w, a, n_max))
+        return oracle.walk_rows(circle_step_rows(w, a, n_max))
+    return oracle.walk_rows(step_products(w, a, n_max))
+
+
+def _one_row(values):
+    """The values as row 1 of a one-row block."""
+    form = ExponentForm(values)
+    return ProductRows(form, form.exponents, 0, np.array([0, len(values)]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(exact_cases())
 def test_exponent_form_matches_the_big_integer_oracle(case):
     w, a, n_max = case
-    pairs = zip(_rows(w, a, n_max), _oracle_rows(w, a, n_max),
-                monotone_rows(w, a, horizon=n_max))
-    for n, ((points, row), (o_points, o_row, den), hit) in zip(range(1, n_max + 1), pairs):
+    rows = zip(range(1, n_max + 1), _rows(w, a, n_max), _oracle_rows(w, a, n_max),
+               monotone_rows(w, a, horizon=n_max))
+    for n, (row_n, points, codes, values), (o_points, o_row, den), hit in rows:
+        assert row_n == n
         assert list(points) == list(o_points)
-        assert [c - 1 for c in row.codes] == oracle.signs(o_row, den)
-        assert [row.value(i) for i in range(len(row))] == [Fraction(v, den) for v in o_row]
+        assert [c - 1 for c in codes] == oracle.signs(o_row, den)
+        assert values == [Fraction(v, den) for v in o_row]
         assert hit == oracle.exact_hit(n, o_points, o_row, den)
     report = log_integral_report(w)
     value, zero = oracle.log_sum(oracle.log_pairs(w))
@@ -131,12 +138,12 @@ def test_values_under_the_filter_bound_are_decided_exactly(monkeypatch):
     calls = []
     exact_sign = ExponentForm.exact_sign
     monkeypatch.setattr(ExponentForm, "exact_sign", lambda self, e: calls.append(e) or exact_sign(self, e))
-    row = ProductRow.of(form, form.exponents, 1)
-    assert abs(row.rows.logs[0]) <= row.rows.tol[0]
-    assert list(row.codes) == [2, 0, 1, 2]
+    rows = ProductRows(form, form.exponents, 0, np.array([0, 4]))
+    assert abs(rows.logs[0]) <= rows.tol[0]
+    assert list(rows.codes) == [2, 0, 1, 2]
     assert len(calls) == 3
     # (lo, hi, their signs, their values)
-    assert row.rows.extremes == [(1, 3, -1, 1, float(1 / NEAR_ONE), float(NEAR_ONE * NEAR_ONE))]
+    assert rows.extremes == [(1, 3, -1, 1, float(1 / NEAR_ONE), float(NEAR_ONE * NEAR_ONE))]
 
 
 def test_reported_values_round_to_binary64_at_its_edges():
@@ -145,8 +152,7 @@ def test_reported_values_round_to_binary64_at_its_edges():
     # are formed and divided, as the oracle does
     values = [Fraction(10 ** 306), Fraction(2 ** 1024 - 2 ** 970), Fraction(2 ** 1024 - 2 ** 970 - 1),
               Fraction(7 ** 400), Fraction(1, 10 ** 330), Fraction(1, 2 ** 1075), Fraction(1, 2 ** 1074)]
-    rows = ProductRow.of(ExponentForm(values), ExponentForm(values).exponents, 1).rows
-    floats = rows.floats(np.arange(len(values))).tolist()
+    floats = _one_row(values).floats(np.arange(len(values))).tolist()
     assert floats == [oracle._float(v.numerator, v.denominator) for v in values]
     assert floats[1:4] == [math.inf, sys.float_info.max, math.inf] and floats[5] == 0.0
 
@@ -160,8 +166,7 @@ def test_block_floats_round_once_about_2_to_the_53():
               Fraction(2 ** 53 - 1, 3), Fraction(3, 2 ** 53 - 1), Fraction(2 ** 53, 3), Fraction(3, 2 ** 53),
               Fraction(3 ** 33, 5 ** 22), Fraction(3 ** 34, 5), Fraction(5, 3 ** 34), Fraction(5 ** 23, 7)]
     assert float(3 ** 34) / 5 != 3 ** 34 / 5
-    rows = ProductRow.of(ExponentForm(values), ExponentForm(values).exponents, 1).rows
-    floats = rows.floats(np.arange(len(values))).tolist()
+    floats = _one_row(values).floats(np.arange(len(values))).tolist()
     assert floats == [oracle._float(v.numerator, v.denominator) for v in values]
 
 

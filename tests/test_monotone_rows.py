@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expr_oracle
+from hclab import weights
 from hclab.borel import interval
-from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock
+from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock, Translates
 from hclab.groups import CIRCLE
 from hclab.hctest import MonotoneHit, monotone_power_scan, monotone_rows
 from hclab.weights import ExprWeight, StepFunction, StepWeight
@@ -128,12 +129,14 @@ def test_step_walk_hits_hold_no_block():
 
 
 def test_step_walk_reads_a_translate_only_for_a_read_witness(monkeypatch):
-    # walking the rows builds no row's sweep and reads no translate; reading
-    # a one-sided row's witness builds its row's sweep and reads one
-    translates, sweeps = [], []
+    # walking the rows builds a lazy witness for each one-sided row only,
+    # builds no row's sweep and reads no translate; reading a one-sided
+    # row's witness builds its row's sweep and reads one
+    translates, sweeps, built = [], [], []
     translate, sweep = Sweep.translate, SweepBlock.sweep
     monkeypatch.setattr(Sweep, "translate", lambda self, j: translates.append(j) or translate(self, j))
     monkeypatch.setattr(SweepBlock, "sweep", lambda self, q: sweeps.append(q) or sweep(self, q))
+    monkeypatch.setattr(weights, "Translates", lambda *args: built.append(args) or Translates(*args))
     w = StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), Fraction(2)),
                                     (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 3))]))
     hits = list(itertools.islice(monotone_rows(w, CIRCLE.from_float((math.sqrt(5) - 1) / 2)), 50))
@@ -141,6 +144,7 @@ def test_step_walk_reads_a_translate_only_for_a_read_witness(monkeypatch):
     assert (translates, sweeps) == ([], [])
     one_sided = [hit for hit in hits if hit.direction is not None]
     assert 0 < len(one_sided) < len(hits)
+    assert len(built) == len(one_sided)
     for k, hit in enumerate(one_sided, 1):
         assert isinstance(hit.witness, Fraction)
         assert (len(translates), len(sweeps)) == (k, k)

@@ -6,6 +6,7 @@ import pytest
 
 from hclab.errors import WindowExceeded
 from hclab.groups import PRECISION_CAP, PAdicContext
+from hclab.hctest import ProductWalk
 from hclab.padic import (
     conjugate_scale,
     conjugate_translate,
@@ -184,7 +185,8 @@ def test_ul_scan_respects_declaration():
         declared_locally_constant=False,
     )
     # every value > 1: the whole-ring ball at level 0 has L empty
-    frag = ul_scan(w, ctx.element(1), 10)
+    a = ctx.element(1)
+    frag = ul_scan(w, a, 10, ProductWalk(w, a, grid_points=0, ul_n_max=10, horizon=10).ul_rows())
     assert frag is not None and frag.rule == RULE_UL_EMPTY
     assert frag.params["empty_side"] == "L"
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circle_oracle import row_pairs, step_values_at
+from exact_oracle import walk_rows
 from hclab.borel import IntervalSet, interval
 from hclab.equidist import Boundaries, OrbitCounter
 from hclab.groups import CIRCLE, PRECISION_CAP, OrbitSequence, PAdicContext, catalog
@@ -114,10 +115,10 @@ def test_padic_rows_equal_weight_product(case):
     w, a = case
     ctx = w.context
     size = ctx.prime ** (w.level + ctx.window)
-    for n, row in zip(range(1, 2 * size + 1), step_products(w, a)):
-        assert len(row) == size and row.n == n
+    for n, (row_n, _, _, values) in zip(range(1, 2 * size + 1), walk_rows(step_products(w, a))):
+        assert len(values) == size and row_n == n
         for r in range(ctx.modulus):
-            assert row.value(r % size) == weight_product(w, a, n, ctx.from_residue(r))
+            assert values[r % size] == weight_product(w, a, n, ctx.from_residue(r))
 
 
 @PROPERTY
@@ -132,16 +133,19 @@ def test_composed_rows_equal_step_products(case, data):
     size = p ** (w.level + m)
     center = data.draw(st.integers(0, ctx.modulus - 1))
     powers = {p ** k for k in range(w.level + m + 2)}
-    for n, row in zip(range(1, max(3 * size, *powers) + 1), step_products(w, a)):
+    rows = walk_rows(step_products(w, a))
+    for n, (_, _, _, values) in zip(range(1, max(3 * size, *powers) + 1), rows):
         if n > 3 * size and n not in powers:
             continue
         ball = _ball_row(w, a, n, center)
+        assert (len(ball), ball.n0) == (1, n - 1)
         v = a.scalar_mul(n).valuation()
         j = ctx.precision if v is PRECISION_CAP else v
         step = p ** min(j + m, w.level + m)
         for r in [r for r in range(size) if (r - center) % step == 0]:
-            assert ball.value(r) == row.value(r)
-            assert ball.value(r) == weight_product(w, a, n, ctx.from_residue(r))
+            composed = w.form.value(ball.exponents[r])
+            assert composed == values[r]
+            assert composed == weight_product(w, a, n, ctx.from_residue(r))
 
 
 @PROPERTY
@@ -149,8 +153,8 @@ def test_composed_rows_equal_step_products(case, data):
 def test_finite_rows_equal_weight_product(case):
     w, a = case
     g = w.group
-    for n, row in zip(range(1, 2 * g.order + 1), step_products(w, a)):
-        assert [row.value(i) for i in range(len(row))] == [weight_product(w, a, n, x) for x in g.elements()]
+    for n, (_, _, _, values) in zip(range(1, 2 * g.order + 1), walk_rows(step_products(w, a))):
+        assert values == [weight_product(w, a, n, x) for x in g.elements()]
 
 
 @PROPERTY
@@ -224,8 +228,8 @@ def test_circle_step_scan_matches_per_candidate_scan(case, data):
     expected = _brute_scan(values_at, n_max, strict)
     hit = monotone_power_scan(w, a, n_max, require_strict=strict)
     assert hit == expected
-    for n, (points, row) in zip(range(1, n_max + 1), circle_step_rows(w, a)):
-        pairs = row_pairs(points, row)
+    for n, (_, points, _, values) in zip(range(1, n_max + 1), walk_rows(circle_step_rows(w, a))):
+        pairs = row_pairs(points, values)
         full = values_at(n)
         assert sorted({v for _, v in pairs}) == sorted({v for _, v in full})
         assert set(pairs) <= set(full)
@@ -241,8 +245,8 @@ def test_circle_step_rows_at_near_rational_floats():
         a = CIRCLE.from_float(angle)
         w = StepWeight(StepFunction.of([(interval(0, Fraction(2, 3), "half_open"), value),
                                         (interval(Fraction(2, 3), 1, "half_open"), 1 / value)]))
-        points, row = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
-        values = {v for _, v in row_pairs(points, row)}
+        _, points, _, values = next(itertools.islice(walk_rows(circle_step_rows(w, a)), n - 1, None))
+        values = {v for _, v in row_pairs(points, values)}
         assert (min(values), max(values)) == extremes
         assert values == {v for _, v in step_values_at(w, a)(n)}
 
@@ -256,8 +260,8 @@ def test_circle_step_row_starts_at_the_event_at_zero():
     w = StepWeight(StepFunction.of([(interval(Fraction(1, 16), Fraction(15, 16), "open"), Fraction(2)),
                                     (interval(Fraction(15, 16), Fraction(17, 16), "closed"), Fraction(1, 2))]))
     a = CIRCLE.from_float(0.125)
-    points, row = next(circle_step_rows(w, a))
-    pairs = row_pairs(points, row)
+    _, points, _, values = next(walk_rows(circle_step_rows(w, a)))
+    pairs = row_pairs(points, values)
     assert pairs == [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]
     assert pairs[0] == step_values_at(w, a)(1)[0]
 
@@ -271,13 +275,13 @@ def test_circle_step_row_keeps_the_first_candidate_of_each_count_vector():
         [(interval(lo, hi, "half_open"), v) for lo, hi, v in zip(cuts, cuts[1:], values)]))
     a = CIRCLE.from_float(0.4142135623730951)
     n = 30
-    points, row = next(itertools.islice(circle_step_rows(w, a), n - 1, None))
+    _, points, _, row = next(itertools.islice(walk_rows(circle_step_rows(w, a)), n - 1, None))
     sweep = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), n, first=0).sup_candidates(
         Boundaries.prepare(a.value.denominator, *(E for E, _ in w.step.pieces)))
     first = sorted(np.unique(sweep.counts, axis=0, return_index=True)[1])
     assert len(first) > 1 and list(points) == [sweep.translate(j) for j in first]
     exact = [math.prod(v ** int(c) for v, c in zip(values, sweep.counts[j])) for j in first]
-    assert [row.value(i) for i in range(len(row))] == exact
+    assert row == exact
 
 
 # a closed arc across 0 and D = 8, so that rows past n = 8 wrap the orbit
@@ -327,9 +331,10 @@ def test_block_rows_equal_first_candidate_rows(case):
     # among them, are checked in test_block_sweeps_are_the_per_n_sweeps
     w, a, n_max, horizon = case
     rows_at = step_values_at(w, a, first_only=True)
-    for n, (points, row) in zip(range(1, n_max + 1), circle_step_rows(w, a, horizon)):
-        assert row.n == n
-        assert row_pairs(points, row) == rows_at(n)
+    rows = walk_rows(circle_step_rows(w, a, horizon))
+    for n, (row_n, points, _, values) in zip(range(1, n_max + 1), rows):
+        assert row_n == n
+        assert row_pairs(points, values) == rows_at(n)
 
 
 def _eight_pieces():
@@ -346,11 +351,15 @@ def test_block_walk_memory_is_bounded():
     a = CIRCLE.from_float(math.sqrt(2) % 1)
     tracemalloc.start()
     try:
-        rows = sum(1 for _ in itertools.islice(circle_step_rows(_eight_pieces(), a, 400), 400))
+        rows = 0
+        for _, block in circle_step_rows(_eight_pieces(), a, 400):
+            rows += len(block)
+            if rows >= 400:
+                break
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == 400
+    assert rows >= 400
     assert peak < 24 * 2 ** 20
 
 
@@ -368,15 +377,13 @@ def test_walk_sorts_the_events_once_per_block(monkeypatch):
                                     (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 2))]))
     a = CIRCLE.from_float(math.sqrt(3) % 1)
     # the horizon is the first block: n_max rows, one sort of all their events
-    assert sum(1 for _ in itertools.islice(circle_step_rows(w, a, 40), 40)) == 40
+    assert len(next(circle_step_rows(w, a, 40))[1]) == 40
     assert calls == [40]
-    # later blocks double the walk: a sort when row 1, 2, 3, 5, 9, 17 or 33
-    # is first read, each of the events of every term the block reaches
+    # later blocks double the walk: blocks start at rows 1, 2, 3, 5, 9, 17
+    # and 33, each from one sort of the events of every term it reaches
     calls.clear()
-    sorted_at = []
-    for n, _ in zip(range(1, 41), circle_step_rows(w, a)):
-        sorted_at += [n] * (len(calls) - len(sorted_at))
-    assert sorted_at == [1, 2, 3, 5, 9, 17, 33]
+    blocks = list(itertools.islice(circle_step_rows(w, a), 7))
+    assert [rows.n0 + 1 for _, rows in blocks] == [1, 2, 3, 5, 9, 17, 33]
     assert calls == [1, 2, 4, 8, 16, 32, 64]
     # the verdict's walk passes monotone_n_max as its horizon
     calls.clear()
