@@ -12,8 +12,9 @@ boundaries shifted by orbit points, so the counts at those event positions
 and on the cells between them realize the supremum.  A spec's orbit is
 sorted once per horizon and shared by all its sets; a set has one event row
 per distinct boundary position, so a closed arc takes two rows; and the
-counts come from cumulative sums of the events' count changes, read at the
-last event of each position (``Boundaries.counts``).  Finite and p-adic
+counts come from cumulative sums of the events' count changes
+(``Events.set_counts``), from which a set's least and greatest count are
+read directly.  Finite and p-adic
 contexts are exhausted, by one count over their shared group surface
 (``mul``, ``elements``).  A p-adic ball set whose finest ball has level j
 is a union of cosets of p^j Z_p, so its counts are taken on the quotient
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
 from typing import Callable, Iterator
@@ -55,25 +56,42 @@ __all__ = [
 ]
 
 
-def _frac(x) -> np.ndarray:
-    """x - floor(x) in a new float array: ``np.mod(x, 1.0)`` bit for bit, at
-    a fraction of its cost.  The subtraction is exact (Sterbenz), and for
-    negative x both forms round the one exact value 1 - frac|x|."""
+# an array reduced mod 1 in place has its floors taken a slice at a time
+# into one scratch array this long: small enough to be reused from the heap,
+# where a scratch array of the whole grid is a fresh mapping, page-faulted in
+_FLOOR_SLICE = 1 << 13
+
+
+def _frac(x, out=None) -> np.ndarray:
+    """x - floor(x) in a new float array, or in ``out`` (which may be x, and
+    must be contiguous), where the floors go a slice at a time through one
+    small scratch array: ``np.mod(x, 1.0)`` bit for bit, at a fraction of
+    its cost.  The subtraction is exact (Sterbenz), and for negative x both
+    forms round the one exact value 1 - frac|x|."""
     x = np.asarray(x, dtype=float)
-    out = np.floor(x, out=np.empty_like(x))
-    return np.subtract(x, out, out=out)
+    if out is None:
+        out = np.floor(x, out=np.empty_like(x))
+        return np.subtract(x, out, out=out)
+    xs, flat = x.reshape(-1), out.reshape(-1, copy=False)
+    floors = np.empty(min(_FLOOR_SLICE, xs.size))
+    for i in range(0, xs.size, _FLOOR_SLICE):
+        part = xs[i:i + _FLOOR_SLICE]
+        np.subtract(part, np.floor(part, out=floors[:part.size]), out=flat[i:i + _FLOOR_SLICE])
+    return out
 
 
-def _mod1(arr: np.ndarray) -> np.ndarray:
+def _mod1(arr: np.ndarray, out=None) -> np.ndarray:
     # x - floor(x) may round up to exactly 1.0 for tiny negative inputs;
     # fold that back to 0 so results stay in [0, 1)
-    out = _frac(arr)
+    out = _frac(arr, out)
     out[out >= 1.0] = 0.0
     return out
 
 
 # ---------------------------------------------------------------------------
 # counting orbit points in translated circle sets
+
+_NO_EVENTS = np.zeros(0, dtype=np.uint64)
 
 
 class OrbitCounter:
@@ -84,9 +102,9 @@ class OrbitCounter:
     of the rotation's exact angle; the sorted distinct residues are held in
     uint64 with their multiplicities.  ``count_in_translated`` counts the
     points v with v + x in K at explicit translates x, and ``sup_candidates``
-    counts at every translate at once, from the cumulative sums of
-    ``Boundaries.counts`` over one event row per distinct boundary position
-    of a set.  Nothing is rounded.
+    counts at every translate at once, from the cumulative sums of the count
+    changes of its events against one row per distinct boundary position of
+    a set (``Events.set_counts``).  Nothing is rounded.
     """
 
     def __init__(self, residues: np.ndarray, counts: np.ndarray, denominator: int):
@@ -141,23 +159,20 @@ class OrbitCounter:
 
     def sup_candidates(self, bounds: "Boundaries") -> "Sweep":
         """The counts of every set of ``bounds`` at every translate, as one
-        ``Sweep``: the counts at each event position and on the cell after
-        it (``Boundaries.counts``), in translate order.  Everything that
-        depends only on the sets and D is prepared once, in ``bounds``, so a
-        walk over n reuses it.
+        ``Sweep`` of the orbit's events against the sets' boundaries
+        (``Boundaries.arrange``): its candidate counts, event positions and
+        wrap order are built only when read, and ``Sweep.extremes`` reads
+        each set's least and greatest count from the events' cumulative sums
+        (``Events.set_counts``).  Everything that depends only on the sets
+        and D is prepared once, in ``bounds``, so a walk over n reuses it.
         """
         D = self.denominator
         if bounds.denominator != D:
             raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
+        if not len(bounds.floors) or not len(self.residues):
+            return Sweep(np.zeros((1, bounds.sets), dtype=np.int64), D)
         repeated = self.total > len(self.residues)
-        events, counts = bounds.counts(self.residues, self.counts if repeated else None)
-        if events is None:
-            return Sweep(counts, D)
-        ints, ranks = events.positions()
-        wrap_first = _wrap_first(ints, ranks, bounds.fracs, D, 0, -1)
-        if wrap_first:
-            counts = np.roll(counts, 1, axis=0)
-        return Sweep(counts, D, ints, ranks, bounds.fracs, wrap_first)
+        return _EventSweep(bounds.arrange(self.residues), self.counts if repeated else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +210,51 @@ class Events:
         np.add(V, np.uint64(self.bounds.denominator % 2 ** 64), out=V, where=self.ints > floors)
         return np.searchsorted(self.residues, V)
 
+    def set_counts(self, mults: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each set in turn, ``(cells, at)``: its count of the points,
+        with multiplicities ``mults`` (all 1 when None), on the cell after
+        each event position and at the position itself.
+
+        An event changes its set's count by its row's change times its
+        point's multiplicity.  From the count on the cell that wraps past 0,
+        the cumulative sums of the cell changes are the counts on the cell
+        after each event, and the count at an event is that less its change
+        that takes effect only after it (cell minus at).  When no two events
+        share a position, each event is its own position and nothing more is
+        gathered; otherwise the sums are read at the last event of each
+        position, whose late change gains those of the position's earlier
+        events.
+        """
+        bounds = self.bounds
+        mult = None if mults is None else mults[self.points()]
+        shared = not self.last.all()
+        if shared:
+            tied = np.flatnonzero(~self.last)
+            tied_at = np.searchsorted(self.ends, tied)
+        for i in range(bounds.sets):
+            mine = bounds.owner == i
+            cells = np.take(np.where(mine, bounds.cell, 0), self.rows)
+            late = np.take(np.where(mine, bounds.cell - bounds.at, 0), self.rows)
+            if mult is None:
+                base = np.count_nonzero(self.wraps[i])
+            else:
+                base = mults[self.wraps[i]].sum()
+                cells *= mult
+                late *= mult
+            cells[0] += base
+            np.cumsum(cells, out=cells)
+            if shared:
+                late_tied = late[tied]
+                cells, late = cells[self.ends], late[self.ends]
+                np.add.at(late, tied_at, late_tied)
+            yield cells, np.subtract(cells, late, out=late)
+
 
 @dataclass(frozen=True, eq=False)
 class Boundaries:
     """The boundaries of one or more circle sets, prepared for ordering their
     events with orbits of denominator D (``arrange``) and counting them
-    (``counts``).
+    (``Events.set_counts``).
 
     A set has one row per distinct boundary position b mod 1: a closed
     arc's end point shares the row of its open part's end, so a closed arc
@@ -255,7 +309,9 @@ class Boundaries:
             np.left_shift(ints, np.uint64(shift), out=ints)
             ints |= np.arange(B, dtype=np.uint64)[:, None]
             keys = ints.ravel()
-            keys.sort()
+            # each row's keys fall in two descending runs (the residues
+            # ascend, and wrap once past the row's floor), which timsort merges
+            keys.sort(kind="stable")
             rows = keys.view(np.int64) & ((1 << shift) - 1)
             ints = np.right_shift(keys, np.uint64(shift), out=keys)
         else:
@@ -266,52 +322,6 @@ class Boundaries:
         tied = np.flatnonzero(~last[:-1])
         last[tied] = self.ranks[rows[tied]] != self.ranks[rows[tied + 1]]
         return Events(self, residues, ints, rows, last, wraps)
-
-    def counts(self, residues: np.ndarray,
-               mults: np.ndarray | None = None) -> tuple[Events | None, np.ndarray]:
-        """Every set's count of the points V/D, V in the sorted ``residues``
-        with multiplicities ``mults`` (all 1 when None), at each event
-        position and on the cell after it: ``(events, counts)`` with set i's
-        count at position g in ``counts[2g, i]`` and on the cell after it in
-        ``counts[2g + 1, i]``.  With no events, ``(None, zeros((1, sets)))``:
-        every count is 0.
-
-        An event changes its set's count by its row's change times its
-        point's multiplicity.  From the count on the cell that wraps past 0,
-        the cumulative sums of the cell changes, read at the last event of
-        each position, are the counts on the cells; the count at a position
-        is the count on the cell after it less the changes of its events
-        that take effect only after it (cell minus at): the last event's,
-        plus those of the earlier events at the same position.
-        """
-        S = self.sets
-        if not len(self.floors) or not len(residues):
-            return None, np.zeros((1, S), dtype=np.int64)
-        events = self.arrange(residues)
-        rows, ends = events.rows, events.ends
-        mult = None if mults is None else mults[events.points()]
-        # the events followed by one at the same position, and that position
-        tied = np.flatnonzero(~events.last)
-        tied_at = np.searchsorted(ends, tied)
-        out = np.empty((2 * len(ends), S), dtype=np.int64)
-        for i in range(S):
-            mine = self.owner == i
-            after = np.take(np.where(mine, self.cell, 0), rows)
-            late = np.take(np.where(mine, self.cell - self.at, 0), rows)
-            if mult is None:
-                base = np.count_nonzero(events.wraps[i])
-            else:
-                base = mults[events.wraps[i]].sum()
-                after *= mult
-                late *= mult
-            np.cumsum(after, out=after)
-            after = after[ends]
-            after += base
-            late, late_tied = late[ends], late[tied]
-            np.add.at(late, tied_at, late_tied)
-            np.subtract(after, late, out=out[0::2, i])
-            out[1::2, i] = after
-        return events, out
 
     @classmethod
     def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
@@ -361,7 +371,6 @@ class Boundaries:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Sweep:
     """Exact orbit counts in one or more sets at every candidate translate.
 
@@ -373,21 +382,24 @@ class Sweep:
     no events (no set boundaries, or no points) the only candidate is the
     translate 0.  The events are the distinct positions of the sorted
     orbit's events against one row per boundary position of a set, and the
-    counts are cumulative sums of their changes (``Boundaries.counts``).
+    counts are cumulative sums of their changes (``Events.set_counts``).
 
     Event g sits at ``event_ints[g] + fracs[event_ranks[g]]``, in units of
-    1/D.
+    1/D; ``wrap_first`` says whether the wrapping cell's candidate comes
+    first.
     """
 
-    counts: np.ndarray
-    denominator: int
-    event_ints: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint64))
-    event_ranks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    fracs: tuple = ()
-    wrap_first: bool = False  # the wrapping cell's candidate comes first
+    def __init__(self, counts: np.ndarray, denominator: int, event_ints: np.ndarray = _NO_EVENTS,
+                 event_ranks: np.ndarray = _NO_EVENTS, fracs: tuple = (), wrap_first: bool = False):
+        self.counts, self.denominator, self.fracs = counts, denominator, fracs
+        self.event_ints, self.event_ranks, self.wrap_first = event_ints, event_ranks, wrap_first
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    def extremes(self) -> list[tuple[int, int]]:
+        """Each set's least and greatest count over every translate."""
+        return [(int(c.min()), int(c.max())) for c in self.counts.T]
 
     def _position(self, g: int) -> Fraction:
         return int(self.event_ints[g]) + self.fracs[self.event_ranks[g]]
@@ -404,6 +416,47 @@ class Sweep:
         if g + 1 < G:
             return (self._position(g) + self._position(g + 1)) / (2 * D)
         return ((self._position(g) + self._position(0) + D) / 2 % D) / D
+
+
+class _EventSweep(Sweep):
+    """The ``Sweep`` of one orbit's ``Events``, whose points have the
+    multiplicities ``mults`` (all 1 when None).  Its counts, event positions
+    and wrap order are built when first read; its length and ``extremes``
+    read none of them."""
+
+    def __init__(self, events: Events, mults: np.ndarray | None):
+        self.events, self.mults = events, mults
+        self.denominator, self.fracs = events.bounds.denominator, events.bounds.fracs
+
+    def __len__(self) -> int:
+        return 2 * int(np.count_nonzero(self.events.last))
+
+    def extremes(self) -> list[tuple[int, int]]:
+        return [(int(min(cells.min(), at.min())), int(max(cells.max(), at.max())))
+                for cells, at in self.events.set_counts(self.mults)]
+
+    @functools.cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.events.positions()
+
+    event_ints = property(lambda self: self._positions[0])
+    event_ranks = property(lambda self: self._positions[1])
+
+    @functools.cached_property
+    def wrap_first(self) -> bool:
+        events, ends = self.events, [0, -1]
+        ranks = events.bounds.ranks[events.rows[ends]]
+        return _wrap_first(events.ints[ends], ranks, self.fracs, self.denominator, 0, 1)
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        # set i's count at position g in row 2g and on the cell after it in
+        # row 2g + 1, then the wrapping cell moved first when it comes first
+        out = np.empty((len(self), self.events.bounds.sets), dtype=np.int64)
+        for i, (cells, at) in enumerate(self.events.set_counts(self.mults)):
+            out[0::2, i] = at
+            out[1::2, i] = cells
+        return np.roll(out, 1, axis=0) if self.wrap_first else out
 
 
 def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first: int, last: int) -> bool:
@@ -688,8 +741,7 @@ def _circle_extremes(sets, seq: OrbitSequence, Ns: list[int]) -> list[list[tuple
     for n in Ns:
         counter = OrbitCounter.from_sequence(seq, n)
         for row, b in zip(out, bounds):
-            counts = counter.sup_candidates(b).counts
-            row.append((int(counts.min()), int(counts.max())))
+            row += counter.sup_candidates(b).extremes()
     return out
 
 

@@ -5,12 +5,14 @@ and ``e``, the binary operators ``+ - * /``, unary minus, and calls to
 ``exp``, ``ln`` (alias ``log``), ``sin``, ``cos``.  Evaluation is numpy-aware,
 so a whole grid evaluates in one call; an operation on an array that the
 evaluation itself made writes its result over that array when the dtype
-stays the same.
+stays the same, and so does an operation on an argument array its caller
+hands over (``Expr.__call__``'s ``_owned``).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,22 +39,22 @@ class _Node:
 class _Const(_Node):
     value: float
 
-    def eval(self, x):
+    def eval(self, x, own):
         return self.value, False
 
 
 @dataclass(frozen=True)
 class _Var(_Node):
-    def eval(self, x):
-        return x, False
+    def eval(self, x, own):
+        return x, own
 
 
 @dataclass(frozen=True)
 class _Neg(_Node):
     arg: _Node
 
-    def eval(self, x):
-        return _apply(operator.neg, np.negative, self.arg.eval(x))
+    def eval(self, x, own):
+        return _apply(operator.neg, np.negative, self.arg.eval(x, own))
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class _BinOp(_Node):
     left: _Node
     right: _Node
 
-    def eval(self, x):
-        return _apply(*_BINARY[self.op], self.left.eval(x), self.right.eval(x))
+    def eval(self, x, own):
+        return _apply(*_BINARY[self.op], self.left.eval(x, own), self.right.eval(x, own))
 
 
 @dataclass(frozen=True)
@@ -70,21 +72,28 @@ class _Call(_Node):
     name: str
     arg: _Node
 
-    def eval(self, x):
+    def eval(self, x, own):
         fn = _FUNCTIONS[self.name]
-        return _apply(fn, fn, self.arg.eval(x))
+        return _apply(fn, fn, self.arg.eval(x, own))
 
 
 def _apply(op, ufunc, *operands):
     """``op`` of the operand values, as (value, whether that value is an
-    array this evaluation created).  The result overwrites such an array
-    when it has that array's dtype; otherwise it is new."""
+    array this evaluation owns: one it created, or the argument handed
+    over).  The result overwrites such an array when it has that array's
+    dtype; otherwise it is new."""
     values = [v for v, _ in operands]
     for v, own in operands:
         if own and ufunc.resolve_dtypes(tuple(map(_dtype, values)) + (None,))[-1] == v.dtype:
             return ufunc(*values, out=v), True
     out = op(*values)
     return out, isinstance(out, np.ndarray)
+
+
+def _uses_of_x(node: _Node) -> int:
+    if isinstance(node, _Var):
+        return 1
+    return sum(_uses_of_x(v) for v in vars(node).values() if isinstance(v, _Node))
 
 
 def _dtype(v):
@@ -182,10 +191,17 @@ class Expr:
         obj._root = node
         return obj
 
-    def __call__(self, x):
+    def __call__(self, x, *, _owned: bool = False):
         """The expression at ``x``, a number or an array; ``x`` itself is
-        never written to."""
-        return self._root.eval(x)[0]
+        never written to, unless the caller hands over a float array it
+        owns (``_owned``): then, when x occurs once in the expression, the
+        operation that reads it writes its result over x, and the value is
+        x itself."""
+        return self._root.eval(x, _owned and self._reads_x_once)[0]
+
+    @functools.cached_property
+    def _reads_x_once(self) -> bool:
+        return _uses_of_x(self._root) == 1
 
     def derivative(self) -> "Expr":
         return Expr._from_node(_diff(self._root), f"d/dx({self.source})")

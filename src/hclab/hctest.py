@@ -145,13 +145,23 @@ def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogInteg
     exact weight's ``ExponentForm``, and a float sum over its pieces when a
     value is a float."""
     if w.form is None:
-        def midpoint(m):
-            xs = (np.arange(m) + 0.5) / m
-            vals = np.asarray(w.eval_angles(xs), dtype=float)
+        def midpoint(grid):
+            # the mean of ln w at the midpoints (k + 1/2)/m of the k that
+            # ``grid`` holds, k < m = len(grid), computed over the grid
+            np.add(grid, 0.5, out=grid)
+            np.divide(grid, len(grid), out=grid)
+            vals = np.asarray(w.eval_angles(grid, out=grid), dtype=float)
             return float(np.mean(np.log(vals, out=vals)))
 
-        coarse = midpoint(quadrature_points // 2)
-        fine = midpoint(quadrature_points)
+        # one buffer holds the fine grid's k; the coarse grid's k are
+        # written over its top, which is then restored from its bottom
+        m, half = quadrature_points, quadrature_points // 2
+        grid = np.arange(m, dtype=float)
+        top = grid[m - half:]
+        np.subtract(top, m - half, out=top)
+        coarse = midpoint(top)
+        np.add(grid[:half], m - half, out=top)
+        fine = midpoint(grid)
         return LogIntegralResult(
             value=fine,
             method="midpoint-quadrature",
@@ -395,15 +405,19 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
     block = max(1, min(horizon, BLOCK_ENTRIES // grid_points))
+    # every block is built, evaluated and summed in this one buffer
+    logs = np.empty((block, grid_points))
     acc = np.zeros(grid_points)
     log_lip = None
     for start in itertools.count(0, block):
         # row n adds ln w at the orbit's term n-1, x - (n-1)a
-        pts = _mod1(xs - np.arange(start, start + block, dtype=float)[:, None] * af)
-        logs = np.log(w.eval_angles(pts), out=pts)
+        steps = np.arange(start, start + block, dtype=float)[:, None]
+        np.subtract(xs, np.multiply(steps, af, out=steps), out=logs)
+        np.log(w.eval_angles(_mod1(logs, out=logs), out=logs), out=logs)
         logs[0] += acc
-        np.cumsum(logs, axis=0, out=logs)
-        acc = logs[-1].copy()
+        for q in range(1, block):
+            logs[q] += logs[q - 1]
+        acc[:] = logs[-1]
         mins, maxs = logs.min(axis=1), logs.max(axis=1)
         for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):
             try:

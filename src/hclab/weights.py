@@ -64,6 +64,28 @@ def _full_set_like(piece):
     raise TypeError(f"unsupported set type {type(piece)}")
 
 
+def _circle_cover(sets: Sequence[IntervalSet]) -> tuple[int, int]:
+    """The least and greatest number of the circle sets that hold a point,
+    by one sort of their arc ends and points: along [0, 1], an arc covers
+    the cells after its start up to its end, and a point only itself.  A
+    canonical set splits its arcs at 0, so no arc covers 0."""
+    # position -> [arcs ending there, arcs starting there, points there]
+    marks = {Fraction(0): [0, 0, 0], Fraction(1): [0, 0, 0]}
+    for K in sets:
+        for lo, hi in K.open_part:
+            marks.setdefault(lo, [0, 0, 0])[1] += 1
+            marks.setdefault(hi, [0, 0, 0])[0] += 1
+        for pt in K.point_part:
+            marks.setdefault(pt, [0, 0, 0])[2] += 1
+    counts, cover = [], 0
+    for position in sorted(marks)[:-1]:
+        ends, starts, points = marks[position]
+        cover -= ends
+        counts += [cover + points, cover + starts]
+        cover += starts
+    return min(counts), max(counts)
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """A finite combination sum_i value_i * indicator(E_i) with the E_i
@@ -77,6 +99,13 @@ class StepFunction:
         if not self.pieces:
             raise ValueError("a step function needs at least one piece")
         sets = [E for E, _ in self.pieces]
+        if all(isinstance(E, IntervalSet) for E in sets):
+            least, most = _circle_cover(sets)
+            if most > 1:
+                raise ValueError("step function pieces overlap")
+            if least < 1:
+                raise ValueError("step function pieces do not cover the group")
+            return
         acc = sets[0]
         for other in sets[1:]:
             if not acc.intersection(other).is_empty():
@@ -424,8 +453,14 @@ class ExprWeight(Weight):
         if float(vals.min()) - margin <= 0:
             raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
 
-    def eval_angles(self, t):
-        return self.expr(_frac(np.asarray(t, dtype=float) + float(self._offset)))
+    def eval_angles(self, t, out=None):
+        """w at the angles t.  The translated angles are reduced mod 1 in one
+        array, ``out`` when given (it may be t itself), and the expression
+        is evaluated over it (``Expr.__call__``'s ``_owned``), so the value
+        is that array when the expression reads x once."""
+        t = np.asarray(t, dtype=float)
+        x = np.add(t, float(self._offset), out=np.empty_like(t) if out is None else out)
+        return self.expr(_frac(x, out=x), _owned=True)
 
     def value_at(self, x) -> float:
         t = float(getattr(x, "value", x))

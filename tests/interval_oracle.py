@@ -164,3 +164,17 @@ def render(s: IntervalSet) -> str:
     arcs = ", ".join(f"({lo},{hi})" for lo, hi in s.open_part)
     pts = ", ".join(str(p) for p in s.point_part)
     return f"IntervalSet[{arcs} | {{{pts}}}]"
+
+
+def partition_error(sets: list[IntervalSet]) -> str | None:
+    """The pairwise partition check of circle step pieces: each piece
+    against the union of the earlier ones, then the union against the whole
+    circle.  The message ``StepFunction`` raises, or None for a partition."""
+    acc = sets[0]
+    for other in sets[1:]:
+        if not acc.intersection(other).is_empty():
+            return "step function pieces overlap"
+        acc = acc.union(other)
+    if acc != IntervalSet.full():
+        return "step function pieces do not cover the group"
+    return None

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ball_oracle as oracle
 import interval_oracle
@@ -17,6 +17,7 @@ from hclab.borel import (
 )
 from hclab.errors import WindowExceeded
 from hclab.groups import PAdicContext, catalog
+from hclab.weights import StepFunction
 
 
 def random_interval_set(rng, max_arcs=3, den=32):
@@ -341,6 +342,63 @@ def test_interval_sets_match_the_flag_oracle(raw_a, raw_b, shift):
         for variant in ("open", "closed", "half_open", "half_open_right"):
             for ends in [(lo, hi)] + wrapped:
                 assert_circle_agrees(interval(*ends, variant), interval_oracle.interval(*ends, variant))
+
+
+@st.composite
+def circle_partitions(draw):
+    """1-4 circle sets from a partition of the circle at cuts on the
+    twelfths: each cell between cuts and each cut goes to a drawn piece, so
+    arcs cross 0 and pieces may be empty; then one cell or cut may be
+    dropped (a gap) and a drawn arc or point added to a piece (an overlap,
+    unless the piece holds it already)."""
+    cuts = [Fraction(c, 12) for c in sorted(set(draw(st.lists(st.integers(0, 11), min_size=1, max_size=6))))]
+    k = draw(st.integers(1, 4))
+    owner = st.integers(0, k - 1)
+    items = [([cell], [], draw(owner)) for cell in zip(cuts, cuts[1:] + [cuts[0] + 1])]
+    items += [([], [c], draw(owner)) for c in cuts]
+    if draw(st.booleans()):
+        del items[draw(st.integers(0, len(items) - 1))]
+    if draw(st.booleans()):
+        lo, length = Fraction(draw(st.integers(0, 11)), 12), Fraction(draw(st.integers(0, 12)), 12)
+        items.append(([(lo, lo + length)], [], draw(owner)) if length else ([], [lo], draw(owner)))
+    return [IntervalSet.from_pieces([a for arcs, _, i in items if i == piece for a in arcs],
+                                    [p for _, pts, i in items if i == piece for p in pts])
+            for piece in range(k)]
+
+
+_HALF = Fraction(1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@example([interval(0, _HALF, "half_open"), interval(_HALF, 1, "half_open")])
+@example([interval(0, _HALF, "closed"), interval(_HALF, 1, "half_open")])
+@example([interval(0, _HALF, "half_open"), interval(_HALF, 1, "open")])
+@example([IntervalSet.empty(), IntervalSet.full()])
+@example([interval(Fraction(3, 4), Fraction(1, 4), "half_open"),
+          interval(Fraction(1, 4), Fraction(3, 4), "half_open")])
+@given(circle_partitions())
+def test_circle_step_partition_matches_the_pairwise_oracle(sets):
+    # the one sweep over the pieces' ends raises what the pairwise check
+    # says, or nothing for a partition
+    want = interval_oracle.partition_error(sets)
+    pieces = [(E, Fraction(k + 1)) for k, E in enumerate(sets)]
+    if want is None:
+        assert StepFunction.of(pieces).pieces == tuple(pieces)
+    else:
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            StepFunction.of(pieces)
+
+
+def test_ball_and_finite_step_pieces_keep_the_mask_check():
+    ctx, group = PAdicContext(3, 2), catalog()["Z6"]
+    B = ball(ctx, 0, 1)
+    F = FiniteSubset.of(group, [0, 1, 2])
+    for E, full in ((B, BallSet.full(ctx)), (F, FiniteSubset.full(group))):
+        StepFunction.of([(E, 2), (E.complement(), 3)])
+        with pytest.raises(ValueError, match="overlap"):
+            StepFunction.of([(E, 2), (full, 3)])
+        with pytest.raises(ValueError, match="do not cover"):
+            StepFunction.of([(E, 2)])
 
 
 # ---------------------------------------------------------------------------

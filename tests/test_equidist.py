@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -453,6 +454,78 @@ def test_sup_deviation_at_the_denominator_limit():
             assert sup_deviation(K, seq, N) == dev
 
 
+def _four_closed_arcs():
+    K = IntervalSet.empty()
+    for lo, hi in [(Fraction(1, 10), Fraction(1, 5)), (Fraction(3, 10), Fraction(9, 20)),
+                   (Fraction(1, 2), Fraction(3, 5)), (Fraction(7, 10), Fraction(9, 10))]:
+        K = K.union(interval(lo, hi, "closed"))
+    return K
+
+
+_SIXTHS = [interval(Fraction(1, 6), Fraction(1, 2), "open"),
+           interval(Fraction(1, 3), Fraction(2, 3), "half_open")]
+
+# (angle, sets, horizons, whether some events share a position): the
+# branches of the sweep's extremes that irrational angles never take
+_EXTREMES_CASES = {
+    # ends on the grid 1/6 of a declared 1/6: events meet at one position
+    "tied": (CIRCLE.element(Fraction(1, 6)), _SIXTHS, [4, 6], True),
+    # N - 1 > q: points of multiplicity up to 8, with and without ties
+    "repeated": (CIRCLE.element(Fraction(2, 5)), [interval(Fraction(1, 7), Fraction(4, 7), "closed")],
+                 [13, 40], False),
+    "tied and repeated": (CIRCLE.element(Fraction(1, 6)), _SIXTHS, [20, 31], True),
+    # D = 2^61 and 8 rows leave no room for the row beside the integer part:
+    # the events are ordered by argsort
+    "unpacked": (CIRCLE.from_float(2.0 ** -12 + 2.0 ** -61), [_four_closed_arcs()], [2, 50], False),
+    "isolated points": (CIRCLE.from_float(0.6180339887498949),
+                        [IntervalSet.from_pieces([], [Fraction(0), Fraction(1, 3), Fraction(5, 7)])],
+                        [2, 30], False),
+    "across zero": (CIRCLE.element(Fraction(3, 11)),
+                    [interval(Fraction(5, 6), Fraction(1, 6), "closed"),
+                     interval(Fraction(9, 10), Fraction(1, 10), "open").union(
+                         IntervalSet.from_pieces([], [Fraction(1, 2)]))], [7, 30], False),
+    "empty and full": (CIRCLE.from_float(0.6180339887498949), [IntervalSet.empty(), IntervalSet.full()],
+                       [2, 30], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREMES_CASES))
+def test_sweep_extremes_match_the_oracle(case):
+    a, sets, Ns, shared = _EXTREMES_CASES[case]
+    _assert_spec_level_deviations(a, sets, Ns)
+    # each sweep's extremes are those of its candidate counts, and the
+    # case takes the branch it names
+    seq, D = OrbitSequence(CIRCLE, a), a.value.denominator
+    ties = []
+    for K in sets:
+        bounds = Boundaries.prepare(D, K)
+        if case == "unpacked":
+            assert D > 2 ** (63 - (len(bounds.floors) - 1).bit_length())
+        for N in Ns:
+            sweep = OrbitCounter.from_sequence(seq, N).sup_candidates(bounds)
+            if K.is_empty():
+                assert len(sweep) == 1
+            else:
+                ties.append(not sweep.events.last.all())
+            assert sweep.extremes() == [(int(sweep.counts.min()), int(sweep.counts.max()))]
+    assert any(ties) == shared
+
+
+def test_sup_deviation_memory_per_event():
+    # 4 closed arcs (8 boundary rows) at N = 2e5: the extremes are read from
+    # the events' sums, with no count array per candidate (72 bytes per
+    # event when one was built and rolled)
+    K, seq, N = _four_closed_arcs(), OrbitSequence(CIRCLE, CIRCLE.from_float(GOLDEN)), 200_000
+    sup_deviation(K, seq, 100)
+    tracemalloc.start()
+    try:
+        sup_deviation(K, seq, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 8 * (N - 1)
+
+
 # ---------------------------------------------------------------------------
 # the float remainder
 
@@ -481,6 +554,18 @@ def test_frac_is_np_mod_bit_for_bit(drawn, shape):
             got = equidist._frac(x)
             assert got.shape == x.shape
             assert np.array_equal(got.view(np.uint64), np.asarray(np.mod(x, 1.0)).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(3 * equidist._FLOOR_SLICE + 7,), (5, equidist._FLOOR_SLICE // 2 + 3), ()])
+def test_frac_in_place_is_np_mod_bit_for_bit(shape):
+    # in place, the floors go through a scratch array one slice at a time:
+    # every slice, the last short one included, is reduced
+    values = np.resize(np.array(_REMAINDER_CASES + [0.375, -7.25, 1e16 + 2.0, 3.5, -0.125]), shape)
+    inplace = values.copy()
+    with np.errstate(invalid="ignore"):
+        assert equidist._frac(inplace, out=inplace) is inplace
+        want = np.mod(values, 1.0)
+    assert np.array_equal(inplace.view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def test_mod1_folds_a_remainder_of_one_to_zero():

@@ -1,6 +1,10 @@
 """``Expr.__call__`` against the out-of-place tree walk of
 ``tests/expr_oracle.py``: the same value, bit for bit and of the same type,
-on generated trees and inputs, and the caller's array left as it was."""
+on generated trees and inputs, and the caller's array left as it was, unless
+the caller hands it over (``_owned``), when the value is the same and may
+be written over it."""
+
+import re
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -75,3 +79,21 @@ def test_call_matches_the_out_of_place_walk(source, x):
         got = _outcome(expr, x)
     assert _bits(got) == _bits(want), (source, x, got, want)
     assert np.asarray(x).tobytes() == before.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@example("exp(0.5*sin(2*pi*(x-0.3)) + 1/10)", (3, 4))
+@example("(x) * (x)", (5,))
+@example("2", (2, 2))
+@given(_SOURCES, st.sampled_from([(1,), (7,), (3, 4)]))
+def test_owned_argument_is_written_over_when_read_once(source, shape):
+    # a handed-over array gives the value a kept one gives, and is the value
+    # itself exactly when the expression reads x once
+    expr = Expr(source)
+    x = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)
+    handed = x.copy()
+    with np.errstate(all="ignore"):
+        want = expr(x)
+        got = expr(handed, _owned=True)
+    assert _bits(got) == _bits(want), (source, got, want)
+    assert (got is handed) == (len(re.findall(r"\bx\b", source)) == 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,33 @@ def test_midpoint_log_integral_matches_the_oracle(source):
         report = log_integral_report(w, 4096)
         value, gap = expr_oracle.log_integral(w, 4096)
         assert np.array([report.value, report.richardson_gap]).tobytes() == np.array([value, gap]).tobytes()
+
+
+@pytest.mark.parametrize("source", ["2", "2 + 0*x", "exp(sin(2*pi*(x-0.3)) + 1/10)", "1/(2 + cos(2*pi*x))",
+                                    "x*x + 1"])
+def test_midpoint_log_integral_on_an_odd_grid_matches_the_oracle(source):
+    # the coarse grid of 2047 points lies over the top of the fine grid's
+    # buffer of 4095, whose middle point only the fine grid holds; x read
+    # twice is evaluated out of place
+    for w in (ExprWeight(source), ExprWeight(source).translate(CIRCLE.from_float(0.375))):
+        report = log_integral_report(w, 4095)
+        value, gap = expr_oracle.log_integral(w, 4095)
+        assert np.array([report.value, report.richardson_gap]).tobytes() == np.array([value, gap]).tobytes()
+
+
+def test_midpoint_log_integral_holds_two_grids():
+    # both midpoint grids are built and evaluated in one buffer, beside a
+    # scratch array for a slice of the angles' floors (three grids when each
+    # step made its own array)
+    w = ExprWeight("exp(0.7*sin(2*pi*(x-0.3)) + 1/10)")
+    log_integral_report(w)
+    tracemalloc.start()
+    try:
+        log_integral_report(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (1 << 16) * 8
 
 
 def test_log_integral_step_exact_zero():

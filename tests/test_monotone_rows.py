@@ -97,10 +97,10 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
     blocks = []
     eval_angles = ExprWeight.eval_angles
 
-    def recorded(self, t):
+    def recorded(self, t, out=None):
         if np.ndim(t) == 2:
             blocks.append(len(t))
-        return eval_angles(self, t)
+        return eval_angles(self, t, out)
 
     monkeypatch.setattr(ExprWeight, "eval_angles", recorded)
     a = CIRCLE.from_float((math.sqrt(5) - 1) / 2)
@@ -109,6 +109,22 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
         got = list(itertools.islice(monotone_rows(w, a, grid_points, horizon), n))
         assert got == list(itertools.islice(expr_oracle.monotone_rows(w, a, grid_points), n)), w
     assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
+
+
+def test_expr_walk_holds_two_blocks():
+    # a block of 50 rows is built, evaluated and summed in one buffer,
+    # beside a scratch array for a slice of the angles' floors and a mask of
+    # the remainders that round to 1 (three blocks when each step made its
+    # own array)
+    w, a = _ROW_WEIGHTS[1], CIRCLE.from_float((math.sqrt(5) - 1) / 2)
+    list(itertools.islice(monotone_rows(w, a, 1024, 50), 50))
+    tracemalloc.start()
+    try:
+        list(itertools.islice(monotone_rows(w, a, 1024, 50), 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 50 * 1024 * 8
 
 
 def test_step_walk_hits_hold_no_block():
