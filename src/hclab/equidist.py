@@ -63,15 +63,14 @@ _FLOOR_SLICE = 1 << 13
 
 
 def _frac(x, out=None) -> np.ndarray:
-    """x - floor(x) in a new float array, or in ``out`` (which may be x, and
-    must be contiguous), where the floors go a slice at a time through one
-    small scratch array: ``np.mod(x, 1.0)`` bit for bit, at a fraction of
-    its cost.  The subtraction is exact (Sterbenz), and for negative x both
-    forms round the one exact value 1 - frac|x|."""
+    """x - floor(x) in ``out`` (a new float array when not given; it may be
+    x, and must be C-contiguous), where the floors go a slice at a time
+    through one small scratch array: ``np.mod(x, 1.0)`` bit for bit, at a
+    fraction of its cost.  The subtraction is exact (Sterbenz), and for
+    negative x both forms round the one exact value 1 - frac|x|."""
     x = np.asarray(x, dtype=float)
     if out is None:
-        out = np.floor(x, out=np.empty_like(x))
-        return np.subtract(x, out, out=out)
+        out = np.empty(x.shape)
     xs, flat = x.reshape(-1), out.reshape(-1, copy=False)
     floors = np.empty(min(_FLOOR_SLICE, xs.size))
     for i in range(0, xs.size, _FLOOR_SLICE):
@@ -803,7 +802,8 @@ def ergodic_average(f: TestFunction, a: CircleElement, N: int, x) -> complex:
     while n < N:
         hi = min(N, n + chunk)
         ns = np.arange(n, hi, dtype=float)
-        pts = _mod1(xf - ns * af)
+        pts = xf - ns * af
+        _mod1(pts, out=pts)
         acc += complex(np.sum(f.fn(pts)))
         n = hi
     return acc / N
@@ -861,7 +861,8 @@ def uniform_convergence_sweep(
         while n < N:
             hi = min(N, n + chunk)
             ns = np.arange(n, hi, dtype=float)
-            pts = _mod1(xs[None, :] - ns[:, None] * af)
+            pts = xs[None, :] - ns[:, None] * af
+            _mod1(pts, out=pts)
             acc += f.fn(pts).sum(axis=0)
             n = hi
         dev = float(np.max(np.abs(acc / N - mean)))

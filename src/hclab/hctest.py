@@ -415,8 +415,7 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
         np.subtract(xs, np.multiply(steps, af, out=steps), out=logs)
         np.log(w.eval_angles(_mod1(logs, out=logs), out=logs), out=logs)
         logs[0] += acc
-        for q in range(1, block):
-            logs[q] += logs[q - 1]
+        np.cumsum(logs, axis=0, out=logs)
         acc[:] = logs[-1]
         mins, maxs = logs.min(axis=1), logs.max(axis=1)
         for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):

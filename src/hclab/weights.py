@@ -459,7 +459,7 @@ class ExprWeight(Weight):
         is evaluated over it (``Expr.__call__``'s ``_owned``), so the value
         is that array when the expression reads x once."""
         t = np.asarray(t, dtype=float)
-        x = np.add(t, float(self._offset), out=np.empty_like(t) if out is None else out)
+        x = np.add(t, float(self._offset), out=np.empty(t.shape) if out is None else out)
         return self.expr(_frac(x, out=x), _owned=True)
 
     def value_at(self, x) -> float:

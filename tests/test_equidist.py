@@ -548,7 +548,8 @@ def test_frac_is_np_mod_bit_for_bit(drawn, shape):
     elif shape == "1-d":
         inputs = [values]
     else:
-        inputs = [values.reshape(len(values), 1), values[:len(values) // 2 * 2].reshape(2, -1)]
+        pairs = values[:len(values) // 2 * 2].reshape(2, -1)
+        inputs = [values.reshape(len(values), 1), pairs, pairs.T]
     with np.errstate(invalid="ignore"):
         for x in inputs:
             got = equidist._frac(x)

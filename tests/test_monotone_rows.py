@@ -111,6 +111,15 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
     assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
 
 
+def test_eval_angles_reads_any_layout():
+    # a transposed block of angles, with or without a buffer to write into
+    t = np.linspace(-1.5, 2.5, 24).reshape(4, 6).T
+    for w in _ROW_WEIGHTS[:4]:
+        want = np.array([[w.value_at(float(v)) for v in row] for row in t])
+        assert np.array_equal(w.eval_angles(t), want)
+        assert np.array_equal(w.eval_angles(t, out=np.empty(t.shape)), want)
+
+
 def test_expr_walk_holds_two_blocks():
     # a block of 50 rows is built, evaluated and summed in one buffer,
     # beside a scratch array for a slice of the angles' floors and a mask of
