@@ -22,19 +22,15 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 
 from . import padic as padic_mod
-from .borel import BallSet, FiniteSubset, IntervalSet, arc_pieces
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
-from .errors import HclabError, SpecValidationError
-from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, FiniteGroup, OrbitSequence,
-                     PAdicContext, catalog)
-from .hctest import VerdictConfig, log_integral_report, log_sum_bits, verdict
-from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
+from .errors import HclabError
+from .families import _parse_int, _parse_int_list, family, parse_group
+from .groups import MAX_CIRCLE_HORIZON, OrbitSequence
+from .hctest import VerdictConfig, log_integral_report, verdict
 from .report import VerdictReport, jsonable
-from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
 SCHEMA_VERSION = 1
 TASKS = ("equidist", "reps", "hctest", "padic", "all")
@@ -45,12 +41,12 @@ _TOP_KEYS = {
 }
 _HORIZON_KEYS = {"N_list", "n_max", "ul_n_max", "k_max"}
 _TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
-# the most residues p^(precision + window) a zp / qp context may have: the
-# exhaustive p-adic paths visit every residue
-MAX_PADIC_RESIDUES = 3 ** 8
+# the errors a family's element or weight parser raises on a bad field; an
+# element's float() may also overflow
+_FIELD_ERRORS = (HclabError, TypeError, ValueError, ZeroDivisionError)
 # the most bits the exact log-sum of a step, finite or p-adic table weight
 # may form: its reported value forms prod_i v_i^(c_i), c_i = m_i D, for
-# masses m_i over their common denominator D (``hctest.log_sum_bits``).  It
+# masses m_i over their common denominator D (``ExponentForm.log_sum_bits``).  It
 # also bounds every exponent a value has over its coprime base by 2^22
 MAX_LOG_SUM_BITS = 2 ** 22
 # integer settings, their minima and maxima: a walk of n_max rows holds
@@ -100,274 +96,29 @@ class ExperimentSpec:
 # parsing
 
 
-@functools.lru_cache(maxsize=4096)
-def _rational(text: str) -> Fraction:
-    """The rational a spec string spells; a weight's tables repeat a few
-    strings, so each is parsed once."""
-    return Fraction(text)
-
-
-def _parse_int(value, field, minimum, diags, maximum=None):
-    """An integer in [minimum, maximum] (a JSON integer or an integer
-    string; None leaves that side open), or None with a diagnostic that
-    names the field."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError
-        k = int(value)
-    except ValueError:
-        diags.append(f"{field}: {value!r} is not an integer")
-        return None
-    if minimum is not None and k < minimum:
-        diags.append(f"{field}: {value!r} is below the minimum {minimum}")
-        return None
-    if maximum is not None and k > maximum:
-        diags.append(f"{field}: {value!r} is above the maximum {maximum}")
-        return None
-    return k
-
-
-def _parse_int_list(value, field, minimum, diags, maximum=None):
-    """A list of integers in [minimum, maximum], or None with a diagnostic
-    that names the field."""
-    if not isinstance(value, list):
-        diags.append(f"{field}: expected a list of integers, got {value!r}")
-        return None
-    out = [_parse_int(entry, field, minimum, diags, maximum) for entry in value]
-    return None if None in out else out
-
-
-def _parse_group(desc, diags):
-    if not isinstance(desc, dict) or "group" not in desc:
-        diags.append("group: expected an object with a 'group' field")
-        return None
-    kind = desc["group"]
-    if kind == "circle":
-        if set(desc) - {"group"}:
-            diags.append("group: circle takes no extra fields")
-        return CIRCLE
-    if kind == "finite":
-        extra = set(desc) - {"group", "name"}
-        if extra:
-            diags.append(f"group: unknown fields {sorted(extra)}")
-        name = desc.get("name")
-        groups = catalog()
-        if not isinstance(name, str) or name not in groups:
-            diags.append(f"group: unknown finite group {name!r}; catalog: {sorted(groups)}")
-            return None
-        return groups[name]
-    if kind in ("zp", "qp"):
-        allowed = {"group", "p", "precision"} | ({"window"} if kind == "qp" else set())
-        extra = set(desc) - allowed
-        if extra:
-            diags.append(f"group: unknown fields {sorted(extra)}")
-        p = _parse_int(desc.get("p"), "group.p", 2, diags)
-        precision = _parse_int(desc.get("precision", 4), "group.precision", 1, diags)
-        window = _parse_int(desc.get("window", 0), "group.window", 0, diags)
-        if None in (p, precision, window):
-            return None
-        digits = precision + window
-        # p >= 2, so a digit count at the limit's bit length already exceeds
-        # it; testing that first never forms a huge power
-        if digits >= MAX_PADIC_RESIDUES.bit_length() or p ** digits > MAX_PADIC_RESIDUES:
-            diags.append(f"group: {p}^{digits} residues exceed the limit {MAX_PADIC_RESIDUES}")
-            return None
-        # the residue limit keeps p small enough for trial division
-        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            diags.append(f"group: p = {p} is not a prime")
-            return None
-        return PAdicContext(p, precision, window)
-    diags.append(f"group: unknown kind {kind!r}")
-    return None
-
-
-def _parse_element(group, desc, diags):
+def _parse_field(name, parse, errors, group, desc, diags):
+    """The field ``name`` by the family parser ``parse``, with a diagnostic
+    naming the field for a raised error."""
     if desc is None:
         return None
     try:
-        if group is CIRCLE:
-            if isinstance(desc, dict):
-                if "rational" in desc:
-                    element = CIRCLE.element(str(desc["rational"]))
-                elif "angle" in desc:
-                    element = CIRCLE.from_float(float(desc["angle"]))
-                else:
-                    diags.append("element: need 'rational' or 'angle'")
-                    return None
-            elif isinstance(desc, str):
-                element = CIRCLE.element(desc)
-            else:
-                element = CIRCLE.from_float(float(desc))
-            # the orbit is held as integer residues mod the angle's denominator
-            if element.value.denominator > MAX_ORBIT_DENOMINATOR:
-                diags.append(f"element: the angle's denominator, at least "
-                             f"2^{element.value.denominator.bit_length() - 1}, exceeds the limit "
-                             f"2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
-                return None
-            return element
-        if isinstance(group, FiniteGroup):
-            if isinstance(desc, dict):
-                if "index" not in desc:
-                    diags.append("element: need 'index'")
-                    return None
-                desc = desc["index"]
-            idx = _parse_int(desc, "element", 0, diags)
-            if idx is not None and idx >= group.order:
-                diags.append(f"element: index {idx} out of range for {group.name}")
-                return None
-            return idx
-        # a p-adic context
-        if isinstance(desc, dict):
-            if "digits" in desc:
-                digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
-                return None if digits is None else group.from_digits(digits)
-            if "value" in desc:
-                return group.element(Fraction(str(desc["value"])))
-            diags.append("element: need 'digits' or 'value'")
-            return None
-        return group.element(Fraction(str(desc)))
-    except (HclabError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        diags.append(f"element: {exc}")
+        return parse(group, desc, diags)
+    except errors as exc:
+        diags.append(f"{name}: {exc}")
         return None
 
 
-def _parse_circle_set(desc, diags):
-    arcs, points = [], []
-    try:
-        pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
-        for piece in pieces:
-            if isinstance(piece, dict) and set(piece) == {"point"}:
-                points.append(Fraction(str(piece["point"])))
-            elif (
-                isinstance(piece, list)
-                and len(piece) == 2
-                and isinstance(piece[0], list)
-                and len(piece[0]) == 2
-            ):
-                lo, hi = (Fraction(str(v)) for v in piece[0])
-                arc, ends = arc_pieces(lo, hi, str(piece[1]))
-                arcs.append(arc)
-                points += ends
-            else:
-                raise SpecValidationError(f"set literal {piece!r} not understood")
-        return IntervalSet.from_pieces(arcs, points)
-    except (HclabError, ValueError, ZeroDivisionError) as exc:
-        diags.append(f"sets: {exc}")
-        return None
-
-
-def _is_arc_literal(desc) -> bool:
-    return (
-        isinstance(desc, list)
-        and len(desc) == 2
-        and isinstance(desc[0], list)
-        and isinstance(desc[1], str)
-    )
-
-
-def _parse_padic_set(group, desc, diags):
-    try:
-        pieces = desc if isinstance(desc, list) else [desc]
-        balls = []
-        for piece in pieces:
-            if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
-                raise SpecValidationError(f"ball literal {piece!r} not understood")
-            radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
-            if radius_exp is None:
-                return None
-            balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
-        return BallSet.from_balls(group, balls)
-    except (HclabError, ValueError, ZeroDivisionError) as exc:
-        diags.append(f"sets: {exc}")
-        return None
-
-
-def _parse_sets(group, descs, diags):
+def _parse_sets(fam, group, descs, diags):
     out, ids = [], []
     if not isinstance(descs, list):
         diags.append(f"sets: expected a list of sets, got {descs!r}")
         return out, ids
     for i, desc in enumerate(descs):
-        if group is CIRCLE:
-            s = _parse_circle_set(desc, diags)
-        elif isinstance(group, PAdicContext):
-            s = _parse_padic_set(group, desc, diags)
-        else:  # a finite group
-            s = None
-            if isinstance(desc, dict) and set(desc) == {"indices"}:
-                indices = _parse_int_list(desc["indices"], "sets", 0, diags)
-                try:
-                    s = FiniteSubset.of(group, indices) if indices is not None else None
-                except ValueError as exc:
-                    diags.append(f"sets: {exc}")
-            else:
-                diags.append(f"sets: finite sets need {{'indices': [...]}}, got {desc!r}")
+        s = fam.parse_set(group, desc, diags)
         if s is not None:
             out.append(s)
             ids.append(f"set{i}")
     return out, ids
-
-
-def _parse_weight(group, desc, diags):
-    if desc is None:
-        return None
-    try:
-        if group is CIRCLE:
-            if isinstance(desc, dict) and "expr" in desc:
-                extra = set(desc) - {"expr", "grid_points"}
-                if extra:
-                    diags.append(f"weight: unknown fields {sorted(extra)}")
-                grid_points = _parse_int(desc.get("grid_points", 4096), "weight.grid_points", 1, diags)
-                if grid_points is None:
-                    return None
-                return ExprWeight(str(desc["expr"]), grid_points)
-            if isinstance(desc, dict) and "step" in desc:
-                pieces = []
-                for entry in desc["step"]:
-                    set_desc, value = entry
-                    E = _parse_circle_set(set_desc, diags)
-                    if E is None:
-                        return None
-                    pieces.append((E, _rational(str(value))))
-                return StepWeight(StepFunction.of(pieces))
-            diags.append("weight: circle weights need 'expr' or 'step'")
-            return None
-        if isinstance(group, FiniteGroup):
-            if isinstance(desc, dict) and "values" in desc:
-                return FiniteWeight(group, [_rational(str(v)) for v in desc["values"]])
-            diags.append("weight: finite weights need {'values': [...]}")
-            return None
-        # a p-adic context
-        nested = isinstance(desc, dict) and "table" in desc
-        table_desc = desc["table"] if nested else desc
-        if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
-            diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
-            return None
-        if nested:
-            extra = ((set(desc) - {"table", "declared_locally_constant"})
-                     | (set(table_desc) - {"level", "values"}))
-        else:
-            extra = set(desc) - {"level", "values", "declared_locally_constant"}
-        if extra:
-            diags.append(f"weight: unknown fields {sorted(extra)}")
-        # checked before p^(level + window) is formed
-        level = _parse_int(table_desc.get("level", group.precision), "weight.level",
-                           -group.window, diags, maximum=group.precision)
-        if level is None:
-            return None
-        size = group.prime ** (level + group.window)
-        values = {}
-        for key, val in table_desc["values"].items():
-            res = group.element(_rational(str(key))).residue % size
-            values[res] = _rational(str(val))
-        declared = desc.get("declared_locally_constant", True)
-        if not isinstance(declared, bool):
-            diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
-            return None
-        return PAdicTableWeight(group, level, values, declared)
-    except (HclabError, TypeError, ValueError, ZeroDivisionError) as exc:
-        diags.append(f"weight: {exc}")
-        return None
 
 
 def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
@@ -388,24 +139,24 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         diags.append(f"tolerances: allowed keys {sorted(_TOLERANCE_KEYS)}")
         tolerances = {}
 
-    group = _parse_group(raw.get("group"), diags)
+    group = parse_group(raw.get("group"), diags)
     if group is None:
         return None, diags
-    element = _parse_element(group, raw.get("element"), diags)
-    weight = _parse_weight(group, raw.get("weight"), diags)
-    if weight is not None:
-        bits = log_sum_bits(weight)
+    fam = family(group)
+    element = _parse_field("element", fam.parse_element, _FIELD_ERRORS + (OverflowError,), group,
+                           raw.get("element"), diags)
+    weight = _parse_field("weight", fam.parse_weight, _FIELD_ERRORS, group, raw.get("weight"), diags)
+    if weight is not None and weight.form is not None:
+        bits = weight.form.log_sum_bits()
         if bits > MAX_LOG_SUM_BITS:
             diags.append(f"weight: the exact log-sum forms powers of at least 2^{bits.bit_length() - 1} bits, "
                          f"above the limit 2^{MAX_LOG_SUM_BITS.bit_length() - 1}")
-    sets, set_ids = _parse_sets(group, raw.get("sets", []), diags)
+    sets, set_ids = _parse_sets(fam, group, raw.get("sets", []), diags)
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
-    if characters and group is not CIRCLE:
+    if characters and not fam.characters:
         diags.append("characters: character sweeps need the circle group")
     if "N_list" in horizons:
-        # circle statistics hold up to N residues per orbit
-        if _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags,
-                           MAX_CIRCLE_HORIZON if group is CIRCLE else None) == []:
+        if _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags, fam.max_horizon) == []:
             diags.append("horizons.N_list: expected at least one horizon")
     sections = {"horizons": horizons, "tolerances": tolerances}
     for section, key, minimum, maximum in _INT_SETTINGS:
@@ -438,21 +189,17 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     # task-specific requirements; a field that was given but rejected
     # already has its own diagnostic.  A weight given to ``all`` runs the
     # verdict, which translates by the element
-    needs_element = task in ("equidist", "hctest", "padic") or (
-        task == "all" and (group is not CIRCLE or raw.get("weight") is not None)
-    )
-    if needs_element and raw.get("element") is None:
-        diags.append(f"{task}: an 'element' is required")
+    if raw.get("element") is None:
+        if task in ("equidist", "hctest", "padic") or (task == "all" and raw.get("weight") is not None):
+            diags.append(f"{task}: an 'element' is required")
+        elif task in fam.element_needs:
+            diags.append(fam.element_needs[task])
     if task in ("hctest", "padic") and raw.get("weight") is None:
         diags.append(f"{task}: a 'weight' is required")
     if task == "equidist" and raw.get("sets", []) == [] and raw.get("characters", []) == []:
         diags.append("equidist: at least one set or character is required")
-    if task == "padic" and not isinstance(group, PAdicContext):
-        diags.append("padic: requires a zp or qp group")
-    if task == "reps" and not isinstance(group, FiniteGroup) and group is not CIRCLE:
-        diags.append("reps: requires a finite group or the circle")
-    if task == "reps" and group is CIRCLE and raw.get("element") is None:
-        diags.append("reps: the circle variant needs an 'element'")
+    if task in fam.task_needs:
+        diags.append(fam.task_needs[task])
     return spec, diags
 
 
@@ -521,34 +268,6 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
     return {"rows": summary}
 
 
-def _run_reps(spec: ExperimentSpec, out_dir: str) -> dict:
-    if spec.group is CIRCLE:
-        k_max = int(spec.horizons.get("k_max", 64))
-        k = circle_has_fixed_character(spec.element, k_max)
-        return {
-            "kind": "circle",
-            "k_max": k_max,
-            "fixed_character": k,
-            "has_fixed_character": k is not None,
-        }
-    group = spec.group
-    elements = [spec.element] if spec.element is not None else list(group.elements())
-    per_element = []
-    for a in elements:
-        cert = fixed_irrep_multiplicity(a, group)
-        per_element.append(
-            {"element": a, "order": cert.order,
-             "multiplicity": cert.multiplicity, "verdict": cert.verdict}
-        )
-    return {
-        "kind": "finite",
-        "group": group.name,
-        "order": group.order,
-        "noncyclic_equivalence_holds": noncyclic_equivalence_check(group),
-        "elements": per_element,
-    }
-
-
 def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     config = spec.verdict_config()
     log_res = rep.log_integral
@@ -574,9 +293,9 @@ def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
 
 def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     group, w, a = spec.group, spec.weight, spec.element
-    n_max = spec.verdict_config().resolved_ul_n_max(group)
-    # a windowed context has its U/L rows in its coset problems
-    origins = (ul.origin for ul in islice(rep.walk.ul_rows(), n_max)) if group.window == 0 else ()
+    # none on a windowed context, whose U/L rows are in its coset problems
+    n_max = family(group).ul_n_max(group, spec.verdict_config())
+    origins = (ul.origin for ul in islice(rep.walk.ul_rows(), n_max))
     _write_csv(os.path.join(out_dir, "ul_witness.csv"),
                ["n", "x_prime", "radius", "u_nonempty", "l_nonempty",
                 "u_witnesses", "l_witnesses"],
@@ -603,12 +322,10 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
     tasks = [spec.task]
     if spec.task == "all":
         tasks = ["equidist"] if spec.sets or spec.characters else []
-        if isinstance(spec.group, FiniteGroup) or spec.group is CIRCLE:
-            tasks.append("reps")
-        if spec.weight is not None:
-            tasks.append("hctest")
-        if isinstance(spec.group, PAdicContext) and spec.weight is not None:
-            tasks.append("padic")
+        # in TASKS order; the verdict's tasks need a weight
+        fam = family(spec.group)
+        tasks += [t for t in ("reps", "hctest", "padic")
+                  if t not in fam.task_needs and (t == "reps" or spec.weight is not None)]
     # the hctest and padic runners share one verdict
     rep = None
     if "hctest" in tasks or "padic" in tasks:
@@ -617,7 +334,7 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
         if task == "equidist":
             results[task] = _run_equidist(spec, out_dir)
         elif task == "reps":
-            results[task] = _run_reps(spec, out_dir)
+            results[task] = family(spec.group).reps(spec.group, spec.element, spec.horizons)
         elif task == "hctest":
             results[task] = _run_hctest(spec, out_dir, rep)
         else:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import MAX_ORBIT_DENOMINATOR, CircleElement, CircleGroup, OrbitSequence
+from .groups import MAX_ORBIT_DENOMINATOR, CircleElement, OrbitSequence
 
 __all__ = [
     "TestFunction",
@@ -652,14 +652,6 @@ class Translates(Sequence):
 # densities
 
 
-def _terms_in_set(K, seq: OrbitSequence, N: int, translate=None) -> int:
-    if isinstance(seq.group, CircleGroup):
-        counter = OrbitCounter.from_sequence(seq, N)
-        return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
-    K, seq, translate = _resolved(K, seq, translate)
-    return _support_count(K, seq.group, seq.residue_support(N), translate)
-
-
 def _resolved(K, seq: OrbitSequence, translate=None):
     """K, the orbit and a translate on the coarsest context that resolves K
     (``K.resolved``).  Membership in a p-adic ball set of finest level j
@@ -684,16 +676,16 @@ def _support_count(K, group, support, x=None) -> int:
 
 def density(K, seq: OrbitSequence, N: int) -> Fraction:
     """Fraction of terms x_1 .. x_{N-1} lying in K (divisor N)."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    return Fraction(_terms_in_set(K, seq, N), N)
+    return translated_density(K, None, seq, N)
 
 
 def translated_density(K, x, seq: OrbitSequence, N: int) -> Fraction:
-    """Density of the translated set: counts terms with x * x_k in K."""
+    """Density of the translated set: counts terms with x * x_k in K (x_k
+    itself when x is None), by the group family's ``orbit_count``."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return Fraction(_terms_in_set(K, seq, N, translate=x), N)
+    from .families import family  # the families build on this module
+    return Fraction(family(seq.group).orbit_count(K, seq, N, x), N)
 
 
 def sup_deviation(K, seq: OrbitSequence, N):
@@ -701,14 +693,12 @@ def sup_deviation(K, seq: OrbitSequence, N):
 
     ``K`` and ``N`` may both be lists, of sets and of horizons: the result
     is then a list over the sets of their deviations, each a list over the
-    horizons.  On the circle the counts are exact: the orbit is sorted once
-    per N and shared by every set, each set's boundaries are prepared once,
-    and the counts at every event position and on every cell between them
-    come from cumulative sums (``OrbitCounter.sup_candidates``).
-    Finite and p-adic contexts are exhausted on the coarsest context that
-    resolves K (``_resolved``): the orbit's support is built there and
-    counted at every translate that context enumerates, one per coset of the
-    finest ball of a p-adic set.
+    horizons.  The extreme counts are exact and come from the group
+    family's ``orbit_extremes``: on the circle the orbit is sorted once per
+    N and shared by every set, and each set's counts at every event position
+    and on every cell between them come from cumulative sums
+    (``OrbitCounter.sup_candidates``); finite and p-adic contexts are
+    exhausted on the coarsest context that resolves K (``_resolved``).
     """
     many = isinstance(K, (list, tuple))
     if many != isinstance(N, (list, tuple)):
@@ -716,41 +706,15 @@ def sup_deviation(K, seq: OrbitSequence, N):
     sets, Ns = (K, [int(n) for n in N]) if many else ([K], [int(N)])
     if min(Ns, default=2) < 2:
         raise ValueError("need N >= 2")
-    if isinstance(seq.group, CircleGroup):
-        extremes = _circle_extremes(sets, seq, Ns)
-    else:
-        extremes = [[_exhaustive_extremes(S, seq, n) for n in Ns] for S in sets]
+    from .families import family  # the families build on this module
     out = []
-    for S, row in zip(sets, extremes):
+    for S, row in zip(sets, family(seq.group).orbit_extremes(sets, seq, Ns)):
         mu = S.measure()
         # |count/N - mu| is extremal at the extreme counts; finish in exact
         # rational arithmetic so trivial cases come out exact
         out.append([float(max(abs(Fraction(hi, n) - mu), abs(Fraction(lo, n) - mu)))
                     for n, (lo, hi) in zip(Ns, row)])
     return out if many else out[0][0]
-
-
-def _circle_extremes(sets, seq: OrbitSequence, Ns: list[int]) -> list[list[tuple[int, int]]]:
-    """Per set, the least and greatest count over all translates at each N,
-    from one sorted orbit per N and each set's boundaries prepared once."""
-    if not sets:
-        return []
-    bounds = [Boundaries.prepare(seq.element.value.denominator, S) for S in sets]
-    out = [[] for _ in sets]
-    for n in Ns:
-        counter = OrbitCounter.from_sequence(seq, n)
-        for row, b in zip(out, bounds):
-            row += counter.sup_candidates(b).extremes()
-    return out
-
-
-def _exhaustive_extremes(K, seq: OrbitSequence, N: int) -> tuple[int, int]:
-    """The least and greatest count over every translate of an enumerable
-    context, on the coarsest context that resolves K."""
-    K, seq, _ = _resolved(K, seq)
-    group, support = seq.group, seq.residue_support(N)
-    counts = [_support_count(K, group, support, x) for x in group.elements()]
-    return min(counts), max(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,437 @@
+"""One object per group family: the circle, finite groups and truncated p-adics.
+
+The spec grammar, the tasks, the necessary conditions that apply and the
+orbit statistic all depend on the family of the group: torsion is a finite
+order, a declared-rational angle or the zero p-adic step; only the p-adics
+have the windowed coset reduction and the ball rules; the circle's orbits
+are swept, and the other groups, which share one enumerable surface
+(``groups``), are counted exhaustively.  ``family(group)`` finds a group's
+object by its type, the one place outside ``groups`` that tells the group
+classes apart, and ``parse_group`` by the spec's kind.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+
+from . import equidist, padic
+from .borel import BallSet, FiniteSubset, IntervalSet, arc_pieces
+from .errors import HclabError, SpecValidationError
+from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, CircleGroup, FiniteGroup,
+                     PAdicContext, catalog)
+from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
+from .report import RULE_TORSION, RuleFiring
+from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
+
+__all__ = ["Family", "family", "parse_group"]
+
+# the most residues p^(precision + window) a zp / qp context may have: the
+# exhaustive p-adic paths visit every residue
+MAX_PADIC_RESIDUES = 3 ** 8
+
+
+# ---------------------------------------------------------------------------
+# spec fields shared by the families
+
+
+@functools.lru_cache(maxsize=4096)
+def _rational(text: str) -> Fraction:
+    """The rational a spec string spells; a weight's tables repeat a few
+    strings, so each is parsed once."""
+    return Fraction(text)
+
+
+def _parse_int(value, field, minimum, diags, maximum=None):
+    """An integer in [minimum, maximum] (a JSON integer or an integer
+    string; None leaves that side open), or None with a diagnostic that
+    names the field."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        k = int(value)
+    except ValueError:
+        diags.append(f"{field}: {value!r} is not an integer")
+        return None
+    if minimum is not None and k < minimum:
+        diags.append(f"{field}: {value!r} is below the minimum {minimum}")
+        return None
+    if maximum is not None and k > maximum:
+        diags.append(f"{field}: {value!r} is above the maximum {maximum}")
+        return None
+    return k
+
+
+def _parse_int_list(value, field, minimum, diags, maximum=None):
+    """A list of integers in [minimum, maximum], or None with a diagnostic
+    that names the field."""
+    if not isinstance(value, list):
+        diags.append(f"{field}: expected a list of integers, got {value!r}")
+        return None
+    out = [_parse_int(entry, field, minimum, diags, maximum) for entry in value]
+    return None if None in out else out
+
+
+# ---------------------------------------------------------------------------
+# the families
+
+
+class Family:
+    """The decisions hclab takes by group family; the defaults serve the
+    enumerable groups.  Each family also has its spec parsers (``parse_group``,
+    ``parse_element``, ``parse_set``, ``parse_weight``: each appends its
+    diagnostics to ``diags`` and returns None for a field it rejects, or
+    raises), its torsion rule ``torsion(group, a)``, and ``reps`` when it
+    runs that task."""
+
+    # the tasks a spec on this family may not run, with their diagnostic
+    task_needs = {"padic": "padic: requires a zp or qp group"}
+    # whether character sweeps run on this family
+    characters = False
+    # the largest horizon in ``horizons.N_list``; None leaves it open
+    max_horizon: int | None = None
+    # the other tasks than equidist, hctest, padic and a weighted ``all``
+    # that need an element, with their diagnostic
+    element_needs = {"all": "all: an 'element' is required"}
+
+    def as_element(self, group, x):
+        """``x`` as an element of ``group``."""
+        return x
+
+    def ul_n_max(self, group, config) -> int:
+        """The rows the U/L ball scan reads from the product walk."""
+        return 0
+
+    def coset_problems(self, w, a) -> list | None:
+        """The problems a verdict on ``w`` decomposes into, or None when it
+        is decided on the group itself."""
+        return None
+
+    def table_rules(self, w, a, ul_n_max: int, walk, horizons: dict) -> RuleFiring | None:
+        """The first firing of the rules that run after the monotone scan;
+        each records the horizon it reached in ``horizons``."""
+        return None
+
+    def orbit_count(self, K, seq, N: int, translate=None) -> int:
+        """The terms 1..N-1 of ``seq`` in K translated by ``translate``, on
+        the coarsest context that resolves K (``equidist._resolved``)."""
+        K, seq, translate = equidist._resolved(K, seq, translate)
+        return equidist._support_count(K, seq.group, seq.residue_support(N), translate)
+
+    def orbit_extremes(self, sets, seq, Ns: list[int]) -> list[list[tuple[int, int]]]:
+        """Per set, the least and greatest ``orbit_count`` over all
+        translates at each N."""
+        out = []
+        for K in sets:
+            K, sub, _ = equidist._resolved(K, seq)
+            counts = ([equidist._support_count(K, sub.group, support, x) for x in sub.group.elements()]
+                      for support in map(sub.residue_support, Ns))
+            out.append([(min(c), max(c)) for c in counts])
+        return out
+
+
+def _is_arc_literal(desc) -> bool:
+    return isinstance(desc, list) and len(desc) == 2 and isinstance(desc[0], list) and isinstance(desc[1], str)
+
+
+class CircleFamily(Family):
+    """The circle: exact angles, algebra sets of arcs and points, expression
+    and step weights, and orbit counts from one event sweep."""
+
+    characters = True
+    max_horizon = MAX_CIRCLE_HORIZON
+    element_needs = {"reps": "reps: the circle variant needs an 'element'"}
+
+    def parse_group(self, kind, desc, diags):
+        if set(desc) - {"group"}:
+            diags.append("group: circle takes no extra fields")
+        return CIRCLE
+
+    def parse_element(self, group, desc, diags):
+        if isinstance(desc, dict):
+            if "rational" in desc:
+                element = CIRCLE.element(str(desc["rational"]))
+            elif "angle" in desc:
+                element = CIRCLE.from_float(float(desc["angle"]))
+            else:
+                diags.append("element: need 'rational' or 'angle'")
+                return None
+        elif isinstance(desc, str):
+            element = CIRCLE.element(desc)
+        else:
+            element = CIRCLE.from_float(float(desc))
+        # the orbit is held as integer residues mod the angle's denominator
+        if element.value.denominator > MAX_ORBIT_DENOMINATOR:
+            diags.append(f"element: the angle's denominator, at least "
+                         f"2^{element.value.denominator.bit_length() - 1}, exceeds the limit "
+                         f"2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+            return None
+        return element
+
+    def parse_set(self, group, desc, diags):
+        arcs, points = [], []
+        try:
+            pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
+            for piece in pieces:
+                if isinstance(piece, dict) and set(piece) == {"point"}:
+                    points.append(Fraction(str(piece["point"])))
+                elif (isinstance(piece, list) and len(piece) == 2
+                      and isinstance(piece[0], list) and len(piece[0]) == 2):
+                    lo, hi = (Fraction(str(v)) for v in piece[0])
+                    arc, ends = arc_pieces(lo, hi, str(piece[1]))
+                    arcs.append(arc)
+                    points += ends
+                else:
+                    raise SpecValidationError(f"set literal {piece!r} not understood")
+            return IntervalSet.from_pieces(arcs, points)
+        except (HclabError, ValueError, ZeroDivisionError) as exc:
+            diags.append(f"sets: {exc}")
+            return None
+
+    def parse_weight(self, group, desc, diags):
+        if isinstance(desc, dict) and "expr" in desc:
+            extra = set(desc) - {"expr", "grid_points"}
+            if extra:
+                diags.append(f"weight: unknown fields {sorted(extra)}")
+            grid_points = _parse_int(desc.get("grid_points", 4096), "weight.grid_points", 1, diags)
+            if grid_points is None:
+                return None
+            return ExprWeight(str(desc["expr"]), grid_points)
+        if isinstance(desc, dict) and "step" in desc:
+            pieces = []
+            for entry in desc["step"]:
+                set_desc, value = entry
+                E = self.parse_set(group, set_desc, diags)
+                if E is None:
+                    return None
+                pieces.append((E, _rational(str(value))))
+            return StepWeight(StepFunction.of(pieces))
+        diags.append("weight: circle weights need 'expr' or 'step'")
+        return None
+
+    def reps(self, group, element, horizons: dict) -> dict:
+        k_max = int(horizons.get("k_max", 64))
+        k = circle_has_fixed_character(element, k_max)
+        return {"kind": "circle", "k_max": k_max, "fixed_character": k, "has_fixed_character": k is not None}
+
+    def as_element(self, group, x):
+        return group.element(x)
+
+    def torsion(self, group, a):
+        """An angle declared rational has finite order; a binary64 angle is
+        treated as irrational, so its rotation is equidistributed (Weyl)."""
+        if a.declared_rational:
+            return RuleFiring(RULE_TORSION, {"order": a.value.denominator}, {"angle": a.value})
+        return None
+
+    def orbit_count(self, K, seq, N, translate=None):
+        counter = equidist.OrbitCounter.from_sequence(seq, N)
+        return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
+
+    def orbit_extremes(self, sets, seq, Ns):
+        """From one sorted orbit per N and each set's boundaries prepared
+        once (``equidist.OrbitCounter.sup_candidates``)."""
+        if not sets:
+            return []
+        bounds = [equidist.Boundaries.prepare(seq.element.value.denominator, S) for S in sets]
+        out = [[] for _ in sets]
+        for n in Ns:
+            counter = equidist.OrbitCounter.from_sequence(seq, n)
+            for row, b in zip(out, bounds):
+                row += counter.sup_candidates(b).extremes()
+        return out
+
+
+class FiniteFamily(Family):
+    """The catalog's finite groups: element indices, index sets, one exact
+    value per element; every element has finite order."""
+
+    def parse_group(self, kind, desc, diags):
+        extra = set(desc) - {"group", "name"}
+        if extra:
+            diags.append(f"group: unknown fields {sorted(extra)}")
+        name = desc.get("name")
+        groups = catalog()
+        if not isinstance(name, str) or name not in groups:
+            diags.append(f"group: unknown finite group {name!r}; catalog: {sorted(groups)}")
+            return None
+        return groups[name]
+
+    def parse_element(self, group, desc, diags):
+        if isinstance(desc, dict):
+            if "index" not in desc:
+                diags.append("element: need 'index'")
+                return None
+            desc = desc["index"]
+        idx = _parse_int(desc, "element", 0, diags)
+        if idx is not None and idx >= group.order:
+            diags.append(f"element: index {idx} out of range for {group.name}")
+            return None
+        return idx
+
+    def parse_set(self, group, desc, diags):
+        if not (isinstance(desc, dict) and set(desc) == {"indices"}):
+            diags.append(f"sets: finite sets need {{'indices': [...]}}, got {desc!r}")
+            return None
+        indices = _parse_int_list(desc["indices"], "sets", 0, diags)
+        try:
+            return FiniteSubset.of(group, indices) if indices is not None else None
+        except ValueError as exc:
+            diags.append(f"sets: {exc}")
+            return None
+
+    def parse_weight(self, group, desc, diags):
+        if isinstance(desc, dict) and "values" in desc:
+            return FiniteWeight(group, [_rational(str(v)) for v in desc["values"]])
+        diags.append("weight: finite weights need {'values': [...]}")
+        return None
+
+    def reps(self, group, element, horizons: dict) -> dict:
+        per_element = []
+        for a in [element] if element is not None else group.elements():
+            cert = fixed_irrep_multiplicity(a, group)
+            per_element.append({"element": a, "order": cert.order, "multiplicity": cert.multiplicity,
+                                "verdict": cert.verdict})
+        return {"kind": "finite", "group": group.name, "order": group.order,
+                "noncyclic_equivalence_holds": noncyclic_equivalence_check(group), "elements": per_element}
+
+    def torsion(self, group, a):
+        """Every element of a finite group has finite order."""
+        return RuleFiring(RULE_TORSION, {"order": group.element_order(a)}, {"element": a, "group": group.name})
+
+
+class PAdicFamily(Family):
+    """Truncated Z_p and windowed Q_p: elements by digits or value, unions
+    of balls, tables constant on cosets; the U/L ball rules (Chen and Chu,
+    "Hypercyclic weighted translations on groups", Proc. AMS 2011)."""
+
+    task_needs = {"reps": "reps: requires a finite group or the circle"}
+
+    def parse_group(self, kind, desc, diags):
+        allowed = {"group", "p", "precision"} | ({"window"} if kind == "qp" else set())
+        extra = set(desc) - allowed
+        if extra:
+            diags.append(f"group: unknown fields {sorted(extra)}")
+        p = _parse_int(desc.get("p"), "group.p", 2, diags)
+        precision = _parse_int(desc.get("precision", 4), "group.precision", 1, diags)
+        window = _parse_int(desc.get("window", 0), "group.window", 0, diags)
+        if None in (p, precision, window):
+            return None
+        digits = precision + window
+        # p >= 2, so a digit count at the limit's bit length already exceeds
+        # it; testing that first never forms a huge power
+        if digits >= MAX_PADIC_RESIDUES.bit_length() or p ** digits > MAX_PADIC_RESIDUES:
+            diags.append(f"group: {p}^{digits} residues exceed the limit {MAX_PADIC_RESIDUES}")
+            return None
+        # the residue limit keeps p small enough for trial division
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            diags.append(f"group: p = {p} is not a prime")
+            return None
+        return PAdicContext(p, precision, window)
+
+    def parse_element(self, group, desc, diags):
+        if isinstance(desc, dict):
+            if "digits" in desc:
+                digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
+                return None if digits is None else group.from_digits(digits)
+            if "value" in desc:
+                return group.element(Fraction(str(desc["value"])))
+            diags.append("element: need 'digits' or 'value'")
+            return None
+        return group.element(Fraction(str(desc)))
+
+    def parse_set(self, group, desc, diags):
+        try:
+            pieces = desc if isinstance(desc, list) else [desc]
+            balls = []
+            for piece in pieces:
+                if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
+                    raise SpecValidationError(f"ball literal {piece!r} not understood")
+                radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
+                if radius_exp is None:
+                    return None
+                balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
+            return BallSet.from_balls(group, balls)
+        except (HclabError, ValueError, ZeroDivisionError) as exc:
+            diags.append(f"sets: {exc}")
+            return None
+
+    def parse_weight(self, group, desc, diags):
+        nested = isinstance(desc, dict) and "table" in desc
+        table_desc = desc["table"] if nested else desc
+        if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
+            diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
+            return None
+        if nested:
+            extra = ((set(desc) - {"table", "declared_locally_constant"})
+                     | (set(table_desc) - {"level", "values"}))
+        else:
+            extra = set(desc) - {"level", "values", "declared_locally_constant"}
+        if extra:
+            diags.append(f"weight: unknown fields {sorted(extra)}")
+        # checked before p^(level + window) is formed
+        level = _parse_int(table_desc.get("level", group.precision), "weight.level",
+                           -group.window, diags, maximum=group.precision)
+        if level is None:
+            return None
+        size = group.prime ** (level + group.window)
+        values = {}
+        for key, val in table_desc["values"].items():
+            res = group.element(_rational(str(key))).residue % size
+            values[res] = _rational(str(val))
+        declared = desc.get("declared_locally_constant", True)
+        if not isinstance(declared, bool):
+            diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
+            return None
+        return PAdicTableWeight(group, level, values, declared)
+
+    def torsion(self, group, a):
+        """The only torsion element of an additive p-adic group is 0; a value
+        that vanishes at the working precision is treated the same way."""
+        if a.is_zero():
+            return RuleFiring(RULE_TORSION, {"reason": "translation element is 0 at working precision"}, {})
+        return None
+
+    def ul_n_max(self, group, config):
+        # the U/L rows of a windowed context come from its coset problems
+        if group.window:
+            return 0
+        return config.ul_n_max if config.ul_n_max is not None else min(group.modulus * group.prime, 64)
+
+    def coset_problems(self, w, a):
+        """A windowed context decomposes into coset problems over Z_p."""
+        return padic.qp_reduction(w, a) if w.group.window > 0 else None
+
+    def table_rules(self, w, a, ul_n_max, walk, horizons):
+        """The locally-constant obstruction, then the U/L ball scan."""
+        horizons["ul_n_max"] = ul_n_max
+        return (padic.locally_constant_obstruction(w, a)
+                or padic.ul_scan(w, a, ul_n_max, walk.ul_rows()))
+
+
+_BY_TYPE = {CircleGroup: CircleFamily(), FiniteGroup: FiniteFamily(), PAdicContext: PAdicFamily()}
+_BY_KIND = {"circle": _BY_TYPE[CircleGroup], "finite": _BY_TYPE[FiniteGroup],
+            "zp": _BY_TYPE[PAdicContext], "qp": _BY_TYPE[PAdicContext]}
+
+
+def family(group) -> Family:
+    """The family object of ``group``, by its type."""
+    try:
+        return _BY_TYPE[type(group)]
+    except KeyError:
+        raise TypeError(f"unsupported group {group!r}") from None
+
+
+def parse_group(desc, diags):
+    """The group a spec's ``group`` object describes, or None with a
+    diagnostic."""
+    if not isinstance(desc, dict) or "group" not in desc:
+        diags.append("group: expected an object with a 'group' field")
+        return None
+    kind = desc["group"]
+    fam = _BY_KIND.get(kind) if isinstance(kind, str) else None
+    if fam is None:
+        diags.append(f"group: unknown kind {kind!r}")
+        return None
+    return fam.parse_group(kind, desc, diags)

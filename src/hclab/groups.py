@@ -153,9 +153,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_torsion(self, a: int) -> bool:
-        return True
-
     def index(self, a: int) -> int:
         """Position of ``a`` in ``elements()``: the element itself."""
         return a
@@ -354,9 +351,6 @@ class CircleGroup:
         # exact, so the double-and-add ladder and n-fold addition agree
         return CircleElement((n * a.value) % 1, a.declared_rational)
 
-    def is_torsion(self, a: CircleElement) -> bool:
-        return a.declared_rational
-
     def __repr__(self):
         return "CircleGroup()"
 
@@ -537,11 +531,6 @@ class PAdicNumber:
         return Fraction(1, self.context.prime ** v) if v >= 0 else Fraction(self.context.prime ** (-v))
 
     def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def is_torsion(self) -> bool:
-        # the only torsion element of an additive p-adic group is 0; a value
-        # that vanishes at the working precision is treated the same way
         return self.residue == 0
 
     def exact_divide_p_power(self, v: int) -> "PAdicNumber":

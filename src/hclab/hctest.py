@@ -30,22 +30,21 @@ import numpy as np
 from . import padic as _padic
 from .borel import IntervalSet, arc_pieces
 from .equidist import BLOCK_ENTRIES, Boundaries, OrbitCounter, _mod1
-from .errors import NonPositiveWeight, PlateauResolutionFailure
+from .errors import PlateauResolutionFailure
 from .exprs import Expr
-from .groups import CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext
+from .families import family
+from .groups import CIRCLE, CircleElement, OrbitSequence
 from .report import (
     CONDITIONS_PASSED,
     NOT_HYPERCYCLIC,
     RULE_LOG_INTEGRAL,
     RULE_MONOTONE,
-    RULE_TORSION,
     RuleFiring,
     VerdictReport,
 )
 from .weights import (
     CircleGrid,
     DiscretizedFunction,
-    ExponentForm,
     ExprWeight,
     FiniteWeight,
     PAdicTableWeight,
@@ -63,7 +62,6 @@ __all__ = [
     "operator_power_identity_check",
     "LogIntegralResult",
     "log_integral_report",
-    "log_sum_bits",
     "step_approx",
     "SandwichResult",
     "sandwich_check",
@@ -116,63 +114,44 @@ class LogIntegralResult:
     richardson_gap: float | None = None
 
 
-def log_sum_bits(w: Weight) -> int:
-    """The size in bits of the powers the exact log-sum of w may form,
-    sum_i c_i max(bits(numerator v_i), bits(denominator v_i)) for the masses
-    m_i over their common denominator D, c_i = m_i D; 0 for a weight
-    without one (an expression weight, or a float value)."""
-    return w.form.log_sum_bits() if w.form is not None and w.form.exact else 0
-
-
-def _exact_log_sum(form: ExponentForm) -> LogIntegralResult:
-    """sum_i m_i ln(v_i) = sum_j s_j ln(b_j) / D from the exponent sum s of
-    the form (``ExponentForm.log_sum``): it is zero exactly when s is.  The
-    value is ln(num / den) / D for the numerator and denominator of
-    prod_j b_j^s_j, coprime on a coprime base, so no gcd reduces them."""
-    D, s = form.log_sum()
-    num, den = form.integers(s)
-    return LogIntegralResult(
-        value=(math.log(num) - math.log(den)) / D,
-        method="exact-log-sum",
-        exact=True,
-        exact_zero=not any(s),
-    )
-
-
 def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogIntegralResult:
     """The Haar integral of ln w, with the evidence used to compute it: a
-    midpoint quadrature for an expression weight, the exact log-sum of an
-    exact weight's ``ExponentForm``, and a float sum over its pieces when a
-    value is a float."""
-    if w.form is None:
-        def midpoint(grid):
-            # the mean of ln w at the midpoints (k + 1/2)/m of the k that
-            # ``grid`` holds, k < m = len(grid), computed over the grid
-            np.add(grid, 0.5, out=grid)
-            np.divide(grid, len(grid), out=grid)
-            vals = np.asarray(w.eval_angles(grid, out=grid), dtype=float)
-            return float(np.mean(np.log(vals, out=vals)))
+    midpoint quadrature for an expression weight, the exact log-sum of the
+    ``ExponentForm`` of a step, finite or table weight."""
+    if w.form is not None:
+        # sum_i m_i ln(v_i) = sum_j s_j ln(b_j) / D from the exponent sum s
+        # (``ExponentForm.log_sum``): it is zero exactly when s is.  The value
+        # is ln(num / den) / D for the numerator and denominator of
+        # prod_j b_j^s_j, coprime on a coprime base, so no gcd reduces them
+        D, s = w.form.log_sum()
+        num, den = w.form.integers(s)
+        return LogIntegralResult((math.log(num) - math.log(den)) / D, "exact-log-sum", exact=True,
+                                 exact_zero=not any(s))
 
-        # one buffer holds the fine grid's k; the coarse grid's k are
-        # written over its top, which is then restored from its bottom
-        m, half = quadrature_points, quadrature_points // 2
-        grid = np.arange(m, dtype=float)
-        top = grid[m - half:]
-        np.subtract(top, m - half, out=top)
-        coarse = midpoint(top)
-        np.add(grid[:half], m - half, out=top)
-        fine = midpoint(grid)
-        return LogIntegralResult(
-            value=fine,
-            method="midpoint-quadrature",
-            exact=False,
-            quadrature_points=quadrature_points,
-            richardson_gap=abs(fine - coarse),
-        )
-    if w.form.exact:
-        return _exact_log_sum(w.form)
-    total = sum(float(m) * math.log(float(v)) for m, v in w.form.pieces())
-    return LogIntegralResult(total, "float-log-sum", exact=False)
+    def midpoint(grid):
+        # the mean of ln w at the midpoints (k + 1/2)/m of the k that
+        # ``grid`` holds, k < m = len(grid), computed over the grid
+        np.add(grid, 0.5, out=grid)
+        np.divide(grid, len(grid), out=grid)
+        vals = np.asarray(w.eval_angles(grid, out=grid), dtype=float)
+        return float(np.mean(np.log(vals, out=vals)))
+
+    # one buffer holds the fine grid's k; the coarse grid's k are
+    # written over its top, which is then restored from its bottom
+    m, half = quadrature_points, quadrature_points // 2
+    grid = np.arange(m, dtype=float)
+    top = grid[m - half:]
+    np.subtract(top, m - half, out=top)
+    coarse = midpoint(top)
+    np.add(grid[:half], m - half, out=top)
+    fine = midpoint(grid)
+    return LogIntegralResult(
+        value=fine,
+        method="midpoint-quadrature",
+        exact=False,
+        quadrature_points=quadrature_points,
+        richardson_gap=abs(fine - coarse),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +436,6 @@ def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
         yield from ((hit, None) for hit in _expr_rows(w, a, grid_points, horizon))
         return
     if isinstance(w, StepWeight):
-        if not w.form.exact:
-            raise NonPositiveWeight("exact scan requires rational step values")
         blocks = circle_step_rows(w, a, horizon)
     elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
         blocks = ((lambda b, entries: entries, rows) for rows in step_products(w, a, horizon))
@@ -559,45 +536,10 @@ class VerdictConfig:
     ul_n_max: int | None = None
     metadata: dict | None = None
 
-    def resolved_ul_n_max(self, context: PAdicContext) -> int:
-        if self.ul_n_max is not None:
-            return self.ul_n_max
-        return min(context.modulus * context.prime, 64)
-
-
-def _torsion_firing(w: Weight, a) -> RuleFiring | None:
-    group = w.group
-    if isinstance(group, FiniteGroup):
-        return RuleFiring(
-            RULE_TORSION,
-            {"order": group.element_order(a)},
-            {"element": a, "group": group.name},
-        )
-    if isinstance(group, CircleGroup):
-        if a.declared_rational:
-            return RuleFiring(
-                RULE_TORSION,
-                {"order": a.value.denominator},
-                {"angle": a.value},
-            )
-        return None
-    if isinstance(group, PAdicContext):
-        if a.is_torsion():
-            return RuleFiring(
-                RULE_TORSION,
-                {"reason": "translation element is 0 at working precision"},
-                {},
-            )
-        return None
-    raise TypeError(f"unsupported group {group!r}")
-
 
 def _log_firing(w: Weight, config: VerdictConfig) -> tuple[RuleFiring | None, LogIntegralResult]:
     res = log_integral_report(w, config.quadrature_points)
-    if res.exact:
-        fired = not res.exact_zero
-    else:
-        fired = abs(res.value) > config.log_tolerance
+    fired = not res.exact_zero if res.exact else abs(res.value) > config.log_tolerance
     if not fired:
         return None, res
     return (
@@ -626,20 +568,18 @@ def _monotone_firing(walk: ProductWalk, config: VerdictConfig) -> RuleFiring | N
     return None
 
 
-def _context_name(group) -> str:
-    return getattr(group, "name", repr(group))
-
-
 def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     """Run the necessary-condition battery; the first firing rule wins.
 
     Order: torsion, then the zero-log-integral test, then the monotone
     weight-power scan, then (p-adic only) the locally-constant obstruction
     and the U/L ball scan.  Windowed p-adic contexts decompose into coset
-    problems that each run the full battery.
+    problems that each run the full battery.  The group's family gives the
+    torsion rule, the decomposition and the rules after the scan.
     """
     config = config or VerdictConfig()
     group = w.group
+    fam = family(group)
     tolerances = {
         "log_tolerance": config.log_tolerance,
         "quadrature_points": config.quadrature_points,
@@ -648,9 +588,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     notes = []
     metadata = dict(config.metadata or {})
     log_res = None
-    # the U/L rows of a windowed context come from its coset problems
-    ul_n_max = (config.resolved_ul_n_max(group)
-                if isinstance(group, PAdicContext) and group.window == 0 else 0)
+    ul_n_max = fam.ul_n_max(group, config)
     walk = ProductWalk(w, a, config.monotone_grid, ul_n_max, config.monotone_n_max)
 
     def report(fired: RuleFiring | None) -> VerdictReport:
@@ -659,28 +597,26 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             fired_rule=fired,
             tolerances=tolerances,
             horizons=horizons,
-            context=_context_name(group),
+            context=group.name,
             notes=tuple(notes),
             metadata=metadata,
             log_integral=log_res,
             walk=walk,
         )
 
-    fired = _torsion_firing(w, a)
+    fired = fam.torsion(group, a)
     if fired:
         return report(fired)
 
-    if isinstance(group, PAdicContext) and group.window > 0:
-        # decompose the windowed problem into coset problems over Z_p
+    problems = fam.coset_problems(w, a)
+    if problems is not None:
         horizons["coset_level"] = a.valuation()
-        problems = _padic.qp_reduction(w, a)
         notes.append(f"windowed context reduced to {len(problems)} coset problems")
         for prob in problems:
             sub = verdict(prob.weight, prob.element, config)
             if sub.not_hypercyclic:
                 inner = sub.fired_rule
-                params = dict(inner.params)
-                params["coset"] = str(prob.coset)
+                params = {**inner.params, "coset": str(prob.coset)}
                 return report(RuleFiring(inner.rule, params, inner.witnesses))
         return report(None)
 
@@ -692,14 +628,4 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     fired = _monotone_firing(walk, config)
     if fired:
         return report(fired)
-
-    if isinstance(group, PAdicContext):
-        horizons["ul_n_max"] = ul_n_max
-        fragment = _padic.locally_constant_obstruction(w, a)
-        if fragment is not None:
-            return report(fragment)
-        fragment = _padic.ul_scan(w, a, ul_n_max, walk.ul_rows())
-        if fragment is not None:
-            return report(fragment)
-
-    return report(None)
+    return report(fam.table_rules(w, a, ul_n_max, walk, horizons))

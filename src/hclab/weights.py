@@ -29,8 +29,7 @@ from .borel import BallSet, FiniteSubset, IntervalSet
 from .equidist import BLOCK_ENTRIES, Boundaries, Translates, _frac, sweep_blocks
 from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
 from .exprs import Expr
-from .groups import (CIRCLE, CircleElement, CircleGroup, FiniteGroup, OrbitSequence, PAdicContext,
-                     PAdicNumber)
+from .groups import CIRCLE, CircleElement, FiniteGroup, OrbitSequence, PAdicContext, PAdicNumber
 
 __all__ = [
     "StepFunction",
@@ -205,17 +204,14 @@ class ExponentForm:
     of vectors, ``exponents`` (int64, one row per entry), and logs are dot
     products with ``logs`` = ln b_j.
 
-    ``masses`` are the entries' Haar masses (equal ones when None); ``exact``
-    says whether every value was given as a rational (a float value enters
-    the vectors as the exact rational it is, but not the log-sum).  Values
+    ``masses`` are the entries' Haar masses (equal ones when None).  Values
     are factored once per distinct value; ``take`` restricts a form to some
     entries without factoring again.
     """
 
-    def __init__(self, values, masses=None, exact: bool = True, *, _of=None, _index=None):
+    def __init__(self, values, masses=None, *, _of=None, _index=None):
         self.values = tuple(values)
         self.masses = masses
-        self.exact = exact
         if _of is None:
             keys: dict = {}
             index = []
@@ -253,7 +249,7 @@ class ExponentForm:
     def take(self, entries) -> "ExponentForm":
         """The form of the given entries only, on the same base."""
         entries = list(entries)
-        return ExponentForm([self.values[i] for i in entries], None, self.exact,
+        return ExponentForm([self.values[i] for i in entries], None,
                             _of=(self.base, self.logs, self.distinct, self.bits, self.tol),
                             _index=self.index[entries])
 
@@ -298,11 +294,6 @@ class ExponentForm:
         size of the powers the reported log-sum forms, at most."""
         D, counts = self.log_masses
         return sum(c * b for c, b in zip(counts, self.bits))
-
-    def pieces(self) -> list[tuple[Fraction, object]]:
-        """The (Haar mass, value) pairs of the entries."""
-        masses = self.masses or [Fraction(1, len(self.index))] * len(self.index)
-        return list(zip(masses, self.values))
 
 
 class ProductRows:
@@ -413,19 +404,15 @@ class ProductRows:
 
 class Weight:
     """Shared surface of the weight families.  ``form`` is the
-    ``ExponentForm`` of a step, finite or table weight's values, None for an
-    expression weight; ``form.exact`` says whether every value is rational,
-    so that products and the log-integral are exact."""
+    ``ExponentForm`` of a step, finite or table weight's values, whose
+    values are all rational, so that products and the log-integral are
+    exact; None for an expression weight."""
 
     group: object
     form: ExponentForm | None = None
 
     def value_at(self, x) -> float:
         raise NotImplementedError
-
-    def rational_at(self, x) -> Fraction | None:
-        """Exact value when the family supports it, else None."""
-        return None
 
     def translate(self, shift) -> "Weight":
         """The weight x -> w(x + shift) (x * shift multiplicatively)."""
@@ -487,7 +474,8 @@ class ExprWeight(Weight):
 
 
 class StepWeight(Weight):
-    """A strictly positive circle step function used as a weight."""
+    """A strictly positive circle step function used as a weight; a value
+    given as a float or an integer is held as the exact rational it is."""
 
     def __init__(self, step: StepFunction):
         self.group = CIRCLE
@@ -496,17 +484,16 @@ class StepWeight(Weight):
                 raise TypeError("StepWeight pieces must be circle sets")
             if v <= 0:
                 raise NonPositiveWeight(f"step value {v} is not positive")
+        if not all(isinstance(v, Fraction) for _, v in step.pieces):
+            step = step.map_values(Fraction)
         self.step = step
-        values = [v for _, v in step.pieces]
-        self.form = ExponentForm(values, [E.measure() for E, _ in step.pieces],
-                                 all(isinstance(v, (Fraction, int)) for v in values))
+        self.form = ExponentForm([v for _, v in step.pieces], [E.measure() for E, _ in step.pieces])
 
     def value_at(self, x) -> float:
         return float(self.step.value_at(getattr(x, "value", x)))
 
-    def rational_at(self, x) -> Fraction | None:
-        v = self.step.value_at(getattr(x, "value", x))
-        return v if isinstance(v, (Fraction, int)) else None
+    def rational_at(self, x) -> Fraction:
+        return self.step.value_at(getattr(x, "value", x))
 
     def translate(self, shift) -> "StepWeight":
         delta = getattr(shift, "value", None)
@@ -520,24 +507,24 @@ class StepWeight(Weight):
 
 
 class FiniteWeight(Weight):
-    """An exact value per element of a finite group."""
+    """An exact value per element of a finite group; a value given as a
+    float is held as the exact rational it is."""
 
     def __init__(self, group: FiniteGroup, values: Sequence):
         if len(values) != group.order:
             raise ValueError("need one value per group element")
-        vals = tuple(v if isinstance(v, (Fraction, float)) else Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if any(v <= 0 for v in vals):
             raise NonPositiveWeight("finite weight values must be positive")
         self.group = group
         self.values = vals
-        self.form = ExponentForm(vals, None, all(isinstance(v, Fraction) for v in vals))
+        self.form = ExponentForm(vals)
 
     def value_at(self, x) -> float:
         return float(self.values[int(x)])
 
-    def rational_at(self, x) -> Fraction | None:
-        v = self.values[int(x)]
-        return v if isinstance(v, Fraction) else None
+    def rational_at(self, x) -> Fraction:
+        return self.values[int(x)]
 
     def translate(self, shift: int) -> "FiniteWeight":
         g = self.group
@@ -683,35 +670,21 @@ class DiscretizedFunction:
 
 
 def weight_product(w: Weight, a, n: int, x):
-    """The n-step product w(x) w(x a^-1) ... w(x a^-(n-1)).
-
-    Returns an exact Fraction whenever every factor is exact, otherwise a
-    float.
+    """The n-step product w(x) w(x a^-1) ... w(x a^-(n-1)): an exact
+    Fraction for a step, finite or table weight, a float for an expression
+    weight.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    from .families import family  # the families build on this module
     group = w.group
-    if isinstance(group, CircleGroup) and not isinstance(x, CircleElement):
-        x = CIRCLE.element(x)
-    factors = []
-    exact = True
+    x = family(group).as_element(group, x)
+    value = w.value_at if w.form is None else w.rational_at
+    acc = 1.0 if w.form is None else Fraction(1)
     y, back = x, group.inv(a)
     for _ in range(n):
-        r = w.rational_at(y)
-        if r is None:
-            exact = False
-            factors.append(w.value_at(y))
-        else:
-            factors.append(r)
+        acc *= value(y)
         y = group.mul(y, back)
-    if exact:
-        acc = Fraction(1)
-        for r in factors:
-            acc *= r
-        return acc
-    acc = 1.0
-    for r in factors:
-        acc *= float(r)
     return acc
 
 
@@ -727,7 +700,6 @@ def step_products(w: Weight, a, horizon: int = 1) -> Iterator[ProductRows]:
     integer is formed.  The first block ends at row ``horizon`` and each
     later one is as long as the walk so far, at most ``BLOCK_ENTRIES``
     exponents each: a block is cumulative sums of E read along the orbit.
-    A float value of a finite weight enters as the exact rational it is.
     Circle step weights have their own blocks, ``circle_step_rows``.
     """
     if isinstance(w, PAdicTableWeight):
@@ -802,13 +774,6 @@ def _translates_of(bounds: Boundaries, seq: OrbitSequence, rows: ProductRows, lo
     return points
 
 
-def _weight_at(w: Weight, x, approx=None):
-    """w(x), exact when the family gives a rational; otherwise the float value
-    read at ``approx`` (x itself when None)."""
-    r = w.rational_at(x)
-    return r if r is not None else w.value_at(x if approx is None else approx)
-
-
 def _grid_shift(domain: CircleGrid, a: CircleElement, mode: str) -> int:
     """The index shift realizing rotation by ``a`` on the grid."""
     s = a.value * domain.points
@@ -825,18 +790,14 @@ def apply_operator(w: Weight, a, f: DiscretizedFunction, mode: str = "strict") -
     """The weighted translation operator: (T f)(x) = w(x) f(x a^-1).
 
     ``mode`` governs circle grids when the rotation is not a multiple of the
-    grid spacing: "strict" raises GridMismatch, "nearest" snaps.  On a grid,
-    a weight value that is not rational is read at the float i/M, as the
-    float paths read it: at the exact i/M a float step boundary could fall
-    on the other side.
+    grid spacing: "strict" raises GridMismatch, "nearest" snaps.
     """
     domain = f.domain
+    value = w.value_at if w.form is None else w.rational_at
     if isinstance(domain, CircleGrid):
         shift, M = _grid_shift(domain, a, mode), len(domain)
-        vals = (_weight_at(w, CircleElement(Fraction(i, M), True), float(Fraction(i, M)))
-                * f.values[(i - shift) % M] for i in range(M))
+        vals = (value(CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M] for i in range(M))
     else:
         back = domain.inv(a)
-        vals = (_weight_at(w, x) * f.values[domain.index(domain.mul(x, back))]
-                for x in domain.elements())
+        vals = (value(x) * f.values[domain.index(domain.mul(x, back))] for x in domain.elements())
     return DiscretizedFunction(domain, tuple(vals))

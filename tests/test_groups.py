@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hclab.errors import WindowExceeded
+from hclab.families import family
 from hclab.groups import (
     CIRCLE,
     MAX_ORBIT_DENOMINATOR,
@@ -142,13 +143,14 @@ def test_order_divides_group_order():
 
 
 def test_torsion_flags():
-    assert CIRCLE.is_torsion(CIRCLE.element("1/4"))
+    # the torsion rule of each family is the one test of torsion
+    assert family(CIRCLE).torsion(CIRCLE, CIRCLE.element("1/4"))
     golden = CIRCLE.from_float((math.sqrt(5) - 1) / 2)
-    assert not CIRCLE.is_torsion(golden)
+    assert family(CIRCLE).torsion(CIRCLE, golden) is None
     ctx = PAdicContext(3, 4)
-    assert not ctx.element(9).is_torsion()  # valuation 2 <= K: nonzero
-    assert ctx.element(0).is_torsion()
-    assert ctx.element(3 ** 4).is_torsion()  # vanishes at working precision
+    assert family(ctx).torsion(ctx, ctx.element(9)) is None  # valuation 2 <= K: nonzero
+    assert family(ctx).torsion(ctx, ctx.element(0))
+    assert family(ctx).torsion(ctx, ctx.element(3 ** 4))  # vanishes at working precision
 
 
 def test_generates_against_closure_oracle():

@@ -248,6 +248,24 @@ def test_log_integral_finite_and_table():
     assert rep2.value == pytest.approx(math.log(Fraction(3)) / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["step", "finite"])
+@pytest.mark.parametrize("values", [(2.0, 0.5), (0.4, 2.5)])
+def test_float_values_are_their_exact_rationals(kind, values):
+    # a float value is the binary64 rational it is: 0.4 * 2.5 is not 1
+    # there, so that pair's exact log-sum is not zero
+    def weight(cast):
+        if kind == "finite":
+            return FiniteWeight(cyclic(4), [cast(v) for v in values + values[::-1]])
+        return StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), cast(values[0])),
+                                           (interval(Fraction(1, 2), 1, "half_open"), cast(values[1]))]))
+
+    w, twin = weight(float), weight(Fraction)
+    a = 1 if kind == "finite" else CIRCLE.from_float(GOLDEN)
+    assert log_integral_report(w) == log_integral_report(twin)
+    assert log_integral_report(w).exact_zero == (values == (2.0, 0.5))
+    assert verdict(w, a).to_dict() == verdict(twin, a).to_dict()
+
+
 def test_positive_weight_validation():
     with pytest.raises(NonPositiveWeight):
         ExprWeight("sin(2*pi*x)")

@@ -16,9 +16,9 @@ import expr_oracle
 from hclab import weights
 from hclab.borel import interval
 from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock, Translates
-from hclab.groups import CIRCLE
-from hclab.hctest import MonotoneHit, monotone_power_scan, monotone_rows
-from hclab.weights import ExprWeight, StepFunction, StepWeight
+from hclab.groups import CIRCLE, PAdicContext, catalog
+from hclab.hctest import MonotoneHit, log_integral_report, monotone_power_scan, monotone_rows
+from hclab.weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
 
 def _scan_expr_weight(w, a, n_max, grid_points, require_strict):
@@ -173,3 +173,50 @@ def test_step_walk_reads_a_translate_only_for_a_read_witness(monkeypatch):
     for k, hit in enumerate(one_sided, 1):
         assert isinstance(hit.witness, Fraction)
         assert (len(translates), len(sweeps)) == (k, k)
+
+
+@st.composite
+def _balanced_tables(draw):
+    """A finite weight or a p-adic table weight whose log-sum is exactly
+    zero, a translation, and the period of the translation on the table when
+    the weight is a coboundary h(x) / h(x a^-1), None otherwise: its rows
+    are h(x) / h(x a^-n), so the row at the period is 1 everywhere.  The
+    other weights have values whose product is 1."""
+    if draw(st.booleans()):
+        g = catalog()[draw(st.sampled_from(["Z6", "S3", "V4", "Z8", "A4", "D4"]))]
+        a = draw(st.integers(0, g.order - 1))
+        size, period = g.order, g.element_order(a)
+        back = [g.mul(x, g.inv(a)) for x in g.elements()]
+
+        def make(values):
+            return FiniteWeight(g, values)
+    else:
+        p, window, precision = draw(st.sampled_from([2, 3])), draw(st.integers(0, 1)), draw(st.integers(1, 3))
+        ctx = PAdicContext(p, precision, window)
+        level = draw(st.integers(-window, precision))
+        size = p ** (level + window)
+        a = ctx.from_residue(draw(st.integers(0, ctx.modulus - 1)))
+        period = size // math.gcd(a.residue, size)
+        back = [(r - a.residue) % size for r in range(size)]
+
+        def make(values):
+            return PAdicTableWeight(ctx, level, dict(enumerate(values)))
+    h = draw(st.lists(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(2),
+                                       Fraction(3)]), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        return make([h[x] / h[back[x]] for x in range(size)]), a, period
+    return make(h[:-1] + [1 / math.prod(h[:-1], start=Fraction(1))]), a, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_balanced_tables())
+def test_a_zero_log_sum_leaves_no_row_strictly_one_sided(case):
+    # the Haar mean of ln w_n is n times that of ln w, which is zero: a row
+    # >= 1 or <= 1 everywhere is 1 everywhere, so the monotone rule, which
+    # needs a strict row from n = 2 on, never fires on such a weight
+    w, a, period = case
+    assert log_integral_report(w).exact_zero
+    rows = list(itertools.islice(monotone_rows(w, a, horizon=20), 20))
+    assert not any(row.strict for row in rows)
+    if period is not None and period <= 20:
+        assert rows[period - 1].direction is not None
