@@ -20,14 +20,14 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
 from . import padic as padic_mod
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError
-from .families import _parse_int, _parse_int_list, family, parse_group
+from .families import _FIELD_ERRORS, _parse_int, _parse_int_list, family, parse_group
 from .groups import MAX_CIRCLE_HORIZON, OrbitSequence
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .report import VerdictReport, jsonable
@@ -39,23 +39,46 @@ _TOP_KEYS = {
     "schema", "task", "group", "element", "weight", "sets", "characters",
     "horizons", "tolerances", "lp_exponent", "label",
 }
-_HORIZON_KEYS = {"N_list", "n_max", "ul_n_max", "k_max"}
-_TOLERANCE_KEYS = {"log_tolerance", "quadrature_points", "grid_points"}
-# the errors a family's element or weight parser raises on a bad field; an
-# element's float() may also overflow
-_FIELD_ERRORS = (HclabError, TypeError, ValueError, ZeroDivisionError)
 # the most bits the exact log-sum of a step, finite or p-adic table weight
 # may form: its reported value forms prod_i v_i^(c_i), c_i = m_i D, for
 # masses m_i over their common denominator D (``ExponentForm.log_sum_bits``).  It
 # also bounds every exponent a value has over its coprime base by 2^22
 MAX_LOG_SUM_BITS = 2 ** 22
-# integer settings, their minima and maxima: a walk of n_max rows holds
-# exponents up to n_max * 2^22, below 2^62 at the circle horizon 10^7
-_INT_SETTINGS = (
-    ("horizons", "n_max", 1, MAX_CIRCLE_HORIZON), ("horizons", "ul_n_max", 1, MAX_CIRCLE_HORIZON),
-    ("horizons", "k_max", 1, None),
-    ("tolerances", "grid_points", 1, None), ("tolerances", "quadrature_points", 2, None),
-)
+
+
+def _integer(minimum, maximum=None):
+    return lambda value, name, fam, diags: _parse_int(value, name, minimum, diags, maximum)
+
+
+def _horizon_list(value, name, fam, diags):
+    horizons = _parse_int_list(value, name, 2, diags, fam.max_horizon)
+    if horizons == []:
+        diags.append(f"{name}: expected at least one horizon")
+    return horizons
+
+
+def _tolerance(value, name, fam, diags):
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, bool) and math.isfinite(float(value)) and float(value) >= 0:
+            return float(value)
+    diags.append(f"{name}: expected a number >= 0, got {value!r}")
+
+
+# the settings a spec may give, by section, in the order they are checked:
+# each key's check, which reads the value (an integer in bounds, orbit
+# horizons up to the family's largest, a finite number >= 0) or appends a
+# diagnostic naming ``section.key``, and the ``VerdictConfig`` field it sets.
+# A walk of n_max rows holds exponents up to n_max * 2^22, below 2^62 at the
+# circle horizon 10^7
+_SETTINGS = {
+    "horizons": {"N_list": (_horizon_list, None),
+                 "n_max": (_integer(1, MAX_CIRCLE_HORIZON), "monotone_n_max"),
+                 "ul_n_max": (_integer(1, MAX_CIRCLE_HORIZON), "ul_n_max"),
+                 "k_max": (_integer(1), None)},
+    "tolerances": {"grid_points": (_integer(1), "monotone_grid"),
+                   "quadrature_points": (_integer(2), "quadrature_points"),
+                   "log_tolerance": (_tolerance, "log_tolerance")},
+}
 
 
 @dataclass
@@ -69,10 +92,11 @@ class ExperimentSpec:
     element: object = None
     weight: object = None
     sets: list = field(default_factory=list)
-    set_ids: list = field(default_factory=list)
     characters: list = field(default_factory=list)
     horizons: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+    # the VerdictConfig fields the spec's settings give, read by _SETTINGS
+    verdict_settings: dict = field(default_factory=dict)
     lp_exponent: object = None
     label: str = ""
 
@@ -82,43 +106,49 @@ class ExperimentSpec:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def verdict_config(self) -> VerdictConfig:
-        return VerdictConfig(
-            log_tolerance=float(self.tolerances.get("log_tolerance", 1e-5)),
-            quadrature_points=int(self.tolerances.get("quadrature_points", 1 << 16)),
-            monotone_n_max=int(self.horizons.get("n_max", 50)),
-            monotone_grid=int(self.tolerances.get("grid_points", 1024)),
-            ul_n_max=int(self.horizons["ul_n_max"]) if "ul_n_max" in self.horizons else None,
-            metadata={"lp_exponent": self.lp_exponent} if self.lp_exponent else {},
-        )
+        """The settings the spec gives over ``VerdictConfig``'s defaults."""
+        metadata = {"metadata": {"lp_exponent": self.lp_exponent}} if self.lp_exponent else {}
+        return VerdictConfig(**self.verdict_settings, **metadata)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _parse_field(name, parse, errors, group, desc, diags):
+def _parse_field(name, parse, group, desc, diags):
     """The field ``name`` by the family parser ``parse``, with a diagnostic
     naming the field for a raised error."""
     if desc is None:
         return None
     try:
         return parse(group, desc, diags)
-    except errors as exc:
+    except _FIELD_ERRORS as exc:
         diags.append(f"{name}: {exc}")
         return None
 
 
 def _parse_sets(fam, group, descs, diags):
-    out, ids = [], []
     if not isinstance(descs, list):
         diags.append(f"sets: expected a list of sets, got {descs!r}")
-        return out, ids
-    for i, desc in enumerate(descs):
-        s = fam.parse_set(group, desc, diags)
-        if s is not None:
-            out.append(s)
-            ids.append(f"set{i}")
-    return out, ids
+        return []
+    return [s for s in (fam.read_set(group, desc, diags) for desc in descs) if s is not None]
+
+
+def _unmet(raw, fam, task) -> Iterator[str]:
+    """The diagnostics of the fields ``task`` needs and the spec lacks; a
+    field that was given but rejected already has its own.  Every task but
+    reps reads the element, and reps reads it on the families that say so."""
+    if raw.get("element") is None:
+        if task != "reps":
+            yield f"{task}: an 'element' is required"
+        elif fam.reps_element:
+            yield fam.reps_element
+    if task in ("hctest", "padic") and raw.get("weight") is None:
+        yield f"{task}: a 'weight' is required"
+    if task == "equidist" and raw.get("sets", []) == [] and raw.get("characters", []) == []:
+        yield "equidist: at least one set or character is required"
+    if task in fam.task_needs:
+        yield fam.task_needs[task]
 
 
 def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
@@ -130,77 +160,42 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         diags.append(f"spec: unknown fields {sorted(unknown)}")
     if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         diags.append(f"spec: unsupported schema {raw.get('schema')!r}")
-    horizons = raw.get("horizons", {})
-    if not isinstance(horizons, dict) or set(horizons) - _HORIZON_KEYS:
-        diags.append(f"horizons: allowed keys {sorted(_HORIZON_KEYS)}")
-        horizons = {}
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict) or set(tolerances) - _TOLERANCE_KEYS:
-        diags.append(f"tolerances: allowed keys {sorted(_TOLERANCE_KEYS)}")
-        tolerances = {}
+    sections = {}
+    for section, checks in _SETTINGS.items():
+        sections[section] = raw.get(section, {})
+        if not isinstance(sections[section], dict) or set(sections[section]) - set(checks):
+            diags.append(f"{section}: allowed keys {sorted(checks)}")
+            sections[section] = {}
 
     group = parse_group(raw.get("group"), diags)
     if group is None:
         return None, diags
     fam = family(group)
-    element = _parse_field("element", fam.parse_element, _FIELD_ERRORS + (OverflowError,), group,
-                           raw.get("element"), diags)
-    weight = _parse_field("weight", fam.parse_weight, _FIELD_ERRORS, group, raw.get("weight"), diags)
+    element = _parse_field("element", fam.parse_element, group, raw.get("element"), diags)
+    weight = _parse_field("weight", fam.parse_weight, group, raw.get("weight"), diags)
     if weight is not None and weight.form is not None:
         bits = weight.form.log_sum_bits()
         if bits > MAX_LOG_SUM_BITS:
             diags.append(f"weight: the exact log-sum forms powers of at least 2^{bits.bit_length() - 1} bits, "
                          f"above the limit 2^{MAX_LOG_SUM_BITS.bit_length() - 1}")
-    sets, set_ids = _parse_sets(fam, group, raw.get("sets", []), diags)
+    sets = _parse_sets(fam, group, raw.get("sets", []), diags)
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
     if characters and not fam.characters:
         diags.append("characters: character sweeps need the circle group")
-    if "N_list" in horizons:
-        if _parse_int_list(horizons["N_list"], "horizons.N_list", 2, diags, fam.max_horizon) == []:
-            diags.append("horizons.N_list: expected at least one horizon")
-    sections = {"horizons": horizons, "tolerances": tolerances}
-    for section, key, minimum, maximum in _INT_SETTINGS:
-        if key in sections[section]:
-            _parse_int(sections[section][key], f"{section}.{key}", minimum, diags, maximum)
-    if "log_tolerance" in tolerances:
-        tol = tolerances["log_tolerance"]
-        try:
-            ok = not isinstance(tol, bool) and math.isfinite(float(tol)) and float(tol) >= 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            diags.append(f"tolerances.log_tolerance: expected a number >= 0, got {tol!r}")
+    verdict_settings = {}
+    for section, checks in _SETTINGS.items():
+        for key, (check, config_field) in checks.items():
+            if key in sections[section]:
+                read = check(sections[section][key], f"{section}.{key}", fam, diags)
+                if config_field is not None:
+                    verdict_settings[config_field] = read
 
     spec = ExperimentSpec(
-        raw=raw,
-        task=task,
-        group=group,
-        element=element,
-        weight=weight,
-        sets=sets,
-        set_ids=set_ids,
-        characters=characters,
-        horizons=horizons,
-        tolerances=tolerances,
-        lp_exponent=raw.get("lp_exponent"),
-        label=str(raw.get("label", "")),
+        raw=raw, task=task, group=group, element=element, weight=weight, sets=sets, characters=characters,
+        horizons=sections["horizons"], tolerances=sections["tolerances"], verdict_settings=verdict_settings,
+        lp_exponent=raw.get("lp_exponent"), label=str(raw.get("label", "")),
     )
-
-    # task-specific requirements; a field that was given but rejected
-    # already has its own diagnostic.  A weight given to ``all`` runs the
-    # verdict, which translates by the element
-    if raw.get("element") is None:
-        if task in ("equidist", "hctest", "padic") or (task == "all" and raw.get("weight") is not None):
-            diags.append(f"{task}: an 'element' is required")
-        elif task in fam.element_needs:
-            diags.append(fam.element_needs[task])
-    if task in ("hctest", "padic") and raw.get("weight") is None:
-        diags.append(f"{task}: a 'weight' is required")
-    if task == "equidist" and raw.get("sets", []) == [] and raw.get("characters", []) == []:
-        diags.append("equidist: at least one set or character is required")
-    if task in fam.task_needs:
-        diags.append(fam.task_needs[task])
-    return spec, diags
+    return spec, diags + list(_unmet(raw, fam, task))
 
 
 def validate(raw: dict, task: str) -> list[str]:
@@ -250,10 +245,10 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
     seq = OrbitSequence(spec.group, spec.element)
     rows = []
     summary = []
-    for set_id, devs in zip(spec.set_ids, sup_deviation(spec.sets, seq, Ns)):
+    for i, devs in enumerate(sup_deviation(spec.sets, seq, Ns)):
         for N, dev in zip(Ns, devs):
-            rows.append([N, set_id, repr(dev), ""])
-            summary.append({"N": N, "set_id": set_id, "sup_deviation": dev})
+            rows.append([N, f"set{i}", repr(dev), ""])
+            summary.append({"N": N, "set_id": f"set{i}", "sup_deviation": dev})
     for k in spec.characters:
         f = TestFunction.character(k)
         for point in uniform_convergence_sweep(f, spec.element, Ns):
@@ -320,12 +315,8 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     results: dict = {}
     tasks = [spec.task]
-    if spec.task == "all":
-        tasks = ["equidist"] if spec.sets or spec.characters else []
-        # in TASKS order; the verdict's tasks need a weight
-        fam = family(spec.group)
-        tasks += [t for t in ("reps", "hctest", "padic")
-                  if t not in fam.task_needs and (t == "reps" or spec.weight is not None)]
+    if spec.task == "all":  # each task whose needs the spec meets, in TASKS order
+        tasks = [t for t in TASKS[:-1] if not any(_unmet(spec.raw, family(spec.group), t))]
     # the hctest and padic runners share one verdict
     rep = None
     if "hctest" in tasks or "padic" in tasks:
@@ -401,9 +392,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 
-    target = getattr(args, "target_task", task)
     if task == "validate":
-        diags = validate(raw, target)
+        diags = validate(raw, args.target_task)
         for d in diags:
             print(d)
         return 0 if not diags else 2

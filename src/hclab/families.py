@@ -27,6 +27,9 @@ from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, S
 
 __all__ = ["Family", "family", "parse_group"]
 
+# the errors a family's spec parser raises on a bad field; a float() may
+# also overflow
+_FIELD_ERRORS = (HclabError, OverflowError, TypeError, ValueError, ZeroDivisionError)
 # the most residues p^(precision + window) a zp / qp context may have: the
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
@@ -91,9 +94,17 @@ class Family:
     characters = False
     # the largest horizon in ``horizons.N_list``; None leaves it open
     max_horizon: int | None = None
-    # the other tasks than equidist, hctest, padic and a weighted ``all``
-    # that need an element, with their diagnostic
-    element_needs = {"all": "all: an 'element' is required"}
+    # the diagnostic of a reps spec without an element when this family's
+    # reps reads one; None when it runs over every element
+    reps_element: str | None = None
+
+    def read_set(self, group, desc, diags):
+        """``parse_set``, with an error it raises as the set's diagnostic."""
+        try:
+            return self.parse_set(group, desc, diags)
+        except _FIELD_ERRORS as exc:
+            diags.append(f"sets: {exc}")
+            return None
 
     def as_element(self, group, x):
         """``x`` as an element of ``group``."""
@@ -141,7 +152,7 @@ class CircleFamily(Family):
 
     characters = True
     max_horizon = MAX_CIRCLE_HORIZON
-    element_needs = {"reps": "reps: the circle variant needs an 'element'"}
+    reps_element = "reps: the circle variant needs an 'element'"
 
     def parse_group(self, kind, desc, diags):
         if set(desc) - {"group"}:
@@ -171,38 +182,36 @@ class CircleFamily(Family):
 
     def parse_set(self, group, desc, diags):
         arcs, points = [], []
-        try:
-            pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
-            for piece in pieces:
-                if isinstance(piece, dict) and set(piece) == {"point"}:
-                    points.append(Fraction(str(piece["point"])))
-                elif (isinstance(piece, list) and len(piece) == 2
-                      and isinstance(piece[0], list) and len(piece[0]) == 2):
-                    lo, hi = (Fraction(str(v)) for v in piece[0])
-                    arc, ends = arc_pieces(lo, hi, str(piece[1]))
-                    arcs.append(arc)
-                    points += ends
-                else:
-                    raise SpecValidationError(f"set literal {piece!r} not understood")
-            return IntervalSet.from_pieces(arcs, points)
-        except (HclabError, ValueError, ZeroDivisionError) as exc:
-            diags.append(f"sets: {exc}")
-            return None
+        pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
+        for piece in pieces:
+            if isinstance(piece, dict) and set(piece) == {"point"}:
+                points.append(Fraction(str(piece["point"])))
+            elif (isinstance(piece, list) and len(piece) == 2
+                  and isinstance(piece[0], list) and len(piece[0]) == 2):
+                lo, hi = (Fraction(str(v)) for v in piece[0])
+                arc, ends = arc_pieces(lo, hi, str(piece[1]))
+                arcs.append(arc)
+                points += ends
+            else:
+                raise SpecValidationError(f"set literal {piece!r} not understood")
+        return IntervalSet.from_pieces(arcs, points)
 
     def parse_weight(self, group, desc, diags):
         if isinstance(desc, dict) and "expr" in desc:
             extra = set(desc) - {"expr", "grid_points"}
             if extra:
                 diags.append(f"weight: unknown fields {sorted(extra)}")
-            grid_points = _parse_int(desc.get("grid_points", 4096), "weight.grid_points", 1, diags)
-            if grid_points is None:
-                return None
-            return ExprWeight(str(desc["expr"]), grid_points)
+            grid = {}
+            if "grid_points" in desc:
+                grid["grid_points"] = _parse_int(desc["grid_points"], "weight.grid_points", 1, diags)
+                if grid["grid_points"] is None:
+                    return None
+            return ExprWeight(str(desc["expr"]), **grid)
         if isinstance(desc, dict) and "step" in desc:
             pieces = []
             for entry in desc["step"]:
                 set_desc, value = entry
-                E = self.parse_set(group, set_desc, diags)
+                E = self.read_set(group, set_desc, diags)
                 if E is None:
                     return None
                 pieces.append((E, _rational(str(value))))
@@ -275,11 +284,7 @@ class FiniteFamily(Family):
             diags.append(f"sets: finite sets need {{'indices': [...]}}, got {desc!r}")
             return None
         indices = _parse_int_list(desc["indices"], "sets", 0, diags)
-        try:
-            return FiniteSubset.of(group, indices) if indices is not None else None
-        except ValueError as exc:
-            diags.append(f"sets: {exc}")
-            return None
+        return FiniteSubset.of(group, indices) if indices is not None else None
 
     def parse_weight(self, group, desc, diags):
         if isinstance(desc, dict) and "values" in desc:
@@ -342,20 +347,15 @@ class PAdicFamily(Family):
         return group.element(Fraction(str(desc)))
 
     def parse_set(self, group, desc, diags):
-        try:
-            pieces = desc if isinstance(desc, list) else [desc]
-            balls = []
-            for piece in pieces:
-                if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
-                    raise SpecValidationError(f"ball literal {piece!r} not understood")
-                radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
-                if radius_exp is None:
-                    return None
-                balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
-            return BallSet.from_balls(group, balls)
-        except (HclabError, ValueError, ZeroDivisionError) as exc:
-            diags.append(f"sets: {exc}")
-            return None
+        balls = []
+        for piece in desc if isinstance(desc, list) else [desc]:
+            if not isinstance(piece, dict) or set(piece) != {"center", "radius_exp"}:
+                raise SpecValidationError(f"ball literal {piece!r} not understood")
+            radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
+            if radius_exp is None:
+                return None
+            balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
+        return BallSet.from_balls(group, balls)
 
     def parse_weight(self, group, desc, diags):
         nested = isinstance(desc, dict) and "table" in desc

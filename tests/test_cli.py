@@ -1,16 +1,18 @@
 import csv
+import inspect
 import io
 import json
 import math
 import os
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
 import exact_oracle
-from hclab.cli import MAX_LOG_SUM_BITS, _atomic_write, _write_csv, main, parse_spec, validate
-from hclab.hctest import monotone_rows, verdict
+from hclab.cli import MAX_LOG_SUM_BITS, TASKS, _atomic_write, _write_csv, main, parse_spec, validate
+from hclab.hctest import VerdictConfig, monotone_rows, verdict
+from hclab.weights import ExprWeight
 
 GOLDEN_ANGLE = 0.6180339887498949
 
@@ -140,6 +142,7 @@ _FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1
            "weight": {"values": ["2", "1/2", "1", "1", "1", "1"]}}
 _STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
 _QP = dict(three_coset_spec(), group={"group": "qp", "p": 3, "precision": 2, "window": 1})
+_BARE = {"group": {"group": "circle"}}
 
 
 def _split_step(breakpoint):
@@ -172,8 +175,12 @@ _PROBES = [
     (three_coset_spec(), ("group", "precision"), 2.5, "group.precision"),
     (three_coset_spec(), ("group", "p"), True, "group.p"),
     (_QP, ("group", "window"), -1, "group.window"),
-    # a weight given to ``all`` runs the verdict, which needs the element
+    # every task but reps reads the element, so ``all`` needs it with or
+    # without a weight; on the circle it runs reps and equidist with it
     (_EXPR, ("element",), None, "all: an 'element' is required"),
+    (_BARE, ("sets",), [[["0", "1/2"], "half_open"]], "all: an 'element' is required"),
+    (_BARE, ("characters",), [3], "all: an 'element' is required"),
+    (_BARE, ("schema",), 1, "all: an 'element' is required"),
     (_EXPR, ("element",), {"angle": 2.0 ** -70}, "element"),
     (_EXPR, ("element",), {"rational": f"1/{2 ** 64 + 1}"}, "element"),
     (_EXPR, ("element",), "1e-30", "element"),
@@ -274,6 +281,58 @@ def test_bench_spec_mutations_are_rejected(tmp_path, capsys, workload, index, pa
     spec = write_spec(tmp_path, _bench_spec(workload, index, path, value))
     assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"invalid spec: {field}" in capsys.readouterr().err
+
+
+_DROPPABLE = ("element", "weight", "sets", "characters", "horizons")
+
+
+@pytest.mark.parametrize("workload", ["circle-float", "exact-step", "orbit-exhaustive", "padic-verdict"])
+def test_validate_agrees_with_the_run(tmp_path, capsys, workload):
+    # a spec that validate accepts for a task runs it to exit 0 or 3, one it
+    # rejects exits 2, and none ends in a traceback: four seed-0 bench specs
+    # of different classes, each with none, one or two of its fields dropped
+    from test_bench_specs import GENERATORS
+
+    drops = [()] + [(f,) for f in _DROPPABLE] + list(combinations(_DROPPABLE, 2))
+    for case in GENERATORS[workload](0)[::5][:4]:
+        for blob in {json.dumps({k: v for k, v in case.spec.items() if k not in fields}) for fields in drops}:
+            raw = json.loads(blob)
+            path = write_spec(tmp_path, raw)
+            for task in TASKS:
+                expected = (0, 3) if validate(raw, task) == [] else (2,)
+                code = main([task, "--spec", path, "--out-dir", str(tmp_path / "out")])
+                assert code in expected, (case.id, blob, task)
+
+
+def test_unset_settings_keep_the_library_defaults():
+    spec, diags = parse_spec(_EXPR, "all")
+    assert diags == [] and spec.verdict_config() == VerdictConfig()
+    assert spec.weight.grid_points == inspect.signature(ExprWeight).parameters["grid_points"].default
+    # k_max and N_list are no verdict settings
+    spec, _ = parse_spec(dict(_EXPR, horizons={"k_max": 3, "N_list": [10]}), "all")
+    assert spec.verdict_config() == VerdictConfig()
+
+
+@pytest.mark.parametrize("section,key,value,config_field,read", [
+    ("horizons", "n_max", 7, "monotone_n_max", 7),
+    ("horizons", "ul_n_max", "9", "ul_n_max", 9),
+    ("tolerances", "grid_points", 33, "monotone_grid", 33),
+    ("tolerances", "quadrature_points", "100", "quadrature_points", 100),
+    ("tolerances", "log_tolerance", "1e-3", "log_tolerance", 0.001),
+])
+def test_each_given_setting_reaches_its_verdict_field(section, key, value, config_field, read):
+    spec, diags = parse_spec(_probe(_EXPR, (section, key), value), "all")
+    assert diags == []
+    assert spec.verdict_config() == VerdictConfig(**{config_field: read})
+    spec, _ = parse_spec(dict(_probe(_EXPR, (section, key), value), lp_exponent=2), "all")
+    assert spec.verdict_config() == VerdictConfig(**{config_field: read}, metadata={"lp_exponent": 2})
+
+
+def test_an_integer_tolerance_past_binary64_is_rejected(tmp_path, capsys):
+    # float() of a JSON integer of 401 digits overflows
+    spec = write_spec(tmp_path, _probe(_EXPR, ("tolerances", "log_tolerance"), 10 ** 400))
+    assert main(["validate", "--spec", spec]) == 2
+    assert capsys.readouterr().out == f"tolerances.log_tolerance: expected a number >= 0, got {10 ** 400!r}\n"
 
 
 def test_values_past_binary64_are_reported_as_inf(tmp_path):
