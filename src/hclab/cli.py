@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import padic as padic_mod
@@ -107,8 +107,7 @@ class ExperimentSpec:
 
     def verdict_config(self) -> VerdictConfig:
         """The settings the spec gives over ``VerdictConfig``'s defaults."""
-        metadata = {"metadata": {"lp_exponent": self.lp_exponent}} if self.lp_exponent else {}
-        return VerdictConfig(**self.verdict_settings, **metadata)
+        return VerdictConfig(**self.verdict_settings)
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +263,27 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
 
 
 def _run_hctest(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
-    config = spec.verdict_config()
-    log_res = rep.log_integral
-    if log_res is None:  # the battery stopped before its log rule
-        try:
-            log_res = log_integral_report(spec.weight, config.quadrature_points)
-        except HclabError:
-            pass
-    rows = islice(rep.walk.hits(), config.monotone_n_max)
+    # the battery's log-integral, or, when it stopped before its log rule,
+    # one at its quadrature setting; the scan to its monotone horizon
+    log_res = rep.log_integral or log_integral_report(spec.weight, rep.tolerances["quadrature_points"])
+    rows = islice(rep.walk.hits(), rep.horizons["monotone_n_max"])
     _write_csv(os.path.join(out_dir, "scan.csv"),
                ["n", "w_n_min", "w_n_max", "monotone_fired"],
                ([r.n, repr(r.min_value), repr(r.max_value), r.direction is not None]
                 for r in rows))
     payload = rep.to_dict()
-    if log_res is not None:
-        payload["log_integral"] = jsonable(
-            {"value": log_res.value, "method": log_res.method,
-             "exact": log_res.exact, "exact_zero": log_res.exact_zero,
-             "richardson_gap": log_res.richardson_gap}
-        )
+    payload["log_integral"] = jsonable(
+        {"value": log_res.value, "method": log_res.method,
+         "exact": log_res.exact, "exact_zero": log_res.exact_zero,
+         "richardson_gap": log_res.richardson_gap}
+    )
     return payload
 
 
 def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
-    group, w, a = spec.group, spec.weight, spec.element
+    w, a = spec.weight, spec.element
     # none on a windowed context, whose U/L rows are in its coset problems
-    n_max = family(group).ul_n_max(group, spec.verdict_config())
-    origins = (ul.origin for ul in islice(rep.walk.ul_rows(), n_max))
+    origins = (ul.origin for ul in islice(rep.walk.ul_rows(), rep.walk.ul_n_max))
     _write_csv(os.path.join(out_dir, "ul_witness.csv"),
                ["n", "x_prime", "radius", "u_nonempty", "l_nonempty",
                 "u_witnesses", "l_witnesses"],
@@ -321,6 +314,8 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
     rep = None
     if "hctest" in tasks or "padic" in tasks:
         rep = verdict(spec.weight, spec.element, spec.verdict_config())
+        if spec.lp_exponent:  # carried as the report's metadata only
+            rep = replace(rep, metadata={"lp_exponent": spec.lp_exponent})
     for task in tasks:
         if task == "equidist":
             results[task] = _run_equidist(spec, out_dir)

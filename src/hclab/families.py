@@ -119,7 +119,7 @@ class Family:
         is decided on the group itself."""
         return None
 
-    def table_rules(self, w, a, ul_n_max: int, walk, horizons: dict) -> RuleFiring | None:
+    def table_rules(self, w, a, walk, horizons: dict) -> RuleFiring | None:
         """The first firing of the rules that run after the monotone scan;
         each records the horizon it reached in ``horizons``."""
         return None
@@ -211,10 +211,7 @@ class CircleFamily(Family):
             pieces = []
             for entry in desc["step"]:
                 set_desc, value = entry
-                E = self.read_set(group, set_desc, diags)
-                if E is None:
-                    return None
-                pieces.append((E, _rational(str(value))))
+                pieces.append((self.parse_set(group, set_desc, diags), _rational(str(value))))
             return StepWeight(StepFunction.of(pieces))
         diags.append("weight: circle weights need 'expr' or 'step'")
         return None
@@ -403,11 +400,11 @@ class PAdicFamily(Family):
         """A windowed context decomposes into coset problems over Z_p."""
         return padic.qp_reduction(w, a) if w.group.window > 0 else None
 
-    def table_rules(self, w, a, ul_n_max, walk, horizons):
-        """The locally-constant obstruction, then the U/L ball scan."""
-        horizons["ul_n_max"] = ul_n_max
-        return (padic.locally_constant_obstruction(w, a)
-                or padic.ul_scan(w, a, ul_n_max, walk.ul_rows()))
+    def table_rules(self, w, a, walk, horizons):
+        """The locally-constant obstruction, then the U/L ball scan to the
+        walk's horizon."""
+        horizons["ul_n_max"] = walk.ul_n_max
+        return padic.locally_constant_obstruction(w, a) or padic.ul_scan(walk)
 
 
 _BY_TYPE = {CircleGroup: CircleFamily(), FiniteGroup: FiniteFamily(), PAdicContext: PAdicFamily()}

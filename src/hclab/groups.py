@@ -76,14 +76,13 @@ class FiniteGroup:
     exhaustively for orders up to 64.
     """
 
-    def __init__(self, cayley: Sequence[Sequence[int]], name: str = "G", check: bool = True):
+    def __init__(self, cayley: Sequence[Sequence[int]], name: str = "G"):
         self.cayley = tuple(tuple(int(v) for v in row) for row in cayley)
         self.order = len(self.cayley)
         self.name = name
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
-        if check:
-            self._validate()
+        self._validate()
 
     def _find_identity(self) -> int:
         n = self.order

@@ -74,6 +74,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class VerdictConfig:
+    """The battery's tolerances and horizons; a library function that takes
+    one of these settings defaults to its value here."""
+
+    log_tolerance: float = 1e-5
+    quadrature_points: int = 1 << 16
+    monotone_n_max: int = 50
+    monotone_grid: int = 1024
+    ul_n_max: int | None = None
+
+
 # ---------------------------------------------------------------------------
 # operator power identity
 
@@ -114,19 +126,16 @@ class LogIntegralResult:
     richardson_gap: float | None = None
 
 
-def log_integral_report(w: Weight, quadrature_points: int = 1 << 16) -> LogIntegralResult:
+def log_integral_report(w: Weight,
+                        quadrature_points: int = VerdictConfig.quadrature_points) -> LogIntegralResult:
     """The Haar integral of ln w, with the evidence used to compute it: a
     midpoint quadrature for an expression weight, the exact log-sum of the
     ``ExponentForm`` of a step, finite or table weight."""
     if w.form is not None:
         # sum_i m_i ln(v_i) = sum_j s_j ln(b_j) / D from the exponent sum s
-        # (``ExponentForm.log_sum``): it is zero exactly when s is.  The value
-        # is ln(num / den) / D for the numerator and denominator of
-        # prod_j b_j^s_j, coprime on a coprime base, so no gcd reduces them
+        # (``ExponentForm.log_sum``): it is zero exactly when s is
         D, s = w.form.log_sum()
-        num, den = w.form.integers(s)
-        return LogIntegralResult((math.log(num) - math.log(den)) / D, "exact-log-sum", exact=True,
-                                 exact_zero=not any(s))
+        return LogIntegralResult(w.form.log_value(s) / D, "exact-log-sum", exact=True, exact_zero=not any(s))
 
     def midpoint(grid):
         # the mean of ln w at the midpoints (k + 1/2)/m of the k that
@@ -455,7 +464,8 @@ def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
                         if n <= ul_n_max else None)
 
 
-def monotone_rows(w: Weight, a, grid_points: int = 1024, horizon: int = 1) -> Iterator[MonotoneHit]:
+def monotone_rows(w: Weight, a, grid_points: int = VerdictConfig.monotone_grid,
+                  horizon: int = 1) -> Iterator[MonotoneHit]:
     """Yield, for n = 1, 2, ..., the monotone row of the n-step product: on
     the ``grid_points``-point grid for expression weights, in blocks of
     ``horizon`` rows; exactly for step, finite and p-adic table weights,
@@ -469,7 +479,8 @@ class ProductWalk:
     ``scan.csv`` and ``ul_witness.csv``.
 
     ``hits()`` yields the monotone rows and ``ul_rows()`` the p-adic U/L rows
-    (``padic.ULRow``, for n <= ``ul_n_max``, None past it), both from n = 1.
+    (``padic.ULRow``, for n <= ``ul_n_max``, None past it), both from n = 1;
+    ``ul_n_max`` is the U/L horizon the walk was built with.
     Each n is computed once, when the first reader reaches it, and only
     these small per-n results are kept; a block of rows lives in the walk's
     generator (``_walk_steps``) only while it is current.  Nothing runs
@@ -478,6 +489,7 @@ class ProductWalk:
     """
 
     def __init__(self, w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
+        self.ul_n_max = ul_n_max
         self._steps = _walk_steps(w, a, grid_points, ul_n_max, horizon)
         self._walked: list[tuple] = []
 
@@ -507,7 +519,7 @@ def monotone_power_scan(
     w: Weight,
     a,
     n_max: int,
-    grid_points: int = 1024,
+    grid_points: int = VerdictConfig.monotone_grid,
     require_strict: bool = False,
 ) -> MonotoneHit | None:
     """Smallest n <= n_max whose n-step product is >= 1 everywhere or <= 1
@@ -525,16 +537,6 @@ def monotone_power_scan(
 
 # ---------------------------------------------------------------------------
 # the verdict battery
-
-
-@dataclass(frozen=True)
-class VerdictConfig:
-    log_tolerance: float = 1e-5
-    quadrature_points: int = 1 << 16
-    monotone_n_max: int = 50
-    monotone_grid: int = 1024
-    ul_n_max: int | None = None
-    metadata: dict | None = None
 
 
 def _log_firing(w: Weight, config: VerdictConfig) -> tuple[RuleFiring | None, LogIntegralResult]:
@@ -586,10 +588,8 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     }
     horizons = {"monotone_n_max": config.monotone_n_max}
     notes = []
-    metadata = dict(config.metadata or {})
     log_res = None
-    ul_n_max = fam.ul_n_max(group, config)
-    walk = ProductWalk(w, a, config.monotone_grid, ul_n_max, config.monotone_n_max)
+    walk = ProductWalk(w, a, config.monotone_grid, fam.ul_n_max(group, config), config.monotone_n_max)
 
     def report(fired: RuleFiring | None) -> VerdictReport:
         return VerdictReport(
@@ -599,7 +599,6 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             horizons=horizons,
             context=group.name,
             notes=tuple(notes),
-            metadata=metadata,
             log_integral=log_res,
             walk=walk,
         )
@@ -628,4 +627,4 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     fired = _monotone_firing(walk, config)
     if fired:
         return report(fired)
-    return report(fam.table_rules(w, a, ul_n_max, walk, horizons))
+    return report(fam.table_rules(w, a, walk, horizons))

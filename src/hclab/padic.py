@@ -1,5 +1,7 @@
 """p-adic specifics: U/L ball tests, locally-constant detection and its
-obstruction, coset log-integrals, and the conjugation/reduction diagrams.
+obstruction, the reduction to coset problems at level v_p(a)
+(``qp_reduction``), the coset log-integrals, which are those problems'
+exact log-sums, and the conjugation diagrams.
 
 Everything here is exact: weights are rational coset tables, products are
 sums of exponent vectors over the table's coprime base
@@ -13,10 +15,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .weights import (DiscretizedFunction, ExponentForm, PAdicTableWeight, Produ
                       weight_product)
 
 __all__ = [
-    "valuation",
     "ULWitness",
     "ul_sets",
     "ULRow",
@@ -46,12 +45,6 @@ __all__ = [
     "CosetProblem",
     "qp_reduction",
 ]
-
-
-def valuation(x: PAdicNumber):
-    """Index of the lowest nonzero stored digit (window-offset), or
-    PRECISION_CAP when the value vanishes at working precision."""
-    return x.valuation()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -179,6 +172,13 @@ def _ball_row(w: PAdicTableWeight, a: PAdicNumber, n: int, center: int) -> Produ
     return ProductRows(w.form, row, n - 1, np.array([0, len(row)]))
 
 
+def _ball_test(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: int) -> tuple[ULWitness, ProductRows]:
+    """The U/L test around the residue x_prime at n != 0, from the |n|-step
+    products on its ball (``_ball_row``), with that row."""
+    row = _ball_row(w, a, abs(n), x_prime + (0 if n > 0 else -n * a.residue))
+    return _ul_witness(w, a, n, _orbit_radius_exp(a, n), x_prime, row.codes), row
+
+
 def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0) -> ULWitness:
     """Exact enumeration of U and L inside the ball of radius |n a|_p.
 
@@ -189,9 +189,7 @@ def ul_sets(w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | 
         raise ValueError("need n != 0")
     if not isinstance(x_prime, PAdicNumber):
         x_prime = w.context.element(x_prime)
-    center = x_prime.residue + (0 if n > 0 else -n * a.residue)
-    return _ul_witness(w, a, n, _orbit_radius_exp(a, n), x_prime.residue,
-                       _ball_row(w, a, abs(n), center).codes)
+    return _ball_test(w, a, n, x_prime.residue)[0]
 
 
 @dataclass(frozen=True)
@@ -254,8 +252,7 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     if k is None:
         return None
     n = w.context.prime ** k
-    row = _ball_row(w, a, n, 0)
-    witness = _ul_witness(w, a, n, _orbit_radius_exp(a, n), 0, row.codes)
+    witness, row = _ball_test(w, a, n, 0)
     if witness.u_nonempty and witness.l_nonempty:
         raise InternalInconsistency(
             "p^k-step product of a k-level weight varies on the test ball"
@@ -272,14 +269,12 @@ def locally_constant_obstruction(w: PAdicTableWeight, a: PAdicNumber) -> RuleFir
     )
 
 
-def ul_scan(w: PAdicTableWeight, a: PAdicNumber, n_max: int, rows: Iterator[ULRow]) -> RuleFiring | None:
-    """Scan n = 1..n_max and every ball of radius |n a|_p for an empty U or
-    L, reading ``rows``, the ``ULRow``s for n = 1, 2, ... (a
-    ``hctest.ProductWalk``'s ``ul_rows()``); the first firing wins."""
-    for row in itertools.islice(rows, n_max):
-        if row.empty is not None:
-            return row.empty
-    return None
+def ul_scan(walk) -> RuleFiring | None:
+    """Scan n = 1..``walk.ul_n_max`` and every ball of radius |n a|_p for an
+    empty U or L, reading the ``ULRow``s of ``walk``, an
+    ``hctest.ProductWalk``; the first firing wins."""
+    rows = itertools.islice(walk.ul_rows(), walk.ul_n_max)
+    return next((row.empty for row in rows if row.empty is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +309,19 @@ class CosetIntegral:
 
 
 def coset_log_integrals(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetIntegral]:
-    """Per-coset ln-integrals at the coset level k = v_p(a): the exponent
-    vectors of each coset's table entries summed, and its log formed from
-    the product's numerator and denominator."""
-    v = a.valuation()
-    if v is PRECISION_CAP:
+    """Per-coset ln-integrals at the coset level k = v_p(a), one per coset
+    problem of ``qp_reduction``: with (D, s) the ``ExponentForm.log_sum`` of
+    the problem's weight and ln q = ``log_value(s)``, ``value`` is ln q / D
+    and ``global_share`` ln q / (D times the number of cosets)."""
+    if a.valuation() is PRECISION_CAP:
         raise ValueError("translation element vanishes at working precision")
-    ctx = w.context
-    p, m = ctx.prime, ctx.window
-    k = v
-    level = max(w.level, k)
-    step = p ** (k + m)
-    entries = p ** (level - k)
-    # coset b holds the table entries of the residues b + t step, t < entries
-    keys = (np.arange(step)[:, None] + np.arange(entries) * step) % len(w.table)
+    problems = qp_reduction(w, a)
     out = []
-    for b, exponents in enumerate(w.form.exponents[keys].sum(axis=1).tolist()):
-        num, den = w.form.integers(exponents)
-        ln_q = math.log(num) - math.log(den)
-        out.append(
-            CosetIntegral(
-                coset=ball(ctx, ctx.from_residue(b), k),
-                exponents=tuple(exponents),
-                value=ln_q / entries,
-                global_share=ln_q / p ** (level + m),
-                form=w.form,
-            )
-        )
+    for prob in problems:
+        form = prob.weight.form
+        D, s = form.log_sum()
+        ln_q = form.log_value(s)
+        out.append(CosetIntegral(prob.coset, tuple(s), ln_q / D, ln_q / (D * len(problems)), form))
     return out
 
 
@@ -508,9 +489,11 @@ class CosetProblem:
 
 
 def qp_reduction(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetProblem]:
-    """Split a windowed problem into the family of coset problems at level
+    """Split a problem into the family of coset problems at level
     k = v_p(a); the translation fixes each coset of p^k Z_p, and each
-    restriction rescales to an ordinary integer-ring problem."""
+    restriction rescales to an ordinary integer-ring problem.  The verdict
+    decides a windowed problem by them, and ``coset_log_integrals`` reads
+    them on every context."""
     ctx = w.context
     v = a.valuation()
     if v is PRECISION_CAP:

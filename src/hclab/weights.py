@@ -266,6 +266,12 @@ class ExponentForm:
     def value(self, e) -> Fraction:
         return Fraction(*self.integers(e))
 
+    def log_value(self, e) -> float:
+        """ln prod_j b_j^e[j], as ln num - ln den of its ``integers``: they
+        are coprime on a coprime base, so no gcd reduces them."""
+        num, den = self.integers(e)
+        return math.log(num) - math.log(den)
+
     def exact_sign(self, e) -> int:
         """The sign of ln prod_j b_j^e[j], from the integers."""
         num, den = self.integers(e)
@@ -419,6 +425,11 @@ class Weight:
         raise NotImplementedError
 
 
+# the cell midpoints on which an expression weight's positivity and its
+# Lipschitz bound are checked
+EXPR_GRID_POINTS = 4096
+
+
 class ExprWeight(Weight):
     """exp/ln/trig expression weight on the circle, strictly positive.
 
@@ -427,7 +438,7 @@ class ExprWeight(Weight):
     symbolic derivative.
     """
 
-    def __init__(self, expr: Expr | str, grid_points: int = 4096, _offset: Fraction = Fraction(0)):
+    def __init__(self, expr: Expr | str, grid_points: int = EXPR_GRID_POINTS, _offset: Fraction = Fraction(0)):
         self.group = CIRCLE
         self.expr = expr if isinstance(expr, Expr) else Expr(expr)
         self.grid_points = grid_points
@@ -453,7 +464,7 @@ class ExprWeight(Weight):
         t = float(getattr(x, "value", x))
         return float(self.eval_angles(t))
 
-    def lipschitz_bound(self, grid_points: int = 4096) -> float:
+    def lipschitz_bound(self, grid_points: int = EXPR_GRID_POINTS) -> float:
         """Grid estimate of sup |w'|, padded by a factor 2."""
         try:
             d = self.expr.derivative()
@@ -617,9 +628,6 @@ class CircleGrid:
     """The uniform grid i/M on the circle."""
 
     points: int
-
-    def angles(self) -> np.ndarray:
-        return np.arange(self.points) / self.points
 
     def __len__(self) -> int:
         return self.points

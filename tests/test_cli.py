@@ -211,6 +211,8 @@ _PROBES = [
     (_EXPR, ("sets",), [[["a", "1/2"], "open"]], "sets: Invalid literal for Fraction: 'a'"),
     (_EXPR, ("sets",), [["x"]], "sets: set literal 'x' not understood"),
     (_EXPR, ("sets",), [{"pt": "1"}], "sets: set literal {'pt': '1'} not understood"),
+    # an arc inside a step weight is part of the weight
+    (_STEP, ("weight", "step"), [[None, "2"]], "weight: set literal None not understood"),
     # sets come as a list on every group
     (_EXPR, ("sets",), 5, "sets"),
     (_FINITE, ("sets",), 5, "sets"),
@@ -325,7 +327,7 @@ def test_each_given_setting_reaches_its_verdict_field(section, key, value, confi
     assert diags == []
     assert spec.verdict_config() == VerdictConfig(**{config_field: read})
     spec, _ = parse_spec(dict(_probe(_EXPR, (section, key), value), lp_exponent=2), "all")
-    assert spec.verdict_config() == VerdictConfig(**{config_field: read}, metadata={"lp_exponent": 2})
+    assert spec.verdict_config() == VerdictConfig(**{config_field: read})
 
 
 def test_an_integer_tolerance_past_binary64_is_rejected(tmp_path, capsys):
@@ -557,6 +559,7 @@ def test_spec_hash_and_metadata_embedded(tmp_path):
     assert len(report["spec_hash"]) == 64
     assert report["schema"] == 1
     assert report["lp_exponent"] == 2
+    assert report["results"]["padic"]["metadata"] == {"lp_exponent": 2}
 
 
 def test_set_literals_union_and_point(tmp_path):

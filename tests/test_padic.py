@@ -6,7 +6,7 @@ import pytest
 
 from hclab.errors import WindowExceeded
 from hclab.groups import PRECISION_CAP, PAdicContext
-from hclab.hctest import ProductWalk
+from hclab.hctest import ProductWalk, log_integral_report
 from hclab.padic import (
     conjugate_scale,
     conjugate_translate,
@@ -18,7 +18,6 @@ from hclab.padic import (
     translation_diagram_defect,
     ul_scan,
     ul_sets,
-    valuation,
 )
 from hclab.report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY
 from hclab.weights import PAdicTableWeight, weight_product
@@ -42,16 +41,16 @@ def random_table(rng, ctx, level):
 
 def test_valuation_of_100_base_5():
     ctx = PAdicContext(5, 4)
-    assert valuation(ctx.element(100)) == 2
+    assert ctx.element(100).valuation() == 2
 
 
 def test_valuation_small_cases():
     ctx = PAdicContext(3, 3)
-    assert valuation(ctx.element(1)) == 0
-    assert valuation(ctx.element(0)) is PRECISION_CAP
-    assert valuation(ctx.element(6)) == 1
+    assert ctx.element(1).valuation() == 0
+    assert ctx.element(0).valuation() is PRECISION_CAP
+    assert ctx.element(6).valuation() == 1
     win = PAdicContext(3, 3, window=2)
-    assert valuation(win.element(Fraction(1, 9))) == -2
+    assert win.element(Fraction(1, 9)).valuation() == -2
 
 
 def test_ultrametric_properties_exhaustive():
@@ -186,7 +185,7 @@ def test_ul_scan_respects_declaration():
     )
     # every value > 1: the whole-ring ball at level 0 has L empty
     a = ctx.element(1)
-    frag = ul_scan(w, a, 10, ProductWalk(w, a, grid_points=0, ul_n_max=10, horizon=10).ul_rows())
+    frag = ul_scan(ProductWalk(w, a, grid_points=0, ul_n_max=10, horizon=10))
     assert frag is not None and frag.rule == RULE_UL_EMPTY
     assert frag.params["empty_side"] == "L"
 
@@ -231,6 +230,36 @@ def test_coset_log_integrals_unit_element():
     cosets = coset_log_integrals(w, ctx.element(1))  # k = 0: one coset, all of the ring
     assert len(cosets) == 1
     assert cosets[0].is_zero  # 2 * 1/2 * 1 = 1
+
+
+# (p, precision, window, table level, element): zp and qp contexts, unit and
+# non-unit elements (a negative valuation on qp), and tables coarser than the
+# coset level k = v_p(a)
+_COSET_CASES = [
+    (3, 3, 0, 2, "1"), (3, 3, 0, 2, "3"), (3, 3, 0, 1, "9"), (2, 4, 0, 2, "4"), (2, 4, 0, 0, "2"),
+    (3, 2, 1, 2, "1"), (3, 2, 1, 1, "3"), (3, 2, 1, 0, "1/3"), (3, 2, 1, -1, "1"), (2, 3, 2, 1, "1/2"),
+]
+
+
+def test_coset_log_integrals_are_the_coset_problems_log_sums():
+    """Each coset log-integral is its coset problem's exact log-integral, bit
+    for bit; values from {1/2, 1, 2} make both zero and nonzero cosets."""
+    rng = random.Random(53)
+    seen = set()
+    for p, precision, window, level, value in _COSET_CASES:
+        ctx = PAdicContext(p, precision, window)
+        size = p ** (level + window)
+        w = PAdicTableWeight(ctx, level, {r: rng.choice(("1/2", "1", "2")) for r in range(size)})
+        a = ctx.element(Fraction(value))
+        cosets, problems = coset_log_integrals(w, a), qp_reduction(w, a)
+        assert len(cosets) == len(problems) == p ** (a.valuation() + window)
+        for c, prob in zip(cosets, problems):
+            res = log_integral_report(prob.weight)
+            assert c.coset == prob.coset
+            assert c.value.hex() == res.value.hex()
+            assert c.is_zero == res.exact_zero
+            seen.add(c.is_zero)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
