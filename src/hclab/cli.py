@@ -67,18 +67,20 @@ def _tolerance(value, name, fam, diags):
 # the settings a spec may give, by section, in the order they are checked:
 # each key's check, which reads the value (an integer in bounds, orbit
 # horizons up to the family's largest, a finite number >= 0) or appends a
-# diagnostic naming ``section.key``, and the ``VerdictConfig`` field it sets.
-# A walk of n_max rows holds exponents up to n_max * 2^22, below 2^62 at the
-# circle horizon 10^7
+# diagnostic naming ``section.key``, and the field it sets: a
+# ``VerdictConfig`` field, or one of ``ExperimentSpec``'s own settings
+# (``_OWN_SETTINGS``).  A walk of n_max rows holds exponents up to
+# n_max * 2^22, below 2^62 at the circle horizon 10^7
 _SETTINGS = {
-    "horizons": {"N_list": (_horizon_list, None),
+    "horizons": {"N_list": (_horizon_list, "N_list"),
                  "n_max": (_integer(1, MAX_CIRCLE_HORIZON), "monotone_n_max"),
                  "ul_n_max": (_integer(1, MAX_CIRCLE_HORIZON), "ul_n_max"),
-                 "k_max": (_integer(1), None)},
+                 "k_max": (_integer(1), "k_max")},
     "tolerances": {"grid_points": (_integer(1), "monotone_grid"),
                    "quadrature_points": (_integer(2), "quadrature_points"),
                    "log_tolerance": (_tolerance, "log_tolerance")},
 }
+_OWN_SETTINGS = ("N_list", "k_max")
 
 
 @dataclass
@@ -97,7 +99,11 @@ class ExperimentSpec:
     tolerances: dict = field(default_factory=dict)
     # the VerdictConfig fields the spec's settings give, read by _SETTINGS
     verdict_settings: dict = field(default_factory=dict)
-    lp_exponent: object = None
+    # the orbit horizons of equidist and the character search bound of
+    # reps, read by _SETTINGS
+    N_list: list = field(default_factory=lambda: [10, 100, 1000])
+    k_max: int = 64
+    lp_exponent: float | None = None
     label: str = ""
 
     @property
@@ -150,6 +156,12 @@ def _unmet(raw, fam, task) -> Iterator[str]:
         yield fam.task_needs[task]
 
 
+def _is_lp_exponent(value) -> bool:
+    """Whether ``value`` is an L^p exponent: a JSON number, not a bool,
+    finite and >= 1 (compared as it is, so a long integer never overflows)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 1 <= value < math.inf
+
+
 def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     diags: list[str] = []
     if not isinstance(raw, dict):
@@ -181,18 +193,20 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
     if characters and not fam.characters:
         diags.append("characters: character sweeps need the circle group")
-    verdict_settings = {}
+    verdict_settings, own_settings = {}, {}
     for section, checks in _SETTINGS.items():
-        for key, (check, config_field) in checks.items():
+        for key, (check, setting) in checks.items():
             if key in sections[section]:
                 read = check(sections[section][key], f"{section}.{key}", fam, diags)
-                if config_field is not None:
-                    verdict_settings[config_field] = read
+                (own_settings if setting in _OWN_SETTINGS else verdict_settings)[setting] = read
+    lp_exponent = raw.get("lp_exponent")
+    if "lp_exponent" in raw and not _is_lp_exponent(lp_exponent):
+        diags.append(f"lp_exponent: expected a finite number >= 1, got {lp_exponent!r}")
 
     spec = ExperimentSpec(
         raw=raw, task=task, group=group, element=element, weight=weight, sets=sets, characters=characters,
         horizons=sections["horizons"], tolerances=sections["tolerances"], verdict_settings=verdict_settings,
-        lp_exponent=raw.get("lp_exponent"), label=str(raw.get("label", "")),
+        **own_settings, lp_exponent=lp_exponent, label=str(raw.get("label", "")),
     )
     return spec, diags + list(_unmet(raw, fam, task))
 
@@ -240,7 +254,7 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 
 
 def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
-    Ns = sorted({int(n) for n in spec.horizons.get("N_list", [10, 100, 1000])})
+    Ns = sorted(set(spec.N_list))
     seq = OrbitSequence(spec.group, spec.element)
     rows = []
     summary = []
@@ -320,7 +334,7 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
         if task == "equidist":
             results[task] = _run_equidist(spec, out_dir)
         elif task == "reps":
-            results[task] = family(spec.group).reps(spec.group, spec.element, spec.horizons)
+            results[task] = family(spec.group).reps(spec.group, spec.element, spec.k_max)
         elif task == "hctest":
             results[task] = _run_hctest(spec, out_dir, rep)
         else:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .borel import IntervalSet
 from .errors import FixedCharacterError
-from .groups import MAX_ORBIT_DENOMINATOR, CircleElement, OrbitSequence
+from .groups import CircleElement, OrbitSequence, orbit_denominator
 
 __all__ = [
     "TestFunction",
@@ -324,9 +324,7 @@ class Boundaries:
 
     @classmethod
     def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
-        D = denominator
-        if D > MAX_ORBIT_DENOMINATOR:
-            raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+        D = orbit_denominator(denominator)
         # (set, numerator and denominator of b mod 1) -> [change on the
         # cell after, change at the event]
         changes: dict = {}
@@ -723,21 +721,20 @@ def sup_deviation(K, seq: OrbitSequence, N):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A bounded test function on the circle with its exact mean when known."""
+    """A bounded test function on the circle; ``char_index`` is k for the
+    character e(kx)."""
 
     __test__ = False  # not a pytest class
 
     fn: Callable[[np.ndarray], np.ndarray]
-    mean: complex | None = None
     char_index: int | None = None
-    label: str = ""
 
     @staticmethod
     def character(k: int) -> "TestFunction":
         def fn(t):
             return np.exp(2j * np.pi * k * np.asarray(t, dtype=float))
 
-        return TestFunction(fn, mean=(1.0 + 0j) if k == 0 else 0j, char_index=k, label=f"e(kx), k={k}")
+        return TestFunction(fn, char_index=k)
 
     @staticmethod
     def constant(c) -> "TestFunction":
@@ -745,13 +742,7 @@ class TestFunction:
             t = np.asarray(t, dtype=float)
             return np.full(t.shape, c)
 
-        return TestFunction(fn, mean=c, label=f"const {c}")
-
-    def resolved_mean(self, quadrature_points: int = 1 << 14) -> complex:
-        if self.mean is not None:
-            return self.mean
-        xs = (np.arange(quadrature_points) + 0.5) / quadrature_points
-        return complex(np.mean(self.fn(xs)))
+        return TestFunction(fn)
 
 
 def ergodic_average(f: TestFunction, a: CircleElement, N: int, x) -> complex:
@@ -773,16 +764,31 @@ def ergodic_average(f: TestFunction, a: CircleElement, N: int, x) -> complex:
     return acc / N
 
 
+def _character_residue(k: int, a: CircleElement) -> tuple[int, int]:
+    """(r, D) with k a = r/D mod 1 exactly: D is the denominator of the
+    exact angle, bounded as for every circle statistic (``orbit_denominator``)."""
+    D = orbit_denominator(a.value.denominator)
+    return k * a.value.numerator % D, D
+
+
+def _sin_pi(t: int, D: int) -> float:
+    """|sin(pi t/D)| for an integer t: from min(t, D - t)/D for t mod D,
+    rounded once, so the float argument lies in [0, pi/2]."""
+    t %= D
+    return math.sin(math.pi * (min(t, D - t) / D))
+
+
 def weyl_bound(k: int, a: CircleElement, N: int) -> float:
-    """The uniform averaging bound 2 / (N |1 - e(k a)|) for a character.
+    """The uniform averaging bound 2 / (N |1 - e(k a)|) for a character,
+    1 / (N sin(pi r/D)) for k a = r/D mod 1.
 
     Raises FixedCharacterError when k*a is an integer, i.e. the character is
     fixed by the rotation and the bound's hypothesis fails.
     """
-    frac = (k * a.value) % 1
-    if frac == 0:
+    r, D = _character_residue(k, a)
+    if r == 0:
         raise FixedCharacterError(k, a.value)
-    return 1.0 / (N * math.sin(math.pi * float(frac)))
+    return 1 / _sin_pi(r, D) / N
 
 
 @dataclass(frozen=True)
@@ -792,49 +798,29 @@ class SweepPoint:
     bound: float | None
 
 
-def uniform_convergence_sweep(
-    f: TestFunction,
-    a: CircleElement,
-    N_list: Sequence[int],
-    x_samples: Sequence | None = None,
-) -> list[SweepPoint]:
-    """Sup over translates of |ergodic average - mean| at each N.
+def uniform_convergence_sweep(f: TestFunction, a: CircleElement, N_list: Sequence[int]) -> list[SweepPoint]:
+    """Sup over translates of |ergodic average - mean| at each N, for a
+    character f = e(kx).
 
-    A character's average at x is e(kx) S_N / N, S_N = sum_{n=1}^{N-1}
-    e(-kna), so its deviation is the same at every x: summed once, at x = 0,
-    it is the supremum over all translates, with the averaging bound
-    attached when that exists.  Other test functions take the max over
-    ``x_samples``.
+    Its average at x is e(kx) S_N / N, S_N = sum_{n=1}^{N-1} e(-kna), so the
+    deviation is the same at every x.  With k a = r/D mod 1 for exact
+    integers r and D, |S_N| = |sin(pi (N-1) r/D)| / sin(pi r/D) when r != 0,
+    and each row is that over N from the two residues r and (N-1) r mod D,
+    with no sum over n; its averaging bound (``weyl_bound``) divides the same
+    denominator sine, so no row exceeds it.  The trivial character deviates from its mean
+    1 by 1/N, and a character fixed by the rotation (r = 0, k != 0) by (N-1)/N
+    from its mean 0, with no bound.
     """
+    if f.char_index is None:
+        raise ValueError("the uniform convergence sweep is for characters")
     Ns = sorted(set(int(N) for N in N_list))
     if not Ns or Ns[0] < 2:
         raise ValueError("need horizons N >= 2")
-    if f.char_index is not None:
-        xs = np.zeros(1)
-    elif x_samples is None or not len(x_samples):
-        raise ValueError("a test function that is not a character needs translates in x_samples")
-    else:
-        xs = np.asarray([float(getattr(x, "value", x)) for x in x_samples], dtype=float)
-    mean = f.resolved_mean()
-    af = float(a.value)
-    acc = np.zeros(len(xs), dtype=complex)
-    out = []
-    n = 1
-    chunk = 1 << 11
-    for N in Ns:
-        while n < N:
-            hi = min(N, n + chunk)
-            ns = np.arange(n, hi, dtype=float)
-            pts = xs[None, :] - ns[:, None] * af
-            _mod1(pts, out=pts)
-            acc += f.fn(pts).sum(axis=0)
-            n = hi
-        dev = float(np.max(np.abs(acc / N - mean)))
-        bound = None
-        if f.char_index is not None:
-            try:
-                bound = weyl_bound(f.char_index, a, N)
-            except FixedCharacterError:
-                bound = None
-        out.append(SweepPoint(N, dev, bound))
-    return out
+    k = f.char_index
+    r, D = _character_residue(k, a)
+    if k == 0:
+        return [SweepPoint(N, 1 / N, None) for N in Ns]
+    if r == 0:
+        return [SweepPoint(N, (N - 1) / N, None) for N in Ns]
+    sine = _sin_pi(r, D)
+    return [SweepPoint(N, _sin_pi((N - 1) * r, D) / sine / N, weyl_bound(k, a, N)) for N in Ns]

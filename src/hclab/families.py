@@ -85,8 +85,9 @@ class Family:
     enumerable groups.  Each family also has its spec parsers (``parse_group``,
     ``parse_element``, ``parse_set``, ``parse_weight``: each appends its
     diagnostics to ``diags`` and returns None for a field it rejects, or
-    raises), its torsion rule ``torsion(group, a)``, and ``reps`` when it
-    runs that task."""
+    raises), its torsion rule ``torsion(group, a)``, and ``reps(group,
+    element, k_max)`` when it runs that task (k_max bounds the circle's
+    fixed-character search)."""
 
     # the tasks a spec on this family may not run, with their diagnostic
     task_needs = {"padic": "padic: requires a zp or qp group"}
@@ -216,8 +217,7 @@ class CircleFamily(Family):
         diags.append("weight: circle weights need 'expr' or 'step'")
         return None
 
-    def reps(self, group, element, horizons: dict) -> dict:
-        k_max = int(horizons.get("k_max", 64))
+    def reps(self, group, element, k_max: int) -> dict:
         k = circle_has_fixed_character(element, k_max)
         return {"kind": "circle", "k_max": k_max, "fixed_character": k, "has_fixed_character": k is not None}
 
@@ -289,7 +289,7 @@ class FiniteFamily(Family):
         diags.append("weight: finite weights need {'values': [...]}")
         return None
 
-    def reps(self, group, element, horizons: dict) -> dict:
+    def reps(self, group, element, k_max: int) -> dict:
         per_element = []
         for a in [element] if element is not None else group.elements():
             cert = fixed_irrep_multiplicity(a, group)

@@ -566,6 +566,14 @@ MAX_ORBIT_DENOMINATOR = 2 ** 64
 MAX_CIRCLE_HORIZON = 10 ** 7
 
 
+def orbit_denominator(D: int) -> int:
+    """D, the denominator of an exact circle angle, when every circle
+    statistic can hold its residues mod D in uint64; a ValueError otherwise."""
+    if D > MAX_ORBIT_DENOMINATOR:
+        raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+    return D
+
+
 def _multiples_mod(m: int, D: int, first: int, count: int) -> np.ndarray:
     """k*m mod D for k = first .. first+count-1, exactly, as uint64."""
     if D & (D - 1) == 0:
@@ -614,9 +622,7 @@ class OrbitSequence:
         if N > MAX_CIRCLE_HORIZON:
             raise ValueError(f"circle horizons are capped at {MAX_CIRCLE_HORIZON}")
         step = (self.sign * self.element.value) % 1
-        m, D = step.numerator, step.denominator
-        if D > MAX_ORBIT_DENOMINATOR:
-            raise ValueError(f"angle denominator exceeds 2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
+        m, D = step.numerator, orbit_denominator(step.denominator)
         return _multiples_mod(m, D, first, min(max(N - first, 0), D))
 
     def angle_support(self, N: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:

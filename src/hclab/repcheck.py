@@ -15,33 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import CircleElement, FiniteGroup
 
 __all__ = [
-    "CircleCharacter",
     "FixedIrrepCertificate",
     "circle_has_fixed_character",
     "fixed_irrep_multiplicity",
     "regular_rep_cycles",
     "noncyclic_equivalence_check",
 ]
-
-
-@dataclass(frozen=True)
-class CircleCharacter:
-    """The character x -> e(k x) of the circle; k = 0 is the trivial one."""
-
-    k: int
-
-    def __call__(self, x):
-        t = getattr(x, "value", x)
-        return np.exp(2j * np.pi * self.k * np.asarray(t, dtype=float))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.k == 0
 
 
 def circle_has_fixed_character(a: CircleElement, k_max: int) -> int | None:

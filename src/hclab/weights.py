@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -291,9 +293,13 @@ class ExponentForm:
 
     def log_sum(self) -> tuple[int, list[int]]:
         """(D, s) with sum_i m_i ln v_i = sum_j s_j ln b_j / D exactly; s is
-        0 exactly when the Haar log-integral is."""
+        0 exactly when the Haar log-integral is.  Only the values with a
+        nonzero count are summed: a form made by ``take`` shares its
+        parent's distinct values, some of them absent from it."""
         D, counts = self.log_masses
-        return D, [sum(c * e for c, e in zip(counts, column)) for column in self.distinct.T.tolist()]
+        used = [c for c in counts if c]
+        return D, [sum(map(operator.mul, used, compress(column, counts)))
+                   for column in self.distinct.T.tolist()]
 
     def log_sum_bits(self) -> int:
         """sum_i m_i D max(bits(numerator v_i), bits(denominator v_i)): the

@@ -101,13 +101,12 @@ def test_criterion_02_borel_algebra():
 
 def test_criterion_03_uniform_weyl_bound():
     budget = Budget(30)
-    samples = np.arange(128) / 128.0
     violations = 0
     for af in (GOLDEN, math.sqrt(2) - 1, (1 / math.pi) % 1):
         a = CIRCLE.from_float(af)
         for k in (1, 2, 3):
             f = TestFunction.character(k)
-            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000, 10_000], samples):
+            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000, 10_000]):
                 assert pt.bound is not None
                 if pt.sup_deviation > pt.bound:
                     violations += 1

@@ -10,7 +10,7 @@ from itertools import combinations, islice
 import pytest
 
 import exact_oracle
-from hclab.cli import MAX_LOG_SUM_BITS, TASKS, _atomic_write, _write_csv, main, parse_spec, validate
+from hclab.cli import MAX_LOG_SUM_BITS, TASKS, _atomic_write, _write_csv, main, parse_spec, run, validate
 from hclab.hctest import VerdictConfig, monotone_rows, verdict
 from hclab.weights import ExprWeight
 
@@ -162,6 +162,12 @@ _PROBES = [
     (three_coset_spec(), ("horizons", "ul_n_max"), 0, "horizons.ul_n_max"),
     (_EXPR, ("horizons", "k_max"), "abc", "horizons.k_max"),
     (_EXPR, ("horizons", "k_max"), 0, "horizons.k_max"),
+    # the L^p exponent is a JSON number, finite and >= 1: strict JSON has no NaN
+    (_EXPR, ("lp_exponent",), float("nan"), "lp_exponent"),
+    (_EXPR, ("lp_exponent",), float("inf"), "lp_exponent"),
+    (_EXPR, ("lp_exponent",), True, "lp_exponent"),
+    (_EXPR, ("lp_exponent",), "x", "lp_exponent"),
+    (_EXPR, ("lp_exponent",), 0.5, "lp_exponent"),
     (_EXPR, ("tolerances", "grid_points"), 0, "tolerances.grid_points"),
     (_EXPR, ("tolerances", "log_tolerance"), "x", "tolerances.log_tolerance"),
     (_EXPR, ("tolerances", "quadrature_points"), 1, "tolerances.quadrature_points"),
@@ -310,9 +316,22 @@ def test_unset_settings_keep_the_library_defaults():
     spec, diags = parse_spec(_EXPR, "all")
     assert diags == [] and spec.verdict_config() == VerdictConfig()
     assert spec.weight.grid_points == inspect.signature(ExprWeight).parameters["grid_points"].default
-    # k_max and N_list are no verdict settings
-    spec, _ = parse_spec(dict(_EXPR, horizons={"k_max": 3, "N_list": [10]}), "all")
-    assert spec.verdict_config() == VerdictConfig()
+    # N_list and k_max are the spec's own settings, read by equidist and reps
+    assert (spec.N_list, spec.k_max) == ([10, 100, 1000], 64)
+    spec, diags = parse_spec(dict(_EXPR, horizons={"k_max": "3", "N_list": [100, "10", 100]}), "all")
+    assert diags == [] and spec.verdict_config() == VerdictConfig()
+    assert (spec.N_list, spec.k_max) == ([100, 10, 100], 3)
+
+
+@pytest.mark.parametrize("k_max,fixed", [("3", None), ("4", 4)])
+def test_circle_reps_reads_the_checked_k_max(tmp_path, k_max, fixed):
+    spec, diags = parse_spec(circle_spec(element="1/4", horizons={"k_max": k_max}), "reps")
+    assert diags == []
+    report = run(spec, str(tmp_path))
+    assert report["results"]["reps"]["k_max"] == int(k_max)
+    assert report["results"]["reps"]["fixed_character"] == fixed
+    # the report echoes the horizons as the spec gave them
+    assert report["horizons"] == {"k_max": k_max}
 
 
 @pytest.mark.parametrize("section,key,value,config_field,read", [
@@ -328,6 +347,13 @@ def test_each_given_setting_reaches_its_verdict_field(section, key, value, confi
     assert spec.verdict_config() == VerdictConfig(**{config_field: read})
     spec, _ = parse_spec(dict(_probe(_EXPR, (section, key), value), lp_exponent=2), "all")
     assert spec.verdict_config() == VerdictConfig(**{config_field: read})
+
+
+def test_lp_exponent_takes_every_finite_number_from_one():
+    for value in (1, 1.0, 2.5, 10 ** 400):
+        assert validate(dict(_EXPR, lp_exponent=value), "all") == []
+    assert validate(dict(_EXPR, lp_exponent=-math.inf), "all") == [
+        "lp_exponent: expected a finite number >= 1, got -inf"]
 
 
 def test_an_integer_tolerance_past_binary64_is_rejected(tmp_path, capsys):
@@ -404,7 +430,7 @@ def test_equidist_rows_read_one_sorted_horizon_list(tmp_path):
     spec = write_spec(
         tmp_path,
         circle_spec(sets=[[["0", "1/2"], "half_open"]], characters=[2],
-                    horizons={"N_list": [100, 10, 100]}),
+                    horizons={"N_list": ["100", 10, 100]}),
     )
     out = tmp_path / "eq"
     assert main(["equidist", "--spec", spec, "--out-dir", str(out)]) == 0

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import timeit
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -616,14 +617,6 @@ def test_weyl_bound_values():
     assert weyl_bound(1, a, 5) == pytest.approx(2 / (5 * abs(1 - cmath.exp(2j * math.pi / 3))), rel=1e-12)
 
 
-def test_sweep_constant_function():
-    f = TestFunction.constant(1.0)
-    points = uniform_convergence_sweep(f, CIRCLE.from_float(GOLDEN), [10, 100], [0.0, 0.5])
-    for pt in points:
-        assert pt.sup_deviation == pytest.approx(1 / pt.N, rel=1e-12)
-        assert pt.bound is None
-
-
 def test_sweep_character_respects_bound():
     for af in (GOLDEN, math.sqrt(2) - 1):
         a = CIRCLE.from_float(af)
@@ -639,66 +632,70 @@ def test_sweep_character_respects_bound():
         assert pt.sup_deviation <= pt.bound
 
 
-def _sampled_sweep(f, a, N_list, x_samples):
-    """The character sweep before its closed form: the maximum over the
-    given translates of |ergodic average - mean|, summed in chunks."""
-    xs = np.asarray(x_samples, dtype=float)
-    mean = f.resolved_mean()
-    af = float(a.value)
-    acc = np.zeros(len(xs), dtype=complex)
-    out = []
-    n = 1
-    for N in sorted(set(N_list)):
-        while n < N:
-            hi = min(N, n + (1 << 11))
-            ns = np.arange(n, hi, dtype=float)
-            pts = np.mod(xs[None, :] - ns[:, None] * af, 1.0)
-            acc += f.fn(np.where(pts >= 1.0, 0.0, pts)).sum(axis=0)
-            n = hi
-        out.append(float(np.max(np.abs(acc / N - mean))))
-    return out
-
-
 def _exact_character_deviation(k, a, N):
-    """|sum_{n=1}^{N-1} e(-kna) - N mean| / N at the exact angle, via mpmath."""
+    """|sum_{n=1}^{N-1} e(-kna) - N mean| / N at the exact angle a, via mpmath
+    at enough digits for phases up to N k a ~ 10^57."""
     if k == 0:
         return mpmath.mpf(1) / N
     if (k * a) % 1 == 0:
         return mpmath.mpf(N - 1) / N
-    with mpmath.workdps(40):
-        t = mpmath.pi * k * mpmath.mpf(a.numerator) / a.denominator
+    if ((N - 1) * k * a) % 1 == 0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(120):
+        t = mpmath.pi * (k * a.numerator) / a.denominator
         return abs(mpmath.sin((N - 1) * t) / mpmath.sin(t)) / N
 
 
 @st.composite
 def character_cases(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["float", "small", "large"]))
+    if kind == "float":
         a = CIRCLE.from_float(draw(st.floats(0.0, 1.0, exclude_max=True)))
     else:
-        q = draw(st.integers(1, 12))
+        q = draw(st.integers(1, 12) if kind == "small" else st.integers(13, 2 ** 64))
         a = CIRCLE.element(Fraction(draw(st.integers(0, q - 1)), q))
-    k = draw(st.integers(0, 8))
-    N_list = draw(st.lists(st.integers(2, 10_000), min_size=1, max_size=4))
+    k = draw(st.integers(-8, 8) | st.integers(-10 ** 30, 10 ** 30))
+    if a.value.denominator <= 2 ** 64 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3)) * a.value.denominator  # a fixed character
+    N_list = draw(st.lists(st.integers(2, 10 ** 7), min_size=1, max_size=4))
     return k, a, N_list
 
 
-@settings(max_examples=40, deadline=5000)
+@settings(max_examples=300, deadline=None)
 @given(character_cases())
+# a subnormal angle, D = 2^1074, and a rational one just past 2^64
+@example((1, CIRCLE.from_float(5e-324), [10]))
+@example((3, CIRCLE.element(Fraction(1, 2 ** 64 + 1)), [10]))
+@example((10 ** 30, CIRCLE.element(Fraction(1, 2 ** 64)), [2, 10 ** 7]))
+@example((8, CIRCLE.from_float(GOLDEN), [10 ** 7]))
+@example((6, CIRCLE.element("1/3"), [2, 3, 10 ** 7]))
 def test_character_sweep_closed_form(case):
     k, a, N_list = case
     f = TestFunction.character(k)
+    if a.value.denominator > 2 ** 64:
+        # as for every circle statistic, the residues mod D fit in uint64
+        with pytest.raises(ValueError, match="angle denominator exceeds 2\\^64"):
+            uniform_convergence_sweep(f, a, N_list)
+        return
     points = uniform_convergence_sweep(f, a, N_list)
-    sampled = _sampled_sweep(f, a, N_list, np.arange(128) / 128.0)
     assert [pt.N for pt in points] == sorted(set(N_list))
-    for pt, old in zip(points, sampled):
-        # each phase n*a is rounded to binary64 before e(.) is taken, which
-        # moves term n by at most 2 pi k n 2^-52 and the row by their sum / N
-        phase_rounding = math.pi * k * (pt.N - 1) * 2.0 ** -52
-        exact = float(_exact_character_deviation(k, a.value, pt.N))
-        assert abs(pt.sup_deviation - exact) <= 1e-12 + phase_rounding
-        assert abs(pt.sup_deviation - old) <= 1e-12
+    fixed = (k * a.value) % 1 == 0
+    for pt in points:
+        exact = _exact_character_deviation(k, a.value, pt.N)
+        assert abs(pt.sup_deviation - exact) <= 1e-14 * exact
+        assert (pt.bound is None) == fixed
         if pt.bound is not None:
-            assert pt.sup_deviation <= pt.bound * (1 + 1e-12)
+            assert pt.sup_deviation <= pt.bound
+            with mpmath.workdps(120):
+                bound = 1 / (pt.N * abs(mpmath.sin(mpmath.pi * (k * a.value.numerator) / a.value.denominator)))
+            assert abs(pt.bound - bound) <= 1e-14 * bound
+
+
+def test_character_sweep_takes_no_loop_over_n():
+    # one row at the largest horizon is two sines, not 10^7 terms
+    f, a = TestFunction.character(8), CIRCLE.from_float(GOLDEN)
+    uniform_convergence_sweep(f, a, [10 ** 7])
+    assert min(timeit.repeat(lambda: uniform_convergence_sweep(f, a, [10 ** 7]), number=1, repeat=5)) < 1e-3
 
 
 def test_fixed_character_sweep_is_one_minus_one_over_n():
@@ -706,14 +703,12 @@ def test_fixed_character_sweep_is_one_minus_one_over_n():
     Ns = [2, 3, 10, 99, 100, 2048, 2049, 10_000]
     for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), Ns):
         assert pt.bound is None
-        assert pt.sup_deviation == pytest.approx((pt.N - 1) / pt.N, abs=1e-12)
+        assert pt.sup_deviation == (pt.N - 1) / pt.N
 
 
-def test_sweep_needs_translates_for_non_characters():
-    f = TestFunction.constant(1.0)
-    for x_samples in (None, []):
-        with pytest.raises(ValueError, match="x_samples"):
-            uniform_convergence_sweep(f, CIRCLE.from_float(GOLDEN), [10], x_samples)
+def test_sweep_is_for_characters_only():
+    with pytest.raises(ValueError, match="characters"):
+        uniform_convergence_sweep(TestFunction.constant(1.0), CIRCLE.from_float(GOLDEN), [10])
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +739,3 @@ def test_average_contraction():
     for _ in range(20):
         g = ergodic_average(f, a, rng.randrange(2, 100), rng.random())
         assert abs(g) <= sup_f + 1e-12
-
-
-def test_character_quadrature_mean_is_zero():
-    for k in (1, 2, 5):
-        f = TestFunction.character(k)
-        assert abs(f.resolved_mean()) == 0  # exact mean carried
-        est = TestFunction(f.fn).resolved_mean()
-        assert abs(est) < 1e-12
-    assert TestFunction.character(0).resolved_mean() == 1

@@ -1,9 +1,9 @@
 import math
 import random
 
+from hclab.equidist import TestFunction
 from hclab.groups import CIRCLE, catalog, cyclic
 from hclab.repcheck import (
-    CircleCharacter,
     circle_has_fixed_character,
     fixed_irrep_multiplicity,
     noncyclic_equivalence_check,
@@ -30,12 +30,11 @@ def cycle_count_oracle(group, a):
 def test_character_homomorphism():
     rng = random.Random(20)
     for k in (0, 1, 3, -2):
-        chi = CircleCharacter(k)
+        chi = TestFunction.character(k).fn
         for _ in range(50):
             x, y = rng.random(), rng.random()
             assert abs(chi((x + y) % 1) - chi(x) * chi(y)) < 1e-12
-    assert CircleCharacter(0).is_trivial
-    assert abs(CircleCharacter(0)(0.37) - 1) == 0
+    assert abs(TestFunction.character(0).fn(0.37) - 1) == 0
 
 
 def test_circle_fixed_character_search():
