@@ -39,11 +39,6 @@ _TOP_KEYS = {
     "schema", "task", "group", "element", "weight", "sets", "characters",
     "horizons", "tolerances", "lp_exponent", "label",
 }
-# the most bits the exact log-sum of a step, finite or p-adic table weight
-# may form: its reported value forms prod_i v_i^(c_i), c_i = m_i D, for
-# masses m_i over their common denominator D (``ExponentForm.log_sum_bits``).  It
-# also bounds every exponent a value has over its coprime base by 2^22
-MAX_LOG_SUM_BITS = 2 ** 22
 
 
 def _integer(minimum, maximum=None):
@@ -69,8 +64,9 @@ def _tolerance(value, name, fam, diags):
 # horizons up to the family's largest, a finite number >= 0) or appends a
 # diagnostic naming ``section.key``, and the field it sets: a
 # ``VerdictConfig`` field, or one of ``ExperimentSpec``'s own settings
-# (``_OWN_SETTINGS``).  A walk of n_max rows holds exponents up to
-# n_max * 2^22, below 2^62 at the circle horizon 10^7
+# (``_OWN_SETTINGS``).  A rational literal spells integers below 2^28600
+# (``families.MAX_LITERAL_DIGITS``), so a value's exponents are below 28600,
+# and a walk of n_max <= 10^7 rows keeps its exponents below 2.9e11 < 2^62
 _SETTINGS = {
     "horizons": {"N_list": (_horizon_list, "N_list"),
                  "n_max": (_integer(1, MAX_CIRCLE_HORIZON), "monotone_n_max"),
@@ -184,11 +180,6 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     fam = family(group)
     element = _parse_field("element", fam.parse_element, group, raw.get("element"), diags)
     weight = _parse_field("weight", fam.parse_weight, group, raw.get("weight"), diags)
-    if weight is not None and weight.form is not None:
-        bits = weight.form.log_sum_bits()
-        if bits > MAX_LOG_SUM_BITS:
-            diags.append(f"weight: the exact log-sum forms powers of at least 2^{bits.bit_length() - 1} bits, "
-                         f"above the limit 2^{MAX_LOG_SUM_BITS.bit_length() - 1}")
     sets = _parse_sets(fam, group, raw.get("sets", []), diags)
     characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
     if characters and not fam.characters:
@@ -307,7 +298,7 @@ def _run_padic(spec: ExperimentSpec, out_dir: str, rep: VerdictReport) -> dict:
     payload = rep.to_dict()
     payload["locally_constant_level"] = padic_mod.is_locally_constant(w)
     if not a.is_zero():
-        cosets = padic_mod.coset_log_integrals(w, a)
+        cosets = padic_mod.coset_log_integrals(rep.coset_problems or padic_mod.qp_reduction(w, a))
         payload["coset_log_integrals"] = [
             {"coset": str(c.coset), "value": c.value,
              "global_share": c.global_share, "exact_zero": c.is_zero}
@@ -397,7 +388,7 @@ def main(argv=None) -> int:
             return 2
         else:
             raw = _load_raw(args.spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError, or an integer past 4300 digits
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from . import equidist, padic
@@ -33,6 +34,11 @@ _FIELD_ERRORS = (HclabError, OverflowError, TypeError, ValueError, ZeroDivisionE
 # the most residues p^(precision + window) a zp / qp context may have: the
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
+# the most digits of a spec's rational literal, and the largest decimal
+# exponent it may give (Python's own integer-string limit): a literal spells
+# integers below 10^8600, where Fraction("1e-10000000") builds 10^(10^7)
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +47,16 @@ MAX_PADIC_RESIDUES = 3 ** 8
 
 @functools.lru_cache(maxsize=4096)
 def _rational(text: str) -> Fraction:
-    """The rational a spec string spells; a weight's tables repeat a few
-    strings, so each is parsed once."""
+    """The rational a spec string spells, of at most ``MAX_LITERAL_DIGITS``
+    digits and a decimal exponent of at most as much; a weight's tables
+    repeat a few strings, so each is parsed once."""
+    digits = sum(map(str.isdecimal, text))
+    if digits > MAX_LITERAL_DIGITS:
+        raise SpecValidationError(f"a rational literal of {digits} digits exceeds the limit {MAX_LITERAL_DIGITS}")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_LITERAL_DIGITS:
+        raise SpecValidationError(f"the decimal exponent {exponent[1]} of a rational literal exceeds "
+                                  f"the limit {MAX_LITERAL_DIGITS}")
     return Fraction(text)
 
 
@@ -163,14 +177,14 @@ class CircleFamily(Family):
     def parse_element(self, group, desc, diags):
         if isinstance(desc, dict):
             if "rational" in desc:
-                element = CIRCLE.element(str(desc["rational"]))
+                element = CIRCLE.element(_rational(str(desc["rational"])))
             elif "angle" in desc:
                 element = CIRCLE.from_float(float(desc["angle"]))
             else:
                 diags.append("element: need 'rational' or 'angle'")
                 return None
         elif isinstance(desc, str):
-            element = CIRCLE.element(desc)
+            element = CIRCLE.element(_rational(desc))
         else:
             element = CIRCLE.from_float(float(desc))
         # the orbit is held as integer residues mod the angle's denominator
@@ -186,10 +200,10 @@ class CircleFamily(Family):
         pieces = desc if (isinstance(desc, list) and desc and not _is_arc_literal(desc)) else [desc]
         for piece in pieces:
             if isinstance(piece, dict) and set(piece) == {"point"}:
-                points.append(Fraction(str(piece["point"])))
+                points.append(_rational(str(piece["point"])))
             elif (isinstance(piece, list) and len(piece) == 2
                   and isinstance(piece[0], list) and len(piece[0]) == 2):
-                lo, hi = (Fraction(str(v)) for v in piece[0])
+                lo, hi = (_rational(str(v)) for v in piece[0])
                 arc, ends = arc_pieces(lo, hi, str(piece[1]))
                 arcs.append(arc)
                 points += ends
@@ -338,10 +352,10 @@ class PAdicFamily(Family):
                 digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
                 return None if digits is None else group.from_digits(digits)
             if "value" in desc:
-                return group.element(Fraction(str(desc["value"])))
+                return group.element(_rational(str(desc["value"])))
             diags.append("element: need 'digits' or 'value'")
             return None
-        return group.element(Fraction(str(desc)))
+        return group.element(_rational(str(desc)))
 
     def parse_set(self, group, desc, diags):
         balls = []
@@ -351,7 +365,7 @@ class PAdicFamily(Family):
             radius_exp = _parse_int(piece["radius_exp"], "sets.radius_exp", None, diags)
             if radius_exp is None:
                 return None
-            balls.append((radius_exp, group.element(Fraction(str(piece["center"]))).residue))
+            balls.append((radius_exp, group.element(_rational(str(piece["center"]))).residue))
         return BallSet.from_balls(group, balls)
 
     def parse_weight(self, group, desc, diags):

@@ -321,9 +321,7 @@ class CircleGroup:
         """Build an element; strings and Fractions declare rationality."""
         if isinstance(x, CircleElement):
             return x
-        if isinstance(x, str):
-            return CircleElement(Fraction(x) % 1, True)
-        if isinstance(x, (Fraction, int)):
+        if isinstance(x, (str, Fraction, int)):
             return CircleElement(Fraction(x) % 1, True)
         if isinstance(x, float):
             return CircleElement(Fraction(x) % 1, False)

@@ -132,10 +132,10 @@ def log_integral_report(w: Weight,
     midpoint quadrature for an expression weight, the exact log-sum of the
     ``ExponentForm`` of a step, finite or table weight."""
     if w.form is not None:
-        # sum_i m_i ln(v_i) = sum_j s_j ln(b_j) / D from the exponent sum s
+        # sum_i m_i ln(v_i) = sum_j (s_j / D) ln(b_j) from the exponent sum s
         # (``ExponentForm.log_sum``): it is zero exactly when s is
         D, s = w.form.log_sum()
-        return LogIntegralResult(w.form.log_value(s) / D, "exact-log-sum", exact=True, exact_zero=not any(s))
+        return LogIntegralResult(w.form.log_value(D, s), "exact-log-sum", exact=True, exact_zero=not any(s))
 
     def midpoint(grid):
         # the mean of ln w at the midpoints (k + 1/2)/m of the k that
@@ -588,7 +588,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
     }
     horizons = {"monotone_n_max": config.monotone_n_max}
     notes = []
-    log_res = None
+    log_res = problems = None
     walk = ProductWalk(w, a, config.monotone_grid, fam.ul_n_max(group, config), config.monotone_n_max)
 
     def report(fired: RuleFiring | None) -> VerdictReport:
@@ -601,6 +601,7 @@ def verdict(w: Weight, a, config: VerdictConfig | None = None) -> VerdictReport:
             notes=tuple(notes),
             log_integral=log_res,
             walk=walk,
+            coset_problems=problems,
         )
 
     fired = fam.torsion(group, a)

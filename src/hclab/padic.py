@@ -308,20 +308,17 @@ class CosetIntegral:
         return not any(self.exponents)
 
 
-def coset_log_integrals(w: PAdicTableWeight, a: PAdicNumber) -> list[CosetIntegral]:
+def coset_log_integrals(problems: list[CosetProblem]) -> list[CosetIntegral]:
     """Per-coset ln-integrals at the coset level k = v_p(a), one per coset
     problem of ``qp_reduction``: with (D, s) the ``ExponentForm.log_sum`` of
-    the problem's weight and ln q = ``log_value(s)``, ``value`` is ln q / D
-    and ``global_share`` ln q / (D times the number of cosets)."""
-    if a.valuation() is PRECISION_CAP:
-        raise ValueError("translation element vanishes at working precision")
-    problems = qp_reduction(w, a)
+    the problem's weight, ``value`` is its ``log_value(D, s)`` and
+    ``global_share`` the same sum over D times the number of cosets."""
     out = []
     for prob in problems:
         form = prob.weight.form
         D, s = form.log_sum()
-        ln_q = form.log_value(s)
-        out.append(CosetIntegral(prob.coset, tuple(s), ln_q / D, ln_q / (D * len(problems)), form))
+        out.append(CosetIntegral(prob.coset, tuple(s), form.log_value(D, s),
+                                 form.log_value(D * len(problems), s), form))
     return out
 
 

@@ -58,9 +58,10 @@ class VerdictReport:
     necessary condition failed at the configured horizons.
 
     ``log_integral`` keeps the ``hctest.LogIntegralResult`` the battery
-    computed (None when it stopped before that rule) and ``walk`` its
-    ``hctest.ProductWalk`` of the n-step products, so callers continue it
-    instead of starting again; ``to_dict`` leaves both out.
+    computed (None when it stopped before that rule), ``walk`` its
+    ``hctest.ProductWalk`` and ``coset_problems`` the ``padic.CosetProblem``s
+    of a windowed context (else None), so callers continue them instead of
+    starting again; ``to_dict`` leaves all three out.
     """
 
     verdict: str
@@ -72,6 +73,7 @@ class VerdictReport:
     metadata: dict = field(default_factory=dict)
     log_integral: object = field(default=None, compare=False)
     walk: object = field(default=None, compare=False)
+    coset_problems: object = field(default=None, compare=False)
 
     @property
     def not_hypercyclic(self) -> bool:

@@ -225,7 +225,7 @@ class ExponentForm:
             self._factor(list(keys), len(index))
             self.index = np.array(index, dtype=np.intp)
         else:
-            self.base, self.logs, self.distinct, self.bits, self.tol = _of
+            self.base, self.logs, self.distinct, self.tol = _of
             self.index = _index
         self.exponents = self.distinct[self.index]
 
@@ -240,7 +240,6 @@ class ExponentForm:
             for j, b in enumerate(self.base):
                 (up, num), (down, den) = _multiplicity(num, b), _multiplicity(den, b)
                 row[j] = up - down
-        self.bits = [max(num.bit_length(), den.bit_length()) for num, den in pairs]
         self.logs = np.array([math.log(b) for b in self.base])
         # the error bound of one entry's log, per factor of a product: an
         # n-fold product's log is off by at most n * tol (Higham's dot
@@ -252,7 +251,7 @@ class ExponentForm:
         """The form of the given entries only, on the same base."""
         entries = list(entries)
         return ExponentForm([self.values[i] for i in entries], None,
-                            _of=(self.base, self.logs, self.distinct, self.bits, self.tol),
+                            _of=(self.base, self.logs, self.distinct, self.tol),
                             _index=self.index[entries])
 
     def integers(self, e) -> tuple[int, int]:
@@ -267,12 +266,6 @@ class ExponentForm:
 
     def value(self, e) -> Fraction:
         return Fraction(*self.integers(e))
-
-    def log_value(self, e) -> float:
-        """ln prod_j b_j^e[j], as ln num - ln den of its ``integers``: they
-        are coprime on a coprime base, so no gcd reduces them."""
-        num, den = self.integers(e)
-        return math.log(num) - math.log(den)
 
     def exact_sign(self, e) -> int:
         """The sign of ln prod_j b_j^e[j], from the integers."""
@@ -301,11 +294,13 @@ class ExponentForm:
         return D, [sum(map(operator.mul, used, compress(column, counts)))
                    for column in self.distinct.T.tolist()]
 
-    def log_sum_bits(self) -> int:
-        """sum_i m_i D max(bits(numerator v_i), bits(denominator v_i)): the
-        size of the powers the reported log-sum forms, at most."""
-        D, counts = self.log_masses
-        return sum(c * b for c, b in zip(counts, self.bits))
+    def log_value(self, D: int, s) -> float:
+        """sum_j (s_j / D) ln b_j, the ``math.fsum`` of each nonzero term in
+        binary64: s_j / D is a correctly rounded ratio of integers, so no
+        power is formed whatever the size of D, and the sum is off by at
+        most about 5 * 2^-53 * sum_j |s_j / D| ln b_j (a rounding each of the
+        ratio, the log, the product and the sum)."""
+        return math.fsum(k / D * log for k, log in zip(s, self.logs.tolist()) if k)
 
 
 class ProductRows:

@@ -128,18 +128,24 @@ def log_pairs(w):
     return [(E.measure(), v) for E, v in w.step.pieces]
 
 
-def coset_products(w, a):
-    """(product, value, global_share) per coset b + p^k Z_p, k = v_p(a):
-    the Fraction product of the table values over the coset and its log."""
+def coset_values(w, a):
+    """The table values over each coset b + p^k Z_p, k = v_p(a), in the
+    order of b: p^(max(level, k) - k) values per coset."""
     ctx = w.context
     p, m, k = ctx.prime, ctx.window, a.valuation()
     level = max(w.level, k)
     step = p ** (k + m)
+    return [[w.rational_at(ctx.from_residue(b + t * step)) for t in range(p ** (level - k))]
+            for b in range(step)]
+
+
+def coset_products(w, a):
+    """(product, value, global_share) per coset b + p^k Z_p, k = v_p(a):
+    the Fraction product of the table values over the coset and its log."""
+    cosets = coset_values(w, a)
     out = []
-    for b in range(step):
-        product = Fraction(1)
-        for t in range(p ** (level - k)):
-            product *= w.rational_at(ctx.from_residue(b + t * step))
+    for values in cosets:
+        product = math.prod(values, start=Fraction(1))
         ln_q = math.log(product.numerator) - math.log(product.denominator)
-        out.append((product, ln_q / p ** (level - k), ln_q / p ** (level + m)))
+        out.append((product, ln_q / len(values), ln_q / (len(values) * len(cosets))))
     return out

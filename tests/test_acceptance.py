@@ -25,6 +25,7 @@ from hclab.padic import (
     conjugate_scale,
     coset_log_integrals,
     multiplication_diagram_defect,
+    qp_reduction,
     translation_diagram_defect,
     ul_sets,
 )
@@ -243,12 +244,12 @@ def test_criterion_08_coset_log_integrals():
     base = {0: "2", 3: "1/2", 6: "1", 1: "1", 4: "1", 7: "1", 2: "1", 5: "1", 8: "1"}
     w = PAdicTableWeight(ctx, 2, base)
     a = ctx.element(3)
-    cosets = coset_log_integrals(w, a)
+    cosets = coset_log_integrals(qp_reduction(w, a))
     assert [c.value for c in cosets] == [0.0, 0.0, 0.0]
     perturbed = dict(base)
     perturbed[0] = Fraction(2) * Fraction(21, 20)
     w2 = PAdicTableWeight(ctx, 2, perturbed)
-    cosets2 = coset_log_integrals(w2, a)
+    cosets2 = coset_log_integrals(qp_reduction(w2, a))
     flagged = [c for c in cosets2 if not c.is_zero]
     assert len(flagged) == 1
     assert abs(flagged[0].value - math.log(1.05) / 3) <= 1e-12

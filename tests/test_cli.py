@@ -4,13 +4,15 @@ import io
 import json
 import math
 import os
+import time
 from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
 
 import exact_oracle
-from hclab.cli import MAX_LOG_SUM_BITS, TASKS, _atomic_write, _write_csv, main, parse_spec, run, validate
+from hclab.cli import TASKS, _atomic_write, _write_csv, main, parse_spec, run, validate
+from hclab.families import MAX_LITERAL_DIGITS
 from hclab.hctest import VerdictConfig, monotone_rows, verdict
 from hclab.weights import ExprWeight
 
@@ -117,14 +119,20 @@ def test_validate_bounds_padic_residues(tmp_path, capsys):
     assert validate(payload, "equidist") == []
 
 
-def test_validate_bounds_the_log_sum_size():
-    # masses 1/D and (D-1)/D of the values 2 and 1/2 raise each to its
-    # exponent, 1 and D - 1, of 2 bits: 2D bits in all
-    at_limit = _probe(_STEP, ("weight", "step"), _split_step(f"1/{MAX_LOG_SUM_BITS // 2}"))
-    assert validate(at_limit, "hctest") == []
-    over = _probe(_STEP, ("weight", "step"), _split_step(f"1/{MAX_LOG_SUM_BITS // 2 + 1}"))
-    assert validate(over, "hctest") == [
-        "weight: the exact log-sum forms powers of at least 2^22 bits, above the limit 2^22"]
+def test_fine_step_masses_validate_and_run(tmp_path):
+    # masses with denominators 2^21, 2^21 + 1, 5 * 10^7 and 10^1000: the
+    # exact log-sum's value is formed from the exponent sum alone, so none
+    # of them is too fine
+    for i, breakpoint in enumerate([f"1/{2 ** 21}", f"1/{2 ** 21 + 1}", "0.33333334", "1e-1000"]):
+        spec = write_spec(tmp_path, _probe(_STEP, ("weight", "step"), _split_step(breakpoint)), f"s{i}.json")
+        assert main(["validate", "--spec", spec, "--task", "hctest"]) == 0
+        out = tmp_path / f"out{i}"
+        assert main(["hctest", "--spec", spec, "--out-dir", str(out)]) == 0
+        log = json.loads((out / "report.json").read_text())["results"]["hctest"]["log_integral"]
+        mass = Fraction(breakpoint)
+        # 2 on the breakpoint's mass and 1/2 on the rest
+        assert log["exact_zero"] is False
+        assert math.isclose(log["value"], float(2 * mass - 1) * math.log(2), rel_tol=1e-15)
 
 
 def _probe(base, path, value):
@@ -143,6 +151,11 @@ _FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1
 _STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
 _QP = dict(three_coset_spec(), group={"group": "qp", "p": 3, "precision": 2, "window": 1})
 _BARE = {"group": {"group": "circle"}}
+
+
+# a literal for which Fraction would build 10^99999999999
+_TINY = "1e-99999999999"
+_TOO_FINE = "{}: the decimal exponent -99999999999 of a rational literal exceeds the limit 4300"
 
 
 def _split_step(breakpoint):
@@ -225,10 +238,19 @@ _PROBES = [
     (three_coset_spec(), ("sets",), 5, "sets"),
     # a circle orbit statistic holds up to MAX_CIRCLE_HORIZON residues
     (_EXPR, ("horizons", "N_list"), [10, 20000000], "horizons.N_list"),
-    # the exact log-sum raises the values to powers of about MAX_LOG_SUM_BITS
-    # bits at most: masses over 5*10^7 and over 10^1000
-    (_STEP, ("weight", "step"), _split_step("0.33333334"), "weight"),
-    (_STEP, ("weight", "step"), _split_step("1e-1000"), "weight"),
+    # a rational literal's decimal exponent is at most 4300 in size, in
+    # every field that reads one
+    (_EXPR, ("sets",), [[["0", _TINY], "open"]], _TOO_FINE.format("sets")),
+    (_EXPR, ("sets",), [{"point": _TINY}], _TOO_FINE.format("sets")),
+    (_EXPR, ("element",), _TINY, _TOO_FINE.format("element")),
+    (_EXPR, ("element",), {"rational": _TINY}, _TOO_FINE.format("element")),
+    (three_coset_spec(), ("element",), {"value": _TINY}, _TOO_FINE.format("element")),
+    (three_coset_spec(), ("element",), _TINY, _TOO_FINE.format("element")),
+    (three_coset_spec(), ("sets",), [{"center": _TINY, "radius_exp": 1}], _TOO_FINE.format("sets")),
+    (three_coset_spec(), ("weight", "values"), {_TINY: "2", "1": "1/2", "2": "1"}, _TOO_FINE.format("weight")),
+    (three_coset_spec(), ("weight", "values"), {"0": _TINY, "1": "1/2", "2": "1"}, _TOO_FINE.format("weight")),
+    (_FINITE, ("weight", "values"), [_TINY, "1", "1", "1", "1", "1"], _TOO_FINE.format("weight")),
+    (_STEP, ("weight", "step"), [[[["0", "1"], "half_open"], _TINY]], _TOO_FINE.format("weight")),
 ]
 
 # the line that says a required field is missing, which a field that was
@@ -251,6 +273,33 @@ def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
     if path[0] in _REQUIRED and value is not None:
         for task in ("equidist", "hctest", "padic"):
             assert _REQUIRED[path[0]] not in " ".join(validate(_probe(base, path, value), task))
+
+
+def test_rational_literals_are_bounded():
+    # Fraction("1e-10000000") alone builds 10^(10^7) in seconds; a literal
+    # past either limit is rejected before it is parsed
+    spec = _probe(_BARE, ("sets",), [[["0", "1e-10000000"], "open"]])
+    spec.update(element="1/3", horizons={"N_list": [10]})
+    start = time.perf_counter()
+    assert validate(spec, "equidist") == [
+        "sets: the decimal exponent -10000000 of a rational literal exceeds the limit 4300"]
+    assert time.perf_counter() - start < 1
+    at_limits = [f"1e-{MAX_LITERAL_DIGITS}", f"1E+{MAX_LITERAL_DIGITS}", "1" * MAX_LITERAL_DIGITS,
+                 "0." + "1" * (MAX_LITERAL_DIGITS - 1)]
+    for text in at_limits:
+        assert validate(_probe(_EXPR, ("sets",), [{"point": text}]), "equidist") == []
+    long = "1/" + "3" * MAX_LITERAL_DIGITS
+    assert validate(_probe(_EXPR, ("sets",), [{"point": long}]), "equidist") == [
+        "sets: a rational literal of 4301 digits exceeds the limit 4300"]
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_read_error(tmp_path, capsys):
+    # json.load raises ValueError, not JSONDecodeError, for an integer of
+    # more than 4300 digits; it used to end in a traceback and exit 1
+    path = tmp_path / "spec.json"
+    path.write_text('{"schema": 1, "group": {"group": "circle"}, "element": ' + "1" * 5000 + "}")
+    assert main(["validate", "--spec", str(path)]) == 2
+    assert "error: cannot read spec: Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
 
 def test_parse_spec_resolves_objects():

@@ -3,14 +3,18 @@ reader of it -- row extremes and witnesses, signs against 1, the Haar
 log-sum and coset products -- against the big-integer oracle of
 ``exact_oracle``, on table, finite and circle step weights whose values
 include reciprocal pairs, equal products of different values (4 against
-2 * 2) and a value whose log lies under the filter's error bound."""
+2 * 2) and a value whose log lies under the filter's error bound; and the
+log values against mpmath where masses over up to 10^1000 put the oracle's
+powers out of reach."""
 
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +24,7 @@ from hclab.borel import interval
 from hclab.cli import main, validate
 from hclab.groups import CIRCLE, PAdicContext, catalog
 from hclab.hctest import log_integral_report, monotone_rows
-from hclab.padic import coset_log_integrals
+from hclab.padic import coset_log_integrals, qp_reduction
 from hclab.weights import (ExponentForm, FiniteWeight, PAdicTableWeight, ProductRows, StepFunction,
                            StepWeight, _coprime_base, circle_step_rows, step_products)
 
@@ -93,6 +97,13 @@ def _rows(w, a, n_max):
     return oracle.walk_rows(step_products(w, a, n_max))
 
 
+def _log_bound(form, D, s):
+    """1e-14 times the largest term |s_j / D ln b_j| of the log-sum
+    ``form.log_value(D, s)``: the bound an exact log value keeps against
+    a reference."""
+    return 1e-14 * max((abs(k) / D * log for k, log in zip(s, form.logs.tolist())), default=0.0)
+
+
 def _one_row(values):
     """The values as row 1 of a one-row block."""
     form = ExponentForm(values)
@@ -113,12 +124,16 @@ def test_exponent_form_matches_the_big_integer_oracle(case):
         assert hit == oracle.exact_hit(n, o_points, o_row, den)
     report = log_integral_report(w)
     value, zero = oracle.log_sum(oracle.log_pairs(w))
-    assert (report.value.hex(), report.exact_zero) == (value.hex(), zero)
+    assert report.exact_zero == zero
+    assert abs(report.value - value) <= _log_bound(w.form, *w.form.log_sum())
     if isinstance(w, PAdicTableWeight) and not a.is_zero():
-        cosets = coset_log_integrals(w, a)
+        cosets = coset_log_integrals(qp_reduction(w, a))
         expected = oracle.coset_products(w, a)
-        assert [(c.product, c.value.hex(), c.global_share.hex(), c.is_zero) for c in cosets] == \
-            [(q, v.hex(), s.hex(), q == 1) for q, v, s in expected]
+        assert [(c.product, c.is_zero) for c in cosets] == [(q, q == 1) for q, _, _ in expected]
+        for c, (_, v, share) in zip(cosets, expected):
+            bound = _log_bound(c.form, c.form.log_masses[0], c.exponents)
+            assert abs(c.value - v) <= bound
+            assert abs(c.global_share - share) <= bound / len(cosets)
 
 
 def test_coprime_base_factors_every_value():
@@ -198,14 +213,16 @@ def _step_spec(k):
 
 
 def test_log_sum_at_a_fine_breakpoint(tmp_path):
-    # values 11/9 and 9/11 on [0, 3/10^k) and the rest: the log-sum raises
-    # them to powers of ~10^k; at k = 6 those hold ~4e6 bits
+    # values 11/9 and 9/11 on [0, 3/10^k) and the rest: the oracle raises
+    # them to powers of ~10^k, the library forms none; at k = 6 the oracle's
+    # powers would hold ~4e6 bits
     for k in (4, 5):
         w = StepWeight(StepFunction.of([(interval(0, Fraction(3, 10 ** k), "half_open"), Fraction(11, 9)),
                                         (interval(Fraction(3, 10 ** k), 1, "half_open"), Fraction(9, 11))]))
         value, zero = oracle.log_sum(oracle.log_pairs(w))
         report = log_integral_report(w)
-        assert (report.value.hex(), report.exact_zero) == (value.hex(), zero)
+        assert report.exact_zero == zero
+        assert abs(report.value - value) <= _log_bound(w.form, *w.form.log_sum())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(_step_spec(6)))
     assert main(["validate", "--spec", str(spec), "--task", "hctest"]) == 0
@@ -249,3 +266,84 @@ def test_a_table_of_many_coprime_values_is_rejected():
     assert [d for d in validate(spec, "all") if d.startswith("weight:")] == [
         "weight: the values factor over 669 coprime integers; 6561 entries x 669 exponents "
         "exceed the limit 2^22"]
+
+
+# values whose numerators or denominators run to hundreds of digits: near
+# 1, large, small, and sharing factors with each other and with the pools
+_LARGE = [Fraction(10 ** 1000 + 1, 10 ** 1000), Fraction(10 ** 1000, 10 ** 1000 + 1), Fraction(3 ** 2000, 2 ** 3000),
+          Fraction(1, 7 ** 1100), Fraction(2 ** 3000 - 1), Fraction(12 ** 400, 5 ** 600 + 1)]
+
+
+def _fine_case(rng, i):
+    """Case i of a seeded draw: for even i a circle step weight of 2-5 arcs
+    whose ends have a common denominator 2^e, 3^e or 10^e, cycling e up to
+    1000, some of them only a few units apart; for odd i a table weight on a
+    zp / qp context and an element of valuation below its precision.
+    Values from the pools and ``_LARGE``."""
+    pool = rng.choice(list(POOLS.values())) + rng.sample(_LARGE, rng.randint(1, 3))
+    if i % 2:
+        p = rng.choice([2, 3, 5])
+        window = rng.randint(0, 1)
+        precision = rng.choice([k for k in (1, 2, 3) if p ** (k + window) <= 125])
+        ctx = PAdicContext(p, precision, window)
+        level = rng.choice([lv for lv in range(-window, precision + 1) if p ** (lv + window) <= 27])
+        values = rng.choices(pool, k=p ** (level + window))
+        unit = rng.choice([u for u in range(1, ctx.modulus) if u % p])
+        a = ctx.from_residue(unit * p ** rng.randrange(precision) % ctx.modulus)
+        return PAdicTableWeight(ctx, level, dict(enumerate(values))), a
+    den = [2, 3, 10][i // 2 % 3] ** [1, 3, 40, 300, 330, 700, 1000][i // 6 % 7]
+    k = rng.randint(2, min(5, den))
+    cuts = set()
+    while len(cuts) < k:
+        cuts.add(rng.randint(0, min(20, den - 1)) if rng.random() < 0.3 else rng.randrange(den))
+    cuts = sorted(cuts)
+    values = rng.choices(pool, k=k)
+    w = StepWeight(StepFunction.of(
+        [(interval(Fraction(cuts[j], den), Fraction(cuts[(j + 1) % k], den), "half_open"), values[j])
+         for j in range(k)]))
+    return w, None
+
+
+def _mp_log_mean(pairs):
+    """sum_i m_i ln v_i over (mass, value) pairs in mpmath, 60 digits past
+    the masses' common denominator D, so that cancellation between values
+    leaves 60 digits of every term s_j / D ln b_j; and that precision's
+    error bound."""
+    D = math.lcm(*(Fraction(m).denominator for m, _ in pairs))
+    with mpmath.workdps(60 + len(str(D))):
+        total = mpmath.fsum(mpmath.mpf(Fraction(m).numerator) / Fraction(m).denominator
+                            * (mpmath.log(Fraction(v).numerator) - mpmath.log(Fraction(v).denominator))
+                            for m, v in pairs)
+        return total, mpmath.mpf(10) ** -(50 + len(str(D)))
+
+
+def _assert_near(value, pairs, bound):
+    """``value`` within ``bound`` of the mpmath log-mean of ``pairs``, and
+    of the reference's own error, and of a few subnormal units (a term below
+    2^-1022 is rounded to a multiple of 2^-1074)."""
+    ref, ref_error = _mp_log_mean(pairs)
+    assert abs(mpmath.mpf(value) - ref) <= bound + ref_error + 2.0 ** -1070
+
+
+def test_log_values_of_fine_masses_and_large_values_match_mpmath():
+    # masses over up to 10^1000 raise the oracle's values to powers of
+    # ~10^1000, which it cannot form; the log values need none
+    rng = random.Random(25)
+    for i in range(100):
+        w, a = _fine_case(rng, i)
+        report = log_integral_report(w)
+        _assert_near(report.value, oracle.log_pairs(w), _log_bound(w.form, *w.form.log_sum()))
+        if a is None:
+            continue
+        cosets = coset_log_integrals(qp_reduction(w, a))
+        for c, values in zip(cosets, oracle.coset_values(w, a), strict=True):
+            bound = _log_bound(c.form, c.form.log_masses[0], c.exponents)
+            _assert_near(c.value, [(Fraction(1, len(values)), v) for v in values], bound)
+            mass = Fraction(1, len(values) * len(cosets))
+            _assert_near(c.global_share, [(mass, v) for v in values], bound / len(cosets))
+    # masses 1/2 + 10^-300 and 1/2 - 10^-300 of 2 and 1/2: the pieces' logs
+    # cancel in the exact exponent sum, so 2 10^-300 ln 2 keeps its last bits
+    half = Fraction(1, 2) + Fraction(1, 10 ** 300)
+    w = StepWeight(StepFunction.of([(interval(0, half, "half_open"), Fraction(2)),
+                                    (interval(half, 1, "half_open"), Fraction(1, 2))]))
+    assert math.isclose(log_integral_report(w).value, 2e-300 * math.log(2), rel_tol=1e-15)

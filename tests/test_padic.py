@@ -198,7 +198,7 @@ def test_coset_log_integrals_all_zero():
     ctx = PAdicContext(3, 2)
     table = {0: "2", 3: "1/2", 6: "1", 1: "1", 4: "1", 7: "1", 2: "1", 5: "1", 8: "1"}
     w = PAdicTableWeight(ctx, 2, table)
-    cosets = coset_log_integrals(w, ctx.element(3))
+    cosets = coset_log_integrals(qp_reduction(w, ctx.element(3)))
     assert len(cosets) == 3
     assert all(c.is_zero and c.value == 0.0 for c in cosets)
 
@@ -208,7 +208,7 @@ def test_coset_log_integrals_flagged_perturbation():
     table = {0: Fraction(2) * Fraction(21, 20), 3: "1/2", 6: "1",
              1: "1", 4: "1", 7: "1", 2: "1", 5: "1", 8: "1"}
     w = PAdicTableWeight(ctx, 2, table)
-    cosets = coset_log_integrals(w, ctx.element(3))
+    cosets = coset_log_integrals(qp_reduction(w, ctx.element(3)))
     flagged = [c for c in cosets if not c.is_zero]
     assert len(flagged) == 1
     assert flagged[0].value == pytest.approx(math.log(1.05) / 3, abs=1e-12)
@@ -227,7 +227,7 @@ def test_coset_log_integrals_flagged_perturbation():
 def test_coset_log_integrals_unit_element():
     ctx = PAdicContext(3, 2)
     w = three_coset_weight(ctx)
-    cosets = coset_log_integrals(w, ctx.element(1))  # k = 0: one coset, all of the ring
+    cosets = coset_log_integrals(qp_reduction(w, ctx.element(1)))  # k = 0: one coset, all of the ring
     assert len(cosets) == 1
     assert cosets[0].is_zero  # 2 * 1/2 * 1 = 1
 
@@ -251,7 +251,8 @@ def test_coset_log_integrals_are_the_coset_problems_log_sums():
         size = p ** (level + window)
         w = PAdicTableWeight(ctx, level, {r: rng.choice(("1/2", "1", "2")) for r in range(size)})
         a = ctx.element(Fraction(value))
-        cosets, problems = coset_log_integrals(w, a), qp_reduction(w, a)
+        problems = qp_reduction(w, a)
+        cosets = coset_log_integrals(problems)
         assert len(cosets) == len(problems) == p ** (a.valuation() + window)
         for c, prob in zip(cosets, problems):
             res = log_integral_report(prob.weight)
@@ -388,7 +389,7 @@ def test_qp_reduction_coset_integrals_match_global():
     ctx = PAdicContext(3, 2, window=1)
     w = random_table(rng, ctx, 2)
     a = ctx.element(3)
-    cosets = coset_log_integrals(w, a)
+    cosets = coset_log_integrals(qp_reduction(w, a))
     prod = Fraction(1)
     for c in cosets:
         prod *= c.product
@@ -407,7 +408,7 @@ def test_coset_integrals_can_cancel_globally():
     table = {0: "2", 3: "2", 6: "2", 1: "1/2", 4: "1/2", 7: "1/2",
              2: "1", 5: "1", 8: "1"}
     w = PAdicTableWeight(ctx, 2, table)
-    cosets = coset_log_integrals(w, ctx.element(3))
+    cosets = coset_log_integrals(qp_reduction(w, ctx.element(3)))
     global_prod = Fraction(1)
     for c in cosets:
         global_prod *= c.product
