@@ -119,20 +119,21 @@ def test_validate_bounds_padic_residues(tmp_path, capsys):
     assert validate(payload, "equidist") == []
 
 
-def test_fine_step_masses_validate_and_run(tmp_path):
-    # masses with denominators 2^21, 2^21 + 1, 5 * 10^7 and 10^1000: the
-    # exact log-sum's value is formed from the exponent sum alone, so none
-    # of them is too fine
-    for i, breakpoint in enumerate([f"1/{2 ** 21}", f"1/{2 ** 21 + 1}", "0.33333334", "1e-1000"]):
-        spec = write_spec(tmp_path, _probe(_STEP, ("weight", "step"), _split_step(breakpoint)), f"s{i}.json")
-        assert main(["validate", "--spec", spec, "--task", "hctest"]) == 0
-        out = tmp_path / f"out{i}"
-        assert main(["hctest", "--spec", spec, "--out-dir", str(out)]) == 0
-        log = json.loads((out / "report.json").read_text())["results"]["hctest"]["log_integral"]
-        mass = Fraction(breakpoint)
-        # 2 on the breakpoint's mass and 1/2 on the rest
-        assert log["exact_zero"] is False
-        assert math.isclose(log["value"], float(2 * mass - 1) * math.log(2), rel_tol=1e-15)
+# masses with denominators 2^21, 2^21 + 1, 5 * 10^7 and 10^1000: the exact
+# log-sum's value is formed from the exponent sum alone, so none of them is
+# too fine
+@pytest.mark.parametrize("breakpoint", [f"1/{2 ** 21}", f"1/{2 ** 21 + 1}", "0.33333334", "1e-1000"],
+                         ids=["2^21", "2^21+1", "0.33333334", "1e-1000"])
+def test_fine_step_masses_validate_and_run(tmp_path, breakpoint):
+    spec = write_spec(tmp_path, _probe(_STEP, ("weight", "step"), _split_step(breakpoint)))
+    assert main(["validate", "--spec", spec, "--task", "hctest"]) == 0
+    out = tmp_path / "out"
+    assert main(["hctest", "--spec", spec, "--out-dir", str(out)]) == 0
+    log = json.loads((out / "report.json").read_text())["results"]["hctest"]["log_integral"]
+    mass = Fraction(breakpoint)
+    # 2 on the breakpoint's mass and 1/2 on the rest
+    assert log["exact_zero"] is False
+    assert math.isclose(log["value"], float(2 * mass - 1) * math.log(2), rel_tol=1e-15)
 
 
 def _probe(base, path, value):
