@@ -19,7 +19,8 @@ Finite groups and p-adic contexts are enumerable and share one surface:
 ``mul``, ``inv``, ``power`` and ``element_order``; a p-adic context writes
 them additively (``+``, negation, ``scalar_mul``).  Whatever exhausts a
 group -- ``OrbitSequence.residue_support``, ``equidist.sup_deviation``, the
-operator on ``weights.DiscretizedFunction`` -- is one path over that
+operator on ``weights.DiscretizedFunction`` and the n-step reference it is
+checked against (``weights.apply_operator``) -- is one path over that
 surface.  ``equidist`` exhausts the coarsest context that resolves the set
 it counts (``BallSet.resolved``): a ball set of finest level j reads only
 residues mod p^(j + window), so its counts run on ``PAdicContext(p,

@@ -43,18 +43,12 @@ from .report import (
     VerdictReport,
 )
 from .weights import (
-    CircleGrid,
     DiscretizedFunction,
     ExprWeight,
-    FiniteWeight,
-    PAdicTableWeight,
     StepFunction,
-    StepWeight,
     Weight,
-    _grid_shift,
+    _weighted_shift,
     apply_operator,
-    circle_step_rows,
-    step_products,
     weight_product,
 )
 
@@ -99,17 +93,8 @@ def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction, 
     iterated = f
     for _ in range(n):
         iterated = apply_operator(w, a, iterated, mode=mode)
-
-    domain = f.domain
-    if isinstance(domain, CircleGrid):
-        shift, M = n * _grid_shift(domain, a, mode), len(domain)
-        vals = (weight_product(w, a, n, CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M]
-                for i in range(M))
-    else:
-        back = domain.inv(domain.power(a, n))
-        vals = (weight_product(w, a, n, x) * f.values[domain.index(domain.mul(x, back))]
-                for x in domain.elements())
-    return iterated.sup_diff(DiscretizedFunction(domain, tuple(vals)))
+    # w_n(x) f(x a^-n), on the operator's own domain path
+    return iterated.sup_diff(_weighted_shift(lambda x: weight_product(w, a, n, x), a, n, f, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +400,7 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
                 yield MonotoneHit(n, None, False, False, lo, hi)
                 continue
             if log_lip is None:
-                d = w.expr.derivative()
-                dv = np.abs(np.asarray(d(xs), dtype=float))
+                dv = np.abs(w.slope_angles(xs))
                 wv = np.asarray(w.eval_angles(xs), dtype=float)
                 log_lip = 2.0 * float(np.max(dv / wv))
             up = mn >= 0.0
@@ -429,29 +413,23 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
 
 
 def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
-    """(monotone row, U/L row or None) for n = 1, 2, ...  An exact weight's
-    rows come in blocks, each a ``ProductRows``: ``circle_step_rows`` for a
-    step weight, ``step_products`` for a finite weight and a p-adic table
-    weight, whose ``padic.ULRow`` for n <= ul_n_max is read from the same
-    row's codes as its monotone row; ``ul_n_max`` is 0 but on an unwindowed
-    p-adic context.  Each row's monotone row is read from its block's
-    ``ProductRows.extremes``; a one-sided row's witness is a one-item
-    sequence: the lazy ``equidist.Translates`` of its first entry at the
-    extreme on the circle, the entry's index on a table.  The first block of
-    rows ends at max(horizon, ul_n_max).  Nothing runs before the first
-    read."""
+    """(monotone row, U/L row or None) for n = 1, 2, ...  An expression
+    weight's rows are float log sums on the grid (``_expr_rows``).  An exact
+    weight yields its own rows, in blocks of ``(points, ProductRows)``
+    (``Weight.product_rows``); on a p-adic table weight the ``padic.ULRow``
+    for n <= ul_n_max is read from the same row's codes as its monotone row,
+    and ``ul_n_max`` is 0 but on an unwindowed p-adic context.  Each row's
+    monotone row is read from its block's ``ProductRows.extremes``; a
+    one-sided row's witness is the one-item sequence ``points(b, [entry])``
+    of its first entry at the extreme: the lazy ``equidist.Translates`` of
+    it on the circle, the entry's index on a table.  The first block of rows
+    ends at max(horizon, ul_n_max).  Nothing runs before the first read."""
     horizon = max(horizon, ul_n_max)
-    if isinstance(w, ExprWeight):
+    if w.form is None:
         yield from ((hit, None) for hit in _expr_rows(w, a, grid_points, horizon))
         return
-    if isinstance(w, StepWeight):
-        blocks = circle_step_rows(w, a, horizon)
-    elif isinstance(w, (PAdicTableWeight, FiniteWeight)):
-        blocks = ((lambda b, entries: entries, rows) for rows in step_products(w, a, horizon))
-    else:
-        raise TypeError(f"unsupported weight {w!r}")
     n = 0
-    for points, rows in blocks:
+    for points, rows in w.product_rows(a, horizon):
         for b, (lo, hi, lo_sign, hi_sign, lo_value, hi_value) in enumerate(rows.extremes):
             n += 1
             if lo_sign >= 0 or hi_sign <= 0:

@@ -443,7 +443,7 @@ def multiplication_weight(w: PAdicTableWeight, a: PAdicNumber) -> PAdicTableWeig
     level = min(max(w.level - v, 0), ctx.precision)
     p = ctx.prime
     table = {
-        s: w.rational_at(ctx.from_residue((a.residue * s) % ctx.modulus))
+        s: w.value_at(ctx.from_residue((a.residue * s) % ctx.modulus))
         for s in range(p ** level)
     }
     return PAdicTableWeight(ctx, level, table, w.declared_locally_constant)

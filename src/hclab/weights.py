@@ -406,19 +406,101 @@ class ProductRows:
 
 
 # ---------------------------------------------------------------------------
+# the exact weights' n-step product rows
+
+
+def _entries(b: int, entries):
+    """``points(b, entries)`` of a table block: an entry is its own point."""
+    return entries
+
+
+def step_products(w: Weight, a, horizon: int = 1) -> Iterator[tuple[Callable, ProductRows]]:
+    """Yield the n-step products w_n of a finite or p-adic table weight,
+    n = 1, 2, ..., over the whole table at once, as one ``(points, rows)``
+    per block of rows: ``FiniteWeight.product_rows`` and
+    ``PAdicTableWeight.product_rows``.  A row is indexed as the table is (by
+    group element, or by the residues r mod p^(level+window) that a p-adic
+    table resolves), and an entry is its own point.
+
+    Row n holds the weight's exponent vectors summed along the orbit,
+    row_n[x] = E[x] + row_{n-1}[x a^-1], with x a^-t, t = 0..B, read from the
+    weight's ``orbit_index(a, B)``; so entries grow by n max|e| and no
+    integer is formed.  The first block ends at row ``horizon`` and each
+    later one is as long as the walk so far, at most ``BLOCK_ENTRIES``
+    exponents each: a block is cumulative sums of E read along the orbit.
+    """
+    E = w.form.exponents
+    cap = max(1, BLOCK_ENTRIES // max(1, E.size))
+    last, n0, B = np.zeros_like(E), 0, horizon
+    while True:
+        B = max(1, min(B, cap))
+        idx = w.orbit_index(a, B)
+        block = np.cumsum(E[idx[:-1]], axis=0)
+        block += last[idx[1:]]
+        yield _entries, ProductRows(w.form, block.reshape(B * len(E), E.shape[1]), n0, np.arange(B + 1) * len(E))
+        last, n0, B = block[-1], n0 + B, n0 + B
+
+
+def circle_step_rows(w: StepWeight, a: CircleElement,
+                     horizon: int = 1) -> Iterator[tuple[Callable, ProductRows]]:
+    """Yield the n-step products of a circle step weight, n = 1, 2, ..., as
+    one ``(points, rows)`` per block of rows: ``StepWeight.product_rows``.
+    Row b of the ``ProductRows`` ``rows`` holds w_n(x) = prod_i
+    alpha_i^(c_i(x)) for n = rows.n0 + 1 + b, where c_i(x) counts the
+    product orbit x, x-a, ..., x-(n-1)a inside piece i, at some translates
+    x: ``points(b, entries)`` is the lazy ``equidist.Translates`` whose item
+    k is the translate of the row's entry entries[k].
+
+    The blocks come from ``equidist.sweep_blocks``, the first ending at row
+    ``horizon``, each from one arrangement of the events of every term it
+    reaches, with the pieces' boundaries prepared once for the walk
+    (``equidist.Boundaries``).  A row keeps one entry per distinct count
+    vector, at the first of row n's candidates that has it, in increasing
+    translate order over [0, 1): the first entry reaching any value is at
+    the first translate reaching it, an exact event position or cell
+    midpoint of the n-point orbit.  One sort finds them for a whole block
+    (``SweepBlock.distinct_firsts``), whose rows are ``counts @ E`` for the
+    pieces' exponent vectors E (``ExponentForm``).  A ``Translates`` holds no
+    block: no row's ``Sweep`` and no translate is computed before one is
+    read.
+    """
+    pieces = [E for E, _ in w.step.pieces]
+    bounds = Boundaries.prepare(a.value.denominator, *pieces)
+    seq, n0 = OrbitSequence(CIRCLE, a), 0
+    for block in sweep_blocks(bounds, seq, horizon):
+        firsts, ends = block.distinct_firsts()
+        rows = ProductRows(w.form, block.counts[firsts] @ w.form.exponents, n0, ends)
+        # every entry's first candidate, as a candidate of its row's own sweep
+        local = firsts - block.offsets[rows.row_of]
+        yield _translates_of(bounds, seq, rows, local), rows
+        n0 += len(rows)
+
+
+def _translates_of(bounds: Boundaries, seq: OrbitSequence, rows: ProductRows, local: np.ndarray) -> Callable:
+    """``points(b, entries)`` of a ``circle_step_rows`` block."""
+    def points(b: int, entries) -> Translates:
+        return Translates(bounds, seq, rows.n0 + 1 + b, [int(local[rows.starts[b] + i]) for i in entries])
+    return points
+
+
+# ---------------------------------------------------------------------------
 # weights
 
 
 class Weight:
-    """Shared surface of the weight families.  ``form`` is the
-    ``ExponentForm`` of a step, finite or table weight's values, whose
-    values are all rational, so that products and the log-integral are
-    exact; None for an expression weight."""
+    """Shared surface of the weight families.  ``value_at`` is the weight's
+    own number at a point: the exact ``Fraction`` of a step, finite or table
+    weight, a float for an expression weight.  ``form`` is the
+    ``ExponentForm`` of an exact weight's values, so that products and the
+    log-integral are exact, and such a weight yields its own n-step product
+    rows: ``product_rows(a, horizon)`` gives n = 1, 2, ... as one ``(points,
+    ProductRows)`` per block, ``points(b, entries)`` the points of row b's
+    entries.  An expression weight has no rows, and its ``form`` is None."""
 
     group: object
     form: ExponentForm | None = None
 
-    def value_at(self, x) -> float:
+    def value_at(self, x):
         raise NotImplementedError
 
     def translate(self, shift) -> "Weight":
@@ -452,14 +534,23 @@ class ExprWeight(Weight):
         if float(vals.min()) - margin <= 0:
             raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
 
-    def eval_angles(self, t, out=None):
-        """w at the angles t.  The translated angles are reduced mod 1 in one
-        array, ``out`` when given (it may be t itself), and the expression
-        is evaluated over it (``Expr.__call__``'s ``_owned``), so the value
-        is that array when the expression reads x once."""
+    def _angles(self, t, out=None) -> np.ndarray:
+        """The expression's own angles for the weight's angles t: t plus the
+        offset, reduced mod 1 in one array, ``out`` when given (it may be t
+        itself)."""
         t = np.asarray(t, dtype=float)
         x = np.add(t, float(self._offset), out=np.empty(t.shape) if out is None else out)
-        return self.expr(_frac(x, out=x), _owned=True)
+        return _frac(x, out=x)
+
+    def eval_angles(self, t, out=None):
+        """w at the angles t.  The expression is evaluated over the array of
+        ``_angles`` (``Expr.__call__``'s ``_owned``), so the value is that
+        array when the expression reads x once."""
+        return self.expr(self._angles(t, out), _owned=True)
+
+    def slope_angles(self, t) -> np.ndarray:
+        """w' at the angles t, read at the same angles as ``eval_angles``."""
+        return np.asarray(self.expr.derivative()(self._angles(t)), dtype=float)
 
     def value_at(self, x) -> float:
         t = float(getattr(x, "value", x))
@@ -467,13 +558,8 @@ class ExprWeight(Weight):
 
     def lipschitz_bound(self, grid_points: int = EXPR_GRID_POINTS) -> float:
         """Grid estimate of sup |w'|, padded by a factor 2."""
-        try:
-            d = self.expr.derivative()
-        except Exception:
-            return math.inf
-        xs = _frac((np.arange(grid_points) + 0.5) / grid_points + float(self._offset))
-        vals = np.abs(np.asarray(d(xs), dtype=float))
-        return 2.0 * float(np.max(vals))
+        xs = (np.arange(grid_points) + 0.5) / grid_points
+        return 2.0 * float(np.max(np.abs(self.slope_angles(xs))))
 
     def translate(self, shift) -> "ExprWeight":
         delta = getattr(shift, "value", None)
@@ -501,11 +587,10 @@ class StepWeight(Weight):
         self.step = step
         self.form = ExponentForm([v for _, v in step.pieces], [E.measure() for E, _ in step.pieces])
 
-    def value_at(self, x) -> float:
-        return float(self.step.value_at(getattr(x, "value", x)))
-
-    def rational_at(self, x) -> Fraction:
+    def value_at(self, x) -> Fraction:
         return self.step.value_at(getattr(x, "value", x))
+
+    product_rows = circle_step_rows
 
     def translate(self, shift) -> "StepWeight":
         delta = getattr(shift, "value", None)
@@ -532,11 +617,21 @@ class FiniteWeight(Weight):
         self.values = vals
         self.form = ExponentForm(vals)
 
-    def value_at(self, x) -> float:
-        return float(self.values[int(x)])
-
-    def rational_at(self, x) -> Fraction:
+    def value_at(self, x) -> Fraction:
         return self.values[int(x)]
+
+    def orbit_index(self, a: int, B: int) -> np.ndarray:
+        """The elements x a^-t, t = 0..B, one row per t, by the permutation
+        x -> x a^-1."""
+        g = self.group
+        a_inv = g.inv(a)
+        back = np.array([g.mul(x, a_inv) for x in g.elements()], dtype=np.intp)
+        out = [np.arange(len(back))]
+        for _ in range(B):
+            out.append(back[out[-1]])
+        return np.array(out)
+
+    product_rows = step_products
 
     def translate(self, shift: int) -> "FiniteWeight":
         g = self.group
@@ -594,11 +689,17 @@ class PAdicTableWeight(Weight):
             raise ContextMismatch(f"{x.context.name} vs {self.context.name}")
         return x.residue % self._size
 
-    def rational_at(self, x) -> Fraction:
+    def value_at(self, x) -> Fraction:
         return self.table[self.key_of(x)]
 
-    def value_at(self, x) -> float:
-        return float(self.rational_at(x))
+    def orbit_index(self, a: PAdicNumber, B: int) -> np.ndarray:
+        """The residues of x - t a mod the table's size, t = 0..B, one row
+        per t."""
+        if a.context != self.context:
+            raise ContextMismatch(f"{a.context.name} vs {self.context.name}")
+        return (np.arange(self._size) - np.arange(B + 1)[:, None] * a.residue) % self._size
+
+    product_rows = step_products
 
     def translate(self, shift: PAdicNumber) -> "PAdicTableWeight":
         moved = {
@@ -679,108 +780,19 @@ class DiscretizedFunction:
 
 
 def weight_product(w: Weight, a, n: int, x):
-    """The n-step product w(x) w(x a^-1) ... w(x a^-(n-1)): an exact
-    Fraction for a step, finite or table weight, a float for an expression
-    weight.
+    """The n-step product w(x) w(x a^-1) ... w(x a^-(n-1)) of the weight's
+    ``value_at``: an exact Fraction for a step, finite or table weight, a
+    float for an expression weight.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     from .families import family  # the families build on this module
     group = w.group
-    x = family(group).as_element(group, x)
-    value = w.value_at if w.form is None else w.rational_at
-    acc = 1.0 if w.form is None else Fraction(1)
-    y, back = x, group.inv(a)
+    acc, y, back = 1, family(group).as_element(group, x), group.inv(a)
     for _ in range(n):
-        acc *= value(y)
+        acc *= w.value_at(y)
         y = group.mul(y, back)
     return acc
-
-
-def step_products(w: Weight, a, horizon: int = 1) -> Iterator[ProductRows]:
-    """Yield the n-step products w_n of an exact table weight, n = 1, 2, ...,
-    over the whole table at once, as one ``ProductRows`` per block of rows.
-
-    For a ``PAdicTableWeight`` a row is indexed by the residues r mod
-    p^(level+window) that the table resolves (w_n(x) is entry
-    x.residue % size); for a ``FiniteWeight`` it is indexed by group element.
-    Row n holds the weight's exponent vectors summed along the orbit,
-    row_n[x] = E[x] + row_{n-1}[x a^-1], so entries grow by n max|e| and no
-    integer is formed.  The first block ends at row ``horizon`` and each
-    later one is as long as the walk so far, at most ``BLOCK_ENTRIES``
-    exponents each: a block is cumulative sums of E read along the orbit.
-    Circle step weights have their own blocks, ``circle_step_rows``.
-    """
-    if isinstance(w, PAdicTableWeight):
-        if a.context != w.context:
-            raise ContextMismatch(f"{a.context.name} vs {w.context.name}")
-
-        def orbit(B):  # x - t a for t = 0..B
-            return (np.arange(w._size) - np.arange(B + 1)[:, None] * a.residue) % w._size
-    elif isinstance(w, FiniteWeight):
-        g = w.group
-        a_inv = g.inv(a)
-        back = np.array([g.mul(x, a_inv) for x in g.elements()], dtype=np.intp)
-
-        def orbit(B):  # x a^-t for t = 0..B
-            out = [np.arange(len(back))]
-            for _ in range(B):
-                out.append(back[out[-1]])
-            return np.array(out)
-    else:
-        raise TypeError(f"step_products needs a table or finite weight, got {w!r}")
-    E = w.form.exponents
-    cap = max(1, BLOCK_ENTRIES // max(1, E.size))
-    last, n0, B = np.zeros_like(E), 0, horizon
-    while True:
-        B = max(1, min(B, cap))
-        idx = orbit(B)
-        block = np.cumsum(E[idx[:-1]], axis=0)
-        block += last[idx[1:]]
-        yield ProductRows(w.form, block.reshape(B * len(E), E.shape[1]), n0, np.arange(B + 1) * len(E))
-        last, n0, B = block[-1], n0 + B, n0 + B
-
-
-def circle_step_rows(w: StepWeight, a: CircleElement,
-                     horizon: int = 1) -> Iterator[tuple[Callable, ProductRows]]:
-    """Yield the n-step products of a circle step weight, n = 1, 2, ..., as
-    one ``(points, rows)`` per block of rows.  Row b of the ``ProductRows``
-    ``rows`` holds w_n(x) = prod_i alpha_i^(c_i(x)) for n = rows.n0 + 1 + b,
-    where c_i(x) counts the product orbit x, x-a, ..., x-(n-1)a inside piece
-    i, at some translates x: ``points(b, entries)`` is the lazy
-    ``equidist.Translates`` whose item k is the translate of the row's entry
-    entries[k].
-
-    The blocks come from ``equidist.sweep_blocks``, the first ending at row
-    ``horizon``, each from one arrangement of the events of every term it
-    reaches, with the pieces' boundaries prepared once for the walk
-    (``equidist.Boundaries``).  A row keeps one entry per distinct count
-    vector, at the first of row n's candidates that has it, in increasing
-    translate order over [0, 1): the first entry reaching any value is at
-    the first translate reaching it, an exact event position or cell
-    midpoint of the n-point orbit.  One sort finds them for a whole block
-    (``SweepBlock.distinct_firsts``), whose rows are ``counts @ E`` for the
-    pieces' exponent vectors E (``ExponentForm``).  A ``Translates`` holds no
-    block: no row's ``Sweep`` and no translate is computed before one is
-    read.
-    """
-    pieces = [E for E, _ in w.step.pieces]
-    bounds = Boundaries.prepare(a.value.denominator, *pieces)
-    seq, n0 = OrbitSequence(CIRCLE, a), 0
-    for block in sweep_blocks(bounds, seq, horizon):
-        firsts, ends = block.distinct_firsts()
-        rows = ProductRows(w.form, block.counts[firsts] @ w.form.exponents, n0, ends)
-        # every entry's first candidate, as a candidate of its row's own sweep
-        local = firsts - block.offsets[rows.row_of]
-        yield _translates_of(bounds, seq, rows, local), rows
-        n0 += len(rows)
-
-
-def _translates_of(bounds: Boundaries, seq: OrbitSequence, rows: ProductRows, local: np.ndarray) -> Callable:
-    """``points(b, entries)`` of a ``circle_step_rows`` block."""
-    def points(b: int, entries) -> Translates:
-        return Translates(bounds, seq, rows.n0 + 1 + b, [int(local[rows.starts[b] + i]) for i in entries])
-    return points
 
 
 def _grid_shift(domain: CircleGrid, a: CircleElement, mode: str) -> int:
@@ -795,18 +807,26 @@ def _grid_shift(domain: CircleGrid, a: CircleElement, mode: str) -> int:
     )
 
 
+def _weighted_shift(value: Callable, a, n: int, f: DiscretizedFunction, mode: str) -> DiscretizedFunction:
+    """x -> value(x) f(x a^-n) on f's domain.  On a circle grid the index
+    shift is n times the one that realizes a (``_grid_shift``), so "nearest"
+    snaps a once, not a^n."""
+    domain = f.domain
+    if isinstance(domain, CircleGrid):
+        shift, M = n * _grid_shift(domain, a, mode), len(domain)
+        vals = (value(CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M] for i in range(M))
+    else:
+        back = domain.inv(domain.power(a, n))
+        vals = (value(x) * f.values[domain.index(domain.mul(x, back))] for x in domain.elements())
+    return DiscretizedFunction(domain, tuple(vals))
+
+
 def apply_operator(w: Weight, a, f: DiscretizedFunction, mode: str = "strict") -> DiscretizedFunction:
-    """The weighted translation operator: (T f)(x) = w(x) f(x a^-1).
+    """The weighted translation operator: (T f)(x) = w(x) f(x a^-1), with
+    the weight's own ``value_at``, so exact weights keep rational functions
+    exact.
 
     ``mode`` governs circle grids when the rotation is not a multiple of the
     grid spacing: "strict" raises GridMismatch, "nearest" snaps.
     """
-    domain = f.domain
-    value = w.value_at if w.form is None else w.rational_at
-    if isinstance(domain, CircleGrid):
-        shift, M = _grid_shift(domain, a, mode), len(domain)
-        vals = (value(CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M] for i in range(M))
-    else:
-        back = domain.inv(a)
-        vals = (value(x) * f.values[domain.index(domain.mul(x, back))] for x in domain.elements())
-    return DiscretizedFunction(domain, tuple(vals))
+    return _weighted_shift(w.value_at, a, 1, f, mode)

@@ -86,12 +86,11 @@ def exact_hit(n, points, values, den):
 
 def walk_rows(blocks):
     """The rows of a walk's blocks, n = 1, 2, ...: (n, points, codes,
-    values) per row, read from its block (a ``weights.step_products``
-    ``ProductRows``, or a ``weights.circle_step_rows`` ``(points, rows)``):
-    the lazy translates of its entries on the circle, their indices on a
-    table, its bytes against 1 and its exact values."""
-    for block in blocks:
-        points, rows = block if isinstance(block, tuple) else (lambda b, entries: entries, block)
+    values) per row, read from its block (a ``(points, rows)`` of an exact
+    weight's ``product_rows``): the lazy translates of its entries on the
+    circle, their indices on a table, its bytes against 1 and its exact
+    values."""
+    for points, rows in blocks:
         for b, (start, stop) in enumerate(zip(rows.starts, rows.starts[1:])):
             yield (rows.n0 + 1 + b, points(b, range(stop - start)), rows.codes[start:stop],
                    [rows.form.value(e) for e in rows.exponents[start:stop]])
@@ -135,7 +134,7 @@ def coset_values(w, a):
     p, m, k = ctx.prime, ctx.window, a.valuation()
     level = max(w.level, k)
     step = p ** (k + m)
-    return [[w.rational_at(ctx.from_residue(b + t * step)) for t in range(p ** (level - k))]
+    return [[w.value_at(ctx.from_residue(b + t * step)) for t in range(p ** (level - k))]
             for b in range(step)]
 
 

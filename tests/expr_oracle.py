@@ -40,9 +40,14 @@ def evaluate(node, x):
     return _FUNCTIONS[node.name](evaluate(node.arg, x))
 
 
+def angles(w, t):
+    """The angles of w's expression at the ``ExprWeight`` w's angles t."""
+    return np.mod(np.asarray(t, dtype=float) + float(w._offset), 1.0)
+
+
 def weight_at(w, t):
     """The ``ExprWeight`` w at angles t."""
-    return evaluate(w.expr, np.mod(np.asarray(t, dtype=float) + float(w._offset), 1.0))
+    return evaluate(w.expr, angles(w, t))
 
 
 def mod1(y):
@@ -52,8 +57,8 @@ def mod1(y):
 
 
 def log_lipschitz(w, xs):
-    """Twice the grid maximum of |w'| / w."""
-    dv = np.abs(np.asarray(evaluate(w.expr.derivative(), xs), dtype=float))
+    """Twice the grid maximum of |w'| / w, both read at w's own angles."""
+    dv = np.abs(np.asarray(evaluate(w.expr.derivative(), angles(w, xs)), dtype=float))
     wv = np.asarray(weight_at(w, xs), dtype=float)
     return 2.0 * float(np.max(dv / wv))
 

@@ -14,7 +14,7 @@ import exact_oracle
 from hclab.cli import TASKS, _atomic_write, _write_csv, main, parse_spec, run, validate
 from hclab.families import MAX_LITERAL_DIGITS
 from hclab.hctest import VerdictConfig, monotone_rows, verdict
-from hclab.weights import ExprWeight
+from hclab.weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepWeight
 
 GOLDEN_ANGLE = 0.6180339887498949
 
@@ -306,7 +306,7 @@ def test_a_json_integer_past_the_digit_limit_is_a_read_error(tmp_path, capsys):
 def test_parse_spec_resolves_objects():
     spec, diags = parse_spec(three_coset_spec(), "padic")
     assert diags == []
-    assert spec.weight.rational_at(spec.group.element(4)) == spec.weight.table[1]
+    assert spec.weight.value_at(spec.group.element(4)) == spec.weight.table[1]
     assert spec.spec_hash == spec.spec_hash  # stable
 
 
@@ -582,9 +582,6 @@ _STEP_HALVES = circle_spec(weight={"step": [[[["0", "1/2"], "half_open"], "2"],
                                             (_STEP_HALVES, "circle_step_rows")])
 def test_all_starts_one_row_walk(tmp_path, monkeypatch, payload, source):
     # the verdict's rules, scan.csv and ul_witness.csv all read one walk
-    import hclab.hctest
-    import hclab.padic
-
     starts = []
 
     def counted(rows):
@@ -593,10 +590,8 @@ def test_all_starts_one_row_walk(tmp_path, monkeypatch, payload, source):
             return rows(*args)
         return start
 
-    for module in (hclab.hctest, hclab.padic):
-        for name in ("step_products", "circle_step_rows"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for cls in (StepWeight, FiniteWeight, PAdicTableWeight):
+        monkeypatch.setattr(cls, "product_rows", counted(cls.product_rows))
     out = tmp_path / "all"
     assert main(["all", "--spec", write_spec(tmp_path, payload), "--out-dir", str(out)]) == 0
     assert starts == [source]

@@ -26,7 +26,7 @@ from hclab.groups import CIRCLE, PAdicContext, catalog
 from hclab.hctest import log_integral_report, monotone_rows
 from hclab.padic import coset_log_integrals, qp_reduction
 from hclab.weights import (ExponentForm, FiniteWeight, PAdicTableWeight, ProductRows, StepFunction,
-                           StepWeight, _coprime_base, circle_step_rows, step_products)
+                           StepWeight, _coprime_base)
 
 NEAR_ONE = Fraction(10 ** 15 + 1, 10 ** 15)
 POOLS = {
@@ -92,9 +92,7 @@ def _oracle_rows(w, a, n_max):
 
 
 def _rows(w, a, n_max):
-    if isinstance(w, StepWeight):
-        return oracle.walk_rows(circle_step_rows(w, a, n_max))
-    return oracle.walk_rows(step_products(w, a, n_max))
+    return oracle.walk_rows(w.product_rows(a, n_max))
 
 
 def _log_bound(form, D, s):

@@ -1,4 +1,5 @@
-"""The family objects: the one lookup that tells group classes apart."""
+"""The family objects: the one lookup that tells group classes apart; and
+the weights, which alone tell weight classes apart."""
 
 import ast
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hclab.hctest import verdict
 from hclab.weights import Weight
 
 _GROUP_CLASSES = {"CircleGroup", "FiniteGroup", "PAdicContext"}
+_WEIGHT_CLASSES = {"Weight", "ExprWeight", "StepWeight", "FiniteWeight", "PAdicTableWeight"}
 
 
 def _names(node) -> set[str]:
@@ -28,19 +30,32 @@ def _names(node) -> set[str]:
     return set()
 
 
+def class_tests(tree: ast.AST, classes: set[str]) -> list[int]:
+    """The lines under ``tree`` that test a value against ``classes``: an
+    isinstance against one of them, or an identity test against one."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2 and _names(node.args[1]) & classes):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+              and set().union(*map(_names, [node.left, *node.comparators])) & classes):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
 def family_tests(source: str) -> list[int]:
     """The lines of ``source`` that test a group's family themselves: an
     isinstance against a group class, or an identity test against CIRCLE
     or a group class."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
-                and len(node.args) == 2 and _names(node.args[1]) & _GROUP_CLASSES):
-            lines.append(node.lineno)
-        elif (isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-              and set().union(*map(_names, [node.left, *node.comparators])) & (_GROUP_CLASSES | {"CIRCLE"})):
-            lines.append(node.lineno)
-    return sorted(set(lines))
+    return class_tests(ast.parse(source), _GROUP_CLASSES | {"CIRCLE"})
+
+
+def module_function_tests(tree: ast.Module, classes: set[str]) -> list[int]:
+    """``class_tests`` inside the module-level functions of ``tree`` only: a
+    method may test a value against its own class."""
+    return sorted(line for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for line in class_tests(node, classes))
 
 
 def test_only_the_family_lookup_tells_group_classes_apart():
@@ -64,6 +79,33 @@ def test_the_guard_sees_each_kind_of_family_test():
         "g == CIRCLE",
     ])
     assert family_tests(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_only_the_weights_tell_weight_classes_apart():
+    # the walk, the products and the operator read a weight through its own
+    # value_at and product_rows; the circle grid's domain path is the
+    # operator's, in weights
+    package = Path(hclab.__file__).parent
+    hctest = ast.parse((package / "hctest.py").read_text())
+    weights = ast.parse((package / "weights.py").read_text())
+    assert class_tests(hctest, _WEIGHT_CLASSES | {"CircleGrid"}) == []
+    assert module_function_tests(weights, _WEIGHT_CLASSES) == []
+
+
+def test_the_guard_sees_each_kind_of_weight_test():
+    tree = ast.parse("\n".join([
+        "def rows(w, d, x):",
+        "    isinstance(w, StepWeight)",
+        "    isinstance(w, (weights.FiniteWeight, int))",
+        "    type(w) is not PAdicTableWeight",
+        "    isinstance(d, CircleGrid)",
+        "    isinstance(x, CircleElement)",
+        "class StepWeight(Weight):",
+        "    def __eq__(self, other):",
+        "        return isinstance(other, ExprWeight | Weight)",
+    ]))
+    assert class_tests(tree, _WEIGHT_CLASSES | {"CircleGrid"}) == [2, 3, 4, 5, 9]
+    assert module_function_tests(tree, _WEIGHT_CLASSES) == [2, 3, 4]
 
 
 def test_a_group_without_a_family_is_rejected_by_the_lookup():

@@ -16,7 +16,7 @@ import expr_oracle
 from hclab import weights
 from hclab.borel import interval
 from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock, Translates
-from hclab.groups import CIRCLE, PAdicContext, catalog
+from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
 from hclab.hctest import MonotoneHit, log_integral_report, monotone_power_scan, monotone_rows
 from hclab.weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
@@ -109,6 +109,22 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
         got = list(itertools.islice(monotone_rows(w, a, grid_points, horizon), n))
         assert got == list(itertools.islice(expr_oracle.monotone_rows(w, a, grid_points), n)), w
     assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
+
+
+@pytest.mark.parametrize("scale, certified", [("1.406729", False), ("1.406732", True)])
+def test_expr_margin_is_translation_invariant(scale, certified):
+    # row 1's log gap sits just below, or just above, one margin 2 max|w'/w|
+    # / (2 * 1024); a translate by k/1024 permutes the grid's values of w and
+    # of w', so its row 1 reads the same.  A margin that read w' at the bare
+    # grid would be 11.42, not 12.17, on the translate by 1/4
+    w = ExprWeight(f"{scale} * (1.1 + sin(2*pi*x) * sin(2*pi*x) * cos(2*pi*x))")
+    a = CIRCLE.from_float(0.3)
+    keys = ("n", "direction", "strict", "certified", "min_value", "max_value")
+    first = next(monotone_rows(w, a, 1024))
+    assert first.direction == ">=1" and first.certified is certified
+    for k in (1, 77, 256, 512, 1023):
+        moved = next(monotone_rows(w.translate(Fraction(k, 1024)), a, 1024))
+        assert [getattr(moved, key) for key in keys] == [getattr(first, key) for key in keys], k
 
 
 def test_eval_angles_reads_any_layout():
@@ -220,3 +236,52 @@ def test_a_zero_log_sum_leaves_no_row_strictly_one_sided(case):
     assert not any(row.strict for row in rows)
     if period is not None and period <= 20:
         assert rows[period - 1].direction is not None
+
+
+@st.composite
+def _isomorphic_pairs(draw):
+    """One operator written in two families: a weight on zp(p, K) with a
+    level-K table, or a circle step weight constant on each [k/D, (k+1)/D)
+    under the rotation m/D, each with its element; and the same values on
+    cyclic(p^K) or cyclic(D), with the element a mod p^K or m.  Half the
+    time the values are one value and its reciprocal, so rows stay
+    two-sided, or turn one-sided late."""
+    zp = draw(st.booleans())
+    if zp:
+        p = draw(st.sampled_from([2, 3, 5]))
+        K = draw(st.integers(1, 3))
+        D = p ** K
+    else:
+        D = draw(st.integers(1, 12))
+    pool = [Fraction(v) for v in ("1/3", "1/2", "2/3", "1", "3/2", "2", "3")]
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(pool))
+        pool = [base, 1 / base]
+    values = draw(st.lists(st.sampled_from(pool), min_size=D, max_size=D))
+    m = draw(st.integers(0, D - 1))
+    if zp:
+        ctx = PAdicContext(p, K)
+        w, a = PAdicTableWeight(ctx, K, dict(enumerate(values))), ctx.from_residue(m)
+    else:
+        cuts = [Fraction(k, D) for k in range(D + 1)]
+        w = StepWeight(StepFunction.of([(interval(lo, hi, "half_open"), v)
+                                        for lo, hi, v in zip(cuts, cuts[1:], values)]))
+        a = CIRCLE.element(Fraction(m, D))
+    return w, a, FiniteWeight(cyclic(D), values), m
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_isomorphic_pairs())
+def test_isomorphic_families_have_equal_rows(case):
+    # the circle's event sweep, the p-adic table's residue orbit and the
+    # finite group's permutation orbit are three row sources for one
+    # operator: its monotone rows and its exact log integral agree
+    w, a, u, b = case
+    n_max = 2 * len(u.values) + 2
+
+    def rows(weight, element):
+        return [(hit.n, hit.direction, hit.strict, hit.min_value, hit.max_value)
+                for hit in itertools.islice(monotone_rows(weight, element, horizon=n_max), n_max)]
+
+    assert rows(w, a) == rows(u, b)
+    assert log_integral_report(w) == log_integral_report(u)
