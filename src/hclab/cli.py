@@ -4,9 +4,10 @@ Usage:  hclab <task> --spec experiment.json [--out-dir DIR]
 
 Tasks: equidist, reps, hctest, padic, all, validate.  Exit codes: 0 on
 success (a NotHypercyclic verdict is data, not failure), 2 for parse or
-validation errors, 3 for runtime errors.  Rational numbers in spec files are
-strings like "1/2" so nothing is lost to float parsing; re-running the same
-spec reproduces every output byte for byte.
+validation errors, 3 for runtime errors, an unusable --out-dir among them.
+Each spec object is read by its one table (``families.read_fields``).
+Rational numbers in spec files are strings like "1/2" so nothing is lost to
+float parsing; re-running the same spec reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from itertools import islice
 from . import padic as padic_mod
 from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError
-from .families import _FIELD_ERRORS, _parse_int, _parse_int_list, family, parse_group
+from .families import (_FIELD_ERRORS, MAX_GRID_POINTS, _given, _integer, _parse_int_list, family, parse_group,
+                       read_fields)
 from .groups import MAX_CIRCLE_HORIZON, OrbitSequence
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .report import VerdictReport, jsonable
@@ -35,48 +37,34 @@ from .report import VerdictReport, jsonable
 SCHEMA_VERSION = 1
 TASKS = ("equidist", "reps", "hctest", "padic", "all")
 
-_TOP_KEYS = {
-    "schema", "task", "group", "element", "weight", "sets", "characters",
-    "horizons", "tolerances", "lp_exponent", "label",
-}
 
-
-def _integer(minimum, maximum=None):
-    return lambda value, name, fam, diags: _parse_int(value, name, minimum, diags, maximum)
-
-
-def _horizon_list(value, name, fam, diags):
-    horizons = _parse_int_list(value, name, 2, diags, fam.max_horizon)
+def _horizon_list(value, name, diags, group):
+    horizons = _parse_int_list(value, name, 2, diags, family(group).max_horizon)
     if horizons == []:
         diags.append(f"{name}: expected at least one horizon")
     return horizons
 
 
-def _tolerance(value, name, fam, diags):
+def _tolerance(value, name, diags, group):
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if not isinstance(value, bool) and math.isfinite(float(value)) and float(value) >= 0:
             return float(value)
     diags.append(f"{name}: expected a number >= 0, got {value!r}")
 
 
-# the settings a spec may give, by section, in the order they are checked:
-# each key's check, which reads the value (an integer in bounds, orbit
-# horizons up to the family's largest, a finite number >= 0) or appends a
-# diagnostic naming ``section.key``, and the field it sets: a
-# ``VerdictConfig`` field, or one of ``ExperimentSpec``'s own settings
-# (``_OWN_SETTINGS``).  A rational literal spells integers below 2^28600
-# (``families.MAX_LITERAL_DIGITS``), so a value's exponents are below 28600,
-# and a walk of n_max <= 10^7 rows keeps its exponents below 2.9e11 < 2^62
+# the tables of the settings objects; N_list and k_max are ``ExperimentSpec``'s
+# own settings, the others ``VerdictConfig`` fields, named as here but for
+# ``_VERDICT_FIELDS``.  A literal spells integers below 2^28600, so a value's
+# exponents are below 28600, and a walk of n_max <= 10^7 rows keeps its
+# exponents below 2.9e11 < 2^62
 _SETTINGS = {
-    "horizons": {"N_list": (_horizon_list, "N_list"),
-                 "n_max": (_integer(1, MAX_CIRCLE_HORIZON), "monotone_n_max"),
-                 "ul_n_max": (_integer(1, MAX_CIRCLE_HORIZON), "ul_n_max"),
-                 "k_max": (_integer(1), "k_max")},
-    "tolerances": {"grid_points": (_integer(1), "monotone_grid"),
-                   "quadrature_points": (_integer(2), "quadrature_points"),
-                   "log_tolerance": (_tolerance, "log_tolerance")},
+    "horizons": {"N_list": _horizon_list, "n_max": _integer(1, MAX_CIRCLE_HORIZON),
+                 "ul_n_max": _integer(1, MAX_CIRCLE_HORIZON), "k_max": _integer(1)},
+    "tolerances": {"grid_points": _integer(1, MAX_GRID_POINTS), "quadrature_points": _integer(2, MAX_GRID_POINTS),
+                   "log_tolerance": _tolerance},
 }
 _OWN_SETTINGS = ("N_list", "k_max")
+_VERDICT_FIELDS = {"n_max": "monotone_n_max", "grid_points": "monotone_grid"}
 
 
 @dataclass
@@ -93,10 +81,9 @@ class ExperimentSpec:
     characters: list = field(default_factory=list)
     horizons: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    # the VerdictConfig fields the spec's settings give, read by _SETTINGS
+    # the VerdictConfig fields the spec's settings give
     verdict_settings: dict = field(default_factory=dict)
-    # the orbit horizons of equidist and the character search bound of
-    # reps, read by _SETTINGS
+    # the orbit horizons of equidist and the character search bound of reps
     N_list: list = field(default_factory=lambda: [10, 100, 1000])
     k_max: int = 64
     lp_exponent: float | None = None
@@ -117,10 +104,7 @@ class ExperimentSpec:
 
 
 def _parse_field(name, parse, group, desc, diags):
-    """The field ``name`` by the family parser ``parse``, with a diagnostic
-    naming the field for a raised error."""
-    if desc is None:
-        return None
+    """``desc`` by the family parser ``parse``; a raised error names the field."""
     try:
         return parse(group, desc, diags)
     except _FIELD_ERRORS as exc:
@@ -128,11 +112,48 @@ def _parse_field(name, parse, group, desc, diags):
         return None
 
 
-def _parse_sets(fam, group, descs, diags):
-    if not isinstance(descs, list):
-        diags.append(f"sets: expected a list of sets, got {descs!r}")
+def _family_field(parser):
+    """The reader of a field by the family's ``parser``; a null is not given."""
+    return lambda value, name, diags, group: (
+        None if value is None else _parse_field(name, getattr(family(group), parser), group, value, diags))
+
+
+def _sets(value, name, diags, group):
+    if not isinstance(value, list):
+        diags.append(f"{name}: expected a list of sets, got {value!r}")
         return []
-    return [s for s in (fam.read_set(group, desc, diags) for desc in descs) if s is not None]
+    parsed = (_parse_field(name, family(group).parse_set, group, desc, diags) for desc in value)
+    return [s for s in parsed if s is not None]
+
+
+def _characters(value, name, diags, group):
+    characters = _parse_int_list(value, name, None, diags)
+    if characters and not family(group).characters:
+        diags.append(f"{name}: character sweeps need the circle group")
+    return characters or []
+
+
+def _settings(value, name, diags, group):
+    fields = read_fields(value, name, _SETTINGS[name], diags, group)
+    if fields is None:
+        diags.append(f"{name}: expected an object, got {value!r}")
+    return fields or {}
+
+
+def _lp_exponent(value, name, diags, group):
+    # a JSON number, finite and >= 1, compared as it is: a long integer never overflows
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 1 <= value < math.inf:
+        return value
+    diags.append(f"{name}: expected a finite number >= 1, got {value!r}")
+
+
+# the top-level fields, each read with the spec's group, which is read first
+_SPEC_FIELDS = {
+    "schema": _integer(SCHEMA_VERSION, SCHEMA_VERSION), "task": _given, "group": _given,
+    "label": lambda value, *_: str(value), "element": _family_field("parse_element"),
+    "weight": _family_field("parse_weight"), "sets": _sets, "characters": _characters,
+    "horizons": _settings, "tolerances": _settings, "lp_exponent": _lp_exponent,
+}
 
 
 def _unmet(raw, fam, task) -> Iterator[str]:
@@ -152,54 +173,23 @@ def _unmet(raw, fam, task) -> Iterator[str]:
         yield fam.task_needs[task]
 
 
-def _is_lp_exponent(value) -> bool:
-    """Whether ``value`` is an L^p exponent: a JSON number, not a bool,
-    finite and >= 1 (compared as it is, so a long integer never overflows)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 1 <= value < math.inf
-
-
 def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
-    diags: list[str] = []
     if not isinstance(raw, dict):
         return None, ["spec: top level must be a JSON object"]
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        diags.append(f"spec: unknown fields {sorted(unknown)}")
-    if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        diags.append(f"spec: unsupported schema {raw.get('schema')!r}")
-    sections = {}
-    for section, checks in _SETTINGS.items():
-        sections[section] = raw.get(section, {})
-        if not isinstance(sections[section], dict) or set(sections[section]) - set(checks):
-            diags.append(f"{section}: allowed keys {sorted(checks)}")
-            sections[section] = {}
-
+    diags: list[str] = []
     group = parse_group(raw.get("group"), diags)
+    # without a group only the keys are checked: the family reads the rest
+    fields = read_fields(raw, "", _SPEC_FIELDS if group else dict.fromkeys(_SPEC_FIELDS, _given), diags, group)
     if group is None:
         return None, diags
-    fam = family(group)
-    element = _parse_field("element", fam.parse_element, group, raw.get("element"), diags)
-    weight = _parse_field("weight", fam.parse_weight, group, raw.get("weight"), diags)
-    sets = _parse_sets(fam, group, raw.get("sets", []), diags)
-    characters = _parse_int_list(raw.get("characters", []), "characters", None, diags) or []
-    if characters and not fam.characters:
-        diags.append("characters: character sweeps need the circle group")
-    verdict_settings, own_settings = {}, {}
-    for section, checks in _SETTINGS.items():
-        for key, (check, setting) in checks.items():
-            if key in sections[section]:
-                read = check(sections[section][key], f"{section}.{key}", fam, diags)
-                (own_settings if setting in _OWN_SETTINGS else verdict_settings)[setting] = read
-    lp_exponent = raw.get("lp_exponent")
-    if "lp_exponent" in raw and not _is_lp_exponent(lp_exponent):
-        diags.append(f"lp_exponent: expected a finite number >= 1, got {lp_exponent!r}")
-
+    settings = {**fields.get("horizons", {}), **fields.get("tolerances", {})}
     spec = ExperimentSpec(
-        raw=raw, task=task, group=group, element=element, weight=weight, sets=sets, characters=characters,
-        horizons=sections["horizons"], tolerances=sections["tolerances"], verdict_settings=verdict_settings,
-        **own_settings, lp_exponent=lp_exponent, label=str(raw.get("label", "")),
-    )
-    return spec, diags + list(_unmet(raw, fam, task))
+        raw=raw, task=task, group=group, element=fields.get("element"), weight=fields.get("weight"),
+        sets=fields.get("sets", []), characters=fields.get("characters", []), horizons=raw.get("horizons", {}),
+        tolerances=raw.get("tolerances", {}), **{k: settings[k] for k in _OWN_SETTINGS if k in settings},
+        verdict_settings={_VERDICT_FIELDS.get(k, k): v for k, v in settings.items() if k not in _OWN_SETTINGS},
+        lp_exponent=fields.get("lp_exponent"), label=fields.get("label", ""))
+    return spec, diags + list(_unmet(raw, family(group), task))
 
 
 def validate(raw: dict, task: str) -> list[str]:
@@ -230,10 +220,6 @@ def _replacing(path: str):
 def _atomic_write(path: str, data: str) -> None:
     with _replacing(path) as fh:
         fh.write(data)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
@@ -340,7 +326,7 @@ def run(spec: ExperimentSpec, out_dir: str) -> dict:
         "horizons": jsonable(spec.horizons),
         "results": jsonable(results),
     }
-    _write_json(os.path.join(out_dir, "report.json"), envelope)
+    _atomic_write(os.path.join(out_dir, "report.json"), json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     return envelope
 
 
@@ -369,11 +355,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     task = args.task
@@ -387,7 +368,8 @@ def main(argv=None) -> int:
             print("error: --spec is required", file=sys.stderr)
             return 2
         else:
-            raw = _load_raw(args.spec)
+            with open(args.spec) as fh:
+                raw = json.load(fh)
     except (OSError, ValueError) as exc:  # a JSONDecodeError, or an integer past 4300 digits
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
@@ -405,7 +387,7 @@ def main(argv=None) -> int:
         return 2
     try:
         envelope = run(spec, args.out_dir)
-    except HclabError as exc:
+    except (HclabError, OSError) as exc:  # an --out-dir that is a file, or under one
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     summary = {"task": envelope["task"], "spec_hash": envelope["spec_hash"][:12]}

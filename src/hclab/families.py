@@ -7,7 +7,8 @@ have the windowed coset reduction and the ball rules; the circle's orbits
 are swept, and the other groups, which share one enumerable surface
 (``groups``), are counted exhaustively.  ``family(group)`` finds a group's
 object by its type, the one place outside ``groups`` that tells the group
-classes apart, and ``parse_group`` by the spec's kind.
+classes apart, and ``parse_group`` by the spec's kind.  Each family holds
+the tables of its spec objects, which ``read_fields`` checks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, nonc
 from .report import RULE_TORSION, RuleFiring
 from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
-__all__ = ["Family", "family", "parse_group"]
+__all__ = ["Family", "family", "parse_group", "read_fields"]
 
 # the errors a family's spec parser raises on a bad field; a float() may
 # also overflow
@@ -39,10 +40,38 @@ MAX_PADIC_RESIDUES = 3 ** 8
 # integers below 10^8600, where Fraction("1e-10000000") builds 10^(10^7)
 MAX_LITERAL_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# the most points of a spec's grid (quadrature, scan or weight): 32 MB a float64 array
+MAX_GRID_POINTS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
-# spec fields shared by the families
+# the spec grammar: a spec object's table maps each key it allows to its
+# reader, read(value, name, diags, *context), which returns the value or None
+# with a diagnostic naming ``name`` (``group.p``), or raises on a literal
+
+
+def read_fields(desc, name, table, diags, *context, defaults=None):
+    """The entries of the object ``desc`` by ``table``, in its order, a key
+    it lacks read as its default (a required key's is None); unknown keys
+    are a diagnostic.  None when ``desc`` is not an object."""
+    if not isinstance(desc, dict):
+        return None
+    unknown = desc.keys() - table.keys()
+    if unknown:
+        diags.append(f"{name or 'spec'}: unknown fields {sorted(unknown)}")
+    given = {**defaults, **desc} if defaults else desc
+    prefix = f"{name}." if name else ""
+    return {key: read(given[key], prefix + key, diags, *context) for key, read in table.items() if key in given}
+
+
+def _given(value, *_):
+    """The reader of a value that its object's parser reads."""
+    return value
+
+
+def _integer(minimum, maximum=None):
+    """The reader of an integer in [minimum, maximum] (``_parse_int``)."""
+    return lambda value, name, diags, *_: _parse_int(value, name, minimum, diags, maximum)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -90,18 +119,38 @@ def _parse_int_list(value, field, minimum, diags, maximum=None):
     return None if None in out else out
 
 
+def _angle(value, name, diags, *_):
+    """A binary64 angle: a number or a numeric string, never a bool."""
+    if not isinstance(value, bool):
+        return CIRCLE.from_float(float(value))
+    diags.append(f"{name}: expected a number, got {value!r}")
+
+
+def _flag(value, name, diags, *_):
+    if isinstance(value, bool):
+        return value
+    diags.append(f"{name}: expected true or false, got {value!r}")
+
+
+def _catalog_group(value, name, diags):
+    groups = catalog()
+    if isinstance(value, str) and value in groups:
+        return groups[value]
+    diags.append(f"{name}: unknown finite group {value!r}; catalog: {sorted(groups)}")
+
+
 # ---------------------------------------------------------------------------
 # the families
 
 
 class Family:
     """The decisions hclab takes by group family; the defaults serve the
-    enumerable groups.  Each family also has its spec parsers (``parse_group``,
-    ``parse_element``, ``parse_set``, ``parse_weight``: each appends its
-    diagnostics to ``diags`` and returns None for a field it rejects, or
-    raises), its torsion rule ``torsion(group, a)``, and ``reps(group,
-    element, k_max)`` when it runs that task (k_max bounds the circle's
-    fixed-character search)."""
+    enumerable groups.  Each family also has its spec tables and parsers
+    (``parse_group``, ``parse_element``, ``parse_set``, ``parse_weight``:
+    each appends its diagnostics to ``diags`` and returns None for a field
+    it rejects, or raises), its torsion rule ``torsion(group, a)``, and
+    ``reps(group, element, k_max)`` when it runs that task (k_max bounds the
+    circle's fixed-character search)."""
 
     # the tasks a spec on this family may not run, with their diagnostic
     task_needs = {"padic": "padic: requires a zp or qp group"}
@@ -112,14 +161,17 @@ class Family:
     # the diagnostic of a reps spec without an element when this family's
     # reps reads one; None when it runs over every element
     reps_element: str | None = None
+    group_defaults: dict = {}
 
-    def read_set(self, group, desc, diags):
-        """``parse_set``, with an error it raises as the set's diagnostic."""
-        try:
-            return self.parse_set(group, desc, diags)
-        except _FIELD_ERRORS as exc:
-            diags.append(f"sets: {exc}")
-            return None
+    def parse_element(self, group, desc, diags):
+        """An object of one ``element_fields`` key, or a bare value by the last's."""
+        if not isinstance(desc, dict):
+            return self.element_fields[next(reversed(self.element_fields))](desc, "element", diags, group)
+        fields = read_fields(desc, "element", self.element_fields, diags, group)
+        if len(fields) == 1:
+            return fields.popitem()[1]
+        diags.append(f"element: need {' or '.join(map(repr, self.element_fields))}")
+        return None
 
     def as_element(self, group, x):
         """``x`` as an element of ``group``."""
@@ -168,27 +220,21 @@ class CircleFamily(Family):
     characters = True
     max_horizon = MAX_CIRCLE_HORIZON
     reps_element = "reps: the circle variant needs an 'element'"
+    group_fields = {"circle": {"group": _given}}
+    element_fields = {"rational": lambda value, *_: CIRCLE.element(_rational(str(value))), "angle": _angle}
+    # the forms of a weight, each named by its first key
+    weight_forms = {"expr": {"expr": lambda value, *_: str(value), "grid_points": _integer(1, MAX_GRID_POINTS)},
+                    "step": {"step": _given}}
 
-    def parse_group(self, kind, desc, diags):
-        if set(desc) - {"group"}:
-            diags.append("group: circle takes no extra fields")
+    def parse_group(self, fields, diags):
         return CIRCLE
 
     def parse_element(self, group, desc, diags):
-        if isinstance(desc, dict):
-            if "rational" in desc:
-                element = CIRCLE.element(_rational(str(desc["rational"])))
-            elif "angle" in desc:
-                element = CIRCLE.from_float(float(desc["angle"]))
-            else:
-                diags.append("element: need 'rational' or 'angle'")
-                return None
-        elif isinstance(desc, str):
-            element = CIRCLE.element(_rational(desc))
-        else:
-            element = CIRCLE.from_float(float(desc))
+        if not isinstance(desc, dict):  # a bare string is exact, a bare number binary64
+            desc = {"rational" if isinstance(desc, str) else "angle": desc}
+        element = super().parse_element(group, desc, diags)
         # the orbit is held as integer residues mod the angle's denominator
-        if element.value.denominator > MAX_ORBIT_DENOMINATOR:
+        if element is not None and element.value.denominator > MAX_ORBIT_DENOMINATOR:
             diags.append(f"element: the angle's denominator, at least "
                          f"2^{element.value.denominator.bit_length() - 1}, exceeds the limit "
                          f"2^{MAX_ORBIT_DENOMINATOR.bit_length() - 1}")
@@ -212,24 +258,15 @@ class CircleFamily(Family):
         return IntervalSet.from_pieces(arcs, points)
 
     def parse_weight(self, group, desc, diags):
-        if isinstance(desc, dict) and "expr" in desc:
-            extra = set(desc) - {"expr", "grid_points"}
-            if extra:
-                diags.append(f"weight: unknown fields {sorted(extra)}")
-            grid = {}
-            if "grid_points" in desc:
-                grid["grid_points"] = _parse_int(desc["grid_points"], "weight.grid_points", 1, diags)
-                if grid["grid_points"] is None:
-                    return None
-            return ExprWeight(str(desc["expr"]), **grid)
-        if isinstance(desc, dict) and "step" in desc:
-            pieces = []
-            for entry in desc["step"]:
-                set_desc, value = entry
-                pieces.append((self.parse_set(group, set_desc, diags), _rational(str(value))))
-            return StepWeight(StepFunction.of(pieces))
-        diags.append("weight: circle weights need 'expr' or 'step'")
-        return None
+        form = next((key for key in self.weight_forms if key in desc), None) if isinstance(desc, dict) else None
+        if form is None:
+            diags.append("weight: circle weights need 'expr' or 'step'")
+            return None
+        fields = read_fields(desc, "weight", self.weight_forms[form], diags)
+        if form == "expr":
+            return None if None in fields.values() else ExprWeight(**fields)
+        return StepWeight(StepFunction.of([(self.parse_set(group, set_desc, diags), _rational(str(value)))
+                                           for set_desc, value in fields["step"]]))
 
     def reps(self, group, element, k_max: int) -> dict:
         k = circle_has_fixed_character(element, k_max)
@@ -267,28 +304,14 @@ class FiniteFamily(Family):
     """The catalog's finite groups: element indices, index sets, one exact
     value per element; every element has finite order."""
 
-    def parse_group(self, kind, desc, diags):
-        extra = set(desc) - {"group", "name"}
-        if extra:
-            diags.append(f"group: unknown fields {sorted(extra)}")
-        name = desc.get("name")
-        groups = catalog()
-        if not isinstance(name, str) or name not in groups:
-            diags.append(f"group: unknown finite group {name!r}; catalog: {sorted(groups)}")
-            return None
-        return groups[name]
+    group_fields = {"finite": {"group": _given, "name": _catalog_group}}
+    group_defaults = {"name": None}
+    element_fields = {"index": lambda value, name, diags, group: _parse_int(value, name, 0, diags,
+                                                                            group.order - 1)}
+    weight_fields = {"values": lambda value, *_: [_rational(str(v)) for v in value]}
 
-    def parse_element(self, group, desc, diags):
-        if isinstance(desc, dict):
-            if "index" not in desc:
-                diags.append("element: need 'index'")
-                return None
-            desc = desc["index"]
-        idx = _parse_int(desc, "element", 0, diags)
-        if idx is not None and idx >= group.order:
-            diags.append(f"element: index {idx} out of range for {group.name}")
-            return None
-        return idx
+    def parse_group(self, fields, diags):
+        return fields["name"]
 
     def parse_set(self, group, desc, diags):
         if not (isinstance(desc, dict) and set(desc) == {"indices"}):
@@ -299,7 +322,7 @@ class FiniteFamily(Family):
 
     def parse_weight(self, group, desc, diags):
         if isinstance(desc, dict) and "values" in desc:
-            return FiniteWeight(group, [_rational(str(v)) for v in desc["values"]])
+            return FiniteWeight(group, read_fields(desc, "weight", self.weight_fields, diags)["values"])
         diags.append("weight: finite weights need {'values': [...]}")
         return None
 
@@ -317,21 +340,34 @@ class FiniteFamily(Family):
         return RuleFiring(RULE_TORSION, {"order": group.element_order(a)}, {"element": a, "group": group.name})
 
 
+def _digits(value, name, diags, group):
+    digits = _parse_int_list(value, name, 0, diags)
+    return None if digits is None else group.from_digits(digits)
+
+
+# a table weight's level and values, inline or under "table", and its marker
+_TABLE_FIELDS = {
+    "level": lambda value, name, diags, group: _parse_int(value, name, -group.window, diags, group.precision),
+    "values": _given,
+}
+
+
 class PAdicFamily(Family):
     """Truncated Z_p and windowed Q_p: elements by digits or value, unions
     of balls, tables constant on cosets; the U/L ball rules (Chen and Chu,
     "Hypercyclic weighted translations on groups", Proc. AMS 2011)."""
 
     task_needs = {"reps": "reps: requires a finite group or the circle"}
+    group_fields = {"zp": {"group": _given, "p": _integer(2), "precision": _integer(1)}}
+    group_fields["qp"] = dict(group_fields["zp"], window=_integer(0))
+    group_defaults = {"p": None, "precision": 4}
+    element_fields = {"digits": _digits,
+                      "value": lambda value, name, diags, group: group.element(_rational(str(value)))}
+    weight_forms = {"table": {"table": _given, "declared_locally_constant": _flag},
+                    "values": {**_TABLE_FIELDS, "declared_locally_constant": _flag}}
 
-    def parse_group(self, kind, desc, diags):
-        allowed = {"group", "p", "precision"} | ({"window"} if kind == "qp" else set())
-        extra = set(desc) - allowed
-        if extra:
-            diags.append(f"group: unknown fields {sorted(extra)}")
-        p = _parse_int(desc.get("p"), "group.p", 2, diags)
-        precision = _parse_int(desc.get("precision", 4), "group.precision", 1, diags)
-        window = _parse_int(desc.get("window", 0), "group.window", 0, diags)
+    def parse_group(self, fields, diags):
+        p, precision, window = fields["p"], fields["precision"], fields.get("window", 0)
         if None in (p, precision, window):
             return None
         digits = precision + window
@@ -346,17 +382,6 @@ class PAdicFamily(Family):
             return None
         return PAdicContext(p, precision, window)
 
-    def parse_element(self, group, desc, diags):
-        if isinstance(desc, dict):
-            if "digits" in desc:
-                digits = _parse_int_list(desc["digits"], "element.digits", 0, diags)
-                return None if digits is None else group.from_digits(digits)
-            if "value" in desc:
-                return group.element(_rational(str(desc["value"])))
-            diags.append("element: need 'digits' or 'value'")
-            return None
-        return group.element(_rational(str(desc)))
-
     def parse_set(self, group, desc, diags):
         balls = []
         for piece in desc if isinstance(desc, list) else [desc]:
@@ -369,32 +394,23 @@ class PAdicFamily(Family):
         return BallSet.from_balls(group, balls)
 
     def parse_weight(self, group, desc, diags):
-        nested = isinstance(desc, dict) and "table" in desc
-        table_desc = desc["table"] if nested else desc
-        if not isinstance(table_desc, dict) or not isinstance(table_desc.get("values"), dict):
+        form = "table" if isinstance(desc, dict) and "table" in desc else "values"
+        table = desc["table"] if form == "table" else desc
+        if not isinstance(table, dict) or not isinstance(table.get("values"), dict):
             diags.append("weight: p-adic weights need {'level': k, 'values': {...}}")
             return None
-        if nested:
-            extra = ((set(desc) - {"table", "declared_locally_constant"})
-                     | (set(table_desc) - {"level", "values"}))
-        else:
-            extra = set(desc) - {"level", "values", "declared_locally_constant"}
-        if extra:
-            diags.append(f"weight: unknown fields {sorted(extra)}")
-        # checked before p^(level + window) is formed
-        level = _parse_int(table_desc.get("level", group.precision), "weight.level",
-                           -group.window, diags, maximum=group.precision)
-        if level is None:
+        defaults = {"level": group.precision, "declared_locally_constant": True}
+        fields = read_fields(desc, "weight", self.weight_forms[form], diags, group, defaults=defaults)
+        if form == "table":
+            fields.update(read_fields(table, "weight.table", _TABLE_FIELDS, diags, group, defaults=defaults))
+        level, declared = fields["level"], fields["declared_locally_constant"]
+        if None in (level, declared):  # the level is checked before p^(level + window) is formed
             return None
         size = group.prime ** (level + group.window)
         values = {}
-        for key, val in table_desc["values"].items():
+        for key, val in table["values"].items():
             res = group.element(_rational(str(key))).residue % size
             values[res] = _rational(str(val))
-        declared = desc.get("declared_locally_constant", True)
-        if not isinstance(declared, bool):
-            diags.append(f"weight: declared_locally_constant must be true or false, got {declared!r}")
-            return None
         return PAdicTableWeight(group, level, values, declared)
 
     def torsion(self, group, a):
@@ -422,8 +438,7 @@ class PAdicFamily(Family):
 
 
 _BY_TYPE = {CircleGroup: CircleFamily(), FiniteGroup: FiniteFamily(), PAdicContext: PAdicFamily()}
-_BY_KIND = {"circle": _BY_TYPE[CircleGroup], "finite": _BY_TYPE[FiniteGroup],
-            "zp": _BY_TYPE[PAdicContext], "qp": _BY_TYPE[PAdicContext]}
+_BY_KIND = {kind: fam for fam in _BY_TYPE.values() for kind in fam.group_fields}
 
 
 def family(group) -> Family:
@@ -435,8 +450,7 @@ def family(group) -> Family:
 
 
 def parse_group(desc, diags):
-    """The group a spec's ``group`` object describes, or None with a
-    diagnostic."""
+    """The group a spec's ``group`` object describes, or None with a diagnostic."""
     if not isinstance(desc, dict) or "group" not in desc:
         diags.append("group: expected an object with a 'group' field")
         return None
@@ -445,4 +459,5 @@ def parse_group(desc, diags):
     if fam is None:
         diags.append(f"group: unknown kind {kind!r}")
         return None
-    return fam.parse_group(kind, desc, diags)
+    return fam.parse_group(read_fields(desc, "group", fam.group_fields[kind], diags, defaults=fam.group_defaults),
+                           diags)

@@ -2,12 +2,14 @@
 passes ``validate``, so a stricter validation cannot turn the benchmark's
 specs into failures; the circle step walks of the exact-step specs agree
 with the exact oracle, the expression-weight walks and log integrals of the
-circle-float specs with the out-of-place oracle, and the exhaustive p-adic
-counts of the ball sets with the count on the full context.  The generators
-are loaded read-only, by path."""
+circle-float specs with the out-of-place oracle, their arcs' deviations lie
+within the Erdős–Turán bound, and the exhaustive p-adic counts of the ball
+sets agree with the count on the full context.  The generators are loaded
+read-only, by path."""
 
 import importlib.util
 import itertools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +21,7 @@ import exact_oracle
 import expr_oracle
 from circle_oracle import row_pairs, step_values_at
 from hclab.cli import parse_spec, validate
-from hclab.equidist import density, sup_deviation
+from hclab.equidist import TestFunction, density, sup_deviation, uniform_convergence_sweep
 from hclab.groups import OrbitSequence
 from hclab.hctest import log_integral_report, monotone_rows
 from hclab.weights import StepWeight, circle_step_rows
@@ -109,3 +111,35 @@ def test_bench_ball_counts_match_the_full_context(workload):
                 assert density(K, seq, N) == Fraction(int(counts[0]), N), (case.id, N)
                 checked += 1
     assert checked > 0
+
+
+def _erdos_turan(a, N, K_max=64):
+    """The least over K <= K_max of the Erdős–Turán bound on the extreme
+    discrepancy of the N - 1 points n a, n = 1..N-1: 6/(K+1) + (4/pi)
+    sum_{k<=K} (1/k - 1/(K+1)) |S_k|/(N-1), S_k = sum_{n=1}^{N-1} e(-kna)
+    (Kuipers & Niederreiter, Uniform Distribution of Sequences, 1974, ch. 2,
+    Thm 2.5), with |S_k|/N from the closed-form character sweep."""
+    mean = [point.sup_deviation * N / (N - 1) for k in range(1, K_max + 1)
+            for point in uniform_convergence_sweep(TestFunction.character(k), a, [N])]
+    return min(6 / (K + 1) + 4 / math.pi * sum((1 / k - 1 / (K + 1)) * mean[k - 1] for k in range(1, K + 1))
+               for K in range(1, K_max + 1))
+
+
+def test_circle_sweep_is_within_the_erdos_turan_bound():
+    # every arc of the circle-float specs of seeds 0-2 at each horizon: a set
+    # of r arcs deviates by at most ((N-1)/N) r D + 1/N at every translate,
+    # D bounding the discrepancy of the N - 1 orbit points; the event sweep
+    # and the closed-form character sums share no code
+    checked, worst = 0, 0.0
+    for case in (case for seed in range(3) for case in GENERATORS["circle-float"](seed)):
+        spec, _ = parse_spec(case.spec, case.task)
+        Ns = spec.horizons["N_list"]
+        bounds = {N: _erdos_turan(spec.element, N) for N in Ns}
+        devs = sup_deviation(spec.sets, OrbitSequence(spec.group, spec.element), Ns)
+        for literal, row in zip(case.spec["sets"], devs):
+            r = 1 if isinstance(literal[1], str) else len(literal)  # one arc, or a union of arcs
+            for N, dev in zip(Ns, row):
+                bound = (N - 1) / N * r * bounds[N] + 1 / N
+                assert dev <= bound, (case.id, literal, N)
+                checked, worst = checked + 1, max(worst, dev / bound)
+    assert checked == 864 and worst < 1

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import exact_oracle
 from hclab.cli import TASKS, _atomic_write, _write_csv, main, parse_spec, run, validate
@@ -231,6 +233,8 @@ _PROBES = [
     (_EXPR, ("sets",), [[["a", "1/2"], "open"]], "sets: Invalid literal for Fraction: 'a'"),
     (_EXPR, ("sets",), [["x"]], "sets: set literal 'x' not understood"),
     (_EXPR, ("sets",), [{"pt": "1"}], "sets: set literal {'pt': '1'} not understood"),
+    (_EXPR, ("sets",), [None], "sets: set literal None not understood"),
+    (_FINITE, ("sets",), [None], "sets: finite sets need {'indices': [...]}, got None"),
     # an arc inside a step weight is part of the weight
     (_STEP, ("weight", "step"), [[None, "2"]], "weight: set literal None not understood"),
     # sets come as a list on every group
@@ -252,6 +256,22 @@ _PROBES = [
     (three_coset_spec(), ("weight", "values"), {"0": _TINY, "1": "1/2", "2": "1"}, _TOO_FINE.format("weight")),
     (_FINITE, ("weight", "values"), [_TINY, "1", "1", "1", "1", "1"], _TOO_FINE.format("weight")),
     (_STEP, ("weight", "step"), [[[["0", "1"], "half_open"], _TINY]], _TOO_FINE.format("weight")),
+    # every spec object is checked against its one table: unknown keys,
+    # booleans read as numbers and grids past 2^22 points exit 2
+    (_EXPR, ("element",), {"angle": GOLDEN_ANGLE, "x": 1}, "element: unknown fields ['x']"),
+    (_EXPR, ("element",), {"rational": "1/3", "angle": GOLDEN_ANGLE}, "element: need 'rational' or 'angle'"),
+    (_FINITE, ("element",), {"index": 1, "x": 1}, "element: unknown fields ['x']"),
+    (three_coset_spec(), ("element",), {"value": "1", "x": 1}, "element: unknown fields ['x']"),
+    (_STEP, ("weight", "x"), 1, "weight: unknown fields ['x']"),
+    (_FINITE, ("weight", "x"), 1, "weight: unknown fields ['x']"),
+    (_EXPR, ("element",), True, "element.angle: expected a number, got True"),
+    (_EXPR, ("element",), {"angle": False}, "element.angle: expected a number, got False"),
+    (_EXPR, ("schema",), True, "schema: True is not an integer"),
+    (_EXPR, ("tolerances", "quadrature_points"), 2 ** 40,
+     "tolerances.quadrature_points: 1099511627776 is above the maximum 4194304"),
+    (_EXPR, ("tolerances", "grid_points"), 2 ** 22 + 1,
+     "tolerances.grid_points: 4194305 is above the maximum 4194304"),
+    (_EXPR, ("weight", "grid_points"), 2 ** 40, "weight.grid_points: 1099511627776 is above the maximum 4194304"),
 ]
 
 # the line that says a required field is missing, which a field that was
@@ -274,6 +294,32 @@ def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
     if path[0] in _REQUIRED and value is not None:
         for task in ("equidist", "hctest", "padic"):
             assert _REQUIRED[path[0]] not in " ".join(validate(_probe(base, path, value), task))
+
+
+# one-field mutations of the probe bases: every key path of each base and
+# every probed path, set to a value from a pool of hostile values
+_POOL = [None, True, 0, -1, 2 ** 40, 10 ** 30, 1e300, "nan", "x", [], {}, "1/0", "1" * (MAX_LITERAL_DIGITS + 1)]
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_TARGETS = sorted({(json.dumps(base, sort_keys=True), path) for base, probed, _, _ in _PROBES
+                   for path in [probed, *_key_paths(base)]})
+
+
+@given(target=st.sampled_from(_TARGETS), value=st.sampled_from(_POOL))
+@example(target=(json.dumps(_EXPR, sort_keys=True), ("weight", "grid_points")), value=2 ** 40)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_validate_exits_0_or_2_on_every_mutation(tmp_path, capsys, target, value):
+    base, path = target
+    spec = write_spec(tmp_path, _probe(json.loads(base), path, value))
+    assert main(["validate", "--spec", spec]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_rational_literals_are_bounded():
@@ -321,6 +367,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["hctest", "--spec", bad, "--out-dir", str(tmp_path / "o2")]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["hctest", "--spec", missing]) == 2
+
+
+def test_an_unusable_out_dir_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # an --out-dir that is a file, or a path under one, exits 3 before the
+    # verdict runs; it used to end in a FileExistsError or
+    # NotADirectoryError traceback
+    monkeypatch.setattr("hclab.cli.verdict", lambda *args: pytest.fail("the verdict ran"))
+    spec = write_spec(tmp_path, _EXPR)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        assert main(["all", "--spec", spec, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
 
 
 def _bench_spec(workload, index, path, value):

@@ -1,5 +1,6 @@
-"""The family objects: the one lookup that tells group classes apart; and
-the weights, which alone tell weight classes apart."""
+"""The family objects: the one lookup that tells group classes apart; the
+weights, which alone tell weight classes apart; and the one spec-grammar
+helper that checks an object's keys."""
 
 import ast
 from fractions import Fraction
@@ -120,3 +121,26 @@ def test_a_group_without_a_family_is_rejected_by_the_lookup():
     # the verdict asks once, before any rule runs
     with pytest.raises(TypeError, match="unsupported group"):
         verdict(OnUnknown(), CIRCLE.element(Fraction(1, 3)))
+
+
+def unknown_key_checks(tree: ast.AST) -> list[str]:
+    """The functions under ``tree`` that subtract from an object's key set
+    (``set(desc) - ...`` or ``desc.keys() - ...``): a hand-written check of
+    its keys against the ones it allows."""
+    def key_set(node):
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "set")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "keys"))
+
+    return sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and key_set(node.left)})
+
+
+def test_only_read_fields_checks_an_objects_keys():
+    # every spec object's keys are checked against its table by read_fields;
+    # set literals keep their own shape checks, which compare, not subtract
+    package = Path(hclab.__file__).parent
+    for name in ("cli.py", "families.py"):
+        assert unknown_key_checks(ast.parse((package / name).read_text())) in ([], ["read_fields"]), name
+    source = "def parse_group(desc):\n    extra = set(desc) - {'group'}\ndef f(d):\n    return d.keys() - {'a'}\n"
+    assert unknown_key_checks(ast.parse(source)) == ["f", "parse_group"]
