@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import padic as padic_mod
-from .equidist import TestFunction, sup_deviation, uniform_convergence_sweep
+from .equidist import sup_deviation, uniform_convergence_sweep
 from .errors import HclabError
 from .families import (_FIELD_ERRORS, MAX_GRID_POINTS, _given, _integer, _parse_int_list, family, parse_group,
                        read_fields)
@@ -149,7 +149,7 @@ def _lp_exponent(value, name, diags, group):
 
 # the top-level fields, each read with the spec's group, which is read first
 _SPEC_FIELDS = {
-    "schema": _integer(SCHEMA_VERSION, SCHEMA_VERSION), "task": _given, "group": _given,
+    "schema": _integer(SCHEMA_VERSION, SCHEMA_VERSION), "group": _given,
     "label": lambda value, *_: str(value), "element": _family_field("parse_element"),
     "weight": _family_field("parse_weight"), "sets": _sets, "characters": _characters,
     "horizons": _settings, "tolerances": _settings, "lp_exponent": _lp_exponent,
@@ -240,8 +240,7 @@ def _run_equidist(spec: ExperimentSpec, out_dir: str) -> dict:
             rows.append([N, f"set{i}", repr(dev), ""])
             summary.append({"N": N, "set_id": f"set{i}", "sup_deviation": dev})
     for k in spec.characters:
-        f = TestFunction.character(k)
-        for point in uniform_convergence_sweep(f, spec.element, Ns):
+        for point in uniform_convergence_sweep(k, spec.element, Ns):
             bound = "" if point.bound is None else repr(point.bound)
             rows.append([point.N, f"char{k}", repr(point.sup_deviation), bound])
             summary.append(
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
 
     try:
         if task == "reps" and args.spec is None and getattr(args, "group", None):
-            raw = {"schema": 1, "task": "reps", "group": {"group": "finite", "name": args.group}}
+            raw = {"schema": 1, "group": {"group": "finite", "name": args.group}}
             if args.element is not None:
                 raw["element"] = args.element
         elif args.spec is None:

@@ -1,4 +1,4 @@
-"""Orbit density statistics, uniform-deviation suprema, and ergodic averages.
+"""Orbit density statistics, uniform-deviation suprema, and character sweeps.
 
 The density of an orbit in a set K counts terms x_k with 1 <= k <= N-1 and
 divides by N (so the density of the full group is (N-1)/N, not 1; the skew
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .errors import FixedCharacterError
 from .groups import CircleElement, OrbitSequence, orbit_denominator
 
 __all__ = [
-    "TestFunction",
     "OrbitCounter",
     "Sweep",
     "Boundaries",
@@ -49,7 +48,6 @@ __all__ = [
     "density",
     "translated_density",
     "sup_deviation",
-    "ergodic_average",
     "weyl_bound",
     "uniform_convergence_sweep",
     "SweepPoint",
@@ -716,52 +714,7 @@ def sup_deviation(K, seq: OrbitSequence, N):
 
 
 # ---------------------------------------------------------------------------
-# test functions and ergodic averages
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A bounded test function on the circle; ``char_index`` is k for the
-    character e(kx)."""
-
-    __test__ = False  # not a pytest class
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    char_index: int | None = None
-
-    @staticmethod
-    def character(k: int) -> "TestFunction":
-        def fn(t):
-            return np.exp(2j * np.pi * k * np.asarray(t, dtype=float))
-
-        return TestFunction(fn, char_index=k)
-
-    @staticmethod
-    def constant(c) -> "TestFunction":
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            return np.full(t.shape, c)
-
-        return TestFunction(fn)
-
-
-def ergodic_average(f: TestFunction, a: CircleElement, N: int, x) -> complex:
-    """(1/N) * sum_{n=1}^{N-1} f(x - n a) on the circle."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    xf = float(getattr(x, "value", x))
-    af = float(a.value)
-    acc = 0j
-    chunk = 1 << 14
-    n = 1
-    while n < N:
-        hi = min(N, n + chunk)
-        ns = np.arange(n, hi, dtype=float)
-        pts = xf - ns * af
-        _mod1(pts, out=pts)
-        acc += complex(np.sum(f.fn(pts)))
-        n = hi
-    return acc / N
+# character averages
 
 
 def _character_residue(k: int, a: CircleElement) -> tuple[int, int]:
@@ -798,9 +751,9 @@ class SweepPoint:
     bound: float | None
 
 
-def uniform_convergence_sweep(f: TestFunction, a: CircleElement, N_list: Sequence[int]) -> list[SweepPoint]:
-    """Sup over translates of |ergodic average - mean| at each N, for a
-    character f = e(kx).
+def uniform_convergence_sweep(k: int, a: CircleElement, N_list: Sequence[int]) -> list[SweepPoint]:
+    """Sup over translates of |ergodic average - mean| at each N, for the
+    character e(kx).
 
     Its average at x is e(kx) S_N / N, S_N = sum_{n=1}^{N-1} e(-kna), so the
     deviation is the same at every x.  With k a = r/D mod 1 for exact
@@ -811,12 +764,9 @@ def uniform_convergence_sweep(f: TestFunction, a: CircleElement, N_list: Sequenc
     1 by 1/N, and a character fixed by the rotation (r = 0, k != 0) by (N-1)/N
     from its mean 0, with no bound.
     """
-    if f.char_index is None:
-        raise ValueError("the uniform convergence sweep is for characters")
     Ns = sorted(set(int(N) for N in N_list))
     if not Ns or Ns[0] < 2:
         raise ValueError("need horizons N >= 2")
-    k = f.char_index
     r, D = _character_residue(k, a)
     if k == 0:
         return [SweepPoint(N, 1 / N, None) for N in Ns]

@@ -18,14 +18,12 @@ Finite groups and p-adic contexts are enumerable and share one surface:
 ``elements()``, ``len``, ``index`` (an element's position in ``elements()``),
 ``mul``, ``inv``, ``power`` and ``element_order``; a p-adic context writes
 them additively (``+``, negation, ``scalar_mul``).  Whatever exhausts a
-group -- ``OrbitSequence.residue_support``, ``equidist.sup_deviation``, the
-operator on ``weights.DiscretizedFunction`` and the n-step reference it is
-checked against (``weights.apply_operator``) -- is one path over that
-surface.  ``equidist`` exhausts the coarsest context that resolves the set
-it counts (``BallSet.resolved``): a ball set of finest level j reads only
-residues mod p^(j + window), so its counts run on ``PAdicContext(p,
-max(1, j), window)``, whose elements are reached from the spec's context
-by ``from_residue``; a finite group resolves to itself.  The circle has
+group -- ``OrbitSequence.residue_support`` and ``equidist.sup_deviation``
+-- is one path over that surface.  ``equidist`` exhausts the coarsest
+context that resolves the set it counts (``BallSet.resolved``): a ball set
+of finest level j reads only residues mod p^(j + window), so its counts run
+on ``PAdicContext(p, max(1, j), window)``, whose elements are reached from
+the spec's context by ``from_residue``; a finite group resolves to itself.  The circle has
 ``mul``, ``inv`` and ``power`` only; its orbits are integer residues
 (``OrbitSequence.angle_support``).
 """

@@ -22,18 +22,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import padic as _padic
-from .borel import IntervalSet, arc_pieces
-from .equidist import BLOCK_ENTRIES, Boundaries, OrbitCounter, _mod1
-from .errors import PlateauResolutionFailure
-from .exprs import Expr
+from .equidist import BLOCK_ENTRIES, _mod1
 from .families import family
-from .groups import CIRCLE, CircleElement, OrbitSequence
 from .report import (
     CONDITIONS_PASSED,
     NOT_HYPERCYCLIC,
@@ -42,23 +37,14 @@ from .report import (
     RuleFiring,
     VerdictReport,
 )
-from .weights import (
-    DiscretizedFunction,
-    ExprWeight,
-    StepFunction,
-    Weight,
-    _weighted_shift,
-    apply_operator,
-    weight_product,
-)
+from .weights import ExprWeight, Weight
+# bound here only for the benchmark's tracer self-check, which reads
+# hctest.weight_product (perfbench/tests/test_perfbench.py)
+from .weights import weight_product  # noqa: F401
 
 __all__ = [
-    "operator_power_identity_check",
     "LogIntegralResult",
     "log_integral_report",
-    "step_approx",
-    "SandwichResult",
-    "sandwich_check",
     "MonotoneHit",
     "monotone_rows",
     "ProductWalk",
@@ -78,23 +64,6 @@ class VerdictConfig:
     monotone_n_max: int = 50
     monotone_grid: int = 1024
     ul_n_max: int | None = None
-
-
-# ---------------------------------------------------------------------------
-# operator power identity
-
-
-def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction, mode: str = "strict"):
-    """Sup-norm of (T_{a,w})^n f minus the single application with the n-step
-    product weight and translation a^n.  Zero exactly on rational pipelines,
-    tiny float noise otherwise."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    iterated = f
-    for _ in range(n):
-        iterated = apply_operator(w, a, iterated, mode=mode)
-    # w_n(x) f(x a^-n), on the operator's own domain path
-    return iterated.sup_diff(_weighted_shift(lambda x: weight_product(w, a, n, x), a, n, f, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -145,192 +114,6 @@ def log_integral_report(w: Weight,
         exact=False,
         quadrature_points=quadrature_points,
         richardson_gap=abs(fine - coarse),
-    )
-
-
-# ---------------------------------------------------------------------------
-# step-function approximation of a continuous function
-
-
-def _bisect_edge(fn, h: float, x_false: float, x_true: float, iters: int = 80):
-    """Shrink [x_false, x_true] around the crossing of fn(x) >= h; the
-    endpoints keep their predicate values.  Returns (x_false, x_true)."""
-    for _ in range(iters):
-        mid = 0.5 * (x_false + x_true)
-        if mid == x_false or mid == x_true:
-            break
-        if fn(mid % 1.0) >= h:
-            x_true = mid
-        else:
-            x_false = mid
-    return x_false, x_true
-
-
-def _level_set(fn, xs: np.ndarray, vals: np.ndarray, h: float, outer: bool) -> IntervalSet:
-    """{x : fn(x) >= h} located by grid scan plus bisection.
-
-    ``outer`` pushes each boundary to the bracket endpoint just outside the
-    set (giving a superset); the inner variant gives a subset.  Closed arcs.
-    """
-    flags = vals >= h
-    M = len(xs)
-    if flags.all():
-        return IntervalSet.full()
-    if not flags.any():
-        return IntervalSet.empty()
-    edges = []  # (position, entering)
-    for i in range(M):
-        j = (i + 1) % M
-        if flags[i] == flags[j]:
-            continue
-        x_lo = float(xs[i])
-        x_hi = float(xs[j]) if j else float(xs[0]) + 1.0
-        if flags[i]:  # leaving the set: predicate True at x_lo, False at x_hi
-            false_pt, true_pt = _bisect_edge(fn, h, x_hi, x_lo)
-            edges.append(((false_pt if outer else true_pt) % 1.0, False))
-        else:  # entering
-            false_pt, true_pt = _bisect_edge(fn, h, x_lo, x_hi)
-            edges.append(((false_pt if outer else true_pt) % 1.0, True))
-    edges.sort()
-    arcs, points = [], []
-    # walk entry -> exit pairs circularly
-    k = len(edges)
-    first_entry = next(i for i, e in enumerate(edges) if e[1])
-    i = first_entry
-    used = 0
-    while used < k:
-        pos_in, entering = edges[i % k]
-        assert entering, "unbalanced level-set crossings"
-        pos_out, leaving = edges[(i + 1) % k]
-        assert not leaving
-        arc, ends = arc_pieces(Fraction(pos_in), Fraction(pos_out), "closed")
-        arcs.append(arc)
-        points += ends
-        i += 2
-        used += 2
-    return IntervalSet.from_pieces(arcs, points)
-
-
-def step_approx(
-    target,
-    eps: float,
-    side: str = "above",
-    grid_points: int = 4096,
-) -> StepFunction:
-    """Approximate a continuous circle function by an algebra step function
-    within eps, from above or below.
-
-    Cut heights are placed at midpoints between adjacent distinct grid values
-    so no cut lands on a value plateau; level sets at the cuts are located by
-    bisection and pushed outward (above) or inward (below) so the pointwise
-    sandwich holds with margin.  Raises PlateauResolutionFailure when the
-    grid cannot support cuts with gaps below eps.
-    """
-    if side not in ("above", "below"):
-        raise ValueError("side must be 'above' or 'below'")
-    if eps <= 0:
-        raise ValueError("need eps > 0")
-    fn = target if callable(target) else Expr(str(target))
-    xs = np.arange(grid_points) / grid_points
-    vals = np.asarray(fn(xs), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("target is not finite on the circle")
-    vmin, vmax = float(vals.min()), float(vals.max())
-    if vmax == vmin:
-        return StepFunction.of([(IntervalSet.full(), vmin)])
-
-    vrange = vmax - vmin
-    pad = vrange * 1e-6 + 1e-12
-    floor_v, ceil_v = vmin - pad, vmax + pad
-    bands = max(2, math.ceil((ceil_v - floor_v) / (0.9 * eps)))
-    raw_cuts = [floor_v + i * (ceil_v - floor_v) / bands for i in range(1, bands)]
-
-    distinct = np.unique(vals)
-    cuts = []
-    for t in raw_cuts:
-        idx = int(np.searchsorted(distinct, t))
-        if idx <= 0 or idx >= len(distinct):
-            continue  # cut outside the attained range contributes nothing
-        snapped = 0.5 * (float(distinct[idx - 1]) + float(distinct[idx]))
-        if not cuts or snapped > cuts[-1]:
-            cuts.append(snapped)
-    ladder = [floor_v] + cuts + [ceil_v]
-    if any(b - a >= eps for a, b in zip(ladder, ladder[1:])):
-        raise PlateauResolutionFailure(
-            f"could not place cut heights with gaps below {eps} at grid {grid_points}"
-        )
-
-    outer = side == "above"
-    levels = [_level_set(fn, xs, vals, h, outer) for h in cuts]
-    for i in range(1, len(levels)):  # enforce nesting exactly
-        levels[i] = levels[i].intersection(levels[i - 1])
-
-    pieces = []
-    r = len(cuts)
-    prev = IntervalSet.full()
-    for i in range(r):
-        band = prev.difference(levels[i])
-        value = cuts[i] if side == "above" else (floor_v if i == 0 else cuts[i - 1])
-        if not band.is_empty():
-            pieces.append((band, value))
-        prev = levels[i]
-    top_value = ceil_v if side == "above" else (cuts[-1] if cuts else floor_v)
-    if not prev.is_empty():
-        pieces.append((prev, top_value))
-    return StepFunction.of(pieces)
-
-
-# ---------------------------------------------------------------------------
-# the two-sided product sandwich
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    """Outcome of the per-piece orbit-count check behind the two-sided
-    N-step product bound.  ``ok`` holds when every piece's orbit share stays
-    within eps of its measure at every translate; that is the exact
-    per-factor form from which the product bound follows (exponent signs
-    corrected for pieces below 1).  ``witness_x`` is the exact first
-    translate at the largest deviation."""
-
-    ok: bool
-    eps: float
-    N: int
-    max_deviation: float
-    witness_x: Fraction | None = None
-    witness_piece: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> SandwichResult:
-    if N < 1:
-        raise ValueError("need N >= 1")
-    for E, _ in phi.pieces:
-        if not isinstance(E, IntervalSet):
-            raise TypeError("sandwich_check runs on circle step functions")
-    counter = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), N, first=0)
-    sweep = counter.sup_candidates(
-        Boundaries.prepare(counter.denominator, *(E for E, _ in phi.pieces)))
-    worst = -1.0
-    witness_x = witness_piece = None
-    for idx, (E, _) in enumerate(phi.pieces):
-        mu = float(E.measure())
-        devs = np.abs(sweep.counts[:, idx] / N - mu)
-        j = int(np.argmax(devs))
-        if float(devs[j]) > worst:
-            worst = float(devs[j])
-            witness_x = sweep.translate(j)
-            witness_piece = idx
-    ok = worst < eps
-    return SandwichResult(
-        ok=ok,
-        eps=eps,
-        N=N,
-        max_deviation=worst,
-        witness_x=None if ok else witness_x,
-        witness_piece=None if ok else witness_piece,
     )
 
 

@@ -1,7 +1,7 @@
 """p-adic specifics: U/L ball tests, locally-constant detection and its
 obstruction, the reduction to coset problems at level v_p(a)
-(``qp_reduction``), the coset log-integrals, which are those problems'
-exact log-sums, and the conjugation diagrams.
+(``qp_reduction``), and the coset log-integrals, which are those problems'
+exact log-sums.
 
 Everything here is exact: weights are rational coset tables, products are
 sums of exponent vectors over the table's coprime base
@@ -24,8 +24,7 @@ from .borel import BallSet, ball
 from .errors import ContextMismatch, InternalInconsistency, WindowExceeded
 from .groups import PRECISION_CAP, PAdicContext, PAdicNumber
 from .report import RULE_LOCALLY_CONSTANT, RULE_UL_EMPTY, RuleFiring
-from .weights import (DiscretizedFunction, ExponentForm, PAdicTableWeight, ProductRows, apply_operator,
-                      weight_product)
+from .weights import ExponentForm, PAdicTableWeight, ProductRows
 
 __all__ = [
     "ULWitness",
@@ -37,11 +36,6 @@ __all__ = [
     "locally_constant_obstruction",
     "CosetIntegral",
     "coset_log_integrals",
-    "conjugate_translate",
-    "translation_diagram_defect",
-    "ConjugationTriple",
-    "conjugate_scale",
-    "multiplication_diagram_defect",
     "CosetProblem",
     "qp_reduction",
 ]
@@ -320,154 +314,6 @@ def coset_log_integrals(problems: list[CosetProblem]) -> list[CosetIntegral]:
         out.append(CosetIntegral(prob.coset, tuple(s), form.log_value(D, s),
                                  form.log_value(D * len(problems), s), form))
     return out
-
-
-# ---------------------------------------------------------------------------
-# conjugation diagrams
-
-
-def _translate_function(f: DiscretizedFunction, shift: PAdicNumber) -> DiscretizedFunction:
-    """T_{-shift} on a discretized function: x -> f(x + shift)."""
-    ctx = f.domain
-    n = ctx.modulus
-    return DiscretizedFunction(
-        ctx, tuple(f.values[(r + shift.residue) % n] for r in range(n))
-    )
-
-
-def conjugate_translate(w: PAdicTableWeight, a: PAdicNumber, x_prime: PAdicNumber):
-    """Translation conjugation: the same element with the shifted weight."""
-    return a, w.translate(x_prime)
-
-
-def translation_diagram_defect(w: PAdicTableWeight, a: PAdicNumber, x_prime: PAdicNumber) -> Fraction:
-    """Exact defect of T_{-x'} T_{a,w} = T_{a, T_{-x'} w} T_{-x'} over the
-    finest-ball indicator basis; zero when the diagram commutes."""
-    ctx = w.context
-    shifted = w.translate(x_prime)
-    worst = Fraction(0)
-    for r in range(ctx.modulus):
-        f = DiscretizedFunction.delta(ctx, r)
-        lhs = _translate_function(apply_operator(w, a, f), x_prime)
-        rhs = apply_operator(shifted, a, _translate_function(f, x_prime))
-        worst = max(worst, lhs.sup_diff(rhs))
-    return worst
-
-
-@dataclass(frozen=True)
-class ConjugationTriple:
-    """The scale reduction: a^(n) = n a / p^v with v = v_p(n a) a unit, and
-    w^(n)(y) = w_n(p^v y + x'), acting at precision reduced by v."""
-
-    element: PAdicNumber
-    weight: PAdicTableWeight
-    x_prime: PAdicNumber
-    n: int
-    scale_exponent: int
-    reduced_context: PAdicContext
-    reduced_element: PAdicNumber
-    reduced_weight: PAdicTableWeight
-
-    def scale_map(self, f: DiscretizedFunction) -> DiscretizedFunction:
-        """M_{p^v}: (M f)(y) = f(p^v y), original functions to reduced ones."""
-        ctx, red = self.weight.context, self.reduced_context
-        p = ctx.prime
-        factor = p ** (self.scale_exponent + ctx.window)
-        vals = tuple(
-            f.values[(factor * s) % ctx.modulus] for s in range(red.modulus)
-        )
-        return DiscretizedFunction(red, vals)
-
-    def commutation_defect(self) -> Fraction:
-        """Exact defect of M T_{a, T_{-x'}w}^n = T_{a^(n), w^(n)} M over the
-        finest-ball indicator basis."""
-        ctx = self.weight.context
-        shifted = self.weight.translate(self.x_prime)
-        worst = Fraction(0)
-        for r in range(ctx.modulus):
-            f = DiscretizedFunction.delta(ctx, r)
-            powered = f
-            for _ in range(self.n):
-                powered = apply_operator(shifted, self.element, powered)
-            lhs = self.scale_map(powered)
-            rhs = apply_operator(self.reduced_weight, self.reduced_element, self.scale_map(f))
-            worst = max(worst, lhs.sup_diff(rhs))
-        return worst
-
-
-def conjugate_scale(
-    w: PAdicTableWeight, a: PAdicNumber, n: int, x_prime: PAdicNumber | int = 0
-) -> ConjugationTriple:
-    """Build the reduced operator data for the scale diagram."""
-    if n == 0:
-        raise ValueError("need n != 0")
-    ctx = w.context
-    if ctx.window != 0:
-        raise WindowExceeded("the scale diagram is supported on window-0 contexts")
-    if not isinstance(x_prime, PAdicNumber):
-        x_prime = ctx.element(x_prime)
-    na = a.scalar_mul(n)
-    v = na.valuation()
-    if v is PRECISION_CAP:
-        raise WindowExceeded("n a vanishes at working precision; no unit reduction")
-    reduced_element = na.exact_divide_p_power(v)
-    red_ctx = reduced_element.context
-    level_red = min(max(w.level - v, 0), red_ctx.precision)
-    p = ctx.prime
-    table = {}
-    for s in range(p ** level_red):
-        x_res = (p ** v * s + x_prime.residue) % ctx.modulus
-        table[s] = weight_product(w, a, n, ctx.from_residue(x_res))
-    reduced_weight = PAdicTableWeight(red_ctx, level_red, table, w.declared_locally_constant)
-    return ConjugationTriple(
-        element=a,
-        weight=w,
-        x_prime=x_prime,
-        n=n,
-        scale_exponent=v,
-        reduced_context=red_ctx,
-        reduced_element=reduced_element,
-        reduced_weight=reduced_weight,
-    )
-
-
-def multiplication_weight(w: PAdicTableWeight, a: PAdicNumber) -> PAdicTableWeight:
-    """(M_a w)(x) = w(a x) on an integer-ring context with v_p(a) >= 0."""
-    ctx = w.context
-    if ctx.window != 0:
-        raise WindowExceeded("multiplication conjugation is supported on window-0 contexts")
-    v = a.valuation()
-    if v is PRECISION_CAP or v < 0:
-        raise WindowExceeded("need v_p(a) >= 0")
-    # w(ax) is constant once a x stays in one level-l coset, i.e. at level l - v
-    level = min(max(w.level - v, 0), ctx.precision)
-    p = ctx.prime
-    table = {
-        s: w.value_at(ctx.from_residue((a.residue * s) % ctx.modulus))
-        for s in range(p ** level)
-    }
-    return PAdicTableWeight(ctx, level, table, w.declared_locally_constant)
-
-
-def multiplication_diagram_defect(w: PAdicTableWeight, a: PAdicNumber) -> Fraction:
-    """Exact defect of M_a T_{a,w} = T_{1, M_a w} M_a over the indicator
-    basis (integer-ring contexts)."""
-    ctx = w.context
-    maw = multiplication_weight(w, a)
-    one = ctx.element(1)
-
-    def m_a(f: DiscretizedFunction) -> DiscretizedFunction:
-        return DiscretizedFunction(
-            ctx, tuple(f.values[(a.residue * s) % ctx.modulus] for s in range(ctx.modulus))
-        )
-
-    worst = Fraction(0)
-    for r in range(ctx.modulus):
-        f = DiscretizedFunction.delta(ctx, r)
-        lhs = m_a(apply_operator(w, a, f))
-        rhs = apply_operator(maw, one, m_a(f))
-        worst = max(worst, lhs.sup_diff(rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------

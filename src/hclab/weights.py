@@ -1,4 +1,4 @@
-"""Weights, step functions, and discretized functions.
+"""Weights and step functions.
 
 A weight is a strictly positive bounded function on a group context.  Four
 families are supported:
@@ -29,7 +29,7 @@ import numpy as np
 
 from .borel import BallSet, FiniteSubset, IntervalSet
 from .equidist import BLOCK_ENTRIES, Boundaries, Translates, _frac, sweep_blocks
-from .errors import ContextMismatch, GridMismatch, NonPositiveWeight
+from .errors import ContextMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, FiniteGroup, OrbitSequence, PAdicContext, PAdicNumber
 
@@ -40,14 +40,11 @@ __all__ = [
     "StepWeight",
     "FiniteWeight",
     "PAdicTableWeight",
-    "CircleGrid",
-    "DiscretizedFunction",
     "ExponentForm",
     "ProductRows",
     "weight_product",
     "step_products",
     "circle_step_rows",
-    "apply_operator",
 ]
 
 
@@ -556,9 +553,10 @@ class ExprWeight(Weight):
         t = float(getattr(x, "value", x))
         return float(self.eval_angles(t))
 
-    def lipschitz_bound(self, grid_points: int = EXPR_GRID_POINTS) -> float:
-        """Grid estimate of sup |w'|, padded by a factor 2."""
-        xs = (np.arange(grid_points) + 0.5) / grid_points
+    def lipschitz_bound(self) -> float:
+        """Grid estimate of sup |w'| on the ``EXPR_GRID_POINTS`` cell
+        midpoints, padded by a factor 2."""
+        xs = (np.arange(EXPR_GRID_POINTS) + 0.5) / EXPR_GRID_POINTS
         return 2.0 * float(np.max(np.abs(self.slope_angles(xs))))
 
     def translate(self, shift) -> "ExprWeight":
@@ -722,61 +720,7 @@ class PAdicTableWeight(Weight):
 
 
 # ---------------------------------------------------------------------------
-# discretized functions
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """The uniform grid i/M on the circle."""
-
-    points: int
-
-    def __len__(self) -> int:
-        return self.points
-
-
-@dataclass(frozen=True)
-class DiscretizedFunction:
-    """Function values on a finite evaluation domain.
-
-    Circle grids index by i (the point i/M); finite groups and p-adic
-    contexts by ``domain.index`` of an element.  Values may be floats,
-    complex numbers, or Fractions -- rational pipelines stay exact end to end.
-    """
-
-    domain: object
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.domain):
-            raise ValueError("value count does not match the domain size")
-
-    @staticmethod
-    def constant(domain, c) -> "DiscretizedFunction":
-        return DiscretizedFunction(domain, tuple([c] * len(domain)))
-
-    @staticmethod
-    def delta(domain, index: int) -> "DiscretizedFunction":
-        n = len(domain)
-        vals = [0] * n
-        vals[index % n] = 1
-        return DiscretizedFunction(domain, tuple(vals))
-
-    @staticmethod
-    def from_values(domain, values) -> "DiscretizedFunction":
-        return DiscretizedFunction(domain, tuple(values))
-
-    def sup_diff(self, other: "DiscretizedFunction"):
-        if self.domain != other.domain:
-            raise ContextMismatch("discretized functions on different domains")
-        return max(abs(a - b) for a, b in zip(self.values, other.values))
-
-    def __len__(self):
-        return len(self.values)
-
-
-# ---------------------------------------------------------------------------
-# weight products and the weighted translation operator
+# the n-step product at a point
 
 
 def weight_product(w: Weight, a, n: int, x):
@@ -793,40 +737,3 @@ def weight_product(w: Weight, a, n: int, x):
         acc *= w.value_at(y)
         y = group.mul(y, back)
     return acc
-
-
-def _grid_shift(domain: CircleGrid, a: CircleElement, mode: str) -> int:
-    """The index shift realizing rotation by ``a`` on the grid."""
-    s = a.value * domain.points
-    if s.denominator == 1:
-        return int(s) % domain.points
-    if mode == "nearest":
-        return int(round(float(a.value) * domain.points)) % domain.points
-    raise GridMismatch(
-        f"rotation {a.value} does not map the {domain.points}-point grid to itself"
-    )
-
-
-def _weighted_shift(value: Callable, a, n: int, f: DiscretizedFunction, mode: str) -> DiscretizedFunction:
-    """x -> value(x) f(x a^-n) on f's domain.  On a circle grid the index
-    shift is n times the one that realizes a (``_grid_shift``), so "nearest"
-    snaps a once, not a^n."""
-    domain = f.domain
-    if isinstance(domain, CircleGrid):
-        shift, M = n * _grid_shift(domain, a, mode), len(domain)
-        vals = (value(CircleElement(Fraction(i, M), True)) * f.values[(i - shift) % M] for i in range(M))
-    else:
-        back = domain.inv(domain.power(a, n))
-        vals = (value(x) * f.values[domain.index(domain.mul(x, back))] for x in domain.elements())
-    return DiscretizedFunction(domain, tuple(vals))
-
-
-def apply_operator(w: Weight, a, f: DiscretizedFunction, mode: str = "strict") -> DiscretizedFunction:
-    """The weighted translation operator: (T f)(x) = w(x) f(x a^-1), with
-    the weight's own ``value_at``, so exact weights keep rational functions
-    exact.
-
-    ``mode`` governs circle grids when the rotation is not a multiple of the
-    grid spacing: "strict" raises GridMismatch, "nearest" snaps.
-    """
-    return _weighted_shift(w.value_at, a, 1, f, mode)

@@ -12,25 +12,22 @@ from fractions import Fraction
 import numpy as np
 from hclab.borel import interval
 from hclab.cli import main as cli_main
-from hclab.equidist import TestFunction, sup_deviation, uniform_convergence_sweep
+from hclab.equidist import sup_deviation, uniform_convergence_sweep
 from hclab.exprs import Expr
 from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog
-from hclab.hctest import (
-    log_integral_report,
+from hclab.hctest import log_integral_report, verdict
+from hclab.lemmas import (
+    CircleGrid,
+    DiscretizedFunction,
+    conjugate_scale,
+    multiplication_diagram_defect,
     operator_power_identity_check,
     step_approx,
-    verdict,
-)
-from hclab.padic import (
-    conjugate_scale,
-    coset_log_integrals,
-    multiplication_diagram_defect,
-    qp_reduction,
     translation_diagram_defect,
-    ul_sets,
 )
+from hclab.padic import coset_log_integrals, qp_reduction, ul_sets
 from hclab.repcheck import fixed_irrep_multiplicity, noncyclic_equivalence_check
-from hclab.weights import CircleGrid, DiscretizedFunction, ExprWeight, PAdicTableWeight, weight_product
+from hclab.weights import ExprWeight, PAdicTableWeight, weight_product
 
 from test_borel import random_interval_set, probe_points, unpinch
 from test_repcheck import cycle_count_oracle
@@ -106,8 +103,7 @@ def test_criterion_03_uniform_weyl_bound():
     for af in (GOLDEN, math.sqrt(2) - 1, (1 / math.pi) % 1):
         a = CIRCLE.from_float(af)
         for k in (1, 2, 3):
-            f = TestFunction.character(k)
-            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000, 10_000]):
+            for pt in uniform_convergence_sweep(k, a, [10, 100, 1000, 10_000]):
                 assert pt.bound is not None
                 if pt.sup_deviation > pt.bound:
                     violations += 1

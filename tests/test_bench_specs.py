@@ -21,7 +21,7 @@ import exact_oracle
 import expr_oracle
 from circle_oracle import row_pairs, step_values_at
 from hclab.cli import parse_spec, validate
-from hclab.equidist import TestFunction, density, sup_deviation, uniform_convergence_sweep
+from hclab.equidist import density, sup_deviation, uniform_convergence_sweep
 from hclab.groups import OrbitSequence
 from hclab.hctest import log_integral_report, monotone_rows
 from hclab.weights import StepWeight, circle_step_rows
@@ -120,7 +120,7 @@ def _erdos_turan(a, N, K_max=64):
     (Kuipers & Niederreiter, Uniform Distribution of Sequences, 1974, ch. 2,
     Thm 2.5), with |S_k|/N from the closed-form character sweep."""
     mean = [point.sup_deviation * N / (N - 1) for k in range(1, K_max + 1)
-            for point in uniform_convergence_sweep(TestFunction.character(k), a, [N])]
+            for point in uniform_convergence_sweep(k, a, [N])]
     return min(6 / (K + 1) + 4 / math.pi * sum((1 / k - 1 / (K + 1)) * mean[k - 1] for k in range(1, K + 1))
                for K in range(1, K_max + 1))
 

@@ -272,6 +272,9 @@ _PROBES = [
     (_EXPR, ("tolerances", "grid_points"), 2 ** 22 + 1,
      "tolerances.grid_points: 4194305 is above the maximum 4194304"),
     (_EXPR, ("weight", "grid_points"), 2 ** 40, "weight.grid_points: 1099511627776 is above the maximum 4194304"),
+    # the task is the command's, never the spec's
+    (_EXPR, ("task",), "padic", "spec: unknown fields ['task']"),
+    (_EXPR, ("task",), 5, "spec: unknown fields ['task']"),
 ]
 
 # the line that says a required field is missing, which a field that was
@@ -677,6 +680,10 @@ def test_reps_group_shortcut(tmp_path, capsys):
     assert main(["reps", "--group", "Z6", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["results"]["reps"]["noncyclic_equivalence_holds"] is True
+    # the shortcut is the spec file that names the group and nothing else
+    spec = write_spec(tmp_path, {"schema": 1, "group": {"group": "finite", "name": "Z6"}})
+    assert main(["reps", "--spec", spec, "--out-dir", str(tmp_path / "file")]) == 0
+    assert json.loads((tmp_path / "file" / "report.json").read_text())["spec_hash"] == report["spec_hash"]
 
 
 def test_spec_hash_and_metadata_embedded(tmp_path):

@@ -19,9 +19,7 @@ from hclab.borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
     Boundaries,
     OrbitCounter,
-    TestFunction,
     density,
-    ergodic_average,
     sweep_blocks,
     sup_deviation,
     translated_density,
@@ -29,7 +27,8 @@ from hclab.equidist import (
     weyl_bound,
 )
 from hclab.errors import FixedCharacterError
-from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog
+from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog, cyclic
+from hclab.lemmas import TestFunction, ergodic_average
 from hclab.weights import StepFunction, StepWeight, circle_step_rows
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -124,6 +123,57 @@ def test_sup_deviation_full_set_is_exactly_one_over_N():
     g = catalog()["S3"]
     gseq = OrbitSequence(g, 1)
     assert sup_deviation(FiniteSubset.full(g), gseq, 10) == 0.1
+
+
+@st.composite
+def _ball_sets_and_residues(draw):
+    """A union of balls on zp(p, K) with an element and horizons, and the
+    same residues as a subset of cyclic(p^K) with the element's residue."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    K = draw(st.integers(1, 4 if p < 5 else 2))
+    ctx = PAdicContext(p, K)
+    balls = draw(st.lists(st.tuples(st.integers(0, K), st.integers(0, ctx.modulus - 1)), max_size=4))
+    m = draw(st.integers(0, ctx.modulus - 1))
+    Ns = draw(st.lists(st.integers(2, 3 * ctx.modulus), min_size=1, max_size=3))
+    K_ball = BallSet.from_balls(ctx, balls)
+    group = cyclic(ctx.modulus)
+    return (K_ball, OrbitSequence(ctx, ctx.from_residue(m)),
+            FiniteSubset.of(group, K_ball.finest_residues()), OrbitSequence(group, m), Ns)
+
+
+@st.composite
+def _aligned_arcs_and_cells(draw):
+    """A union of the cells [i/D, (i+1)/D) under the rotation m/D, with
+    horizons, and the same indices as a subset of cyclic(D) with element m."""
+    D = draw(st.integers(1, 24))
+    cells = draw(st.lists(st.integers(0, D - 1), unique=True, max_size=D))
+    m = draw(st.integers(0, D - 1))
+    Ns = draw(st.lists(st.integers(2, 3 * D), min_size=1, max_size=3))
+    arcs = IntervalSet.empty()
+    for i in cells:
+        arcs = arcs.union(interval(Fraction(i, D), Fraction(i + 1, D), "half_open"))
+    group = cyclic(D)
+    return (arcs, OrbitSequence(CIRCLE, CIRCLE.element(Fraction(m, D))),
+            FiniteSubset.of(group, cells), OrbitSequence(group, m), Ns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_sets_and_residues())
+def test_ball_sets_deviate_as_their_residues_in_the_cyclic_group(case):
+    # zp(p, K) is cyclic(p^K): the exhaustive p-adic count and the finite
+    # group's count give one supremum
+    K, seq, S, finite_seq, Ns = case
+    assert sup_deviation([K], seq, Ns) == sup_deviation([S], finite_seq, Ns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_aligned_arcs_and_cells())
+def test_aligned_arcs_deviate_as_their_cells_in_the_cyclic_group(case):
+    # a rotation by m/D moves the cells of 1/D as cyclic(D) moves its
+    # indices, and every translate in a cell counts as the cell's start: the
+    # circle's event sweep and the finite group's count give one supremum
+    K, seq, S, finite_seq, Ns = case
+    assert sup_deviation([K], seq, Ns) == sup_deviation([S], finite_seq, Ns)
 
 
 def test_sup_deviation_dominates_sampled_translates():
@@ -621,13 +671,11 @@ def test_sweep_character_respects_bound():
     for af in (GOLDEN, math.sqrt(2) - 1):
         a = CIRCLE.from_float(af)
         for k in (1, 2, 3):
-            f = TestFunction.character(k)
-            for pt in uniform_convergence_sweep(f, a, [10, 100, 1000]):
+            for pt in uniform_convergence_sweep(k, a, [10, 100, 1000]):
                 assert pt.bound is not None
                 assert pt.sup_deviation <= pt.bound
     # |1 - e(1/3)| = sqrt(3)
-    f = TestFunction.character(1)
-    for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), [9, 99]):
+    for pt in uniform_convergence_sweep(1, CIRCLE.element("1/3"), [9, 99]):
         assert pt.bound == pytest.approx(2 / (pt.N * math.sqrt(3)), rel=1e-12)
         assert pt.sup_deviation <= pt.bound
 
@@ -671,13 +719,12 @@ def character_cases(draw):
 @example((6, CIRCLE.element("1/3"), [2, 3, 10 ** 7]))
 def test_character_sweep_closed_form(case):
     k, a, N_list = case
-    f = TestFunction.character(k)
     if a.value.denominator > 2 ** 64:
         # as for every circle statistic, the residues mod D fit in uint64
         with pytest.raises(ValueError, match="angle denominator exceeds 2\\^64"):
-            uniform_convergence_sweep(f, a, N_list)
+            uniform_convergence_sweep(k, a, N_list)
         return
-    points = uniform_convergence_sweep(f, a, N_list)
+    points = uniform_convergence_sweep(k, a, N_list)
     assert [pt.N for pt in points] == sorted(set(N_list))
     fixed = (k * a.value) % 1 == 0
     for pt in points:
@@ -693,22 +740,16 @@ def test_character_sweep_closed_form(case):
 
 def test_character_sweep_takes_no_loop_over_n():
     # one row at the largest horizon is two sines, not 10^7 terms
-    f, a = TestFunction.character(8), CIRCLE.from_float(GOLDEN)
-    uniform_convergence_sweep(f, a, [10 ** 7])
-    assert min(timeit.repeat(lambda: uniform_convergence_sweep(f, a, [10 ** 7]), number=1, repeat=5)) < 1e-3
+    a = CIRCLE.from_float(GOLDEN)
+    uniform_convergence_sweep(8, a, [10 ** 7])
+    assert min(timeit.repeat(lambda: uniform_convergence_sweep(8, a, [10 ** 7]), number=1, repeat=5)) < 1e-3
 
 
 def test_fixed_character_sweep_is_one_minus_one_over_n():
-    f = TestFunction.character(3)
     Ns = [2, 3, 10, 99, 100, 2048, 2049, 10_000]
-    for pt in uniform_convergence_sweep(f, CIRCLE.element("1/3"), Ns):
+    for pt in uniform_convergence_sweep(3, CIRCLE.element("1/3"), Ns):
         assert pt.bound is None
         assert pt.sup_deviation == (pt.N - 1) / pt.N
-
-
-def test_sweep_is_for_characters_only():
-    with pytest.raises(ValueError, match="characters"):
-        uniform_convergence_sweep(TestFunction.constant(1.0), CIRCLE.from_float(GOLDEN), [10])
 
 
 # ---------------------------------------------------------------------------

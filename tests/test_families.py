@@ -85,12 +85,12 @@ def test_the_guard_sees_each_kind_of_family_test():
 def test_only_the_weights_tell_weight_classes_apart():
     # the walk, the products and the operator read a weight through its own
     # value_at and product_rows; the circle grid's domain path is the
-    # operator's, in weights
+    # operator's, in lemmas
     package = Path(hclab.__file__).parent
     hctest = ast.parse((package / "hctest.py").read_text())
-    weights = ast.parse((package / "weights.py").read_text())
     assert class_tests(hctest, _WEIGHT_CLASSES | {"CircleGrid"}) == []
-    assert module_function_tests(weights, _WEIGHT_CLASSES) == []
+    for name in ("weights.py", "lemmas.py"):
+        assert module_function_tests(ast.parse((package / name).read_text()), _WEIGHT_CLASSES) == []
 
 
 def test_the_guard_sees_each_kind_of_weight_test():

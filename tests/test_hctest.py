@@ -11,31 +11,21 @@ from hclab.borel import IntervalSet, interval
 from hclab.errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from hclab.exprs import Expr
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
-from hclab.hctest import (
-    VerdictConfig,
-    log_integral_report,
-    monotone_power_scan,
+from hclab.hctest import VerdictConfig, log_integral_report, monotone_power_scan, verdict
+from hclab.lemmas import (
+    CircleGrid,
+    DiscretizedFunction,
+    apply_operator,
     operator_power_identity_check,
     sandwich_check,
     step_approx,
-    verdict,
 )
 from hclab.report import (
     RULE_LOG_INTEGRAL,
     RULE_MONOTONE,
     RULE_TORSION,
 )
-from hclab.weights import (
-    CircleGrid,
-    DiscretizedFunction,
-    ExprWeight,
-    FiniteWeight,
-    PAdicTableWeight,
-    StepFunction,
-    StepWeight,
-    apply_operator,
-    weight_product,
-)
+from hclab.weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight, weight_product
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 

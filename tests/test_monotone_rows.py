@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import expr_oracle
@@ -18,6 +18,7 @@ from hclab.borel import interval
 from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock, Translates
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
 from hclab.hctest import MonotoneHit, log_integral_report, monotone_power_scan, monotone_rows
+from hclab.padic import qp_reduction
 from hclab.weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
 
@@ -278,10 +279,47 @@ def test_isomorphic_families_have_equal_rows(case):
     # operator: its monotone rows and its exact log integral agree
     w, a, u, b = case
     n_max = 2 * len(u.values) + 2
-
-    def rows(weight, element):
-        return [(hit.n, hit.direction, hit.strict, hit.min_value, hit.max_value)
-                for hit in itertools.islice(monotone_rows(weight, element, horizon=n_max), n_max)]
-
-    assert rows(w, a) == rows(u, b)
+    assert _rows(w, a, n_max) == _rows(u, b, n_max)
     assert log_integral_report(w) == log_integral_report(u)
+
+
+def _rows(weight, element, n_max):
+    """The monotone rows n <= n_max of (weight, element), without their
+    witnesses, which are points of the weight's own group."""
+    return [(hit.n, hit.direction, hit.strict, hit.min_value, hit.max_value)
+            for hit in itertools.islice(monotone_rows(weight, element, horizon=n_max), n_max)]
+
+
+@st.composite
+def _windowed_operators(draw):
+    """A table weight on a windowed qp context, with an element whose
+    coset level k = v_p(a) leaves significant digits.  Half the time the
+    values are one value and its reciprocal."""
+    p = draw(st.sampled_from([2, 3]))
+    K, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ctx = PAdicContext(p, K, m)
+    level = draw(st.integers(-m, K))
+    pool = [Fraction(v) for v in ("1/3", "1/2", "2/3", "1", "3/2", "2", "3")]
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(pool))
+        pool = [base, 1 / base]
+    size = p ** (level + m)
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    a = ctx.from_residue(draw(st.integers(1, ctx.modulus - 1)))
+    assume(K - a.valuation() >= 1)
+    return PAdicTableWeight(ctx, level, dict(enumerate(values))), a
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_windowed_operators())
+def test_each_coset_problem_is_its_cyclic_group(case):
+    # a coset problem of the windowed reduction is an operator on Z_p at
+    # precision K - k, so on cyclic(p^(K-k)) with its table spread over the
+    # residues and the element's residue: the same rows and log integral
+    w, a = case
+    for prob in qp_reduction(w, a):
+        D, table = prob.context.modulus, prob.weight.table
+        u = FiniteWeight(cyclic(D), [table[s % len(table)] for s in range(D)])
+        n_max = 2 * D + 2
+        assert _rows(prob.weight, prob.element, n_max) == _rows(u, prob.element.residue, n_max)
+        assert log_integral_report(prob.weight) == log_integral_report(u)

@@ -7,15 +7,17 @@ import pytest
 from hclab.errors import WindowExceeded
 from hclab.groups import PRECISION_CAP, PAdicContext
 from hclab.hctest import ProductWalk, log_integral_report
-from hclab.padic import (
+from hclab.lemmas import (
     conjugate_scale,
     conjugate_translate,
+    multiplication_diagram_defect,
+    translation_diagram_defect,
+)
+from hclab.padic import (
     coset_log_integrals,
     is_locally_constant,
     locally_constant_obstruction,
-    multiplication_diagram_defect,
     qp_reduction,
-    translation_diagram_defect,
     ul_scan,
     ul_sets,
 )

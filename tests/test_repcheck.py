@@ -1,7 +1,7 @@
 import math
 import random
 
-from hclab.equidist import TestFunction
+from hclab.lemmas import TestFunction
 from hclab.groups import CIRCLE, catalog, cyclic
 from hclab.repcheck import (
     circle_has_fixed_character,
