@@ -88,9 +88,6 @@ def _mod1(arr: np.ndarray, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # counting orbit points in translated circle sets
 
-_NO_EVENTS = np.zeros(0, dtype=np.uint64)
-
-
 class OrbitCounter:
     """Exact counting of a circle orbit, a multiset of points, in translated
     sets.
@@ -167,9 +164,9 @@ class OrbitCounter:
         if bounds.denominator != D:
             raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
         if not len(bounds.floors) or not len(self.residues):
-            return Sweep(np.zeros((1, bounds.sets), dtype=np.int64), D)
+            return Sweep(bounds)
         repeated = self.total > len(self.residues)
-        return _EventSweep(bounds.arrange(self.residues), self.counts if repeated else None)
+        return Sweep(bounds, bounds.arrange(self.residues), self.counts if repeated else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,91 +364,73 @@ class Boundaries:
 
 
 class Sweep:
-    """Exact orbit counts in one or more sets at every candidate translate.
+    """Exact orbit counts in one or more sets at every candidate translate,
+    from one orbit's ``Events`` (None when there are none: no set
+    boundaries, or no points), whose points have the multiplicities
+    ``mults`` (all 1 when None).
 
     A set's translated count is constant between consecutive event
     positions, so the candidates are the events and one translate in each
     cell between them, its exact midpoint; the cell after the last event
     wraps past 0 to the first.  Candidates run in increasing translate order
     over [0, 1), and ``counts[j, i]`` is set i's count at candidate j.  With
-    no events (no set boundaries, or no points) the only candidate is the
-    translate 0.  The events are the distinct positions of the sorted
-    orbit's events against one row per boundary position of a set, and the
-    counts are cumulative sums of their changes (``Events.set_counts``).
-
-    Event g sits at ``event_ints[g] + fracs[event_ranks[g]]``, in units of
-    1/D; ``wrap_first`` says whether the wrapping cell's candidate comes
-    first.
+    no events the only candidate is the translate 0.  The events are the
+    distinct positions of the sorted orbit's events against one row per
+    boundary position of a set, and the counts are cumulative sums of their
+    changes (``Events.set_counts``).  The counts, event positions and wrap
+    order are built when first read; the length and ``extremes`` read none
+    of them.
     """
 
-    def __init__(self, counts: np.ndarray, denominator: int, event_ints: np.ndarray = _NO_EVENTS,
-                 event_ranks: np.ndarray = _NO_EVENTS, fracs: tuple = (), wrap_first: bool = False):
-        self.counts, self.denominator, self.fracs = counts, denominator, fracs
-        self.event_ints, self.event_ranks, self.wrap_first = event_ints, event_ranks, wrap_first
+    def __init__(self, bounds: Boundaries, events: Events | None = None, mults: np.ndarray | None = None):
+        self.bounds, self.events, self.mults = bounds, events, mults
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return 1 if self.events is None else 2 * int(np.count_nonzero(self.events.last))
 
     def extremes(self) -> list[tuple[int, int]]:
         """Each set's least and greatest count over every translate."""
-        return [(int(c.min()), int(c.max())) for c in self.counts.T]
-
-    def _position(self, g: int) -> Fraction:
-        return int(self.event_ints[g]) + self.fracs[self.event_ranks[g]]
-
-    def translate(self, j: int) -> Fraction:
-        """The exact translate of candidate j."""
-        G = len(self.event_ints)
-        if not G:
-            return Fraction(0)
-        g, in_cell = divmod((j - self.wrap_first) % (2 * G), 2)
-        D = self.denominator
-        if not in_cell:
-            return self._position(g) / D
-        if g + 1 < G:
-            return (self._position(g) + self._position(g + 1)) / (2 * D)
-        return ((self._position(g) + self._position(0) + D) / 2 % D) / D
-
-
-class _EventSweep(Sweep):
-    """The ``Sweep`` of one orbit's ``Events``, whose points have the
-    multiplicities ``mults`` (all 1 when None).  Its counts, event positions
-    and wrap order are built when first read; its length and ``extremes``
-    read none of them."""
-
-    def __init__(self, events: Events, mults: np.ndarray | None):
-        self.events, self.mults = events, mults
-        self.denominator, self.fracs = events.bounds.denominator, events.bounds.fracs
-
-    def __len__(self) -> int:
-        return 2 * int(np.count_nonzero(self.events.last))
-
-    def extremes(self) -> list[tuple[int, int]]:
+        if self.events is None:
+            return [(0, 0)] * self.bounds.sets
         return [(int(min(cells.min(), at.min())), int(max(cells.max(), at.max())))
                 for cells, at in self.events.set_counts(self.mults)]
 
     @functools.cached_property
     def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integer parts and fraction ranks of the event positions."""
         return self.events.positions()
-
-    event_ints = property(lambda self: self._positions[0])
-    event_ranks = property(lambda self: self._positions[1])
 
     @functools.cached_property
     def wrap_first(self) -> bool:
-        events, ends = self.events, [0, -1]
-        ranks = events.bounds.ranks[events.rows[ends]]
-        return _wrap_first(events.ints[ends], ranks, self.fracs, self.denominator, 0, 1)
+        """Whether the wrapping cell's candidate comes first (with events)."""
+        ints, ranks = self._positions
+        return _wrap_first(ints, ranks, self.bounds.fracs, self.bounds.denominator, 0, -1)
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
         # set i's count at position g in row 2g and on the cell after it in
         # row 2g + 1, then the wrapping cell moved first when it comes first
-        out = np.empty((len(self), self.events.bounds.sets), dtype=np.int64)
+        out = np.zeros((len(self), self.bounds.sets), dtype=np.int64)
+        if self.events is None:
+            return out
         for i, (cells, at) in enumerate(self.events.set_counts(self.mults)):
             out[0::2, i] = at
             out[1::2, i] = cells
         return np.roll(out, 1, axis=0) if self.wrap_first else out
+
+    def translate(self, j: int) -> Fraction:
+        """The exact translate of candidate j."""
+        if self.events is None:
+            return Fraction(0)
+        ints, ranks = self._positions
+        fracs, D, G = self.bounds.fracs, self.bounds.denominator, len(ints)
+        g, in_cell = divmod((j - self.wrap_first) % (2 * G), 2)
+        here = int(ints[g]) + fracs[ranks[g]]
+        if not in_cell:
+            return here / D
+        # the midpoint of the cell to the next position, past 0 after the last
+        after = int(ints[(g + 1) % G]) + fracs[ranks[(g + 1) % G]] + (D if g + 1 == G else 0)
+        return ((here + after) / 2 % D) / D
 
 
 def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first: int, last: int) -> bool:
@@ -469,37 +448,22 @@ BLOCK_ENTRIES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class SweepBlock:
-    """The sweeps of rows n = start+1 .. start+len of a product-orbit walk,
-    from one arrangement of the events of every term the block reaches.
+    """The candidate counts of rows n = start+1 .. start+len of a
+    product-orbit walk, from one arrangement of the events of every term the
+    block reaches.
 
-    Row n is the n-point orbit x, x-a, ..., x-(n-1)a (terms 0..n-1).  Its
-    events are the block's events whose ``birth``, the first term meeting
-    that position, is below n; ``sweep(q)`` is row start+1+q, the sweep
-    ``OrbitCounter.sup_candidates`` gives that orbit.  ``counts`` holds
-    every row's candidate counts, row after row: row q's are
-    ``counts[offsets[q]:offsets[q + 1]]``, in its sweep's order.
+    Row n is the n-point orbit x, x-a, ..., x-(n-1)a (terms 0..n-1), and
+    its counts are those of the ``Sweep`` that ``OrbitCounter.sup_candidates``
+    gives that orbit, in that sweep's order.  ``counts`` holds every row's,
+    row after row: row q's are ``counts[offsets[q]:offsets[q + 1]]``.
     """
 
     start: int
-    denominator: int
     counts: np.ndarray
     offsets: np.ndarray
-    birth: np.ndarray
-    event_ints: np.ndarray
-    event_ranks: np.ndarray
-    fracs: tuple
-    wrap_first: np.ndarray
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    def sweep(self, q: int) -> Sweep:
-        counts = self.counts[self.offsets[q]:self.offsets[q + 1]]
-        if not len(self.birth):
-            return Sweep(counts, self.denominator)
-        alive = self.birth <= self.start + q
-        return Sweep(counts, self.denominator, self.event_ints[alive], self.event_ranks[alive],
-                     self.fracs, bool(self.wrap_first[q]))
 
     def distinct_firsts(self) -> tuple[np.ndarray, np.ndarray]:
         """``(firsts, bounds)``: the candidates at which each row's count
@@ -526,8 +490,8 @@ class SweepBlock:
 
 
 def sweep_blocks(bounds: Boundaries, seq: OrbitSequence, horizon: int = 1) -> Iterator[SweepBlock]:
-    """The sweeps of the product orbits of ``seq``'s terms 0..n-1 in every
-    set of ``bounds``, for n = 1, 2, ..., in ``SweepBlock``s.
+    """The candidate counts of the product orbits of ``seq``'s terms 0..n-1
+    in every set of ``bounds``, for n = 1, 2, ..., in ``SweepBlock``s.
 
     The first block ends at row ``horizon`` and each later one doubles the
     walk, unless a block would hold more than ``BLOCK_ENTRIES`` counts by
@@ -566,10 +530,8 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     D, S, rows = bounds.denominator, bounds.sets, stop - start
     residues = seq.angle_terms(stop, first=0)
     P = len(residues)
-    empty = np.zeros(0, dtype=np.int64)
     if not len(bounds.floors):
-        return SweepBlock(start, D, np.zeros((rows, S), dtype=np.int64), np.arange(rows + 1),
-                          empty, empty, empty, bounds.fracs, np.zeros(rows, dtype=bool))
+        return SweepBlock(start, np.zeros((rows, S), dtype=np.int64), np.arange(rows + 1))
     order = np.argsort(residues)
     events = bounds.arrange(residues[order])
     term = order[events.points()]
@@ -614,7 +576,7 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
         source = np.arange(len(counts)) - np.repeat(wrap_first, np.diff(offsets))
         source[offsets[:-1][wrap_first]] = offsets[1:][wrap_first] - 1
         counts = counts[source]
-    return SweepBlock(start, D, counts, offsets, birth, ints, ranks, bounds.fracs, wrap_first)
+    return SweepBlock(start, counts, offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,7 +585,7 @@ class Translates(Sequence):
     product-orbit walk over ``bounds`` (``sweep_blocks``): item i is the
     translate of its candidate candidates[i].  Nothing is computed before an
     item is read, and no block is held, only the walk's boundaries and
-    orbit: a read sweeps row n again, as a block of that one row."""
+    orbit: a read sweeps row n's orbit again (``OrbitCounter.sup_candidates``)."""
 
     bounds: Boundaries
     seq: OrbitSequence
@@ -631,7 +593,7 @@ class Translates(Sequence):
     candidates: Sequence[int]
 
     def _sweep(self) -> Sweep:
-        return _sweep_block(self.bounds, self.seq, self.n - 1, self.n).sweep(0)
+        return OrbitCounter.from_sequence(self.seq, self.n, first=0).sup_candidates(self.bounds)
 
     def __len__(self) -> int:
         return len(self.candidates)

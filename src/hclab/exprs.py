@@ -203,7 +203,9 @@ class Expr:
     def _reads_x_once(self) -> bool:
         return _uses_of_x(self._root) == 1
 
+    @functools.cached_property
     def derivative(self) -> "Expr":
+        """The symbolic derivative, built once per expression."""
         return Expr._from_node(_diff(self._root), f"d/dx({self.source})")
 
     def __repr__(self):

@@ -35,6 +35,10 @@ _FIELD_ERRORS = (HclabError, OverflowError, TypeError, ValueError, ZeroDivisionE
 # the most residues p^(precision + window) a zp / qp context may have: the
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
+# the most (translate, term) pairs an equidist task's exhaustive counts may
+# visit (``Family.orbit_extremes``): about 11 s at 1.1 us a pair on one core
+# of a 2-vCPU x86-64 host
+MAX_EXHAUSTIVE_PAIRS = 10 ** 7
 # the most digits of a spec's rational literal, and the largest decimal
 # exponent it may give (Python's own integer-string limit): a literal spells
 # integers below 10^8600, where Fraction("1e-10000000") builds 10^(10^7)

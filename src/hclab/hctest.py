@@ -171,7 +171,10 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
         np.subtract(xs, np.multiply(steps, af, out=steps), out=logs)
         np.log(w.eval_angles(_mod1(logs, out=logs), out=logs), out=logs)
         logs[0] += acc
-        np.cumsum(logs, axis=0, out=logs)
+        # one add per row: a cumulative sum down the columns walks each one
+        # as its own strided chain
+        for prev, row in zip(logs, logs[1:]):
+            np.add(prev, row, out=row)
         acc[:] = logs[-1]
         mins, maxs = logs.min(axis=1), logs.max(axis=1)
         for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):

@@ -547,7 +547,7 @@ class ExprWeight(Weight):
 
     def slope_angles(self, t) -> np.ndarray:
         """w' at the angles t, read at the same angles as ``eval_angles``."""
-        return np.asarray(self.expr.derivative()(self._angles(t)), dtype=float)
+        return np.asarray(self.expr.derivative(self._angles(t)), dtype=float)
 
     def value_at(self, x) -> float:
         t = float(getattr(x, "value", x))

@@ -58,7 +58,7 @@ def mod1(y):
 
 def log_lipschitz(w, xs):
     """Twice the grid maximum of |w'| / w, both read at w's own angles."""
-    dv = np.abs(np.asarray(evaluate(w.expr.derivative(), angles(w, xs)), dtype=float))
+    dv = np.abs(np.asarray(evaluate(w.expr.derivative, angles(w, xs)), dtype=float))
     wv = np.asarray(weight_at(w, xs), dtype=float)
     return 2.0 * float(np.max(dv / wv))
 

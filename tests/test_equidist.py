@@ -435,7 +435,8 @@ def walk_cases(draw):
 @given(walk_cases())
 def test_prepared_boundaries_serve_every_n(case):
     # one Boundaries object read by every n of a walk gives the sweep a
-    # fresh one gives, and the last sweep is the brute-force one
+    # fresh one gives, candidate by candidate, and the last sweep is the
+    # brute-force one
     a, sets, n_max = case
     seq = OrbitSequence(CIRCLE, a)
     D = a.value.denominator
@@ -445,10 +446,7 @@ def test_prepared_boundaries_serve_every_n(case):
         reused = counter.sup_candidates(bounds)
         fresh = counter.sup_candidates(Boundaries.prepare(D, *sets))
         assert np.array_equal(reused.counts, fresh.counts)
-        assert np.array_equal(reused.event_ints, fresh.event_ints)
-        assert np.array_equal(reused.event_ranks, fresh.event_ranks)
-        assert reused.fracs == fresh.fracs
-        assert reused.wrap_first == fresh.wrap_first
+        assert [reused.translate(j) for j in range(len(reused))] == [fresh.translate(j) for j in range(len(fresh))]
     expected = oracle.sweep(oracle.orbit_points(a, range(n_max)), sets)
     assert [(reused.translate(j), tuple(reused.counts[j])) for j in range(len(reused))] == expected
 
@@ -458,18 +456,31 @@ def test_prepared_boundaries_serve_every_n(case):
 @example((CIRCLE.element(Fraction(1, 7)), [interval(Fraction(3, 10), Fraction(9, 10), "open")], 12), 3)
 @given(walk_cases(), st.integers(1, 40))
 def test_block_sweeps_are_the_per_n_sweeps(case, horizon):
-    # every row of a block walk, in the first block or a later one, is the
-    # sweep of its own n-point product orbit
+    # every row of a block walk, in the first block or a later one, holds
+    # the counts of the sweep of its own n-point product orbit, in order
     a, sets, n_max = case
     seq = OrbitSequence(CIRCLE, a)
     bounds = Boundaries.prepare(a.value.denominator, *sets)
-    rows = (block.sweep(q) for block in sweep_blocks(bounds, seq, horizon) for q in range(len(block)))
+    rows = (block.counts[block.offsets[q]:block.offsets[q + 1]]
+            for block in sweep_blocks(bounds, seq, horizon) for q in range(len(block)))
     for n, got in zip(range(1, n_max + 1), rows):
         want = OrbitCounter.from_sequence(seq, n, first=0).sup_candidates(bounds)
-        assert np.array_equal(got.counts, want.counts)
-        assert np.array_equal(got.event_ints, want.event_ints)
-        assert np.array_equal(got.event_ranks, want.event_ranks)
-        assert (got.fracs, got.wrap_first) == (want.fracs, want.wrap_first)
+        assert np.array_equal(got, want.counts)
+
+
+@pytest.mark.parametrize("sets,points", [((IntervalSet.empty(), IntervalSet.empty()), 5),
+                                         ((interval(Fraction(1, 3), Fraction(1, 2), "open"),), 0)],
+                         ids=["empty-sets", "empty-orbit"])
+def test_a_sweep_without_events_has_one_candidate(sets, points):
+    # no set boundaries, or no orbit points: the only candidate is the
+    # translate 0, where every set counts nothing
+    seq = OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 7)))
+    sweep = OrbitCounter.from_sequence(seq, points).sup_candidates(Boundaries.prepare(7, *sets))
+    assert sweep.events is None
+    assert len(sweep) == 1
+    assert sweep.translate(0) == 0
+    assert np.array_equal(sweep.counts, np.zeros((1, len(sets)), dtype=np.int64))
+    assert sweep.extremes() == [(0, 0)] * len(sets)
 
 
 def test_boundaries_belong_to_one_denominator():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import expr_oracle
 from hclab import weights
 from hclab.borel import interval
-from hclab.equidist import BLOCK_ENTRIES, Sweep, SweepBlock, Translates
+from hclab.equidist import BLOCK_ENTRIES, OrbitCounter, Sweep, Translates
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
 from hclab.hctest import MonotoneHit, log_integral_report, monotone_power_scan, monotone_rows
 from hclab.padic import qp_reduction
@@ -175,9 +175,9 @@ def test_step_walk_reads_a_translate_only_for_a_read_witness(monkeypatch):
     # builds no row's sweep and reads no translate; reading a one-sided
     # row's witness builds its row's sweep and reads one
     translates, sweeps, built = [], [], []
-    translate, sweep = Sweep.translate, SweepBlock.sweep
+    translate, sweep = Sweep.translate, OrbitCounter.sup_candidates
     monkeypatch.setattr(Sweep, "translate", lambda self, j: translates.append(j) or translate(self, j))
-    monkeypatch.setattr(SweepBlock, "sweep", lambda self, q: sweeps.append(q) or sweep(self, q))
+    monkeypatch.setattr(OrbitCounter, "sup_candidates", lambda self, b: sweeps.append(b) or sweep(self, b))
     monkeypatch.setattr(weights, "Translates", lambda *args: built.append(args) or Translates(*args))
     w = StepWeight(StepFunction.of([(interval(0, Fraction(1, 2), "half_open"), Fraction(2)),
                                     (interval(Fraction(1, 2), 1, "half_open"), Fraction(1, 3))]))
