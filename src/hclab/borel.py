@@ -7,10 +7,12 @@ Three representations, one per group family:
   carried explicitly, so the four variants of an arc with the same closure
   stay distinct.
 * ``BallSet`` on a p-adic context -- finite unions of balls (cosets of
-  p^j Z_p), held as one residue mask at the set's finest level; clopen, so
-  the boundary is empty.
-* ``FiniteSubset`` on a finite group -- arbitrary subsets (discrete
-  topology, everything clopen).
+  p^j Z_p), held as one residue mask at the set's finest level.
+* ``FiniteSubset`` on a finite group -- arbitrary subsets, held as one byte
+  per element index.
+
+The last two are mask sets (``_MaskSet``): clopen, with one measure,
+complement and elementwise algebra on their masks.
 
 Circle sets are put into canonical form in one place,
 ``IntervalSet.from_pieces``: one sort of the arcs, fusing as it goes.  A
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -238,13 +240,48 @@ def circle_points(*pts) -> IntervalSet:
 
 
 # ---------------------------------------------------------------------------
-# p-adic ball sets
+# mask sets of the enumerable groups
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
+class _MaskSet:
+    """A subset of an enumerable group held as one byte per position, 1 when
+    the position lies in the set; the subclass says what a position is.
+    Every such set is clopen, so boundaries are empty.  ``_aligned`` puts
+    two sets on common positions: it returns both masks as booleans and the
+    constructor of a result mask."""
+
+    mask: bytes
+
+    def _elementwise(self, other, op):
+        mine, theirs, build = self._aligned(other)
+        return build(op(mine, theirs).tobytes())
+
+    def measure(self) -> Fraction:
+        return Fraction(self.mask.count(1), len(self.mask))
+
+    def is_empty(self) -> bool:
+        return 1 not in self.mask
+
+    def complement(self):
+        return replace(self, mask=self.mask.translate(_FLIP))
+
+    def classify(self) -> SetForm:
+        return SetForm.FORM2 if self.is_empty() else SetForm.FORM1
+
+    def union(self, other):
+        return self._elementwise(other, np.logical_or)
+
+    def intersection(self, other):
+        return self._elementwise(other, np.logical_and)
+
+    def difference(self, other):
+        return self._elementwise(other, lambda a, b: a & ~b)
+
+
 @dataclass(frozen=True)
-class BallSet:
+class BallSet(_MaskSet):
     """A finite union of balls ``center + p^j Z_p``, held as one residue
     mask at its finest level.
 
@@ -254,8 +291,7 @@ class BallSet:
     finer level (a ball is the union of its p children, so lifting repeats
     the mask) and combine elementwise.  Every set is kept at the coarsest
     level at which it is a union of balls, so equal sets compare and hash
-    equal; ``balls`` reads its maximal balls back.  Every ball set is
-    clopen, so boundaries are empty.
+    equal; ``balls`` reads its maximal balls back.
     """
 
     context: PAdicContext
@@ -283,21 +319,15 @@ class BallSet:
             mask[c % step::step] = b"\x01" * (len(mask) // step)
         return _coarsest(context, level, bytes(mask))
 
-    def _check(self, other: "BallSet") -> None:
-        if self.context != other.context:
-            raise ContextMismatch(f"{self.context.name} vs {other.context.name}")
-
     def _lifted(self, level: int) -> np.ndarray:
         """The mask at a level no coarser than the set's, as booleans."""
         return np.frombuffer(self.mask * self.context.prime ** (level - self.level), dtype=bool)
 
-    def _elementwise(self, other: "BallSet", op) -> "BallSet":
-        self._check(other)
+    def _aligned(self, other: "BallSet"):
+        if self.context != other.context:
+            raise ContextMismatch(f"{self.context.name} vs {other.context.name}")
         level = max(self.level, other.level)
-        return _coarsest(self.context, level, op(self._lifted(level), other._lifted(level)).tobytes())
-
-    def measure(self) -> Fraction:
-        return Fraction(self.mask.count(1), len(self.mask))
+        return self._lifted(level), other._lifted(level), lambda mask: _coarsest(self.context, level, mask)
 
     def contains(self, x: PAdicNumber) -> bool:
         if x.context is not self.context and x.context != self.context:
@@ -318,27 +348,9 @@ class BallSet:
             return ctx, self
         return coarse, BallSet(coarse, self.level, self.mask)
 
-    def union(self, other: "BallSet") -> "BallSet":
-        return self._elementwise(other, np.logical_or)
-
-    def intersection(self, other: "BallSet") -> "BallSet":
-        return self._elementwise(other, np.logical_and)
-
-    def difference(self, other: "BallSet") -> "BallSet":
-        return self._elementwise(other, lambda a, b: a & ~b)
-
-    def complement(self) -> "BallSet":
-        return BallSet(self.context, self.level, self.mask.translate(_FLIP))
-
-    def is_empty(self) -> bool:
-        return 1 not in self.mask
-
     def translated(self, delta: PAdicNumber) -> "BallSet":
         shift = delta.residue % len(self.mask)
         return BallSet(self.context, self.level, self.mask[-shift:] + self.mask[:-shift])
-
-    def classify(self) -> SetForm:
-        return SetForm.FORM2 if self.is_empty() else SetForm.FORM1
 
     def finest_residues(self) -> list[int]:
         """All stored residues (level precision) belonging to the set."""
@@ -390,62 +402,41 @@ def ball(context: PAdicContext, center, radius_exp: int) -> BallSet:
     return BallSet(context, radius_exp, bytes(mask))
 
 
-# ---------------------------------------------------------------------------
-# finite-group subsets
-
-
 @dataclass(frozen=True)
-class FiniteSubset:
+class FiniteSubset(_MaskSet):
+    """A subset of a finite group, held as one byte per element index."""
+
     group: FiniteGroup
-    members: frozenset[int]
+    mask: bytes
 
     @staticmethod
     def of(group: FiniteGroup, members: Iterable[int]) -> "FiniteSubset":
-        ms = frozenset(int(m) for m in members)
+        ms = [int(m) for m in members]
         if any(not 0 <= m < group.order for m in ms):
             raise ValueError("member index out of range")
-        return FiniteSubset(group, ms)
+        mask = bytearray(group.order)
+        for m in ms:
+            mask[m] = 1
+        return FiniteSubset(group, bytes(mask))
 
     @staticmethod
     def empty(group: FiniteGroup) -> "FiniteSubset":
-        return FiniteSubset(group, frozenset())
+        return FiniteSubset(group, bytes(group.order))
 
     @staticmethod
     def full(group: FiniteGroup) -> "FiniteSubset":
-        return FiniteSubset(group, frozenset(range(group.order)))
+        return FiniteSubset(group, b"\x01" * group.order)
 
-    def _check(self, other: "FiniteSubset") -> None:
+    def _aligned(self, other: "FiniteSubset"):
         if self.group is not other.group and self.group.cayley != other.group.cayley:
             raise ContextMismatch("subsets of different groups")
-
-    def measure(self) -> Fraction:
-        return Fraction(len(self.members), self.group.order)
+        return (np.frombuffer(self.mask, dtype=bool), np.frombuffer(other.mask, dtype=bool),
+                lambda mask: FiniteSubset(self.group, mask))
 
     def contains(self, x: int) -> bool:
-        return int(x) in self.members
+        x = int(x)
+        return 0 <= x < len(self.mask) and self.mask[x] == 1
 
     def resolved(self, group: FiniteGroup) -> tuple[FiniteGroup, "FiniteSubset"]:
         """A subset of a finite group resolves only on the group itself."""
         return group, self
-
-    def union(self, other: "FiniteSubset") -> "FiniteSubset":
-        self._check(other)
-        return FiniteSubset(self.group, self.members | other.members)
-
-    def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
-        self._check(other)
-        return FiniteSubset(self.group, self.members & other.members)
-
-    def difference(self, other: "FiniteSubset") -> "FiniteSubset":
-        self._check(other)
-        return FiniteSubset(self.group, self.members - other.members)
-
-    def complement(self) -> "FiniteSubset":
-        return FiniteSubset(self.group, frozenset(range(self.group.order)) - self.members)
-
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def classify(self) -> SetForm:
-        # discrete topology: every nonempty set is clopen
-        return SetForm.FORM2 if self.is_empty() else SetForm.FORM1

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .borel import BallSet, FiniteSubset, IntervalSet
+from .borel import IntervalSet
 from .equidist import BLOCK_ENTRIES, Boundaries, Translates, _frac, sweep_blocks
 from .errors import ContextMismatch, NonPositiveWeight
 from .exprs import Expr
@@ -50,16 +50,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # step functions
-
-
-def _full_set_like(piece):
-    if isinstance(piece, IntervalSet):
-        return IntervalSet.full()
-    if isinstance(piece, BallSet):
-        return BallSet.full(piece.context)
-    if isinstance(piece, FiniteSubset):
-        return FiniteSubset.full(piece.group)
-    raise TypeError(f"unsupported set type {type(piece)}")
 
 
 def _circle_cover(sets: Sequence[IntervalSet]) -> tuple[int, int]:
@@ -109,7 +99,7 @@ class StepFunction:
             if not acc.intersection(other).is_empty():
                 raise ValueError("step function pieces overlap")
             acc = acc.union(other)
-        if acc != _full_set_like(sets[0]):
+        if not acc.complement().is_empty():
             raise ValueError("step function pieces do not cover the group")
 
     @staticmethod

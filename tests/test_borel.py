@@ -283,8 +283,9 @@ def test_finite_subsets_are_clopen():
     g = catalog()["S3"]
     S = FiniteSubset.of(g, [0, 2, 4])
     assert S.classify() is SetForm.FORM1
-    assert S.complement().members == frozenset({1, 3, 5})
+    assert S.complement() == FiniteSubset.of(g, [1, 3, 5])
     assert S.measure() == Fraction(1, 2)
+    assert not S.contains(-2) and not S.contains(6)  # outside the group, never members
     assert FiniteSubset.empty(g).classify() is SetForm.FORM2
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import timeit
@@ -432,6 +433,9 @@ def walk_cases(draw):
 
 
 @ORACLE
+# events at 2/7 and 5/7 for the point 0 sum to D = 7: the wrapping cell's
+# midpoint is 0, so it comes first
+@example((CIRCLE.element(Fraction(1, 7)), [interval(Fraction(2, 7), Fraction(5, 7), "open")], 1))
 @given(walk_cases())
 def test_prepared_boundaries_serve_every_n(case):
     # one Boundaries object read by every n of a walk gives the sweep a
@@ -468,6 +472,16 @@ def test_block_sweeps_are_the_per_n_sweeps(case, horizon):
         assert np.array_equal(got, want.counts)
 
 
+def test_a_block_past_the_budget_still_holds_one_row(monkeypatch):
+    # every row holds more counts than the budget, so each block ends after
+    # its first row, and the walk still moves on
+    monkeypatch.setattr(equidist, "BLOCK_ENTRIES", 1)
+    a = CIRCLE.element(Fraction(1, 7))
+    bounds = Boundaries.prepare(7, interval(Fraction(1, 3), Fraction(1, 2), "open"))
+    blocks = itertools.islice(sweep_blocks(bounds, OrbitSequence(CIRCLE, a), 4), 4)
+    assert [(block.start, len(block)) for block in blocks] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
 @pytest.mark.parametrize("sets,points", [((IntervalSet.empty(), IntervalSet.empty()), 5),
                                          ((interval(Fraction(1, 3), Fraction(1, 2), "open"),), 0)],
                          ids=["empty-sets", "empty-orbit"])
@@ -488,6 +502,20 @@ def test_boundaries_belong_to_one_denominator():
     counter = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 5))), 4)
     with pytest.raises(ValueError, match="denominator 7"):
         counter.sup_candidates(Boundaries.prepare(7, K))
+
+
+def test_count_in_translated_is_the_brute_force_count():
+    # translates that carry an arc across 0 reach _between past one period
+    sets = [interval(Fraction(1, 2), 1, "open"), interval(Fraction(3, 4), Fraction(1, 4), "closed"),
+            interval(0, Fraction(1, 3), "half_open"), interval(Fraction(2, 5), Fraction(4, 5), "half_open_right"),
+            IntervalSet.full(), IntervalSet.from_pieces((), [Fraction(2, 5), Fraction(7, 10)])]
+    shifts = [Fraction(k, 10) for k in range(-10, 11)] + [Fraction(1, 3), Fraction(-5, 7)]
+    for angle, N in ((Fraction(1, 5), 20), (Fraction(2, 7), 9), (Fraction(3, 8), 30), (Fraction(7, 10), 12)):
+        seq = OrbitSequence(CIRCLE, CIRCLE.element(angle))
+        counter = OrbitCounter.from_sequence(seq, N)
+        for K in sets:
+            got = counter.count_in_translated(K, shifts).tolist()
+            assert got == [sum(K.contains(seq.term(k).value + x) for k in range(1, N)) for x in shifts]
 
 
 def test_sup_deviation_near_rational_float():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ from hclab.borel import IntervalSet, interval
 from hclab.errors import GridMismatch, NonPositiveWeight, PlateauResolutionFailure
 from hclab.exprs import Expr
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
-from hclab.hctest import VerdictConfig, log_integral_report, monotone_power_scan, verdict
+from hclab.hctest import VerdictConfig, log_integral_report, monotone_power_scan, monotone_rows, verdict
 from hclab.lemmas import (
     CircleGrid,
     DiscretizedFunction,
@@ -391,6 +392,18 @@ def test_monotone_scan_padic_exact():
     assert monotone_power_scan(w, a, 6, require_strict=True) is None
 
 
+def test_expression_rows_at_a_log_extreme_of_zero():
+    # ln 1 is 0 everywhere: every row reads >=1, certified with no margin,
+    # and none is strict
+    rows = itertools.islice(monotone_rows(ExprWeight("1"), CIRCLE.from_float(GOLDEN), 64, 3), 3)
+    assert [(hit.direction, hit.strict, hit.certified) for hit in rows] == [(">=1", False, True)] * 3
+    # ln w = +-sin^2 is 0 at the grid point x = 0 and of one sign elsewhere
+    for sign, direction in (("", ">=1"), ("-", "<=1")):
+        w = ExprWeight(f"exp({sign}sin(2*pi*x)*sin(2*pi*x))")
+        hit = next(monotone_rows(w, CIRCLE.from_float(GOLDEN), 64))
+        assert hit.n == 1 and hit.direction == direction and hit.strict
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -401,10 +414,14 @@ def test_verdict_torsion_first():
 
 
 def test_verdict_log_integral_fires():
-    rep = verdict(ExprWeight("exp(sin(2*pi*x) + 1/10)"), CIRCLE.from_float(GOLDEN))
+    w, a = ExprWeight("exp(sin(2*pi*x) + 1/10)"), CIRCLE.from_float(GOLDEN)
+    rep = verdict(w, a)
     assert rep.not_hypercyclic
     assert rep.fired_rule.rule == RULE_LOG_INTEGRAL
     assert abs(rep.fired_rule.params["value"] - 0.1) < 1e-4
+    # the tolerance is a strict bound: a log integral equal to it passes
+    tie = VerdictConfig(log_tolerance=rep.fired_rule.params["value"], monotone_n_max=1)
+    assert verdict(w, a, tie).fired_rule is None
 
 
 def test_verdict_conditions_passed():

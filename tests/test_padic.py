@@ -6,7 +6,7 @@ import pytest
 
 from hclab.errors import WindowExceeded
 from hclab.groups import PRECISION_CAP, PAdicContext
-from hclab.hctest import ProductWalk, log_integral_report
+from hclab.hctest import ProductWalk, VerdictConfig, log_integral_report, verdict
 from hclab.lemmas import (
     conjugate_scale,
     conjugate_translate,
@@ -190,6 +190,17 @@ def test_ul_scan_respects_declaration():
     frag = ul_scan(ProductWalk(w, a, grid_points=0, ul_n_max=10, horizon=10))
     assert frag is not None and frag.rule == RULE_UL_EMPTY
     assert frag.params["empty_side"] == "L"
+
+
+def test_the_battery_skips_balls_at_the_table_level():
+    # a balanced level-4 table on Z_2, declared not locally constant: at
+    # n = 16 the orbit's balls have radius 2^-4, one table entry each, and
+    # the table cannot resolve the weight inside them, so nothing may fire
+    ctx = PAdicContext(2, 4)
+    values = "3/4 5/3 1/11 4/3 9/11 1/2 11/9 1/2 2 3/11 9/5 11/3 5/9 2 3/5 11".split()
+    w = PAdicTableWeight(ctx, 4, dict(enumerate(values)), declared_locally_constant=False)
+    rep = verdict(w, ctx.element(1), VerdictConfig(monotone_n_max=16, ul_n_max=60))
+    assert rep.verdict == "NecessaryConditionsPassed" and rep.fired_rule is None
 
 
 # ---------------------------------------------------------------------------
