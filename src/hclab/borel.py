@@ -156,12 +156,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.open_part and not self.point_part
 
-    def translated(self, delta) -> "IntervalSet":
-        """The set shifted by delta (exact; wrap renormalized at 0)."""
-        d = _as_fraction(delta)
-        return IntervalSet.from_pieces([(lo + d, hi + d) for lo, hi in self.open_part],
-                                       [p + d for p in self.point_part])
-
     # -- algebra -------------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -347,10 +341,6 @@ class BallSet(_MaskSet):
         if coarse == ctx:
             return ctx, self
         return coarse, BallSet(coarse, self.level, self.mask)
-
-    def translated(self, delta: PAdicNumber) -> "BallSet":
-        shift = delta.residue % len(self.mask)
-        return BallSet(self.context, self.level, self.mask[-shift:] + self.mask[:-shift])
 
     def finest_residues(self) -> list[int]:
         """All stored residues (level precision) belonging to the set."""

@@ -198,7 +198,7 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         seq, pairs = OrbitSequence(group, spec.element), 0
         for K in spec.sets:
             _, sub, _ = _resolved(K, seq)
-            period = sub.group.element_order(sub.group.power(sub.element, sub.sign))
+            period = sub.group.element_order(sub.element)
             pairs += len(sub.group) * sum(min(period, N - 1) for N in set(spec.N_list))
         if pairs > MAX_EXHAUSTIVE_PAIRS:
             diags.append(f"equidist: the exhaustive counts visit {pairs} (translate, term) pairs, "

@@ -111,8 +111,8 @@ class OrbitCounter:
     @classmethod
     def from_sequence(cls, seq: OrbitSequence, N: int, first: int = 1) -> "OrbitCounter":
         """Counter over the terms first..N-1 of a circle orbit sequence; with
-        ``first = 0`` and the sign -1 that is the N-point product orbit x,
-        x-a, ..., x-(N-1)a of the point x itself."""
+        ``first = 0`` that is the N-point product orbit x, x-a, ...,
+        x-(N-1)a of the point x itself."""
         residues, counts = seq.angle_support(N, first)
         return cls(residues, counts, seq.element.value.denominator)
 
@@ -620,7 +620,7 @@ def _resolved(K, seq: OrbitSequence, translate=None):
     A finite group resolves to itself."""
     group, K = K.resolved(seq.group)
     if group != seq.group:
-        seq = OrbitSequence(group, group.from_residue(seq.element.residue), seq.sign)
+        seq = OrbitSequence(group, group.from_residue(seq.element.residue))
         if translate is not None:
             translate = group.from_residue(translate.residue)
     return K, seq, translate

@@ -166,10 +166,10 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def cyclic(n: int, name: str | None = None) -> FiniteGroup:
-    """The cyclic group of order n, written additively on indices."""
+def cyclic(n: int) -> FiniteGroup:
+    """The cyclic group Zn of order n, written additively on indices."""
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name or f"Z{n}")
+    return FiniteGroup(table, f"Z{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -293,10 +293,6 @@ class CircleElement:
 
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % 1)
-
-    @property
-    def angle(self) -> float:
-        return float(self.value)
 
     def __add__(self, other: "CircleElement") -> "CircleElement":
         return CircleElement(
@@ -436,10 +432,6 @@ class PAdicContext:
             res += d * self.prime ** i
         return self.from_residue(res)
 
-    @property
-    def zero(self) -> "PAdicNumber":
-        return self.from_residue(0)
-
     def elements(self) -> Iterator["PAdicNumber"]:
         for r in range(self.modulus):
             yield PAdicNumber(self, r)
@@ -497,17 +489,6 @@ class PAdicNumber:
     def scalar_mul(self, k: int) -> "PAdicNumber":
         return PAdicNumber(self.context, (k * self.residue) % self.context.modulus)
 
-    def __mul__(self, other: "PAdicNumber") -> "PAdicNumber":
-        """Ring product on representatives (exact for window 0; raises if the
-        product escapes a positive window)."""
-        self._check(other)
-        ctx = self.context
-        prod = self.residue * other.residue
-        scale = ctx.prime ** ctx.window
-        if prod % scale != 0:
-            raise WindowExceeded("product escapes the valuation window")
-        return PAdicNumber(ctx, (prod // scale) % ctx.modulus)
-
     def valuation(self):
         """Exponent of the lowest nonzero digit, offset by the window;
         PRECISION_CAP when every stored digit is 0."""
@@ -520,32 +501,8 @@ class PAdicNumber:
             v += 1
         return v - self.context.window
 
-    def norm(self) -> Fraction:
-        v = self.valuation()
-        if v is PRECISION_CAP:
-            return Fraction(0)
-        return Fraction(1, self.context.prime ** v) if v >= 0 else Fraction(self.context.prime ** (-v))
-
     def is_zero(self) -> bool:
         return self.residue == 0
-
-    def exact_divide_p_power(self, v: int) -> "PAdicNumber":
-        """Return self / p**v in the context with precision reduced by v.
-
-        Requires p**v to divide the stored residue when v > 0; negative v
-        multiplies and raises the precision instead.
-        """
-        ctx = self.context
-        new_precision = ctx.precision - v
-        if new_precision < 1:
-            raise WindowExceeded("division leaves no significant digits")
-        new_ctx = PAdicContext(ctx.prime, new_precision, ctx.window)
-        if v >= 0:
-            scale = ctx.prime ** v
-            if self.residue % scale != 0:
-                raise WindowExceeded(f"residue not divisible by p^{v}")
-            return new_ctx.from_residue(self.residue // scale)
-        return new_ctx.from_residue(self.residue * ctx.prime ** (-v))
 
     def __repr__(self):
         return f"PAdic({self.context.name}, digits={self.digits()})"
@@ -591,19 +548,14 @@ def _multiples_mod(m: int, D: int, first: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitSequence:
-    """The sequence ``a**(sign*k)`` for k = 1, 2, ... (additively,
-    ``sign*k*a``).  Statistics over it always run over k = 1 .. N-1."""
+    """The sequence ``a**-k`` for k = 1, 2, ... (additively, ``-k*a``).
+    Statistics over it always run over k = 1 .. N-1."""
 
     group: object
     element: object
-    sign: int = -1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
 
     def term(self, k: int):
-        return self.group.power(self.element, self.sign * k)
+        return self.group.power(self.element, -k)
 
     # -- compressed supports over k = 1 .. N-1 ------------------------------
 
@@ -618,7 +570,7 @@ class OrbitSequence:
             raise TypeError("angle_terms is circle-only")
         if N > MAX_CIRCLE_HORIZON:
             raise ValueError(f"circle horizons are capped at {MAX_CIRCLE_HORIZON}")
-        step = (self.sign * self.element.value) % 1
+        step = (-self.element.value) % 1
         m, D = step.numerator, orbit_denominator(step.denominator)
         return _multiples_mod(m, D, first, min(max(N - first, 0), D))
 
@@ -637,12 +589,12 @@ class OrbitSequence:
     def residue_support(self, N: int) -> list[tuple[object, int]]:
         """Distinct terms 1..N-1 of a finite-group or p-adic orbit with their
         multiplicities, as (element, multiplicity) in order of first
-        appearance: the orbit has period ``element_order(a**sign)``."""
+        appearance: the orbit has period ``element_order(a**-1)``."""
         if isinstance(self.group, CircleGroup):
             raise TypeError("residue_support needs an enumerable group; the circle has angle_support")
         g = self.group
         count = N - 1
-        step = g.power(self.element, self.sign)
+        step = g.inv(self.element)
         period = g.element_order(step)
         out, x = [], step
         for r in range(1, min(period, count) + 1):

@@ -194,7 +194,7 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             certified = gap - n * log_lip / (2 * grid_points) >= 0.0
             i = int(np.argmin(row) if up else np.argmax(row))
             yield MonotoneHit(
-                n, ">=1" if up else "<=1", mx > 0.0 if up else mn < 0.0, certified, lo, hi, [float(xs[i])],
+                n, ">=1" if up else "<=1", not up or mx > 0.0, certified, lo, hi, [float(xs[i])],
             )
 
 
@@ -220,7 +220,7 @@ def _walk_steps(w: Weight, a, grid_points: int, ul_n_max: int, horizon: int):
             n += 1
             if lo_sign >= 0 or hi_sign <= 0:
                 up = lo_sign >= 0
-                hit = MonotoneHit(n, ">=1" if up else "<=1", hi_sign > 0 if up else lo_sign < 0, True,
+                hit = MonotoneHit(n, ">=1" if up else "<=1", not up or hi_sign > 0, True,
                                   lo_value, hi_value, points(b, [lo if up else hi]))
             else:
                 hit = MonotoneHit(n, None, False, False, lo_value, hi_value)

@@ -146,17 +146,18 @@ def apply_operator(w: Weight, a, f: DiscretizedFunction, mode: str = "strict") -
     return _weighted_shift(w.value_at, a, 1, f, mode)
 
 
-def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction, mode: str = "strict"):
+def operator_power_identity_check(w: Weight, a, n: int, f: DiscretizedFunction):
     """Sup-norm of (T_{a,w})^n f minus the single application with the n-step
     product weight and translation a^n.  Zero exactly on rational pipelines,
-    tiny float noise otherwise."""
+    tiny float noise otherwise.  On a circle grid the rotation must map the
+    grid to itself."""
     if n < 1:
         raise ValueError("need n >= 1")
     iterated = f
     for _ in range(n):
-        iterated = apply_operator(w, a, iterated, mode=mode)
+        iterated = apply_operator(w, a, iterated)
     # w_n(x) f(x a^-n), on the operator's own domain path
-    return iterated.sup_diff(_weighted_shift(lambda x: weight_product(w, a, n, x), a, n, f, mode))
+    return iterated.sup_diff(_weighted_shift(lambda x: weight_product(w, a, n, x), a, n, f, "strict"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +253,11 @@ def conjugate_scale(
     v = na.valuation()
     if v is PRECISION_CAP:
         raise WindowExceeded("n a vanishes at working precision; no unit reduction")
-    reduced_element = na.exact_divide_p_power(v)
-    red_ctx = reduced_element.context
-    level_red = min(max(w.level - v, 0), red_ctx.precision)
+    # window 0 and 0 <= v < precision: n a / p^v is a unit at precision - v
     p, size = ctx.prime, len(w.table)
+    red_ctx = PAdicContext(p, ctx.precision - v)
+    reduced_element = red_ctx.from_residue(na.residue // p ** v)
+    level_red = min(max(w.level - v, 0), red_ctx.precision)
     row = _ball_row(w, a, n, x_prime.residue).exponents
     table = {s: w.form.value(row[(p ** v * s + x_prime.residue) % size]) for s in range(p ** level_red)}
     return ConjugationTriple(a, w, x_prime, n, v, red_ctx, reduced_element,
@@ -294,10 +296,11 @@ def multiplication_diagram_defect(w: PAdicTableWeight, a: PAdicNumber) -> Fracti
 # step-function approximation of a continuous function
 
 
-def _bisect_edge(fn, h: float, x_false: float, x_true: float, iters: int = 80):
-    """Shrink [x_false, x_true] around the crossing of fn(x) >= h; the
-    endpoints keep their predicate values.  Returns (x_false, x_true)."""
-    for _ in range(iters):
+def _bisect_edge(fn, h: float, x_false: float, x_true: float):
+    """Shrink [x_false, x_true] around the crossing of fn(x) >= h, in at most
+    80 halvings; the endpoints keep their predicate values.  Returns
+    (x_false, x_true)."""
+    for _ in range(80):
         mid = 0.5 * (x_false + x_true)
         if mid == x_false or mid == x_true:
             break
@@ -440,9 +443,6 @@ class SandwichResult:
 def sandwich_check(phi: StepFunction, a: CircleElement, eps: float, N: int) -> SandwichResult:
     if N < 1:
         raise ValueError("need N >= 1")
-    for E, _ in phi.pieces:
-        if not isinstance(E, IntervalSet):
-            raise TypeError("sandwich_check runs on circle step functions")
     counter = OrbitCounter.from_sequence(OrbitSequence(CIRCLE, a), N, first=0)
     sweep = counter.sup_candidates(
         Boundaries.prepare(counter.denominator, *(E for E, _ in phi.pieces)))

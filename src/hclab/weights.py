@@ -77,29 +77,22 @@ def _circle_cover(sets: Sequence[IntervalSet]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class StepFunction:
     """A finite combination sum_i value_i * indicator(E_i) with the E_i
-    disjoint algebra sets covering the whole group.  Values may be any reals
-    (weights impose positivity separately); rational values keep evaluation
-    and integrals exact."""
+    disjoint circle sets (``IntervalSet``) covering the circle.  Values may
+    be any reals (weights impose positivity separately); rational values
+    keep evaluation and integrals exact."""
 
-    pieces: tuple[tuple[object, object], ...]
+    pieces: tuple[tuple[IntervalSet, object], ...]
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a step function needs at least one piece")
         sets = [E for E, _ in self.pieces]
-        if all(isinstance(E, IntervalSet) for E in sets):
-            least, most = _circle_cover(sets)
-            if most > 1:
-                raise ValueError("step function pieces overlap")
-            if least < 1:
-                raise ValueError("step function pieces do not cover the group")
-            return
-        acc = sets[0]
-        for other in sets[1:]:
-            if not acc.intersection(other).is_empty():
-                raise ValueError("step function pieces overlap")
-            acc = acc.union(other)
-        if not acc.complement().is_empty():
+        if not all(isinstance(E, IntervalSet) for E in sets):
+            raise TypeError("step function pieces must be circle sets")
+        least, most = _circle_cover(sets)
+        if most > 1:
+            raise ValueError("step function pieces overlap")
+        if least < 1:
             raise ValueError("step function pieces do not cover the group")
 
     @staticmethod
@@ -121,12 +114,6 @@ class StepFunction:
 
     def map_values(self, fn) -> "StepFunction":
         return StepFunction(tuple((E, fn(v)) for E, v in self.pieces))
-
-    def log(self) -> "StepFunction":
-        return self.map_values(lambda v: math.log(v))
-
-    def exp(self) -> "StepFunction":
-        return self.map_values(lambda v: math.exp(v))
 
     def __len__(self):
         return len(self.pieces)
@@ -490,10 +477,6 @@ class Weight:
     def value_at(self, x):
         raise NotImplementedError
 
-    def translate(self, shift) -> "Weight":
-        """The weight x -> w(x + shift) (x * shift multiplicatively)."""
-        raise NotImplementedError
-
 
 # the cell midpoints on which an expression weight's positivity and its
 # Lipschitz bound are checked
@@ -565,9 +548,7 @@ class StepWeight(Weight):
 
     def __init__(self, step: StepFunction):
         self.group = CIRCLE
-        for E, v in step.pieces:
-            if not isinstance(E, IntervalSet):
-                raise TypeError("StepWeight pieces must be circle sets")
+        for _, v in step.pieces:
             if v <= 0:
                 raise NonPositiveWeight(f"step value {v} is not positive")
         if not all(isinstance(v, Fraction) for _, v in step.pieces):
@@ -579,13 +560,6 @@ class StepWeight(Weight):
         return self.step.value_at(getattr(x, "value", x))
 
     product_rows = circle_step_rows
-
-    def translate(self, shift) -> "StepWeight":
-        delta = getattr(shift, "value", None)
-        if delta is None:
-            delta = Fraction(float(shift))
-        moved = tuple((E.translated(-delta), v) for E, v in self.step.pieces)
-        return StepWeight(StepFunction(moved))
 
     def __repr__(self):
         return f"StepWeight({len(self.step)} pieces)"
@@ -620,10 +594,6 @@ class FiniteWeight(Weight):
         return np.array(out)
 
     product_rows = step_products
-
-    def translate(self, shift: int) -> "FiniteWeight":
-        g = self.group
-        return FiniteWeight(g, [self.values[g.mul(x, shift)] for x in g.elements()])
 
 
 class PAdicTableWeight(Weight):

@@ -79,11 +79,6 @@ def difference(ctx, a, b):
     return intersection(ctx, a, complement(ctx, b))
 
 
-def translated(ctx, balls, residue):
-    p, m = ctx.prime, ctx.window
-    return normalize(ctx, [(j, (c + residue) % p ** (j + m)) for j, c in balls])
-
-
 def resolved(ctx, balls):
     """The context of precision max(1, finest level) with the same window."""
     finest = max((j for j, _ in balls), default=1)

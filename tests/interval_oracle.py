@@ -152,13 +152,6 @@ def complement(A: IntervalSet) -> IntervalSet:
     return _combine(A, IntervalSet.empty(), lambda a, b: not a)
 
 
-def translated(A: IntervalSet, delta) -> IntervalSet:
-    d = Fraction(delta)
-    arcs = [(lo + d, hi + d) for lo, hi in A.open_part]
-    pts = [(p + d) % 1 for p in A.point_part]
-    return _normalize(arcs, pts)
-
-
 def render(s: IntervalSet) -> str:
     """The ``repr`` of the set."""
     arcs = ", ".join(f"({lo},{hi})" for lo, hi in s.open_part)

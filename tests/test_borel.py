@@ -15,7 +15,7 @@ from hclab.borel import (
     circle_points,
     interval,
 )
-from hclab.errors import WindowExceeded
+from hclab.errors import ContextMismatch, WindowExceeded
 from hclab.groups import PAdicContext, catalog
 from hclab.weights import StepFunction
 
@@ -197,24 +197,6 @@ def test_membership_dense_grid_cross_check():
         assert U.contains(x) == (A.contains(x) or B.contains(x))
 
 
-def test_translated_membership():
-    rng = random.Random(7)
-    for _ in range(60):
-        A = random_interval_set(rng)
-        d = Fraction(rng.randrange(64), 64)
-        T = A.translated(d)
-        for x in probe_points(A, T):
-            assert T.contains(x) == A.contains((x - d) % 1)
-    ctx = PAdicContext(3, 2)
-    for _ in range(60):
-        A = random_ball_set(rng, ctx)
-        d = ctx.from_residue(rng.randrange(ctx.modulus))
-        T = A.translated(d)
-        for r in range(ctx.modulus):
-            x = ctx.from_residue(r)
-            assert T.contains(x) == A.contains(x - d)
-
-
 # ---------------------------------------------------------------------------
 # classification closure table
 
@@ -279,6 +261,23 @@ def test_boundaries_are_finite():
     assert BallSet.empty(ctx).classify() is SetForm.FORM2
 
 
+@pytest.mark.parametrize("name", ["Z1", "Z7", "S3", "Q8", "A4", "Z2xZ2xZ2"])
+def test_finite_subset_algebra_is_the_frozenset_algebra(name):
+    g = catalog()[name]
+    rng = random.Random(name)
+    for _ in range(40):
+        a, b = ({x for x in g.elements() if rng.random() < 0.5} for _ in range(2))
+        A, B = FiniteSubset.of(g, a), FiniteSubset.of(g, b)
+        for got, want in ((A.union(B), a | b), (A.intersection(B), a & b),
+                          (A.difference(B), a - b), (A.complement(), set(g.elements()) - a)):
+            assert got == FiniteSubset.of(g, want)
+            assert frozenset(x for x in g.elements() if got.contains(x)) == want
+            assert got.measure() == Fraction(len(want), g.order)
+            assert got.is_empty() == (not want)
+    with pytest.raises(ContextMismatch):
+        FiniteSubset.full(g).union(FiniteSubset.full(catalog()["Z6"]))
+
+
 def test_finite_subsets_are_clopen():
     g = catalog()["S3"]
     S = FiniteSubset.of(g, [0, 2, 4])
@@ -327,8 +326,8 @@ def assert_circle_agrees(S, ref, *inputs):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(raw_circle_sets(), raw_circle_sets(), _SIXTHS)
-def test_interval_sets_match_the_flag_oracle(raw_a, raw_b, shift):
+@given(raw_circle_sets(), raw_circle_sets())
+def test_interval_sets_match_the_flag_oracle(raw_a, raw_b):
     A, B = IntervalSet.from_pieces(*raw_a), IntervalSet.from_pieces(*raw_b)
     a, b = interval_oracle.from_pieces(*raw_a), interval_oracle.from_pieces(*raw_b)
     assert_circle_agrees(A, a)
@@ -337,7 +336,6 @@ def test_interval_sets_match_the_flag_oracle(raw_a, raw_b, shift):
     assert_circle_agrees(A.intersection(B), interval_oracle.intersection(a, b), A, B)
     assert_circle_agrees(A.difference(B), interval_oracle.difference(a, b), A, B)
     assert_circle_agrees(A.complement(), interval_oracle.complement(a), A)
-    assert_circle_agrees(A.translated(shift), interval_oracle.translated(a, shift), A)
     for lo, hi in raw_a[0]:  # each arc, and the arc from hi round to lo
         wrapped = [(hi, lo)] if hi - lo <= 1 else []
         for variant in ("open", "closed", "half_open", "half_open_right"):
@@ -390,16 +388,14 @@ def test_circle_step_partition_matches_the_pairwise_oracle(sets):
             StepFunction.of(pieces)
 
 
-def test_ball_and_finite_step_pieces_keep_the_mask_check():
+def test_step_functions_take_circle_sets_only():
     ctx, group = PAdicContext(3, 2), catalog()["Z6"]
     B = ball(ctx, 0, 1)
     F = FiniteSubset.of(group, [0, 1, 2])
-    for E, full in ((B, BallSet.full(ctx)), (F, FiniteSubset.full(group))):
-        StepFunction.of([(E, 2), (E.complement(), 3)])
-        with pytest.raises(ValueError, match="overlap"):
-            StepFunction.of([(E, 2), (full, 3)])
-        with pytest.raises(ValueError, match="do not cover"):
-            StepFunction.of([(E, 2)])
+    for E in (B, F):
+        for pieces in ([(E, 2), (E.complement(), 3)], [(interval(0, 1), 2), (E, 3)]):
+            with pytest.raises(TypeError, match="^step function pieces must be circle sets$"):
+                StepFunction.of(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +429,12 @@ def ball_lists(draw, ctx):
 @st.composite
 def ball_set_cases(draw):
     """A context with p in {2, 3, 5}, window 0-2 and at most 3^6 residues,
-    two ball lists and a translate."""
+    two ball lists."""
     p = draw(st.sampled_from([2, 3, 5]))
     window = draw(st.integers(0, 2))
     digits = max(d for d in range(1, 12) if p ** d <= 3 ** 6)
     ctx = PAdicContext(p, draw(st.integers(1, digits - window)), window)
-    return ctx, draw(ball_lists(ctx)), draw(ball_lists(ctx)), draw(st.integers(0, ctx.modulus - 1))
+    return ctx, draw(ball_lists(ctx)), draw(ball_lists(ctx))
 
 
 def assert_agrees(S, ctx, ref):
@@ -458,7 +454,7 @@ def assert_agrees(S, ctx, ref):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(ball_set_cases())
 def test_ball_sets_match_the_ball_list_oracle(case):
-    ctx, raw_a, raw_b, shift = case
+    ctx, raw_a, raw_b = case
     A, B = BallSet.from_balls(ctx, raw_a), BallSet.from_balls(ctx, raw_b)
     a, b = oracle.normalize(ctx, raw_a), oracle.normalize(ctx, raw_b)
     assert_agrees(A, ctx, a)
@@ -468,7 +464,6 @@ def test_ball_sets_match_the_ball_list_oracle(case):
     assert_agrees(A.intersection(B), ctx, oracle.intersection(ctx, a, b))
     assert_agrees(A.difference(B), ctx, oracle.difference(ctx, a, b))
     assert_agrees(A.complement(), ctx, oracle.complement(ctx, a))
-    assert_agrees(A.translated(ctx.from_residue(shift)), ctx, oracle.translated(ctx, a, shift))
     assert A.union(B) == B.union(A) and A.complement().complement() == A
     group, R = A.resolved(ctx)
     assert group == oracle.resolved(ctx, a) == R.context

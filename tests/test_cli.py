@@ -334,6 +334,13 @@ def test_validate_exits_0_or_2_on_every_mutation(tmp_path, capsys, target, value
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_circle_angle_at_the_denominator_limit_validates():
+    # 1/2^64 is the finest angle the orbit's uint64 residues hold
+    spec = {"schema": 1, "group": {"group": "circle"}, "element": {"rational": f"1/{2 ** 64}"},
+            "weight": {"expr": "2"}, "sets": [[["0", "1/2"], "half_open"]]}
+    assert validate(spec, "all") == []
+
+
 def test_rational_literals_are_bounded():
     # Fraction("1e-10000000") alone builds 10^(10^7) in seconds; a literal
     # past either limit is rejected before it is parsed

@@ -245,8 +245,8 @@ def test_enumerable_support_and_sup_deviation_match_the_naive_orbit():
     cases = 0
     for g, a, K in _enumerable_cases():
         mu = K.measure()
-        for sign in (-1, 1):
-            seq = OrbitSequence(g, a, sign)
+        for b in (a, g.inv(a)):  # either direction of the orbit
+            seq = OrbitSequence(g, b)
             period = g.element_order(a)
             for N in sorted({max(2, (period + 1) // 2), 2 * period + 3}):
                 support = seq.residue_support(N)
@@ -290,7 +290,7 @@ def resolving_cases(draw):
     period = ctx.element_order(a)
     N = draw(st.one_of(st.integers(2, max(2, period)), st.integers(period + 1, 3 * period + 3)))
     x = ctx.from_residue(draw(st.integers(0, ctx.modulus - 1)))
-    return OrbitSequence(ctx, a, draw(st.sampled_from([-1, 1]))), K, N, x
+    return OrbitSequence(ctx, draw(st.sampled_from([a, -a]))), K, N, x
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,12 +16,14 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle as oracle
 from hclab.borel import interval
 from hclab.cli import main, validate
+from hclab.errors import NonPositiveWeight
 from hclab.groups import CIRCLE, PAdicContext, catalog
 from hclab.hctest import log_integral_report, monotone_rows
 from hclab.padic import coset_log_integrals, qp_reduction
@@ -264,6 +266,27 @@ def test_a_table_of_many_coprime_values_is_rejected():
     assert [d for d in validate(spec, "all") if d.startswith("weight:")] == [
         "weight: the values factor over 669 coprime integers; 6561 entries x 669 exponents "
         "exceed the limit 2^22"]
+
+
+def test_the_exponent_limit_admits_exactly_2_to_the_22():
+    # 64 primes over 2^16 entries fill the limit; one entry more passes it
+    primes = [n for n in range(2, 400) if all(n % d for d in range(2, math.isqrt(n) + 1))][:64]
+    values = [Fraction(primes[i % 64]) for i in range(2 ** 16)]
+    assert ExponentForm(values).exponents.shape == (2 ** 16, 64)
+    with pytest.raises(ValueError, match="65537 entries x 64 exponents exceed the limit 2\\^22$"):
+        ExponentForm(values + [Fraction(2)])
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-2, 3), -1, 0.0])
+def test_a_form_rejects_a_value_that_is_not_positive(value):
+    with pytest.raises(NonPositiveWeight, match="is not positive"):
+        ExponentForm([Fraction(1), value])
+
+
+def test_the_exact_sign_of_each_vector():
+    form = ExponentForm([Fraction(2), Fraction(3)])
+    for e, sign in (([0, 0], 0), ([1, 0], 1), ([-1, 0], -1), ([1, -1], -1), ([2, -1], 1), ([-2, 1], -1)):
+        assert form.exact_sign(e) == sign == form.exact_sign(np.array(e))
 
 
 # values whose numerators or denominators run to hundreds of digits: near

@@ -262,6 +262,15 @@ def test_positive_weight_validation():
         ExprWeight("sin(2*pi*x)")
     with pytest.raises(NonPositiveWeight):
         StepWeight(StepFunction.of([(IntervalSet.full(), Fraction(-1))]))
+    # a weight of 0 is rejected by each class's own check
+    with pytest.raises(NonPositiveWeight, match="not certifiably positive"):
+        ExprWeight("0*x")
+    with pytest.raises(NonPositiveWeight, match="^step value 0 is not positive$"):
+        StepWeight(StepFunction.of([(IntervalSet.full(), Fraction(0))]))
+    with pytest.raises(NonPositiveWeight, match="^finite weight values must be positive$"):
+        FiniteWeight(catalog()["Z2"], [1, 0])
+    with pytest.raises(NonPositiveWeight, match="^table values must be positive$"):
+        PAdicTableWeight(PAdicContext(3, 1), 1, {0: 1, 1: 0, 2: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +460,3 @@ def test_verdict_monotone_in_horizons():
     small = verdict(w, a, VerdictConfig(monotone_n_max=3))
     large = verdict(w, a, VerdictConfig(monotone_n_max=80))
     assert small.not_hypercyclic and large.not_hypercyclic
-
-
-def test_step_function_log_roundtrip():
-    phi = two_level_step()
-    logs = phi.log()
-    assert {float(v) for _, v in logs.pieces} == {math.log(2), math.log(0.5)}
-    back = logs.exp()
-    for x in ("0", "1/4", "1/2", "3/4"):
-        assert back.value_at(Fraction(x)) == pytest.approx(
-            float(phi.value_at(Fraction(x))), rel=1e-15
-        )

@@ -11,7 +11,8 @@ mutant names the site, the flip and the outcome: ``killed`` when tier-1
 fails, ``survived`` when it passes, ``timeout`` when it runs past
 ``TIMEOUT`` seconds (a flipped loop bound can hang).  A survivor costs a
 full tier-1 run, so the census runs on demand; pytest does not collect
-this file.
+this file.  The exit code is 1 when any mutant survived or timed out, and 0
+when tier-1 killed every one.
 
 The flip is made in the source text, between the comparison's two
 operands as ``ast`` locates them, so every other byte of the module and
@@ -59,6 +60,12 @@ def sites(source: bytes) -> list[tuple[int, int, int, str]]:
     return sorted(out)
 
 
+def flip(source: bytes, offset: int, op: str) -> bytes:
+    """The source with the comparison ``op`` at byte ``offset`` flipped at
+    its boundary; every other byte stays."""
+    return source[:offset] + FLIP[op].encode() + source[offset + len(op):]
+
+
 def tier1(src: Path) -> str:
     """Run tier-1 with -x against the package in ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -86,8 +93,7 @@ def main(argv=None) -> int:
             for line, col, offset, op in sites(source):
                 if args.line and line not in args.line:
                     continue
-                flipped = FLIP[op].encode()
-                path.write_bytes(source[:offset] + flipped + source[offset + len(op):])
+                path.write_bytes(flip(source, offset, op))
                 try:
                     outcome = tier1(src)
                 finally:
@@ -95,7 +101,7 @@ def main(argv=None) -> int:
                 tally[outcome] = tally.get(outcome, 0) + 1
                 print(f"{module}.py:{line}:{col}  {op:>2} -> {FLIP[op]:<2}  {outcome}", flush=True)
     print("  ".join(f"{k} {v}" for k, v in sorted(tally.items())))
-    return 0
+    return 1 if tally.keys() - {"killed"} else 0
 
 
 if __name__ == "__main__":
