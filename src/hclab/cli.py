@@ -29,7 +29,7 @@ from . import padic as padic_mod
 from .equidist import _resolved, sup_deviation, uniform_convergence_sweep
 from .errors import HclabError
 from .families import (_FIELD_ERRORS, MAX_EXHAUSTIVE_PAIRS, MAX_GRID_POINTS, _given, _integer, _parse_int_list,
-                       family, parse_group, read_fields)
+                       family, one_point, parse_group, read_fields)
 from .groups import MAX_CIRCLE_HORIZON, OrbitSequence
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .report import VerdictReport, jsonable
@@ -193,11 +193,14 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
     diags += _unmet(raw, fam, task)
     # a family with no largest horizon counts its orbits exhaustively: per
     # set and horizon N, every translate of the context R that resolves the
-    # set against min(ord_R(step), N - 1) distinct terms
+    # set against min(ord_R(step), N - 1) distinct terms; a set that is one
+    # point of R is counted from the period alone
     if not diags and task in ("equidist", "all") and fam.max_horizon is None:
         seq, pairs = OrbitSequence(group, spec.element), 0
         for K in spec.sets:
-            _, sub, _ = _resolved(K, seq)
+            K, sub, _ = _resolved(K, seq)
+            if one_point(K, sub.group):
+                continue
             period = sub.group.element_order(sub.element)
             pairs += len(sub.group) * sum(min(period, N - 1) for N in set(spec.N_list))
         if pairs > MAX_EXHAUSTIVE_PAIRS:

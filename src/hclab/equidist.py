@@ -656,7 +656,8 @@ def sup_deviation(K, seq: OrbitSequence, N):
     N and shared by every set, and each set's counts at every event position
     and on every cell between them come from cumulative sums
     (``OrbitCounter.sup_candidates``); finite and p-adic contexts are
-    exhausted on the coarsest context that resolves K (``_resolved``).
+    exhausted on the coarsest context that resolves K (``_resolved``), but
+    a set that is one point there is counted from the orbit's period alone.
     """
     many = isinstance(K, (list, tuple))
     if many != isinstance(N, (list, tuple)):

@@ -27,7 +27,7 @@ from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, nonc
 from .report import RULE_TORSION, RuleFiring
 from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
-__all__ = ["Family", "family", "parse_group", "read_fields"]
+__all__ = ["Family", "family", "one_point", "parse_group", "read_fields"]
 
 # the errors a family's spec parser raises on a bad field; a float() may
 # also overflow
@@ -37,7 +37,7 @@ _FIELD_ERRORS = (HclabError, OverflowError, TypeError, ValueError, ZeroDivisionE
 MAX_PADIC_RESIDUES = 3 ** 8
 # the most (translate, term) pairs an equidist task's exhaustive counts may
 # visit (``Family.orbit_extremes``): about 11 s at 1.1 us a pair on one core
-# of a 2-vCPU x86-64 host
+# of a 2-vCPU x86-64 host; a set that is one point (``one_point``) visits none
 MAX_EXHAUSTIVE_PAIRS = 10 ** 7
 # the most digits of a spec's rational literal, and the largest decimal
 # exponent it may give (Python's own integer-string limit): a literal spells
@@ -203,14 +203,27 @@ class Family:
 
     def orbit_extremes(self, sets, seq, Ns: list[int]) -> list[list[tuple[int, int]]]:
         """Per set, the least and greatest ``orbit_count`` over all
-        translates at each N."""
+        translates at each N.  The orbit runs through the cyclic subgroup of
+        its step with period P, so a set that is one point (``one_point``)
+        is hit (N-2)//P + 1 times at most, and at least (N-1)//P times when
+        the step generates the whole group, else never."""
         out = []
         for K in sets:
             K, sub, _ = equidist._resolved(K, seq)
+            if one_point(K, sub.group):
+                P = sub.group.element_order(sub.element)
+                out.append([((N - 1) // P if P == len(sub.group) else 0, (N - 2) // P + 1) for N in Ns])
+                continue
             counts = ([equidist._support_count(K, sub.group, support, x) for x in sub.group.elements()]
                       for support in map(sub.residue_support, Ns))
             out.append([(min(c), max(c)) for c in counts])
         return out
+
+
+def one_point(K, group) -> bool:
+    """Whether K, resolved on ``group`` (``equidist._resolved``), is one
+    element of it: a ball of radius exponent r >= 1 or a one-element subset."""
+    return K.measure() * len(group) == 1
 
 
 def _is_arc_literal(desc) -> bool:

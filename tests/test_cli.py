@@ -119,8 +119,10 @@ def test_validate_bounds_padic_residues(tmp_path, capsys):
     assert validate(payload, "equidist") == []
     payload["group"] = {"group": "qp", "p": 3, "precision": 7, "window": 1}
     assert validate(payload, "equidist") == []
-    # the exhaustive counts of one finest ball at 3^8 stay within their limit
+    # the exhaustive counts of one union of two finest balls at 3^8 stay
+    # within their limit, and one-point sets cost no pairs at all
     assert validate(_ZP8, "equidist") == []
+    assert validate(dict(_ZP8, sets=[{"center": str(c), "radius_exp": 8} for c in range(3)]), "equidist") == []
 
 
 # masses with denominators 2^21, 2^21 + 1, 5 * 10^7 and 10^1000: the exact
@@ -156,10 +158,11 @@ _FINITE = {"schema": 1, "group": {"group": "finite", "name": "Z6"}, "element": 1
 _STEP = circle_spec(weight={"step": [[[["0", "1"], "half_open"], "1"]]})
 _QP = dict(three_coset_spec(), group={"group": "qp", "p": 3, "precision": 2, "window": 1})
 _BARE = {"group": {"group": "circle"}}
-# zp at 3^8 with the default horizons: one ball set of radius 3^-8 takes
-# 6561 * (9 + 99 + 999) = 7,263,027 pairs of its exhaustive counts
+# zp at 3^8 with the default horizons: a union of two balls of radius 3^-8
+# takes 6561 * (9 + 99 + 999) = 7,263,027 pairs of its exhaustive counts (one
+# ball is one point of the group, counted from the orbit's period alone)
 _ZP8 = {"schema": 1, "group": {"group": "zp", "p": 3, "precision": 8}, "element": "1",
-        "sets": [{"center": "0", "radius_exp": 8}]}
+        "sets": [[{"center": "0", "radius_exp": 8}, {"center": "1", "radius_exp": 8}]]}
 
 
 # a literal for which Fraction would build 10^99999999999
@@ -278,8 +281,8 @@ _PROBES = [
     (_EXPR, ("tolerances", "grid_points"), 2 ** 22 + 1,
      "tolerances.grid_points: 4194305 is above the maximum 4194304"),
     (_EXPR, ("weight", "grid_points"), 2 ** 40, "weight.grid_points: 1099511627776 is above the maximum 4194304"),
-    # three such sets take 21,789,081 pairs, past the exhaustive limit
-    (_ZP8, ("sets",), [{"center": str(c), "radius_exp": 8} for c in range(3)],
+    # three such unions take 21,789,081 pairs, past the exhaustive limit
+    (_ZP8, ("sets",), [[{"center": str(c), "radius_exp": 8} for c in (2 * i, 2 * i + 1)] for i in range(3)],
      "equidist: the exhaustive counts visit 21789081 (translate, term) pairs, above the limit 10000000"),
     # the task is the command's, never the spec's
     (_EXPR, ("task",), "padic", "spec: unknown fields ['task']"),

@@ -8,8 +8,10 @@ K and in phi(K) are the same.  Each pair runs both specs through
 ``cli.main`` and compares the two runs.
 
 The same holds for the translations x -> x + t of every family (a is
-unchanged, w becomes w(. - t) and K becomes K + t) and for the reflection
-x -> -x of the circle (a becomes -a, w becomes w(-.) and K becomes -K).
+unchanged, w becomes w(. - t) and K becomes K + t), for the reflection
+x -> -x of the circle (a becomes -a, w becomes w(-.) and K becomes -K) and
+for the multiplication x -> u x of Z_p and Q_p by a unit u (a becomes u a,
+w becomes w(u^-1 .) and K becomes u K).
 """
 
 import csv
@@ -287,6 +289,17 @@ def _zp(values, element="1"):
             "sets": [[{"center": "1", "radius_exp": 1}]], "horizons": {"N_list": [10], "n_max": 5}}
 
 
+def _multiplied_padic_spec(spec, u):
+    """The image of a p-adic table spec under x -> u x for a unit u: a
+    becomes u a, the table key r (a residue mod p^(level + window)) becomes
+    u r mod p^(level + window), and each ball centre c becomes u c."""
+    p, window, weight = spec["group"]["p"], spec["group"].get("window", 0), spec["weight"]
+    scale, size = p ** window, p ** (weight["level"] + window)
+    values = {_q(Fraction(u * Fraction(k) * scale % size, scale)): v for k, v in weight["values"].items()}
+    return {**spec, "element": _q(u * Fraction(spec["element"])), "weight": {**weight, "values": values},
+            "sets": [[{**b, "center": _q(u * Fraction(b["center"]))} for b in K] for K in spec["sets"]]}
+
+
 # each (family, rule) pair that can fire first, beside the drawn specs
 _COVERAGE = [
     (_zp(["1", "1", "1"]), RULE_MONOTONE),
@@ -307,6 +320,22 @@ def test_translated_padic_table_specs_run_alike(tmp_path):
         fired = _assert_alike(tmp_path, f"{i}", spec, _translated_padic_spec(spec, t))
         rules.add(fired["rule"] if isinstance(fired, dict) else fired)
     assert len(rules) >= 4, rules
+
+
+def test_unit_multiplied_padic_table_specs_run_alike(tmp_path):
+    # x -> u x is a measure-preserving automorphism of Z_p and Q_p for a
+    # unit u; it maps a ball c + p^j Z_p onto u c + p^j Z_p, so one-ball sets
+    # stay one ball and unions stay unions
+    rng = random.Random("padic unit multiplication")
+    rules, one_ball = set(), 0
+    for i in range(200):
+        spec = _padic_spec(rng)
+        p = spec["group"]["p"]
+        u = rng.choice([u for u in range(2, 2 * p ** spec["group"]["precision"] + 2) if u % p])
+        fired = _assert_alike(tmp_path, f"{i}", spec, _multiplied_padic_spec(spec, u))
+        rules.add(fired["rule"] if isinstance(fired, dict) else fired)
+        one_ball += any(len(K) == 1 for K in spec["sets"])
+    assert len(rules) >= 4 and one_ball >= 50, (rules, one_ball)
 
 
 @pytest.mark.parametrize("spec, rule", _COVERAGE, ids=["zp-one", "zp-2-1/2-3", "circle-exp-1e-7"])

@@ -28,6 +28,7 @@ from hclab.equidist import (
     weyl_bound,
 )
 from hclab.errors import FixedCharacterError
+from hclab.families import family, one_point
 from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog, cyclic
 from hclab.lemmas import TestFunction, ergodic_average
 from hclab.weights import StepFunction, StepWeight, circle_step_rows
@@ -308,8 +309,8 @@ def test_resolving_context_counts_equal_the_full_context(case):
 
 
 def test_exhaustive_count_visits_only_the_resolving_cosets(monkeypatch):
-    # a radius-2 ball of a 3^8 context is resolved mod 3^2: 9 translates
-    # are counted, not 6561
+    # a union of two radius-2 balls of a 3^8 context is resolved mod 3^2: 9
+    # translates are counted, not 6561
     ctx = PAdicContext(3, 8)
     seq = OrbitSequence(ctx, ctx.element(1))
     translates = []
@@ -317,9 +318,73 @@ def test_exhaustive_count_visits_only_the_resolving_cosets(monkeypatch):
     monkeypatch.setattr(equidist, "_support_count",
                         lambda K, group, support, x=None: translates.append(x) or count(K, group, support, x))
     # 999 terms meet each class mod 9 exactly 111 times
-    assert sup_deviation(ball(ctx, 4, 2), seq, 1000) == float(Fraction(1, 9000))
+    assert sup_deviation(BallSet.from_balls(ctx, [(2, 4), (2, 5)]), seq, 1000) == float(Fraction(1, 4500))
     assert len(translates) == 9
     assert {x.context.modulus for x in translates} == {9}
+    # one ball is one point mod 9, counted from the orbit's period alone
+    translates.clear()
+    assert sup_deviation(ball(ctx, 4, 2), seq, 1000) == float(Fraction(1, 9000))
+    assert translates == []
+
+
+def _exhausted_extremes(count, K, seq, Ns):
+    """The oracle of ``orbit_extremes``: the least and greatest ``count``
+    (``equidist._support_count``) over every translate of the context that
+    resolves K, at each N."""
+    K, sub, _ = equidist._resolved(K, seq)
+    return [(min(c), max(c)) for c in ([count(K, sub.group, support, x) for x in sub.group.elements()]
+                                       for support in map(sub.residue_support, Ns))]
+
+
+def _horizons(P, M):
+    """N = 2, and N - 1 below, at and above the period P, at M and above the
+    group's size M."""
+    return sorted({2, max(2, P), P + 1, P + 2, P + P // 2 + 1, 2 * P + 1, M + 1, M + 2, 2 * M + 3})
+
+
+def _one_point_cases():
+    """(set, orbit) over zp and qp balls of every radius
+    exponent r >= 1, each element p^k (every order, 0 and the non-units
+    among them) and a unit multiple of it, and over one-element subsets of
+    every catalog group along each of its elements."""
+    rng = random.Random(33)
+    for p, precision, window in [(2, 4, 0), (3, 3, 0), (5, 2, 0), (2, 3, 1), (3, 2, 1), (7, 1, 1)]:
+        ctx = PAdicContext(p, precision, window)
+        for r in range(1, precision + 1):
+            for k in range(ctx.digit_count + 1):
+                for a in {p ** k, (p ** k * (p + 1 + p * rng.randrange(ctx.modulus))) % ctx.modulus}:
+                    center = ctx.from_residue(rng.randrange(ctx.modulus))
+                    yield ball(ctx, center, r), OrbitSequence(ctx, ctx.from_residue(a))
+    for g in catalog().values():
+        for a in g.elements():
+            yield FiniteSubset.of(g, [rng.randrange(g.order)]), OrbitSequence(g, a)
+
+
+def test_one_point_extremes_match_exhaustion(monkeypatch):
+    # a set that is one point of its resolving context is counted from the
+    # orbit's period alone: no translate is visited
+    count, calls = equidist._support_count, []
+    monkeypatch.setattr(equidist, "_support_count", lambda *args: calls.append(args) or count(*args))
+    cases = 0
+    for K, seq in _one_point_cases():
+        resolved, sub, _ = equidist._resolved(K, seq)
+        assert one_point(resolved, sub.group), K
+        Ns = _horizons(sub.group.element_order(sub.element), len(sub.group))
+        assert family(seq.group).orbit_extremes([K], seq, Ns) == [_exhausted_extremes(count, K, seq, Ns)], K
+        cases += 1
+    assert calls == [] and cases > 300
+    # balls of radius exponent r <= 0 resolve to more than one point and stay
+    # exhausted
+    for ctx in (PAdicContext(3, 2), PAdicContext(2, 3, 1), PAdicContext(3, 2, 2)):
+        seq = OrbitSequence(ctx, ctx.from_residue(ctx.prime))
+        for r in range(-ctx.window, 1):
+            K = ball(ctx, ctx.from_residue(1), r)
+            resolved, sub, _ = equidist._resolved(K, seq)
+            assert not one_point(resolved, sub.group)
+            Ns = _horizons(seq.group.element_order(seq.element), len(ctx))
+            calls.clear()
+            assert family(ctx).orbit_extremes([K], seq, Ns) == [_exhausted_extremes(count, K, seq, Ns)]
+            assert calls
 
 
 VARIANTS = ["open", "closed", "half_open", "half_open_right"]

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import expr_oracle
-from hclab import weights
+from hclab import hctest, weights
 from hclab.borel import interval
 from hclab.equidist import BLOCK_ENTRIES, OrbitCounter, Sweep, Translates
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
@@ -135,6 +135,30 @@ def test_eval_angles_reads_any_layout():
         want = np.array([[w.value_at(float(v)) for v in row] for row in t])
         assert np.array_equal(w.eval_angles(t), want)
         assert np.array_equal(w.eval_angles(t, out=np.empty(t.shape)), want)
+
+
+class _HugeHalves:
+    """A weight as ``_expr_rows`` reads it: 1.3407807929942438e154, whose
+    log is exactly ln(max double)/2, on [0, 1/2), and 1e300 on the rest."""
+
+    low = 1.3407807929942438e154
+
+    def eval_angles(self, t, out=None):
+        return np.where(t < 0.5, self.low, 1e300)
+
+    def slope_angles(self, t):
+        return np.zeros_like(t)
+
+
+def test_expr_row_minimum_at_ln_max_is_finite_when_its_maximum_overflows():
+    # at angle 0, row 2's log-sums are ln(max double) and 2 ln(1e300): the
+    # maximum overflows, and the minimum, exactly at the bound, still reads
+    # its own exponential
+    w = _HugeHalves()
+    assert 2 * float(np.log(w.low)) == hctest._LN_MAX
+    rows = list(itertools.islice(hctest._expr_rows(w, CIRCLE.element(0), 4, 2), 2))
+    assert math.isfinite(rows[0].min_value) and math.isfinite(rows[0].max_value)
+    assert (rows[1].min_value, rows[1].max_value) == (1.7976931348622732e308, math.inf)
 
 
 def test_expr_walk_holds_two_blocks():
