@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import padic as padic_mod
-from .equidist import _resolved, sup_deviation, uniform_convergence_sweep
+from .equidist import sup_deviation, uniform_convergence_sweep
 from .errors import HclabError
 from .families import (_FIELD_ERRORS, MAX_EXHAUSTIVE_PAIRS, MAX_GRID_POINTS, _given, _integer, _parse_int_list,
-                       family, one_point, parse_group, read_fields)
+                       family, parse_group, read_fields)
 from .groups import MAX_CIRCLE_HORIZON, OrbitSequence
 from .hctest import VerdictConfig, log_integral_report, verdict
 from .report import VerdictReport, jsonable
@@ -191,18 +191,9 @@ def parse_spec(raw: dict, task: str) -> tuple[ExperimentSpec | None, list[str]]:
         lp_exponent=fields.get("lp_exponent"), label=fields.get("label", ""))
     fam = family(group)
     diags += _unmet(raw, fam, task)
-    # a family with no largest horizon counts its orbits exhaustively: per
-    # set and horizon N, every translate of the context R that resolves the
-    # set against min(ord_R(step), N - 1) distinct terms; a set that is one
-    # point of R is counted from the period alone
-    if not diags and task in ("equidist", "all") and fam.max_horizon is None:
-        seq, pairs = OrbitSequence(group, spec.element), 0
-        for K in spec.sets:
-            K, sub, _ = _resolved(K, seq)
-            if one_point(K, sub.group):
-                continue
-            period = sub.group.element_order(sub.element)
-            pairs += len(sub.group) * sum(min(period, N - 1) for N in set(spec.N_list))
+    # the exhaustive counts' price (``Family.orbit_pairs``)
+    if not diags and task in ("equidist", "all"):
+        pairs = fam.orbit_pairs(spec.sets, OrbitSequence(group, spec.element), set(spec.N_list))
         if pairs > MAX_EXHAUSTIVE_PAIRS:
             diags.append(f"equidist: the exhaustive counts visit {pairs} (translate, term) pairs, "
                          f"above the limit {MAX_EXHAUSTIVE_PAIRS}")

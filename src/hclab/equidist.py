@@ -14,12 +14,8 @@ sorted once per horizon and shared by all its sets; a set has one event row
 per distinct boundary position, so a closed arc takes two rows; and the
 counts come from cumulative sums of the events' count changes
 (``Events.set_counts``), from which a set's least and greatest count are
-read directly.  Finite and p-adic
-contexts are exhausted, by one count over their shared group surface
-(``mul``, ``elements``).  A p-adic ball set whose finest ball has level j
-is a union of cosets of p^j Z_p, so its counts are taken on the quotient
-mod p^(j + window), the coarsest context that resolves it, with the orbit
-and the translates projected there (``_resolved``).
+read directly.  Finite and p-adic contexts are counted by their family
+(``families.Family.orbit_extremes``), to which the entry points here defer.
 """
 
 from __future__ import annotations
@@ -610,28 +606,6 @@ class Translates(Sequence):
 # densities
 
 
-def _resolved(K, seq: OrbitSequence, translate=None):
-    """K, the orbit and a translate on the coarsest context that resolves K
-    (``K.resolved``).  Membership in a p-adic ball set of finest level j
-    reads only the residue mod p^(j + window), and reduction to that
-    quotient is a homomorphism onto it, so the orbit's element and the
-    translate are projected there (``from_residue``) and every count stays
-    the same, while the orbit's period and support shrink with the context.
-    A finite group resolves to itself."""
-    group, K = K.resolved(seq.group)
-    if group != seq.group:
-        seq = OrbitSequence(group, group.from_residue(seq.element.residue))
-        if translate is not None:
-            translate = group.from_residue(translate.residue)
-    return K, seq, translate
-
-
-def _support_count(K, group, support, x=None) -> int:
-    """Terms y of an enumerable orbit's support (``residue_support``) with
-    x * y in K, counted with multiplicity (y itself when x is None)."""
-    return sum(mult for y, mult in support if K.contains(y if x is None else group.mul(x, y)))
-
-
 def density(K, seq: OrbitSequence, N: int) -> Fraction:
     """Fraction of terms x_1 .. x_{N-1} lying in K (divisor N)."""
     return translated_density(K, None, seq, N)
@@ -651,13 +625,9 @@ def sup_deviation(K, seq: OrbitSequence, N):
 
     ``K`` and ``N`` may both be lists, of sets and of horizons: the result
     is then a list over the sets of their deviations, each a list over the
-    horizons.  The extreme counts are exact and come from the group
-    family's ``orbit_extremes``: on the circle the orbit is sorted once per
-    N and shared by every set, and each set's counts at every event position
-    and on every cell between them come from cumulative sums
-    (``OrbitCounter.sup_candidates``); finite and p-adic contexts are
-    exhausted on the coarsest context that resolves K (``_resolved``), but
-    a set that is one point there is counted from the orbit's period alone.
+    horizons.  The extreme counts are exact and come from
+    ``family(seq.group).orbit_extremes``; how each family finds them is
+    its own (``hclab.families``).
     """
     many = isinstance(K, (list, tuple))
     if many != isinstance(N, (list, tuple)):

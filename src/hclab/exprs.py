@@ -96,6 +96,16 @@ def _uses_of_x(node: _Node) -> int:
     return sum(_uses_of_x(v) for v in vars(node).values() if isinstance(v, _Node))
 
 
+def _total(node: _Node) -> bool:
+    """Whether the node is finite at every real x: no ln, and no division
+    but by a nonzero constant."""
+    if isinstance(node, _Call):
+        return node.name in ("exp", "sin", "cos") and _total(node.arg)
+    if isinstance(node, _BinOp) and node.op == "/":
+        return isinstance(node.right, _Const) and node.right.value != 0 and _total(node.left)
+    return all(_total(v) for v in vars(node).values() if isinstance(v, _Node))
+
+
 def _dtype(v):
     # Python scalars resolve as weak types, the way ufuncs treat them
     return v.dtype if isinstance(v, (np.ndarray, np.generic)) else type(v)
@@ -202,6 +212,15 @@ class Expr:
     @functools.cached_property
     def _reads_x_once(self) -> bool:
         return _uses_of_x(self._root) == 1
+
+    @functools.cached_property
+    def exponent(self) -> "Expr | None":
+        """u, when the expression is exp(u) for a u finite at every real x
+        (``_total``), and so positive wherever it is finite; else None."""
+        root = self._root
+        if isinstance(root, _Call) and root.name == "exp" and _total(root.arg):
+            return Expr._from_node(root.arg, f"ln({self.source})")
+        return None
 
     @functools.cached_property
     def derivative(self) -> "Expr":

@@ -5,10 +5,12 @@ orbit statistic all depend on the family of the group: torsion is a finite
 order, a declared-rational angle or the zero p-adic step; only the p-adics
 have the windowed coset reduction and the ball rules; the circle's orbits
 are swept, and the other groups, which share one enumerable surface
-(``groups``), are counted exhaustively.  ``family(group)`` finds a group's
-object by its type, the one place outside ``groups`` that tells the group
-classes apart, and ``parse_group`` by the spec's kind.  Each family holds
-the tables of its spec objects, which ``read_fields`` checks.
+(``groups``), are counted exhaustively here, on the context that resolves
+the set (``_resolved``), and priced in pairs (``Family.orbit_pairs``).
+``family(group)`` finds a group's object by its type, the one place outside
+``groups`` that tells the group classes apart, and ``parse_group`` by the
+spec's kind.  Each family holds the tables of its spec objects, which
+``read_fields`` checks.
 """
 
 from __future__ import annotations
@@ -16,18 +18,19 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from . import equidist, padic
 from .borel import BallSet, FiniteSubset, IntervalSet, arc_pieces
 from .errors import HclabError, SpecValidationError
 from .groups import (CIRCLE, MAX_CIRCLE_HORIZON, MAX_ORBIT_DENOMINATOR, CircleGroup, FiniteGroup,
-                     PAdicContext, catalog)
+                     OrbitSequence, PAdicContext, catalog)
 from .repcheck import circle_has_fixed_character, fixed_irrep_multiplicity, noncyclic_equivalence_check
 from .report import RULE_TORSION, RuleFiring
 from .weights import ExprWeight, FiniteWeight, PAdicTableWeight, StepFunction, StepWeight
 
-__all__ = ["Family", "family", "one_point", "parse_group", "read_fields"]
+__all__ = ["Family", "family", "parse_group", "read_fields"]
 
 # the errors a family's spec parser raises on a bad field; a float() may
 # also overflow
@@ -36,8 +39,9 @@ _FIELD_ERRORS = (HclabError, OverflowError, TypeError, ValueError, ZeroDivisionE
 # exhaustive p-adic paths visit every residue
 MAX_PADIC_RESIDUES = 3 ** 8
 # the most (translate, term) pairs an equidist task's exhaustive counts may
-# visit (``Family.orbit_extremes``): about 11 s at 1.1 us a pair on one core
-# of a 2-vCPU x86-64 host; a set that is one point (``one_point``) visits none
+# visit (``Family.orbit_pairs``): about 11 s at 1.1 us a pair on one core of
+# a 2-vCPU x86-64 host; a set that is one point of its resolving context
+# visits none
 MAX_EXHAUSTIVE_PAIRS = 10 ** 7
 # the most digits of a spec's rational literal, and the largest decimal
 # exponent it may give (Python's own integer-string limit): a literal spells
@@ -197,33 +201,59 @@ class Family:
 
     def orbit_count(self, K, seq, N: int, translate=None) -> int:
         """The terms 1..N-1 of ``seq`` in K translated by ``translate``, on
-        the coarsest context that resolves K (``equidist._resolved``)."""
-        K, seq, translate = equidist._resolved(K, seq, translate)
-        return equidist._support_count(K, seq.group, seq.residue_support(N), translate)
+        the coarsest context that resolves K (``_resolved``)."""
+        r = _resolved(K, seq, translate)
+        return _support_count(r.K, r.seq.group, r.seq.residue_support(N), r.translate)
 
     def orbit_extremes(self, sets, seq, Ns: list[int]) -> list[list[tuple[int, int]]]:
         """Per set, the least and greatest ``orbit_count`` over all
         translates at each N.  The orbit runs through the cyclic subgroup of
-        its step with period P, so a set that is one point (``one_point``)
-        is hit (N-2)//P + 1 times at most, and at least (N-1)//P times when
-        the step generates the whole group, else never."""
+        its step with period P, so a set that is one point is hit (N-2)//P +
+        1 times at most, and at least (N-1)//P times when the step generates
+        the whole group, else never; other sets are counted exhaustively."""
         out = []
         for K in sets:
-            K, sub, _ = equidist._resolved(K, seq)
-            if one_point(K, sub.group):
-                P = sub.group.element_order(sub.element)
-                out.append([((N - 1) // P if P == len(sub.group) else 0, (N - 2) // P + 1) for N in Ns])
+            r = _resolved(K, seq)
+            group, P = r.seq.group, r.period
+            if r.one_point:
+                out.append([((N - 1) // P if P == len(group) else 0, (N - 2) // P + 1) for N in Ns])
                 continue
-            counts = ([equidist._support_count(K, sub.group, support, x) for x in sub.group.elements()]
-                      for support in map(sub.residue_support, Ns))
+            counts = ([_support_count(r.K, group, support, x) for x in group.elements()]
+                      for support in map(r.seq.residue_support, Ns))
             out.append([(min(c), max(c)) for c in counts])
         return out
 
+    def orbit_pairs(self, sets, seq, Ns) -> int:
+        """The (translate, term) pairs ``orbit_extremes`` visits: per set
+        that is not one point, every translate of its resolving context
+        against the min(P, N - 1) distinct terms at each N."""
+        resolved = (_resolved(K, seq) for K in sets)
+        return sum(len(r.seq.group) * sum(min(r.period, N - 1) for N in Ns) for r in resolved if not r.one_point)
 
-def one_point(K, group) -> bool:
-    """Whether K, resolved on ``group`` (``equidist._resolved``), is one
-    element of it: a ball of radius exponent r >= 1 or a one-element subset."""
-    return K.measure() * len(group) == 1
+
+_Resolved = namedtuple("_Resolved", "K seq translate period one_point")
+
+
+def _resolved(K, seq: OrbitSequence, translate=None) -> _Resolved:
+    """K, the orbit and a translate on the coarsest context that resolves K
+    (``K.resolved``), with the orbit's period there and whether K is one
+    point of it (a ball of radius exponent r >= 1, a one-element subset).
+    A ball set of finest level j reads residues mod p^(j + window) only, and
+    reduction to that quotient is a homomorphism, so the element and the
+    translate are projected there (``from_residue``) and every count stays
+    the same.  A finite group resolves to itself."""
+    group, K = K.resolved(seq.group)
+    if group != seq.group:
+        seq = OrbitSequence(group, group.from_residue(seq.element.residue))
+        if translate is not None:
+            translate = group.from_residue(translate.residue)
+    return _Resolved(K, seq, translate, group.element_order(seq.element), K.measure() * len(group) == 1)
+
+
+def _support_count(K, group, support, x=None) -> int:
+    """Terms y of an enumerable orbit's support (``residue_support``) with
+    x * y in K, counted with multiplicity (y itself when x is None)."""
+    return sum(mult for y, mult in support if K.contains(y if x is None else group.mul(x, y)))
 
 
 def _is_arc_literal(desc) -> bool:
@@ -302,6 +332,10 @@ class CircleFamily(Family):
     def orbit_count(self, K, seq, N, translate=None):
         counter = equidist.OrbitCounter.from_sequence(seq, N)
         return int(counter.count_in_translated(K, [0 if translate is None else translate])[0])
+
+    def orbit_pairs(self, sets, seq, Ns):
+        """The sweep visits no (translate, term) pairs."""
+        return 0
 
     def orbit_extremes(self, sets, seq, Ns):
         """From one sorted orbit per N and each set's boundaries prepared

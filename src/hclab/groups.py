@@ -18,9 +18,9 @@ Finite groups and p-adic contexts are enumerable and share one surface:
 ``elements()``, ``len``, ``index`` (an element's position in ``elements()``),
 ``mul``, ``inv``, ``power`` and ``element_order``; a p-adic context writes
 them additively (``+``, negation, ``scalar_mul``).  Whatever exhausts a
-group -- ``OrbitSequence.residue_support`` and ``equidist.sup_deviation``
--- is one path over that surface.  ``equidist`` exhausts the coarsest
-context that resolves the set it counts (``BallSet.resolved``): a ball set
+group -- ``OrbitSequence.residue_support`` and the exhaustive count of
+``families`` -- is one path over that surface.  ``families`` exhausts the
+coarsest context that resolves the set it counts (``BallSet.resolved``): a ball set
 of finest level j reads only residues mod p^(j + window), so its counts run
 on ``PAdicContext(p, max(1, j), window)``, whose elements are reached from
 the spec's context by ``from_residue``; a finite group resolves to itself.  The circle has

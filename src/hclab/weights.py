@@ -481,14 +481,19 @@ class Weight:
 # the cell midpoints on which an expression weight's positivity and its
 # Lipschitz bound are checked
 EXPR_GRID_POINTS = 4096
+# exp(u) is finite up to the first and > 0 down to the second in binary64
+_LN_DBL_MAX, _LN_DBL_TRUE_MIN = math.log(np.finfo(float).max), math.log(math.ulp(0.0))
 
 
 class ExprWeight(Weight):
     """exp/ln/trig expression weight on the circle, strictly positive.
 
-    Positivity is certified at construction: the least value on the
-    ``grid_points`` cell midpoints must exceed a Lipschitz margin from the
-    symbolic derivative.
+    Positivity is checked at construction: every value on the
+    ``grid_points`` cell midpoints must be finite, and the least must exceed
+    a sampled Lipschitz margin from the symbolic derivative.  A weight
+    exp(u) (``Expr.exponent``) is positive wherever it is finite, so it is
+    read on u instead: u's values must stay the margin taken on u inside
+    the range on which exp is finite and > 0 in binary64.
     """
 
     def __init__(self, expr: Expr | str, grid_points: int = EXPR_GRID_POINTS, _offset: Fraction = Fraction(0)):
@@ -497,11 +502,26 @@ class ExprWeight(Weight):
         self.grid_points = grid_points
         self._offset = _offset  # translation accumulated exactly
         xs = (np.arange(grid_points) + 0.5) / grid_points
-        vals = np.asarray(self.eval_angles(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
+        u = self.expr.exponent
+        if u is None:
+            vals = np.asarray(self.eval_angles(xs), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise NonPositiveWeight(f"{self.expr.source!r} is not finite on the circle")
+            margin = self.lipschitz_bound() / (2 * grid_points)
+            if float(vals.min()) - margin <= 0:
+                raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
+            return
+        # exp(u) is finite exactly where u <= ln(DBL_MAX)
+        us = np.asarray(u(self._angles(xs)), dtype=float)
+        if not float(us.max()) <= _LN_DBL_MAX:
             raise NonPositiveWeight(f"{self.expr.source!r} is not finite on the circle")
-        margin = self.lipschitz_bound() / (2 * grid_points)
-        if float(vals.min()) - margin <= 0:
+        # lipschitz_bound's padded estimate, 2·max|u'| on its own midpoints,
+        # over 2·grid_points
+        fine = self._angles((np.arange(EXPR_GRID_POINTS) + 0.5) / EXPR_GRID_POINTS)
+        margin = float(np.max(np.abs(u.derivative(fine)))) / grid_points
+        if not float(us.max()) + margin <= _LN_DBL_MAX:
+            raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably finite on the circle")
+        if not float(us.min()) - margin >= _LN_DBL_TRUE_MIN:
             raise NonPositiveWeight(f"{self.expr.source!r} is not certifiably positive")
 
     def _angles(self, t, out=None) -> np.ndarray:

@@ -470,3 +470,10 @@ def test_ball_sets_match_the_ball_list_oracle(case):
     assert R.balls == a
     for j, c in raw_a:  # a lone ball is built at its own level
         assert_agrees(ball(ctx, ctx.from_residue(c), j), ctx, oracle.normalize(ctx, [(j, c)]))
+
+
+def test_finite_subset_members_stop_below_the_order():
+    g = catalog()["Z6"]
+    assert FiniteSubset.of(g, [5]).measure() == Fraction(1, 6)
+    with pytest.raises(ValueError, match="member index out of range"):
+        FiniteSubset.of(g, [6])

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,14 @@ def test_validate_bounds_padic_residues(tmp_path, capsys):
     # within their limit, and one-point sets cost no pairs at all
     assert validate(_ZP8, "equidist") == []
     assert validate(dict(_ZP8, sets=[{"center": str(c), "radius_exp": 8} for c in range(3)]), "equidist") == []
+    # the limit itself validates: two balls of 5^5 are counted at its 3125
+    # translates against 3125 + 75 terms, 10^7 pairs
+    at_limit = {"schema": 1, "group": {"group": "zp", "p": 5, "precision": 5}, "element": "1",
+                "sets": [[{"center": "0", "radius_exp": 5}, {"center": "1", "radius_exp": 5}]],
+                "horizons": {"N_list": [3126, 76]}}
+    assert validate(at_limit, "equidist") == []
+    assert validate(dict(at_limit, horizons={"N_list": [3126, 77]}), "equidist") == [
+        "equidist: the exhaustive counts visit 10003125 (translate, term) pairs, above the limit 10000000"]
 
 
 # masses with denominators 2^21, 2^21 + 1, 5 * 10^7 and 10^1000: the exact
@@ -140,6 +149,38 @@ def test_fine_step_masses_validate_and_run(tmp_path, breakpoint):
     # 2 on the breakpoint's mass and 1/2 on the rest
     assert log["exact_zero"] is False
     assert math.isclose(log["value"], float(2 * mass - 1) * math.log(2), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("c", [4, 100, 700])
+def test_exp_rooted_weights_validate_and_pass(tmp_path, c):
+    # exp(u) of a u finite at every x is positive wherever it is finite: the
+    # sampled Lipschitz margin is taken on u against binary64's exp range
+    # (1.07 at c = 700), not on w (which rejected every c >= 4)
+    spec = write_spec(tmp_path, circle_spec(weight={"expr": f"exp({c}*sin(2*pi*x))"}, horizons={"n_max": 20}))
+    assert main(["validate", "--spec", spec, "--task", "hctest"]) == 0
+    out = tmp_path / "out"
+    assert main(["hctest", "--spec", spec, "--out-dir", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["results"]["hctest"]
+    assert result["verdict"] == "NecessaryConditionsPassed"
+    assert abs(result["log_integral"]["value"]) <= 1e-12
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("exp(800*sin(2*pi*x))", "is not finite on the circle"),
+    # u = pi*(2k + 1) on every grid point, so w = 1 there, but u reaches 731.7
+    # at x = 7/131072, where w overflows: u's margin is 4687
+    ("exp(746*sin(8192*pi*x))", "is not certifiably finite on the circle"),
+    ("exp(-745 - sin(2*pi*x))", "is not certifiably positive"),
+    # the weight sin + 1 has a zero at 3/4, off the grid: ln inside exp
+    # keeps the margin
+    ("exp(ln(sin(2*pi*x) + 1))", "is not certifiably positive"),
+    ("0*x", "is not certifiably positive"),
+    ("sin(2*pi*x)", "is not certifiably positive"),
+])
+def test_weights_that_are_not_positive_by_construction_keep_their_checks(expr, message):
+    with np.errstate(over="ignore"):
+        diags = validate(circle_spec(weight={"expr": expr}), "hctest")
+    assert diags == [f"weight: {expr!r} {message}"]
 
 
 def _probe(base, path, value):
@@ -471,6 +512,7 @@ def test_circle_reps_reads_the_checked_k_max(tmp_path, k_max, fixed):
     ("tolerances", "grid_points", 33, "monotone_grid", 33),
     ("tolerances", "quadrature_points", "100", "quadrature_points", 100),
     ("tolerances", "log_tolerance", "1e-3", "log_tolerance", 0.001),
+    ("tolerances", "log_tolerance", 0, "log_tolerance", 0.0),
 ])
 def test_each_given_setting_reaches_its_verdict_field(section, key, value, config_field, read):
     spec, diags = parse_spec(_probe(_EXPR, (section, key), value), "all")

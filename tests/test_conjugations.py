@@ -8,7 +8,8 @@ K and in phi(K) are the same.  Each pair runs both specs through
 ``cli.main`` and compares the two runs.
 
 The same holds for the translations x -> x + t of every family (a is
-unchanged, w becomes w(. - t) and K becomes K + t), for the reflection
+unchanged, w becomes w(. - t) and K becomes K + t; on a finite group,
+x -> h x maps w to w(h .) and K to h^-1 K), for the reflection
 x -> -x of the circle (a becomes -a, w becomes w(-.) and K becomes -K) and
 for the multiplication x -> u x of Z_p and Q_p by a unit u (a becomes u a,
 w becomes w(u^-1 .) and K becomes u K).
@@ -69,7 +70,7 @@ def _run(tmp_path, name, spec):
     out = tmp_path / name
     code = cli.main(["all", "--spec", str(path), "--out-dir", str(out)])
     with open(out / "scan.csv", newline="") as fh:
-        scan = [(row["n"], row["w_n_min"], row["w_n_max"]) for row in csv.DictReader(fh)]
+        scan = [(row["n"], row["w_n_min"], row["w_n_max"], row["monotone_fired"]) for row in csv.DictReader(fh)]
     return code, json.loads((out / "report.json").read_text())["results"], (out / "equidist.csv").read_bytes(), scan
 
 
@@ -96,6 +97,23 @@ def test_automorphic_finite_specs_run_alike(tmp_path, automorphism):
 # translations and the circle's reflection
 
 
+def test_translated_finite_specs_run_alike(tmp_path):
+    # x -> h x commutes with x -> x a^-1: a stays, w becomes w(h .), and K
+    # becomes h^-1 K, whose translates by x are those of K by h x
+    rng = random.Random("finite translation")
+    names = ["S3", "D4", "Q8", "A4", "Z2xZ8", "Z4xZ4"] + [f"Z{n}" for n in range(2, 17)]
+    many = 0
+    for i in range(200):
+        g = GROUPS[rng.choice(names)]
+        h, spec = rng.randrange(g.order), _spec(rng, g)
+        image = {**spec, "weight": {"values": [spec["weight"]["values"][g.mul(h, x)] for x in g.elements()]},
+                 "sets": [{"indices": [g.mul(g.inv(h), x) for x in K["indices"]]} for K in spec["sets"]]}
+        fired = _assert_alike(tmp_path, f"{i}", spec, image)
+        assert fired["rule"] == RULE_TORSION and fired["params"] == {"order": g.element_order(spec["element"])}
+        many += any(len(K["indices"]) > 1 for K in spec["sets"])
+    assert many >= 150, many
+
+
 # the fields of a fired rule that name a place on the group: the first ball
 # or point a scan meets, and what it reads there.  A translation moves those
 # places and may change which one a scan meets first, so the pairs below
@@ -119,15 +137,16 @@ def _placeless(fired):
 
 def _assert_alike(tmp_path, name, spec, image, angle=None):
     """Both specs run to the same exit code, verdict, fired rule (up to its
-    places; ``angle`` maps a torsion witness), log integral, ``equidist.csv``
-    and ``n, w_n_min, w_n_max`` columns of ``scan.csv``.  Returns the run's
-    fired rule up to its places."""
+    places; ``angle`` maps a torsion witness), log integral, ``equidist``
+    rows, ``equidist.csv`` and ``n, w_n_min, w_n_max, monotone_fired``
+    columns of ``scan.csv``.  Returns the run's fired rule up to its places."""
     code, results, equidist_csv, scan = _run(tmp_path, name, spec)
     image_code, image_results, image_equidist_csv, image_scan = _run(tmp_path, f"{name}-image", image)
     assert (image_code, image_equidist_csv, image_scan) == (code, equidist_csv, scan), spec
     hctest, image_hctest = results["hctest"], image_results["hctest"]
     assert image_hctest["verdict"] == hctest["verdict"], spec
     assert image_hctest["log_integral"] == hctest["log_integral"], spec
+    assert image_results.get("equidist") == results.get("equidist"), spec
     fired = _placeless(hctest["fired_rule"])
     if angle is not None and fired is not None and "angle" in fired["witnesses"]:
         fired["witnesses"]["angle"] = str(angle(Fraction(fired["witnesses"]["angle"])))

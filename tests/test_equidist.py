@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import circle_oracle as oracle
 import exact_oracle
-from hclab import equidist
+from hclab import equidist, families
 from hclab.borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
     Boundaries,
@@ -28,7 +28,7 @@ from hclab.equidist import (
     weyl_bound,
 )
 from hclab.errors import FixedCharacterError
-from hclab.families import family, one_point
+from hclab.families import family
 from hclab.groups import CIRCLE, OrbitSequence, PAdicContext, catalog, cyclic
 from hclab.lemmas import TestFunction, ergodic_average
 from hclab.weights import StepFunction, StepWeight, circle_step_rows
@@ -314,8 +314,8 @@ def test_exhaustive_count_visits_only_the_resolving_cosets(monkeypatch):
     ctx = PAdicContext(3, 8)
     seq = OrbitSequence(ctx, ctx.element(1))
     translates = []
-    count = equidist._support_count
-    monkeypatch.setattr(equidist, "_support_count",
+    count = families._support_count
+    monkeypatch.setattr(families, "_support_count",
                         lambda K, group, support, x=None: translates.append(x) or count(K, group, support, x))
     # 999 terms meet each class mod 9 exactly 111 times
     assert sup_deviation(BallSet.from_balls(ctx, [(2, 4), (2, 5)]), seq, 1000) == float(Fraction(1, 4500))
@@ -329,9 +329,9 @@ def test_exhaustive_count_visits_only_the_resolving_cosets(monkeypatch):
 
 def _exhausted_extremes(count, K, seq, Ns):
     """The oracle of ``orbit_extremes``: the least and greatest ``count``
-    (``equidist._support_count``) over every translate of the context that
+    (``families._support_count``) over every translate of the context that
     resolves K, at each N."""
-    K, sub, _ = equidist._resolved(K, seq)
+    K, sub = families._resolved(K, seq)[:2]
     return [(min(c), max(c)) for c in ([count(K, sub.group, support, x) for x in sub.group.elements()]
                                        for support in map(sub.residue_support, Ns))]
 
@@ -363,13 +363,13 @@ def _one_point_cases():
 def test_one_point_extremes_match_exhaustion(monkeypatch):
     # a set that is one point of its resolving context is counted from the
     # orbit's period alone: no translate is visited
-    count, calls = equidist._support_count, []
-    monkeypatch.setattr(equidist, "_support_count", lambda *args: calls.append(args) or count(*args))
+    count, calls = families._support_count, []
+    monkeypatch.setattr(families, "_support_count", lambda *args: calls.append(args) or count(*args))
     cases = 0
     for K, seq in _one_point_cases():
-        resolved, sub, _ = equidist._resolved(K, seq)
-        assert one_point(resolved, sub.group), K
-        Ns = _horizons(sub.group.element_order(sub.element), len(sub.group))
+        r = families._resolved(K, seq)
+        assert r.one_point, K
+        Ns = _horizons(r.period, len(r.seq.group))
         assert family(seq.group).orbit_extremes([K], seq, Ns) == [_exhausted_extremes(count, K, seq, Ns)], K
         cases += 1
     assert calls == [] and cases > 300
@@ -379,12 +379,57 @@ def test_one_point_extremes_match_exhaustion(monkeypatch):
         seq = OrbitSequence(ctx, ctx.from_residue(ctx.prime))
         for r in range(-ctx.window, 1):
             K = ball(ctx, ctx.from_residue(1), r)
-            resolved, sub, _ = equidist._resolved(K, seq)
-            assert not one_point(resolved, sub.group)
+            assert not families._resolved(K, seq).one_point
             Ns = _horizons(seq.group.element_order(seq.element), len(ctx))
             calls.clear()
             assert family(ctx).orbit_extremes([K], seq, Ns) == [_exhausted_extremes(count, K, seq, Ns)]
             assert calls
+
+
+def _priced_cases():
+    """(sets, orbit): over zp and qp (window 1) contexts, a union of 2-40
+    balls whose finest level is each level in turn beside a one-ball set,
+    along an element of each valuation; over every catalog group, a subset
+    of any size beside a one-element subset, along each element (so of
+    every order)."""
+    rng = random.Random(34)
+    for p, precision, window in [(2, 5, 0), (3, 3, 0), (5, 2, 0), (2, 4, 1), (3, 2, 1)]:
+        ctx = PAdicContext(p, precision, window)
+        for level in range(-window, precision + 1):
+            for k in range(ctx.digit_count + 1):
+                balls = [(rng.randint(-window, level), rng.randrange(ctx.modulus)) for _ in range(rng.randint(1, 39))]
+                union = BallSet.from_balls(ctx, balls + [(level, rng.randrange(ctx.modulus))])
+                one = ball(ctx, ctx.from_residue(rng.randrange(ctx.modulus)), rng.randint(1, precision))
+                a = ctx.from_residue(p ** k * rng.choice([1, p + 1, 2 * p - 1]) % ctx.modulus)
+                yield [union, one], OrbitSequence(ctx, a)
+    for g in catalog().values():
+        for a in g.elements():
+            some = FiniteSubset.of(g, rng.sample(range(g.order), rng.randint(0, g.order)))
+            yield [some, FiniteSubset.of(g, [rng.randrange(g.order)])], OrbitSequence(g, a)
+
+
+def test_orbit_pairs_price_the_pairs_orbit_extremes_visits(monkeypatch):
+    # validation caps orbit_pairs: it must be the number of terms of every
+    # support the exhaustive count reads, over every call orbit_extremes
+    # makes, for each set alone and for the sets together; a one-point set
+    # costs none, and N - 1 runs below, at and above each set's period
+    count, visited = families._support_count, []
+    monkeypatch.setattr(families, "_support_count",
+                        lambda K, group, support, x=None: visited.append(len(support)) or count(K, group, support, x))
+    cases = 0
+    for sets, seq in _priced_cases():
+        fam = family(seq.group)
+        Ns = sorted({N for K in sets for N in _horizons(families._resolved(K, seq).period, len(seq.group))})
+        for priced in ([K] for K in sets), [sets]:
+            for S in priced:
+                visited.clear()
+                fam.orbit_extremes(S, seq, Ns)
+                assert fam.orbit_pairs(S, seq, Ns) == sum(visited), (S, seq, Ns)
+        assert fam.orbit_pairs(sets[1:], seq, Ns) == 0
+        cases += sum(visited) > 0
+    assert cases > 250
+    circle = OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 3)))
+    assert family(CIRCLE).orbit_pairs([interval(0, Fraction(1, 2), "open")], circle, [10, 100]) == 0
 
 
 VARIANTS = ["open", "closed", "half_open", "half_open_right"]

@@ -4,6 +4,7 @@ on generated trees and inputs, and the caller's array left as it was, unless
 the caller hands it over (``_owned``), when the value is the same and may
 be written over it."""
 
+import math
 import re
 
 import numpy as np
@@ -97,3 +98,13 @@ def test_owned_argument_is_written_over_when_read_once(source, shape):
         got = expr(handed, _owned=True)
     assert _bits(got) == _bits(want), (source, got, want)
     assert (got is handed) == (len(re.findall(r"\bx\b", source)) == 1)
+
+
+def test_exponent_is_the_argument_of_exp_when_finite_everywhere():
+    # exp(u) is positive wherever u is finite; ln, or a divisor other than a
+    # nonzero constant, can leave u infinite between the grid's points
+    for source in ["exp(4*sin(2*pi*x))", "exp(sin(2*pi*x)/2 + 1/10)", "exp(exp(cos(x)) - x*x)"]:
+        u = Expr(source).exponent
+        assert u is not None and math.isclose(math.exp(u(0.3)), Expr(source)(0.3)), source
+    for source in ["exp(ln(sin(2*pi*x) + 1))", "exp(1/sin(2*pi*x))", "exp(x/0)", "exp(ln(2))", "2*exp(x)", "x + 1"]:
+        assert Expr(source).exponent is None, source

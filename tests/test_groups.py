@@ -10,7 +10,9 @@ from hclab.errors import WindowExceeded
 from hclab.families import family
 from hclab.groups import (
     CIRCLE,
+    MAX_CIRCLE_HORIZON,
     MAX_ORBIT_DENOMINATOR,
+    FiniteGroup,
     PRECISION_CAP,
     OrbitSequence,
     PAdicContext,
@@ -60,6 +62,33 @@ def test_padic_addition_matches_integer_oracle():
     y = ctx.from_digits([2, 0])  # 2
     assert (x + y).digits() == (0, 0)  # 9 = 0 mod 9
     assert (x + y).residue == (7 + 2) % 9
+
+
+def test_padic_digits_stop_below_p():
+    ctx = PAdicContext(3, 2)
+    assert ctx.from_digits([2, 2]).residue == 8
+    with pytest.raises(ValueError, match="digit 3 out of range for p=3"):
+        ctx.from_digits([3])
+
+
+def test_a_table_of_order_64_is_checked_for_associativity():
+    # Z64 with the intercalate on rows and columns 1 and 33 switched (2 and
+    # 34 swap places) is still a Latin square with identity 0, but not
+    # associative: the check runs up to order 64 inclusive
+    n = 64
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b in [(1, 1), (1, 33), (33, 1), (33, 33)]:
+        table[a][b] = (table[a][b] + 32) % n
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table, "switched Z64")
+    assert FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)]).order == n
+
+
+def test_circle_horizons_stop_at_the_limit():
+    seq = OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 3)))
+    assert sorted(seq.angle_terms(MAX_CIRCLE_HORIZON).tolist()) == [0, 1, 2]
+    with pytest.raises(ValueError, match="capped"):
+        seq.angle_terms(MAX_CIRCLE_HORIZON + 1)
 
 
 def test_finite_identity():

@@ -273,6 +273,16 @@ def test_positive_weight_validation():
         PAdicTableWeight(PAdicContext(3, 1), 1, {0: 1, 1: 0, 2: 1})
 
 
+def test_an_exp_weight_may_reach_the_ends_of_the_binary64_exp_range():
+    # exp(ln(DBL_MAX)) is finite and exp(ln(5e-324)) is 5e-324, so u may sit
+    # on either end, with a margin of 0 for a constant u
+    hi, lo = math.log(np.finfo(float).max), math.log(math.ulp(0.0))
+    assert math.isfinite(ExprWeight(f"exp({hi!r})").value_at(0.5))
+    assert ExprWeight(f"exp({lo!r})").value_at(0.5) > 0
+    with pytest.raises(NonPositiveWeight, match="is not certifiably positive"):
+        ExprWeight(f"exp({math.nextafter(lo, -1000.0)!r})")
+
+
 # ---------------------------------------------------------------------------
 # step approximation
 
