@@ -13,9 +13,14 @@ and on the cells between them realize the supremum.  A spec's orbit is
 sorted once per horizon and shared by all its sets; a set has one event row
 per distinct boundary position, so a closed arc takes two rows; and the
 counts come from cumulative sums of the events' count changes
-(``Events.set_counts``), from which a set's least and greatest count are
+(``Sweep.set_counts``), from which a set's least and greatest count are
 read directly.  Finite and p-adic contexts are counted by their family
 (``families.Family.orbit_extremes``), to which the entry points here defer.
+
+The n-step product walks of the step, table and expression weights
+(``sweep_blocks``, ``weights.step_products``, ``hctest._expr_rows``) take
+their blocks of rows from one schedule, ``row_blocks``, the only reader of
+``BLOCK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,8 +42,8 @@ __all__ = [
     "OrbitCounter",
     "Sweep",
     "Boundaries",
-    "Events",
     "SweepBlock",
+    "row_blocks",
     "sweep_blocks",
     "Translates",
     "density",
@@ -94,7 +99,7 @@ class OrbitCounter:
     points v with v + x in K at explicit translates x, and ``sup_candidates``
     counts at every translate at once, from the cumulative sums of the count
     changes of its events against one row per distinct boundary position of
-    a set (``Events.set_counts``).  Nothing is rounded.
+    a set (``Sweep.set_counts``).  Nothing is rounded.
     """
 
     def __init__(self, residues: np.ndarray, counts: np.ndarray, denominator: int):
@@ -148,33 +153,43 @@ class OrbitCounter:
         return np.array(out, dtype=np.int64)
 
     def sup_candidates(self, bounds: "Boundaries") -> "Sweep":
-        """The counts of every set of ``bounds`` at every translate, as one
+        """The counts of every set of ``bounds`` at every translate, as the
         ``Sweep`` of the orbit's events against the sets' boundaries
         (``Boundaries.arrange``): its candidate counts, event positions and
         wrap order are built only when read, and ``Sweep.extremes`` reads
         each set's least and greatest count from the events' cumulative sums
-        (``Events.set_counts``).  Everything that depends only on the sets
+        (``Sweep.set_counts``).  Everything that depends only on the sets
         and D is prepared once, in ``bounds``, so a walk over n reuses it.
         """
         D = self.denominator
         if bounds.denominator != D:
             raise ValueError(f"boundaries prepared for denominator {bounds.denominator}, not {D}")
-        if not len(bounds.floors) or not len(self.residues):
-            return Sweep(bounds)
         repeated = self.total > len(self.residues)
-        return Sweep(bounds, bounds.arrange(self.residues), self.counts if repeated else None)
+        return bounds.arrange(self.residues, self.counts if repeated else None)
 
 
 @dataclass(frozen=True, eq=False)
-class Events:
-    """The events of circle points V/D, V in the sorted ``residues``, against
-    prepared ``Boundaries``, in translate order (``Boundaries.arrange``).
+class Sweep:
+    """Exact counts of the points V/D, V in the sorted ``residues`` with the
+    multiplicities ``mults`` (all 1 when None), in one or more sets at every
+    candidate translate: the points' events against prepared ``Boundaries``,
+    in translate order (``Boundaries.arrange``).
 
     Sorted event m is boundary row ``rows[m]`` met by a point, at the
     position ``ints[m] + fracs[ranks[rows[m]]]`` in units of 1/D; ``last[m]``
     says whether it is the last event at its position, and ``ends`` lists
     those.  ``wraps[i, r]`` says whether point r lies in set i on the cell
     that wraps past 0.
+
+    A set's translated count is constant between consecutive event
+    positions, so the candidates are the positions and one translate in
+    each cell between them, its exact midpoint; the cell after the last
+    position wraps past 0 to the first.  Candidates run in increasing
+    translate order over [0, 1), and ``counts[j, i]`` is set i's count at
+    candidate j.  With no events (no points, or no set boundaries) the only
+    candidate is the translate 0, where every set counts nothing.  The
+    counts, positions and wrap order are built when first read; the length
+    and ``extremes`` read none of them.
     """
 
     bounds: "Boundaries"
@@ -183,11 +198,16 @@ class Events:
     rows: np.ndarray
     last: np.ndarray
     wraps: np.ndarray
+    mults: np.ndarray | None
+
+    def __len__(self) -> int:
+        return 2 * int(np.count_nonzero(self.last)) or 1
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
         return np.flatnonzero(self.last)
 
+    @functools.cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """The integer parts and fraction ranks of the distinct positions."""
         return self.ints[self.ends], self.bounds.ranks[self.rows[self.ends]]
@@ -200,10 +220,10 @@ class Events:
         np.add(V, np.uint64(self.bounds.denominator % 2 ** 64), out=V, where=self.ints > floors)
         return np.searchsorted(self.residues, V)
 
-    def set_counts(self, mults: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """For each set in turn, ``(cells, at)``: its count of the points,
-        with multiplicities ``mults`` (all 1 when None), on the cell after
-        each event position and at the position itself.
+    def set_counts(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each set in turn, ``(cells, at)``: its count of the points, with
+        their multiplicities, on the cell after each position and at the
+        position itself.
 
         An event changes its set's count by its row's change times its
         point's multiplicity.  From the count on the cell that wraps past 0,
@@ -215,7 +235,7 @@ class Events:
         position, whose late change gains those of the position's earlier
         events.
         """
-        bounds = self.bounds
+        bounds, mults = self.bounds, self.mults
         mult = None if mults is None else mults[self.points()]
         shared = not self.last.all()
         if shared:
@@ -239,12 +259,51 @@ class Events:
                 np.add.at(late, tied_at, late_tied)
             yield cells, np.subtract(cells, late, out=late)
 
+    def extremes(self) -> list[tuple[int, int]]:
+        """Each set's least and greatest count over every translate."""
+        if not len(self.last):
+            return [(0, 0)] * self.bounds.sets
+        return [(int(min(cells.min(), at.min())), int(max(cells.max(), at.max())))
+                for cells, at in self.set_counts()]
+
+    @functools.cached_property
+    def wrap_first(self) -> bool:
+        """Whether the wrapping cell's candidate comes first (with events)."""
+        ints, ranks = self.positions
+        return _wrap_first(ints, ranks, self.bounds.fracs, self.bounds.denominator, 0, -1)
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        # set i's count at position g in row 2g and on the cell after it in
+        # row 2g + 1, then the wrapping cell moved first when it comes first
+        out = np.zeros((len(self), self.bounds.sets), dtype=np.int64)
+        if not len(self.last):
+            return out
+        for i, (cells, at) in enumerate(self.set_counts()):
+            out[0::2, i] = at
+            out[1::2, i] = cells
+        return np.roll(out, 1, axis=0) if self.wrap_first else out
+
+    def translate(self, j: int) -> Fraction:
+        """The exact translate of candidate j."""
+        ints, ranks = self.positions
+        fracs, D, G = self.bounds.fracs, self.bounds.denominator, len(ints)
+        if not G:
+            return Fraction(0)
+        g, in_cell = divmod((j - self.wrap_first) % (2 * G), 2)
+        here = int(ints[g]) + fracs[ranks[g]]
+        if not in_cell:
+            return here / D
+        # the midpoint of the cell to the next position, past 0 after the last
+        after = int(ints[(g + 1) % G]) + fracs[ranks[(g + 1) % G]] + (D if g + 1 == G else 0)
+        return ((here + after) / 2 % D) / D
+
 
 @dataclass(frozen=True, eq=False)
 class Boundaries:
     """The boundaries of one or more circle sets, prepared for ordering their
     events with orbits of denominator D (``arrange``) and counting them
-    (``Events.set_counts``).
+    (``Sweep.set_counts``).
 
     A set has one row per distinct boundary position b mod 1: a closed
     arc's end point shares the row of its open part's end, so a closed arc
@@ -270,8 +329,9 @@ class Boundaries:
     at: np.ndarray
     arcs: tuple
 
-    def arrange(self, residues: np.ndarray) -> Events:
-        """The events of the points V/D, V in the sorted ``residues``, in
+    def arrange(self, residues: np.ndarray, mults: np.ndarray | None = None) -> Sweep:
+        """The ``Sweep`` of the points V/D, V in the sorted ``residues`` with
+        the multiplicities ``mults`` (all 1 when None): their events, in
         translate order.
 
         A boundary b meets the point V/D when the translate is the event
@@ -311,7 +371,7 @@ class Boundaries:
         np.not_equal(ints[1:], ints[:-1], out=last[:-1])
         tied = np.flatnonzero(~last[:-1])
         last[tied] = self.ranks[rows[tied]] != self.ranks[rows[tied + 1]]
-        return Events(self, residues, ints, rows, last, wraps)
+        return Sweep(self, residues, ints, rows, last, wraps, mults)
 
     @classmethod
     def prepare(cls, denominator: int, *sets: IntervalSet) -> "Boundaries":
@@ -333,9 +393,6 @@ class Boundaries:
                 arcs.append((change(i, lo, 1, 0), change(i, hi, -1, -1), i))
             for pt in K.point_part:
                 change(i, pt, 0, 1)
-        if not changes:
-            empty = np.zeros(0, dtype=np.uint64)
-            return cls(len(sets), D, empty, empty, (), empty, empty, empty, ())
         keys = list(changes)
         floors = np.array([n * D // d for _, n, d in keys], dtype=np.uint64)
         # the fractional parts of b D, as numerators over a common denominator
@@ -349,84 +406,13 @@ class Boundaries:
         order = np.argsort(ranks, kind="stable")
         ranks = ranks[order]
         row_of = {keys[j]: r for r, j in enumerate(order.tolist())}
-        cell, at = zip(*(changes[k] for k in keys))
+        cell, at = np.array([changes[k] for k in keys], dtype=np.int64).reshape(-1, 2)[order].T
         return cls(
             len(sets), D, floors[order], ranks, tuple(Fraction(k, M) for k in distinct),
-            np.array([i for i, _, _ in keys], dtype=np.int32)[order],
-            np.array(cell, dtype=np.int64)[order], np.array(at, dtype=np.int64)[order],
+            np.array([i for i, _, _ in keys], dtype=np.int32)[order], cell, at,
             tuple((row_of[lo], row_of[hi], bool(ranks[row_of[lo]] >= ranks[row_of[hi]]), i)
                   for lo, hi, i in arcs),
         )
-
-
-class Sweep:
-    """Exact orbit counts in one or more sets at every candidate translate,
-    from one orbit's ``Events`` (None when there are none: no set
-    boundaries, or no points), whose points have the multiplicities
-    ``mults`` (all 1 when None).
-
-    A set's translated count is constant between consecutive event
-    positions, so the candidates are the events and one translate in each
-    cell between them, its exact midpoint; the cell after the last event
-    wraps past 0 to the first.  Candidates run in increasing translate order
-    over [0, 1), and ``counts[j, i]`` is set i's count at candidate j.  With
-    no events the only candidate is the translate 0.  The events are the
-    distinct positions of the sorted orbit's events against one row per
-    boundary position of a set, and the counts are cumulative sums of their
-    changes (``Events.set_counts``).  The counts, event positions and wrap
-    order are built when first read; the length and ``extremes`` read none
-    of them.
-    """
-
-    def __init__(self, bounds: Boundaries, events: Events | None = None, mults: np.ndarray | None = None):
-        self.bounds, self.events, self.mults = bounds, events, mults
-
-    def __len__(self) -> int:
-        return 1 if self.events is None else 2 * int(np.count_nonzero(self.events.last))
-
-    def extremes(self) -> list[tuple[int, int]]:
-        """Each set's least and greatest count over every translate."""
-        if self.events is None:
-            return [(0, 0)] * self.bounds.sets
-        return [(int(min(cells.min(), at.min())), int(max(cells.max(), at.max())))
-                for cells, at in self.events.set_counts(self.mults)]
-
-    @functools.cached_property
-    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integer parts and fraction ranks of the event positions."""
-        return self.events.positions()
-
-    @functools.cached_property
-    def wrap_first(self) -> bool:
-        """Whether the wrapping cell's candidate comes first (with events)."""
-        ints, ranks = self._positions
-        return _wrap_first(ints, ranks, self.bounds.fracs, self.bounds.denominator, 0, -1)
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        # set i's count at position g in row 2g and on the cell after it in
-        # row 2g + 1, then the wrapping cell moved first when it comes first
-        out = np.zeros((len(self), self.bounds.sets), dtype=np.int64)
-        if self.events is None:
-            return out
-        for i, (cells, at) in enumerate(self.events.set_counts(self.mults)):
-            out[0::2, i] = at
-            out[1::2, i] = cells
-        return np.roll(out, 1, axis=0) if self.wrap_first else out
-
-    def translate(self, j: int) -> Fraction:
-        """The exact translate of candidate j."""
-        if self.events is None:
-            return Fraction(0)
-        ints, ranks = self._positions
-        fracs, D, G = self.bounds.fracs, self.bounds.denominator, len(ints)
-        g, in_cell = divmod((j - self.wrap_first) % (2 * G), 2)
-        here = int(ints[g]) + fracs[ranks[g]]
-        if not in_cell:
-            return here / D
-        # the midpoint of the cell to the next position, past 0 after the last
-        after = int(ints[(g + 1) % G]) + fracs[ranks[(g + 1) % G]] + (D if g + 1 == G else 0)
-        return ((here + after) / 2 % D) / D
 
 
 def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first: int, last: int) -> bool:
@@ -438,7 +424,7 @@ def _wrap_first(ints: np.ndarray, ranks: np.ndarray, fracs: tuple, D: int, first
     return over >= 0 or (over == -1 and fracs[ranks[last]] + fracs[ranks[first]] >= 1)
 
 
-# the most (row, candidate, set) counts one block of a walk holds
+# the most entries one block of a product walk holds (``row_blocks``)
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -485,29 +471,36 @@ class SweepBlock:
         return firsts, np.searchsorted(firsts, self.offsets)
 
 
-def sweep_blocks(bounds: Boundaries, seq: OrbitSequence, horizon: int = 1) -> Iterator[SweepBlock]:
-    """The candidate counts of the product orbits of ``seq``'s terms 0..n-1
-    in every set of ``bounds``, for n = 1, 2, ..., in ``SweepBlock``s.
-
-    The first block ends at row ``horizon`` and each later one doubles the
-    walk, unless a block would hold more than ``BLOCK_ENTRIES`` counts by
-    the bound of two candidates per (boundary, term) event; then it ends
-    sooner, after at least one row.
-    """
+def row_blocks(horizon: int, entries: Callable[[int, int], int]) -> Iterator[tuple[int, int]]:
+    """The blocks of a walk over rows n = 1, 2, ..., as ``(start, stop)`` for
+    the rows start+1 .. stop: the one schedule of ``sweep_blocks``,
+    ``weights.step_products`` and ``hctest._expr_rows``, each of which
+    gives the number of entries its block would hold, ``entries(start,
+    stop)``.  The first block ends at row ``horizon`` and each later one
+    doubles the walk; a block is halved while it would hold more than
+    ``BLOCK_ENTRIES``, and keeps at least one row."""
     start = 0
     while True:
         stop = max(horizon, 2 * start, start + 1)
-        while stop > start + 1 and _block_entries(bounds, start, stop) > BLOCK_ENTRIES:
+        while stop > start + 1 and entries(start, stop) > BLOCK_ENTRIES:
             stop = start + (stop - start) // 2
-        yield _sweep_block(bounds, seq, start, stop)
+        yield start, stop
         start = stop
 
 
-def _block_entries(bounds: Boundaries, start: int, stop: int) -> int:
-    """The bound on a block's counts: its row sums (one more than its rows),
-    two candidates per (boundary, point) event, and the sets."""
-    points = min(stop, bounds.denominator)
-    return (stop - start + 1) * 2 * len(bounds.floors) * points * bounds.sets
+def sweep_blocks(bounds: Boundaries, seq: OrbitSequence, horizon: int = 1) -> Iterator[SweepBlock]:
+    """The candidate counts of the product orbits of ``seq``'s terms 0..n-1
+    in every set of ``bounds``, for n = 1, 2, ..., in ``SweepBlock``s whose
+    rows come from ``row_blocks``.  A block's entries are bounded by its row
+    sums (one more than its rows), two candidates per (boundary, point)
+    event, and the sets.
+    """
+    def entries(start: int, stop: int) -> int:
+        points = min(stop, bounds.denominator)
+        return (stop - start + 1) * 2 * len(bounds.floors) * points * bounds.sets
+
+    for start, stop in row_blocks(horizon, entries):
+        yield _sweep_block(bounds, seq, start, stop)
 
 
 def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) -> SweepBlock:
@@ -529,15 +522,15 @@ def _sweep_block(bounds: Boundaries, seq: OrbitSequence, start: int, stop: int) 
     if not len(bounds.floors):
         return SweepBlock(start, np.zeros((rows, S), dtype=np.int64), np.arange(rows + 1))
     order = np.argsort(residues)
-    events = bounds.arrange(residues[order])
-    term = order[events.points()]
-    B, G = len(bounds.floors), len(events.ends)
+    sweep = bounds.arrange(residues[order])
+    term = order[sweep.points()]
+    B, G = len(bounds.floors), len(sweep.ends)
     group = np.empty((B, P), dtype=np.int64)
-    group[events.rows, term] = np.repeat(np.arange(G), np.diff(events.ends, prepend=-1))
-    birth = np.minimum.reduceat(term, np.concatenate(([0], events.ends[:-1] + 1)))
-    wraps = np.empty_like(events.wraps)
-    wraps[:, order] = events.wraps
-    ints, ranks = events.positions()
+    group[sweep.rows, term] = np.repeat(np.arange(G), np.diff(sweep.ends, prepend=-1))
+    birth = np.minimum.reduceat(term, np.concatenate(([0], sweep.ends[:-1] + 1)))
+    wraps = np.empty_like(sweep.wraps)
+    wraps[:, order] = sweep.wraps
+    ints, ranks = sweep.positions
 
     # (sum, point, times): sum 0 gathers the terms below start, sum j >= 1 is
     # the term start + j - 1

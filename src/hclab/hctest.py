@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import padic as _padic
-from .equidist import BLOCK_ENTRIES, _mod1
+from .equidist import _mod1, row_blocks
 from .families import family
 from .report import (
     CONDITIONS_PASSED,
@@ -155,19 +155,19 @@ _LN_MAX = math.log(sys.float_info.max)
 def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[MonotoneHit]:
     """Rows from log sums on the grid; decisions stay in log space, with a
     Lipschitz margin computed once, at the first one-sided row.  The log
-    sums come in blocks of ``horizon`` rows, fewer when a block would hold
-    more than ``BLOCK_ENTRIES`` entries, and at least one.  An extreme past
-    binary64's range reads inf, as an exact row's does."""
+    sums come in the blocks of ``equidist.row_blocks``, a block of B rows
+    holding B times ``grid_points`` entries; each row is the previous row
+    plus one term, wherever the blocks split.  An extreme past binary64's
+    range reads inf, as an exact row's does."""
     xs = np.arange(grid_points) / grid_points
     af = float(a.value)
-    block = max(1, min(horizon, BLOCK_ENTRIES // grid_points))
-    # every block is built, evaluated and summed in this one buffer
-    logs = np.empty((block, grid_points))
     acc = np.zeros(grid_points)
     log_lip = None
-    for start in itertools.count(0, block):
-        # row n adds ln w at the orbit's term n-1, x - (n-1)a
-        steps = np.arange(start, start + block, dtype=float)[:, None]
+    for start, stop in row_blocks(horizon, lambda start, stop: (stop - start) * grid_points):
+        # row n adds ln w at the orbit's term n-1, x - (n-1)a; the block is
+        # built, evaluated and summed in one buffer
+        steps = np.arange(start, stop, dtype=float)[:, None]
+        logs = np.empty((stop - start, grid_points))
         np.subtract(xs, np.multiply(steps, af, out=steps), out=logs)
         np.log(w.eval_angles(_mod1(logs, out=logs), out=logs), out=logs)
         logs[0] += acc
@@ -177,7 +177,7 @@ def _expr_rows(w: ExprWeight, a, grid_points: int, horizon: int) -> Iterator[Mon
             np.add(prev, row, out=row)
         acc[:] = logs[-1]
         mins, maxs = logs.min(axis=1), logs.max(axis=1)
-        for n, row, mn, mx in zip(range(start + 1, start + block + 1), logs, mins.tolist(), maxs.tolist()):
+        for n, row, mn, mx in zip(range(start + 1, stop + 1), logs, mins.tolist(), maxs.tolist()):
             try:
                 lo, hi = math.exp(mn), math.exp(mx)
             except OverflowError:  # mx, at least mn, is past binary64's range

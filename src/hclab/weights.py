@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .borel import IntervalSet
-from .equidist import BLOCK_ENTRIES, Boundaries, Translates, _frac, sweep_blocks
+from .equidist import Boundaries, Translates, _frac, row_blocks, sweep_blocks
 from .errors import ContextMismatch, NonPositiveWeight
 from .exprs import Expr
 from .groups import CIRCLE, CircleElement, FiniteGroup, OrbitSequence, PAdicContext, PAdicNumber
@@ -399,20 +399,19 @@ def step_products(w: Weight, a, horizon: int = 1) -> Iterator[tuple[Callable, Pr
     Row n holds the weight's exponent vectors summed along the orbit,
     row_n[x] = E[x] + row_{n-1}[x a^-1], with x a^-t, t = 0..B, read from the
     weight's ``orbit_index(a, B)``; so entries grow by n max|e| and no
-    integer is formed.  The first block ends at row ``horizon`` and each
-    later one is as long as the walk so far, at most ``BLOCK_ENTRIES``
-    exponents each: a block is cumulative sums of E read along the orbit.
+    integer is formed.  The blocks come from ``equidist.row_blocks``, a
+    block of B rows holding B times E's exponents: a block is cumulative
+    sums of E read along the orbit.
     """
     E = w.form.exponents
-    cap = max(1, BLOCK_ENTRIES // max(1, E.size))
-    last, n0, B = np.zeros_like(E), 0, horizon
-    while True:
-        B = max(1, min(B, cap))
+    last = np.zeros_like(E)
+    for n0, stop in row_blocks(horizon, lambda start, stop: (stop - start) * E.size):
+        B = stop - n0
         idx = w.orbit_index(a, B)
         block = np.cumsum(E[idx[:-1]], axis=0)
         block += last[idx[1:]]
         yield _entries, ProductRows(w.form, block.reshape(B * len(E), E.shape[1]), n0, np.arange(B + 1) * len(E))
-        last, n0, B = block[-1], n0 + B, n0 + B
+        last = block[-1]
 
 
 def circle_step_rows(w: StepWeight, a: CircleElement,
@@ -425,10 +424,10 @@ def circle_step_rows(w: StepWeight, a: CircleElement,
     x: ``points(b, entries)`` is the lazy ``equidist.Translates`` whose item
     k is the translate of the row's entry entries[k].
 
-    The blocks come from ``equidist.sweep_blocks``, the first ending at row
-    ``horizon``, each from one arrangement of the events of every term it
-    reaches, with the pieces' boundaries prepared once for the walk
-    (``equidist.Boundaries``).  A row keeps one entry per distinct count
+    The blocks come from ``equidist.sweep_blocks``, on the schedule of
+    ``equidist.row_blocks``, each from one arrangement of the events of
+    every term it reaches, with the pieces' boundaries prepared once for the
+    walk (``equidist.Boundaries``).  A row keeps one entry per distinct count
     vector, at the first of row n's candidates that has it, in increasing
     translate order over [0, 1): the first entry reaching any value is at
     the first translate reaching it, an exact event position or cell
@@ -496,6 +495,9 @@ class ExprWeight(Weight):
     the range on which exp is finite and > 0 in binary64.
     """
 
+    # a pole or a log of a negative value on the grid is reported by the
+    # finite check's diagnostic, not by a numpy warning
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __init__(self, expr: Expr | str, grid_points: int = EXPR_GRID_POINTS, _offset: Fraction = Fraction(0)):
         self.group = CIRCLE
         self.expr = expr if isinstance(expr, Expr) else Expr(expr)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+import warnings
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -183,8 +184,27 @@ def test_weights_that_are_not_positive_by_construction_keep_their_checks(expr, m
     assert diags == [f"weight: {expr!r} {message}"]
 
 
+# a pole on a grid midpoint, and the log of the negative half of a sine
+@pytest.mark.parametrize("expr", ["1/(x-1/8192)", "ln(sin(2*pi*x))"])
+def test_a_weight_not_finite_on_the_grid_prints_its_diagnostic_alone(tmp_path, capsys, expr):
+    spec = write_spec(tmp_path, circle_spec(weight={"expr": expr}, sets=[[["0", "1/2"], "half_open"]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--spec", spec]) == 2
+    assert not caught
+    assert capsys.readouterr() == (f"weight: {expr!r} is not finite on the circle\n", "")
+
+
+def test_a_task_without_a_spec_exits_2(capsys):
+    assert main(["all"]) == 2
+    assert capsys.readouterr().err == "error: --spec is required\n"
+
+
 def _probe(base, path, value):
-    """``base`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
+    """``base`` with the entry at ``path`` (a tuple of keys) set to ``value``;
+    the empty path replaces the whole spec."""
+    if not path:
+        return value
     spec = json.loads(json.dumps(base))
     node = spec
     for key in path[:-1]:
@@ -328,6 +348,17 @@ _PROBES = [
     # the task is the command's, never the spec's
     (_EXPR, ("task",), "padic", "spec: unknown fields ['task']"),
     (_EXPR, ("task",), 5, "spec: unknown fields ['task']"),
+    (_EXPR, (), [1, 2], "spec: top level must be a JSON object"),
+    # an expression weight is parsed from a small grammar
+    (_EXPR, ("weight", "expr"), "exp(y)", "weight: unknown name 'y'"),
+    (_EXPR, ("weight", "expr"), "not x", "weight: unsupported unary operator"),
+    (_EXPR, ("weight", "expr"), "x**2 + 1", "weight: unsupported binary operator"),
+    (_EXPR, ("weight", "expr"), "tan(x) + 2", "weight: unsupported function call"),
+    (_EXPR, ("weight", "expr"), '"a"', "weight: unsupported constant 'a'"),
+    # the rest of the line is Python's own message
+    (_EXPR, ("weight", "expr"), "sin(", "weight: cannot parse expression 'sin(':"),
+    (three_coset_spec(), ("element",), {"digits": [1, 2, 0]}, "element: too many digits for this context"),
+    (three_coset_spec(), ("sets",), [{"center": "0"}], "sets: ball literal {'center': '0'} not understood"),
 ]
 
 # the line that says a required field is missing, which a field that was
@@ -347,7 +378,7 @@ def test_validate_rejects_probe(tmp_path, capsys, base, path, value, field):
     assert any(line.startswith(field) for line in capsys.readouterr().out.splitlines())
     assert main(["all", "--spec", spec, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"invalid spec: {field}" in capsys.readouterr().err
-    if path[0] in _REQUIRED and value is not None:
+    if path and path[0] in _REQUIRED and value is not None:
         for task in ("equidist", "hctest", "padic"):
             assert _REQUIRED[path[0]] not in " ".join(validate(_probe(base, path, value), task))
 

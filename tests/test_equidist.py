@@ -18,9 +18,11 @@ import exact_oracle
 from hclab import equidist, families
 from hclab.borel import BallSet, FiniteSubset, IntervalSet, ball, interval
 from hclab.equidist import (
+    BLOCK_ENTRIES,
     Boundaries,
     OrbitCounter,
     density,
+    row_blocks,
     sweep_blocks,
     sup_deviation,
     translated_density,
@@ -592,6 +594,21 @@ def test_a_block_past_the_budget_still_holds_one_row(monkeypatch):
     assert [(block.start, len(block)) for block in blocks] == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
 
+def test_row_blocks_double_the_walk_and_halve_past_the_budget():
+    # the first block ends at the horizon and each later one doubles the
+    # walk; a block of exactly BLOCK_ENTRIES entries is kept, one entry more
+    # halves it, and a row past the budget is still a block of its own
+    def first(horizon, per_row):
+        return list(itertools.islice(row_blocks(horizon, lambda start, stop: (stop - start) * per_row), 4))
+
+    assert first(3, 1) == [(0, 3), (3, 6), (6, 12), (12, 24)]
+    assert first(0, 1) == [(0, 1), (1, 2), (2, 4), (4, 8)]
+    quarter = BLOCK_ENTRIES // 4
+    assert first(4, quarter) == [(0, 4), (4, 8), (8, 12), (12, 15)]
+    assert first(4, quarter + 1) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    assert first(4, BLOCK_ENTRIES + 1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
 @pytest.mark.parametrize("sets,points", [((IntervalSet.empty(), IntervalSet.empty()), 5),
                                          ((interval(Fraction(1, 3), Fraction(1, 2), "open"),), 0)],
                          ids=["empty-sets", "empty-orbit"])
@@ -600,7 +617,7 @@ def test_a_sweep_without_events_has_one_candidate(sets, points):
     # translate 0, where every set counts nothing
     seq = OrbitSequence(CIRCLE, CIRCLE.element(Fraction(1, 7)))
     sweep = OrbitCounter.from_sequence(seq, points).sup_candidates(Boundaries.prepare(7, *sets))
-    assert sweep.events is None
+    assert not len(sweep.last)
     assert len(sweep) == 1
     assert sweep.translate(0) == 0
     assert np.array_equal(sweep.counts, np.zeros((1, len(sets)), dtype=np.int64))
@@ -706,7 +723,7 @@ def test_sweep_extremes_match_the_oracle(case):
             if K.is_empty():
                 assert len(sweep) == 1
             else:
-                ties.append(not sweep.events.last.all())
+                ties.append(not sweep.last.all())
             assert sweep.extremes() == [(int(sweep.counts.min()), int(sweep.counts.max()))]
     assert any(ties) == shared
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import expr_oracle
 from hclab import hctest, weights
 from hclab.borel import interval
-from hclab.equidist import BLOCK_ENTRIES, OrbitCounter, Sweep, Translates
+from hclab.equidist import BLOCK_ENTRIES, OrbitCounter, Sweep, Translates, row_blocks
 from hclab.groups import CIRCLE, PAdicContext, catalog, cyclic
 from hclab.hctest import MonotoneHit, log_integral_report, monotone_power_scan, monotone_rows
 from hclab.padic import qp_reduction
@@ -90,11 +90,14 @@ _ROW_WEIGHTS = [
 
 @pytest.mark.parametrize("grid_points, horizon", [
     (64, 1), (1024, 7), (256, 50),
-    # BLOCK_ENTRIES // grid_points = 5 rows per block, fewer than the horizon
+    # at most 5 rows fit in a block, fewer than the horizon, so the blocks
+    # are halved: 3 rows, then 4, 3, 3, 3, ...
     (BLOCK_ENTRIES // 5 - 1, 7),
 ])
 def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
-    # the oracle reads no ``eval_angles``; the walk's 2-D reads are its blocks
+    # the oracle reads no ``eval_angles``; the walk's 2-D reads are its
+    # blocks, those of ``row_blocks`` for grid_points entries a row, and its
+    # rows match the oracle's wherever the blocks split
     blocks = []
     eval_angles = ExprWeight.eval_angles
 
@@ -109,7 +112,10 @@ def test_expr_rows_match_the_oracle(grid_points, horizon, monkeypatch):
     for w in _ROW_WEIGHTS:
         got = list(itertools.islice(monotone_rows(w, a, grid_points, horizon), n))
         assert got == list(itertools.islice(expr_oracle.monotone_rows(w, a, grid_points), n)), w
-    assert set(blocks) == {min(horizon, BLOCK_ENTRIES // grid_points)}
+    schedule = row_blocks(horizon, lambda start, stop: (stop - start) * grid_points)
+    sizes = [stop - start for start, stop in itertools.takewhile(lambda block: block[0] < n, schedule)]
+    assert blocks == sizes * len(_ROW_WEIGHTS)
+    assert max(sizes) * grid_points <= BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("scale, certified", [("1.406729", False), ("1.406732", True)])

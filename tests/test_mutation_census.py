@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).parent / "tools" / "mutation_census.py"
 _SPEC = importlib.util.spec_from_file_location("mutation_census", _PATH)
 census = importlib.util.module_from_spec(_SPEC)
@@ -64,8 +66,23 @@ def test_a_flip_keeps_every_other_byte_and_line():
 
 def test_the_exit_code_says_whether_any_mutant_lived(monkeypatch, capsys):
     # one site of a real module, with tier-1 replaced by a fixed outcome
+    # after the clean run passes
     line = census.sites((census.REPO / "src" / "hclab" / "groups.py").read_bytes())[0][0]
     for outcome, code in (("killed", 0), ("survived", 1), ("timeout", 1)):
-        monkeypatch.setattr(census, "tier1", lambda src: outcome)
+        runs = iter(["survived", outcome])
+        monkeypatch.setattr(census, "tier1", lambda src: next(runs))
         assert census.main(["groups", "--line", str(line)]) == code
         assert capsys.readouterr().out.splitlines()[0].endswith(outcome)
+
+
+@pytest.mark.parametrize("clean", ["killed", "timeout"])
+def test_a_copy_that_fails_unmutated_stops_the_census(monkeypatch, capsys, clean):
+    # tier-1 fails (or hangs) on the clean copy: no mutant is run, and none
+    # is reported killed
+    runs = []
+    monkeypatch.setattr(census, "tier1", lambda src: runs.append(src) or clean)
+    assert census.main(["groups"]) == 2
+    assert len(runs) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unmutated copy" in err

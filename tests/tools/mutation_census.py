@@ -11,8 +11,10 @@ mutant names the site, the flip and the outcome: ``killed`` when tier-1
 fails, ``survived`` when it passes, ``timeout`` when it runs past
 ``TIMEOUT`` seconds (a flipped loop bound can hang).  A survivor costs a
 full tier-1 run, so the census runs on demand; pytest does not collect
-this file.  The exit code is 1 when any mutant survived or timed out, and 0
-when tier-1 killed every one.
+this file.  Tier-1 first runs once on the unmutated copy; when it does not
+pass there, the census stops with exit code 2 before any flip.  Otherwise
+the exit code is 1 when any mutant survived or timed out, and 0 when tier-1
+killed every one.
 
 The flip is made in the source text, between the comparison's two
 operands as ``ast`` locates them, so every other byte of the module and
@@ -87,6 +89,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        # a copy on which tier-1 already fails would read every mutant as killed
+        clean = tier1(src)
+        if clean != "survived":
+            print(f"tier-1 {'times out' if clean == 'timeout' else 'fails'} on the unmutated copy; "
+                  "no mutant was run", file=sys.stderr)
+            return 2
         for module in args.modules:
             path = src / "hclab" / f"{module}.py"
             source = path.read_bytes()
